@@ -35,7 +35,9 @@ from .operators import (
     SpectralData,
     assemble_single_particle,
     assemble_two_particle,
+    check_projections,
     diagonalize,
+    family_spectra,
     single_particle_factors,
 )
 from .resolvent import RESONANCE_GUARD, boundary_green_max, spectral_gap
@@ -160,7 +162,7 @@ def singular_mask_at(
         weights = eigenvectors[:, center_index, :] / (eigenvalues - E)
         cols = np.einsum("cbn,cn->cb", eigenvectors[:, boundary_indices, :], weights)
     exceeded = np.abs(cols).max(axis=1) > math.exp(-m * radius)
-    return resonant | (exceeded & ~resonant)
+    return resonant | exceeded
 
 
 def is_resonant(
@@ -248,13 +250,17 @@ def is_cnr(
 
     Exhaustive over all sub-box centers while their count stays within
     budget, else a seeded uniform subsample is checked and the report is
-    marked non-exhaustive.
+    marked non-exhaustive.  Each probed radius is one translated family
+    (``family_spectra``); the first resonant sub-box in probe order is
+    reported.
     """
     if schedule.J < 1 or schedule.J % 2 == 0:
         raise InvalidInputError("CNR sub-box count J must be odd and positive")
     parent = Box2(center, schedule.L[k + 1])
     if parent_op is None:
         parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
+    else:
+        check_projections(parent, sample)
     resonant, gap = is_resonant(parent_op.eigenvalues(), E, parent.radius, schedule.beta)
     if resonant:
         return CnrReport(False, gap, failed_center=center.flat, failed_radius=parent.radius,
@@ -271,25 +277,25 @@ def is_cnr(
     checked = 0
     for radius, max_off in layout:
         if exhaustive:
-            offsets = Box2(center, max_off).points() - np.array(center.flat)
+            centers = Box2(center, max_off).points()
         else:
             share = max(1, int(sample_budget * (2 * max_off + 1) ** (2 * parent.d) / total))
-            offsets = rng.integers(-max_off, max_off + 1, size=(share, 2 * parent.d))
-        for off in offsets:
-            sub_center = Point2.of(
-                np.array(center.x1.coords) + off[: parent.d],
-                np.array(center.x2.coords) + off[parent.d :],
-            )
-            sub = Box2(sub_center, radius)
-            sub_op = assemble_two_particle(sub, sample, interaction, g, adjacency)
-            res, sgap = is_resonant(sub_op.eigenvalues(), E, radius, schedule.beta)
-            checked += 1
-            if res:
+            centers = np.array(center.flat) + rng.integers(
+                -max_off, max_off + 1, size=(share, 2 * parent.d))
+        width = resonance_width(radius, schedule.beta)
+        first = 0  # index in ``centers`` of the chunk's first box
+        for ev in family_spectra(centers, radius, sample, interaction, g, adjacency):
+            gaps = np.abs(ev - E).min(axis=1)
+            hits = np.flatnonzero(gaps < width)
+            if len(hits):
+                i = int(hits[0])
                 return CnrReport(
-                    False, gap, failed_center=sub_center.flat, failed_radius=radius,
-                    failed_gap=sgap, n_candidates=total, n_checked=checked,
-                    exhaustive=exhaustive,
+                    False, gap, failed_center=tuple(int(c) for c in centers[first + i]),
+                    failed_radius=radius, failed_gap=float(gaps[i]), n_candidates=total,
+                    n_checked=checked + first + i + 1, exhaustive=exhaustive,
                 )
+            first += len(ev)
+        checked += len(centers)
     return CnrReport(True, gap, n_candidates=total, n_checked=checked,
                      exhaustive=exhaustive)
 

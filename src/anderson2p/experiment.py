@@ -50,7 +50,9 @@ from .operators import (
     FiniteOperator,
     SpectralData,
     assemble_two_particle,
+    check_projections,
     diagonalize,
+    family_spectra,
 )
 
 _MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -344,23 +346,14 @@ def not_cnr_windows(
     """Exact set of energies at which the scale-(k+1) box fails complete
     non-resonance: the union of resonance windows of the box and of every
     probed sub-box."""
+    check_projections(Box2(center, sched.L[k + 1]), sample)
+    families = [(sched.L[k + 1], np.array([center.flat]))] + [
+        (r, Box2(center, off).points()) for r, off in cnr_subbox_layout(k, sched)]
     windows: list[tuple[float, float]] = []
-    parent = Box2(center, sched.L[k + 1])
-    op = assemble_two_particle(parent, sample, interaction, g, adjacency)
-    eps = resonance_width(parent.radius, sched.beta)
-    for ev in op.eigenvalues():
-        windows.append((float(ev) - eps, float(ev) + eps))
-    d = center.d
-    for radius, max_off in cnr_subbox_layout(k, sched):
-        eps_r = resonance_width(radius, sched.beta)
-        offsets = Box2(center, max_off).points() - np.array(center.flat)
-        for off in offsets:
-            c = Point2.of(np.array(center.x1.coords) + off[:d],
-                          np.array(center.x2.coords) + off[d:])
-            sub_op = assemble_two_particle(Box2(c, radius), sample, interaction,
-                                           g, adjacency)
-            for ev in sub_op.eigenvalues():
-                windows.append((float(ev) - eps_r, float(ev) + eps_r))
+    for radius, centers in families:
+        eps = resonance_width(radius, sched.beta)
+        for ev in family_spectra(centers, radius, sample, interaction, g, adjacency):
+            windows += zip((ev - eps).ravel().tolist(), (ev + eps).ravel().tolist())
     return _interval_union(windows)
 
 

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .kernels import pairwise_dist
 
 ADJ_SUP = "sup"
 ADJ_L1 = "l1"
@@ -320,13 +319,6 @@ def box_distance(b1: Box2, b2: Box2) -> int:
         for c1, c2 in zip(b1.center.flat, b2.center.flat)
     ]
     return max(gaps)
-
-
-def point_set_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Min sup-distance between two explicit point arrays."""
-    if len(a) == 0 or len(b) == 0:
-        raise InvalidInputError("point sets must be non-empty")
-    return int(pairwise_dist(np.atleast_2d(a), np.atleast_2d(b), ADJ_SUP).min())
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .classify import CnrReport, is_cnr, is_ns
 from .disorder import DisorderSample, InteractionSpec
 from .errors import InfeasibleScheduleError, InvalidInputError
 from .geometry import Box2, Point2
+from .operators import assemble_two_particle, box_family, check_projections
 
 #: above this many singular candidates the maximum-separated-subset search
 #: falls back to a greedy lower bound and the report is marked inexact
@@ -388,27 +389,11 @@ def subbox_spectra(
     g: float,
     adjacency: str,
 ) -> SubboxSpectra:
-    from .geometry import normalize_adjacency
-    from .kernels import adjacency_matrix
-
     L_k, L_next = sched.L[k], sched.L[k + 1]
     d = center.d
     template = Box2.of_origin(d, L_k)
-    tpl_pts = template.points()
-    n = template.npoints
-    hop = adjacency_matrix(tpl_pts, normalize_adjacency(adjacency))
-    offsets = Box2(center, L_next - L_k).points() - np.array(center.flat)
-    centers = offsets + np.array(center.flat)
-    ncand = len(centers)
-    all_pts = (centers[:, None, :] + tpl_pts[None, :, :]).reshape(ncand * n, 2 * d)
-    x1, x2 = all_pts[:, :d], all_pts[:, d:]
-    v = sample.values_at_unchecked(x1) + sample.values_at_unchecked(x2)
-    u = interaction.at_separation(np.abs(x1 - x2).max(axis=1))
-    diags = (u + g * v).reshape(ncand, n)
-    h = np.broadcast_to(hop, (ncand, n, n)).copy()
-    idx = np.arange(n)
-    h[:, idx, idx] = diags
-    ev, q = np.linalg.eigh(h)
+    centers = Box2(center, L_next - L_k).points()
+    ev, q = np.linalg.eigh(box_family(centers, L_k, sample, interaction, g, adjacency))
     interactive = (
         np.abs(centers[:, :d] - centers[:, d:]).max(axis=1)
         <= 2 * L_k + interaction.r0
@@ -440,15 +425,7 @@ def count_singular_subboxes(
     """
     L_k, L_next = sched.L[k], sched.L[k + 1]
     # the parent's projections must be sampled; candidates stay inside it
-    parent = Box2(center, L_next)
-    from .geometry import projections
-
-    p1, p2, _ = projections(parent)
-    for row in np.vstack([p1.points(), p2.points()]):
-        if tuple(int(x) for x in row) not in sample.domain:
-            from .errors import OutOfDomainError
-
-            raise OutOfDomainError(f"sample domain misses site {tuple(row)}")
+    check_projections(Box2(center, L_next), sample)
     spectra = subbox_spectra(center, k, sched, sample, interaction, g, adjacency)
     sing_ni, sing_i = spectra.singular_centers(E, sched.m[k])
     offsets_count = len(spectra.centers)
@@ -523,8 +500,6 @@ def inductive_ns_step(
     parent = Box2(center, sched.L[k + 1])
     parent_op = None
     if cnr is None:
-        from .operators import assemble_two_particle
-
         parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
         cnr = is_cnr(center, k, sched, sample, interaction, g, E, adjacency,
                      parent_op=parent_op)

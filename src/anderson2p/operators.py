@@ -19,7 +19,7 @@ but equality with the direct spectrum is only asserted for ``l1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .kernels import adjacency_matrix
 #: relative tolerance for eigensolver residuals and orthonormality
 SPECTRAL_RTOL = 1e-8
 
+#: largest stack of box matrices one ``family_spectra`` eigensolve takes
+FAMILY_BYTES = 1 << 24
+
 
 @dataclass
 class FiniteOperator:
@@ -52,15 +55,10 @@ class FiniteOperator:
     particle: Optional[int] = None  # 1 or 2 for single-particle operators
     _eigenvalues: Optional[np.ndarray] = field(default=None, repr=False)
     _spectral: Optional["SpectralData"] = field(default=None, repr=False)
-    _lu_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def two_particle(self) -> bool:
-        return isinstance(self.box, Box2)
 
     def index_of(self, x) -> int:
         return self.box.index_of(x)
@@ -114,6 +112,14 @@ def _check_domain(sample: DisorderSample, sites: np.ndarray, what: str):
             )
 
 
+def check_projections(box: Box2, sample: DisorderSample) -> None:
+    """Raise ``OutOfDomainError`` unless the sample covers both projections
+    of the box, and with them every two-particle box inside it."""
+    p1, p2, _ = projections(box)
+    _check_domain(sample, p1.points(), "projection of particle 1")
+    _check_domain(sample, p2.points(), "projection of particle 2")
+
+
 def assemble_two_particle(
     box: Box2,
     sample: DisorderSample,
@@ -123,9 +129,7 @@ def assemble_two_particle(
 ) -> FiniteOperator:
     """Two-particle Hamiltonian on the box with Dirichlet restriction."""
     adjacency = normalize_adjacency(adjacency)
-    p1, p2, _ = projections(box)
-    _check_domain(sample, p1.points(), "projection of particle 1")
-    _check_domain(sample, p2.points(), "projection of particle 2")
+    check_projections(box, sample)
     pts = box.points()
     d = box.d
     h = adjacency_matrix(pts, adjacency)
@@ -136,6 +140,53 @@ def assemble_two_particle(
     u = interaction.at_separation(sep)
     np.fill_diagonal(h, u + g * (v1 + v2))
     return FiniteOperator(box, pts, h, adjacency, g, sample, interaction)
+
+
+def box_family(
+    centers: np.ndarray,
+    radius: int,
+    sample: DisorderSample,
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str = "sup",
+) -> np.ndarray:
+    """Stacked Hamiltonians of the two-particle boxes of one radius at the
+    flat ``centers`` (shape ``(ncand, 2d)``): one template hop matrix, as
+    hopping depends only on the box shape, plus each box's diagonal.  Slice
+    ``c`` equals ``assemble_two_particle(Box2(c, radius), ...).matrix``
+    exactly.  The sample domain is not checked (see ``check_projections``).
+    """
+    centers = np.asarray(centers, dtype=np.int64)
+    ncand, d = len(centers), centers.shape[1] // 2
+    tpl = Box2.of_origin(d, radius).points()
+    n = len(tpl)
+    pts = (centers[:, None, :] + tpl[None, :, :]).reshape(ncand * n, 2 * d)
+    x1, x2 = pts[:, :d], pts[:, d:]
+    v = sample.values_at_unchecked(x1) + sample.values_at_unchecked(x2)
+    u = interaction.at_separation(np.abs(x1 - x2).max(axis=1))
+    hop = adjacency_matrix(tpl, normalize_adjacency(adjacency))
+    h = np.broadcast_to(hop, (ncand, n, n)).copy()
+    idx = np.arange(n)
+    h[:, idx, idx] = (u + g * v).reshape(ncand, n)
+    return h
+
+
+def family_spectra(
+    centers: np.ndarray,
+    radius: int,
+    sample: DisorderSample,
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str = "sup",
+) -> Iterator[np.ndarray]:
+    """Ascending spectra of the ``box_family`` at ``centers``, in order: one
+    ``(nchunk, n)`` array per stacked eigensolve over a chunk of at most
+    ``FAMILY_BYTES`` of matrices (at least one box)."""
+    n = (2 * radius + 1) ** np.shape(centers)[1]
+    step = max(1, FAMILY_BYTES // (8 * n * n))
+    for start in range(0, len(centers), step):
+        yield np.linalg.eigvalsh(box_family(
+            centers[start:start + step], radius, sample, interaction, g, adjacency))
 
 
 def assemble_single_particle(

@@ -2,9 +2,15 @@
 
 ``green_column`` solves ``(H - E) c = delta_x`` by a direct (pivoted LU)
 factorization, which stays accurate for real energies inside the spectral
-hull as long as E keeps a guarded distance from the eigenvalues.
-``green_spectral`` evaluates the same quantity on non-interactive boxes
-through the eigendecomposition of the two single-particle factors.
+hull as long as E keeps a guarded distance from the eigenvalues, and checks
+the residual of the solution.  ``green_spectral`` evaluates the same
+quantity on non-interactive boxes through the eigendecomposition of the two
+single-particle factors.
+
+All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
+the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool
+and numpy's wait on each other when calls alternate between them.  No
+factorization is cached; every (operator, energy) pair is solved once.
 
 Sign conventions.  Both routines return entries of ``(H - E)^{-1}``; in the
 spectral form the denominators are ``(E_{s1} + E_{s2}) - E``.  The boundary
@@ -23,12 +29,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .errors import PreconditionError, ResonantEnergyError
+from .errors import NumericError, PreconditionError, ResonantEnergyError
 from .geometry import Point2
 from .kernels import pairwise_dist
-from .operators import FiniteOperator, SpectralData
+from .operators import SPECTRAL_RTOL, FiniteOperator, SpectralData
 
 #: relative spectral-gap guard below which an energy counts as resonant for
 #: solving purposes (callers should classify the box resonant instead)
@@ -44,15 +49,6 @@ def spectral_gap(op: FiniteOperator, E: float) -> float:
     return float(np.abs(ev - E).min())
 
 
-def _factorization(op: FiniteOperator, E: float):
-    key = float(E)
-    fac = op._lu_cache.get(key)
-    if fac is None:
-        fac = lu_factor(op.matrix - E * np.eye(op.n))
-        op._lu_cache[key] = fac
-    return fac
-
-
 @dataclass
 class GreenColumn:
     """One column ``G(E; x, .)`` of the box Green's function."""
@@ -65,12 +61,6 @@ class GreenColumn:
 
     def at(self, y) -> float:
         return float(self.vector[self.op.index_of(y)])
-
-    def as_mapping(self) -> dict[tuple[int, ...], float]:
-        return {
-            tuple(int(c) for c in p): float(v)
-            for p, v in zip(self.op.points, self.vector)
-        }
 
     def boundary_max(self) -> tuple[float, np.ndarray | None]:
         """Max |G(E; x, y)| over the interior boundary and the attaining
@@ -92,7 +82,9 @@ def green_column(
     """Solve ``(H - E) c = delta_x``; by symmetry ``c[y] = G(E; x, y)``.
 
     ``x`` defaults to the box center.  Raises ``ResonantEnergyError`` when E
-    is within the guard of the spectrum.
+    is within the guard of the spectrum, and ``NumericError`` when the
+    residual ``|(H - E) c - delta_x|`` exceeds
+    ``SPECTRAL_RTOL * max(1, |H - E| |c|)`` (spectral norm).
     """
     gap = spectral_gap(op, E)
     if gap <= guard * _gap_scale(op, E):
@@ -104,8 +96,11 @@ def green_column(
     )
     rhs = np.zeros(op.n)
     rhs[idx] = 1.0
-    vec = lu_solve(_factorization(op, E), rhs)
+    vec = np.linalg.solve(op.matrix - E * np.eye(op.n), rhs)
     residual = float(np.linalg.norm((op.matrix @ vec) - E * vec - rhs))
+    shifted_norm = float(np.abs(op.eigenvalues()[[0, -1]] - E).max())
+    if residual > SPECTRAL_RTOL * max(1.0, shifted_norm * float(np.linalg.norm(vec))):
+        raise NumericError(f"Green's column residual {residual:.3e} exceeds tolerance")
     return GreenColumn(float(E), int(idx), op, vec, residual)
 
 
@@ -115,18 +110,6 @@ def boundary_green_max(
     """Max |G(E; center, y)| over the interior boundary, via one solve."""
     col = green_column(op, E, None, guard)
     return col.boundary_max()
-
-
-def boundary_green_max_from_spectral(sd: SpectralData, E: float) -> float:
-    """Same quantity through the eigendecomposition (no extra solve); used
-    by energy-grid sweeps where one decomposition serves many energies."""
-    op = sd.op
-    bidx = op.boundary_indices()
-    if len(bidx) == 0:
-        return 0.0
-    c = sd.eigenvectors[op.center_index()] / (sd.eigenvalues - E)
-    col = sd.eigenvectors[bidx] @ c
-    return float(np.abs(col).max())
 
 
 def green_spectral(
@@ -210,7 +193,7 @@ def boundary_recovery(
         # own hop relation; these are exactly the hops the restriction drops
         dist = pairwise_dist(op.points[bidx], ext, op.adjacency)
         w[bidx] = (dist == 1) @ ext_vals
-    recon = -lu_solve(_factorization(op, E), w)
+    recon = -np.linalg.solve(op.matrix - E * np.eye(op.n), w)
     interior = box.interior_indices()
     psi_box = np.array(
         [psi[tuple(int(c) for c in p)] for p in op.points], dtype=np.float64

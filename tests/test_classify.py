@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from anderson2p import operators
 from anderson2p.classify import (
+    CNR_EXHAUSTIVE_LIMIT,
     classify_box,
     energy_grid,
     exists_resonant_pair,
@@ -18,11 +21,16 @@ from anderson2p.classify import (
 )
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.geometry import Box1, Box2, Point1, Point2
-from anderson2p.msa import schedule
+from anderson2p.msa import desk_schedule, schedule
 from anderson2p.operators import assemble_two_particle
 
 from .conftest import box_with_sample
-from .oracles import dense_inverse_green, grid_resonant_pair
+from .oracles import (
+    cnr_by_subbox,
+    cnr_probe_spectra,
+    dense_inverse_green,
+    grid_resonant_pair,
+)
 
 
 def _interaction():
@@ -177,6 +185,50 @@ class TestCNR:
                         ok = False
                         break
             assert rep.ok == ok
+
+
+def two_radius_schedule():
+    """L = (2, 7) and J = 3: CNR probes 81 boxes of radius 3 and 9 of
+    radius 6."""
+    return schedule(2, 2.7, 1.0, 1.0, 1, J=3, g=8.0, d=1)
+
+
+class TestCnrMatchesPerBoxOracle:
+    @pytest.mark.parametrize("sched", [desk_schedule(), two_radius_schedule()],
+                             ids=["desk", "two-radius"])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("exhaustive_limit", [CNR_EXHAUSTIVE_LIMIT, 1],
+                             ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("boxes_per_chunk", [None, 1, 7])
+    def test_every_report_field(self, monkeypatch, sched, adjacency,
+                                exhaustive_limit, boxes_per_chunk):
+        if boxes_per_chunk is not None:
+            n = (2 * (sched.L[0] + 1) + 1) ** 2
+            monkeypatch.setattr(operators, "FAMILY_BYTES", boxes_per_chunk * 8 * n * n)
+        parent = Box2(Point2.of((1,), (-2,)), sched.L[1])
+        sample = sample_potential(DistributionSpec.uniform(), 17, 3,
+                                  domain_for_boxes([parent]))
+        inter = _interaction()
+        kw = dict(exhaustive_limit=exhaustive_limit, sample_budget=20)
+        spectra = cnr_probe_spectra(parent.center, 0, sched, sample, inter,
+                                    sched.g, adjacency, **kw)
+        parent_ev, probes, _, _ = spectra
+        # sub-box eigenvalues the parent is not resonant with, in probe order
+        width = resonance_width(sched.L[1], sched.beta)
+        sub_ev = [float(e) for _, _, ev in probes for e in ev
+                  if np.abs(parent_ev - e).min() >= width]
+        energies = [-50.0, float(parent_ev[5])] + sub_ev[::max(1, len(sub_ev) // 4)]
+        energies += list(np.random.default_rng(1).uniform(parent_ev[0], parent_ev[-1], 4))
+        parent_op = assemble_two_particle(parent, sample, inter, sched.g, adjacency)
+        outcomes = set()
+        for e in energies:
+            rep = is_cnr(parent.center, 0, sched, sample, inter, sched.g, e,
+                         adjacency, parent_op=parent_op, **kw)
+            assert dataclasses.asdict(rep) == cnr_by_subbox(
+                spectra, parent.center, 0, sched, e), e
+            outcomes.add(rep.failed_radius)
+        # passing energies, a resonant parent and resonant sub-boxes all occur
+        assert {None, sched.L[1], sched.L[0] + 1} <= outcomes
 
 
 class TestNonTunnelling:

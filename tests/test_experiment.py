@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anderson2p.classify import is_cnr
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InvalidInputError, PlacementError
 from anderson2p.experiment import (
@@ -11,6 +12,7 @@ from anderson2p.experiment import (
     estimate_event,
     initial_step_certificate,
     localization_mass_sweep,
+    not_cnr_windows,
     singularity_vs_g_probe,
     ss_induction_probe,
     wegner_sweep,
@@ -19,6 +21,8 @@ from anderson2p.experiment import (
 from anderson2p.geometry import Box2, Point2
 from anderson2p.msa import desk_schedule, schedule
 from anderson2p.operators import assemble_two_particle
+
+from .oracles import not_cnr_windows_by_subbox
 
 
 def _interaction():
@@ -177,6 +181,28 @@ class TestIndependenceCrossCheck:
         p1, p2, p12 = n1 / trials, n2 / trials, n12 / trials
         sigma = math.sqrt(max(p1 * p2 * (1 - p1 * p2), 1e-9) / trials)
         assert abs(p12 - p1 * p2) <= 3 * sigma + 0.01
+
+
+class TestNotCnrWindows:
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_matches_per_box_oracle(self, adjacency):
+        # L = (2, 7), J = 3: windows of the parent, 81 boxes of radius 3 and
+        # 9 of radius 6; strong disorder and narrow windows keep many of
+        # them apart
+        sched = schedule(2, 2.7, 1.0, 1.0, 1, J=3, g=100.0, d=1, beta=0.9)
+        center = Point2.of((1,), (-2,))
+        sample = sample_potential(DistributionSpec.uniform(), 17, 3,
+                                  domain_for_boxes([Box2(center, sched.L[1])]))
+        args = (center, 0, sched, sample, _interaction(), sched.g, adjacency)
+        windows = not_cnr_windows(*args)
+        assert windows == not_cnr_windows_by_subbox(*args)
+        # the box fails complete non-resonance exactly inside the windows
+        inside = [(lo + hi) / 2 for lo, hi in windows[::10]]
+        between = [(a[1] + b[0]) / 2 for a, b in zip(windows, windows[1:])][::10]
+        assert len(between) > 10
+        for e, want in [(e, False) for e in inside] + [(e, True) for e in between]:
+            assert is_cnr(center, 0, sched, sample, _interaction(), sched.g, e,
+                          adjacency).ok == want, e
 
 
 class TestInitialCertificate:

@@ -1,6 +1,8 @@
 """Cross-cutting integration checks: backend invariance of full
-experiments, subsampled budget paths, and third-party cross-validation."""
+experiments, subsampled budget paths, third-party cross-validation, and
+the single LAPACK library."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -124,6 +126,25 @@ class TestCnrSubsampling:
         sub = is_cnr(parent.center, 0, sched, sample, inter, sched.g, -40.0,
                      exhaustive_limit=5, sample_budget=10)
         assert full.ok and sub.ok and full.exhaustive and not sub.exhaustive
+
+
+class TestOneLapackLibrary:
+    def test_no_scipy_linalg_import(self):
+        # dense LAPACK goes through numpy.linalg only; scipy's OpenBLAS pool
+        # contends with numpy's when the two alternate
+        offenders = []
+        for path in sorted(Path(anderson2p.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{a.name}"
+                                             for a in node.names]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno}" for n in names
+                              if n == "scipy.linalg" or n.startswith("scipy.linalg.")]
+        assert offenders == []
 
 
 class TestCliClassifyScale:

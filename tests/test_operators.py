@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from anderson2p.disorder import DistributionSpec, InteractionSpec, sample_potential
+from anderson2p import operators
+from anderson2p.disorder import (
+    DistributionSpec,
+    InteractionSpec,
+    domain_for_boxes,
+    sample_potential,
+)
 from anderson2p.errors import OutOfDomainError, PreconditionError
 from anderson2p.geometry import Box1, Box2, Point1, Point2
 from anderson2p.operators import (
     assemble_single_particle,
     assemble_two_particle,
+    box_family,
     diagonalize,
+    family_spectra,
     permutation_conjugate_check,
     tensor_spectrum,
 )
@@ -79,6 +87,47 @@ class TestAssembly:
                                   np.array([[5]]))
         op = assemble_single_particle(box, sample, 3.0)
         assert op.matrix[0, 0] == pytest.approx(3.0 * sample.values[(5,)])
+
+
+def _family_setup(d, radius, n_centers=6, seed=7):
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(-4, 5, size=(n_centers, 2 * d))
+    region = Box2.of_origin(d, 4 + radius)
+    sample = sample_potential(DistributionSpec.uniform(), 3, 1,
+                              domain_for_boxes([region]))
+    return centers, sample
+
+
+def _single_box(c, radius, sample, adjacency):
+    d = len(c) // 2
+    box = Box2(Point2.of(c[:d], c[d:]), radius)
+    return assemble_two_particle(box, sample, _interaction(), 2.5, adjacency)
+
+
+class TestBoxFamily:
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("d,radius", [(1, 0), (1, 2), (2, 1)])
+    def test_slices_equal_single_box_assembly(self, adjacency, d, radius):
+        centers, sample = _family_setup(d, radius)
+        family = box_family(centers, radius, sample, _interaction(), 2.5, adjacency)
+        assert family.shape == (len(centers), (2 * radius + 1) ** (2 * d),
+                                (2 * radius + 1) ** (2 * d))
+        for c, h in zip(centers, family):
+            assert np.array_equal(h, _single_box(c, radius, sample, adjacency).matrix)
+
+    @pytest.mark.parametrize("boxes_per_chunk,sizes", [
+        (0, [1] * 7), (1, [1] * 7), (3, [3, 3, 1]), (7, [7]), (100, [7]),
+    ])
+    def test_spectra_in_order_under_any_budget(self, monkeypatch, boxes_per_chunk,
+                                               sizes):
+        centers, sample = _family_setup(1, 2, n_centers=7)
+        n = 25
+        monkeypatch.setattr(operators, "FAMILY_BYTES", boxes_per_chunk * 8 * n * n)
+        chunks = list(family_spectra(centers, 2, sample, _interaction(), 2.5))
+        assert [len(c) for c in chunks] == sizes
+        expected = [np.linalg.eigvalsh(_single_box(c, 2, sample, "sup").matrix)
+                    for c in centers]
+        assert np.array_equal(np.concatenate(chunks), np.array(expected))
 
 
 class TestDiagonalize:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
-from anderson2p.errors import ResonantEnergyError
+from anderson2p.errors import NumericError, ResonantEnergyError
 from anderson2p.geometry import Box2, Point2
 from anderson2p.operators import (
     assemble_two_particle,
@@ -102,6 +102,23 @@ class TestGreenColumn:
 
         rhs = (e1 - e2) * lu_solve(lu_factor(op.matrix - e1 * np.eye(op.n)), c2)
         assert np.abs(lhs - rhs).max() < 1e-6
+
+
+    def test_residual_checked(self, monkeypatch):
+        box, sample = box_with_sample(Point2.of((0,), (2,)), 1, seed=11)
+        op = assemble_two_particle(box, sample, _interaction(), 3.0)
+        e = _nonresonant_energies(op.eigenvalues(), 1, np.random.default_rng(5))[0]
+        assert green_column(op, e).residual < 1e-10
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[0] += 1e-4 * np.linalg.norm(x)
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericError, match="residual"):
+            green_column(op, e)
 
 
 class TestGreenSpectral:
