@@ -46,6 +46,9 @@ from .resolvent import RESONANCE_GUARD, boundary_green_max, spectral_gap
 CNR_EXHAUSTIVE_LIMIT = 100_000
 CNR_SAMPLE_BUDGET = 10_000
 
+#: largest (candidates, n, energies) temporary one ``singular_mask_at`` block takes
+MASK_BYTES = 1 << 18
+
 
 def resonance_width(L: int, beta: float) -> float:
     return math.exp(-float(L) ** beta)
@@ -59,12 +62,14 @@ def energy_grid(
 ) -> np.ndarray:
     """Recorded grid used to approximate 'exists E in I' for singularity
     events: spacing min(0.01 * |I|, half the resonance width), or an
-    explicit override."""
+    explicit positive override."""
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise InvalidInputError("energy interval must have positive length")
-    delta = spacing if spacing else min(0.01 * (b - a),
-                                        0.5 * resonance_width(L, beta))
+    if spacing is not None and not 0 < spacing < math.inf:
+        raise InvalidInputError(f"grid spacing must be positive and finite, got {spacing}")
+    delta = spacing if spacing is not None else min(0.01 * (b - a),
+                                                    0.5 * resonance_width(L, beta))
     n = max(2, int(math.ceil((b - a) / delta)) + 1)
     return np.linspace(a, b, n)
 
@@ -122,20 +127,11 @@ def singular_at_spectral(
     E: float,
     m: float,
 ) -> bool:
-    """Singularity decided through an eigendecomposition; energies within
-    the solver guard of the spectrum count as singular.  Equivalent to
-    ``is_ns`` up to roundoff and used by energy-grid sweeps and counters,
-    where one decomposition serves many energies."""
-    gap = float(np.abs(eigenvalues - E).min())
-    scale = max(1.0, abs(E), abs(eigenvalues[0]), abs(eigenvalues[-1]))
-    if gap <= RESONANCE_GUARD * scale:
-        return True
-    if len(boundary_indices) == 0:
-        return False
-    col = eigenvectors[boundary_indices] @ (
-        eigenvectors[center_index] / (eigenvalues - E)
-    )
-    return float(np.abs(col).max()) > math.exp(-m * radius)
+    """``singular_mask_at`` for one box and one energy.  Equivalent to
+    ``is_ns`` up to roundoff, with energies within the solver guard of the
+    spectrum counted as singular."""
+    return bool(singular_mask_at(eigenvalues[None], eigenvectors[None], center_index,
+                                 boundary_indices, radius, E, m)[0])
 
 
 def singular_mask_at(
@@ -144,25 +140,38 @@ def singular_mask_at(
     center_index: int,
     boundary_indices: np.ndarray,
     radius: int,
-    E: float,
+    E: float | np.ndarray,
     m: float,
 ) -> np.ndarray:
-    """Vectorized ``singular_at_spectral`` over a stack of same-shape
-    operators (translated sub-boxes share the index layout)."""
-    gaps = np.abs(eigenvalues - E).min(axis=1)
-    scales = np.maximum.reduce([
-        np.full(len(eigenvalues), max(1.0, abs(E))),
-        np.abs(eigenvalues[:, 0]),
-        np.abs(eigenvalues[:, -1]),
-    ])
-    resonant = gaps <= RESONANCE_GUARD * scales
-    if len(boundary_indices) == 0:
-        return resonant
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = eigenvectors[:, center_index, :] / (eigenvalues - E)
-        cols = np.einsum("cbn,cn->cb", eigenvectors[:, boundary_indices, :], weights)
-    exceeded = np.abs(cols).max(axis=1) > math.exp(-m * radius)
-    return resonant | exceeded
+    """(E, m)-singularity of every operator of a stack of same-shape
+    operators (translated sub-boxes share the index layout), decided
+    through their eigendecompositions; energies within the solver guard of
+    a spectrum count as singular.
+
+    A scalar ``E`` gives a ``(ncand,)`` mask, a 1-D energy array an
+    ``(nE, ncand)`` mask.  Energies are taken in blocks whose
+    ``(ncand, n, block)`` temporaries fit in ``MASK_BYTES``.
+    """
+    energies = np.atleast_1d(np.asarray(E, dtype=np.float64))
+    ncand, n = eigenvalues.shape
+    threshold = math.exp(-m * radius)
+    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
+    center = eigenvectors[:, center_index, :, None]  # (ncand, n, 1)
+    boundary = eigenvectors[:, boundary_indices, :]  # (ncand, nb, n)
+    out = np.empty((len(energies), ncand), dtype=bool)
+    step = max(1, MASK_BYTES // (8 * ncand * n))
+    for lo in range(0, len(energies), step):
+        block = energies[lo:lo + step]
+        shift = eigenvalues[:, :, None] - block  # (ncand, n, block)
+        gaps = np.abs(shift).min(axis=1)
+        scales = np.maximum(np.maximum(1.0, np.abs(block)), edge[:, None])
+        mask = gaps <= RESONANCE_GUARD * scales
+        if len(boundary_indices):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cols = boundary @ (center / shift)  # (ncand, nb, block)
+            mask |= np.abs(cols).max(axis=1) > threshold
+        out[lo:lo + step] = mask.T
+    return out if np.ndim(E) else out[0]
 
 
 def is_resonant(
@@ -261,13 +270,14 @@ def is_cnr(
         parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
     else:
         check_projections(parent, sample)
-    resonant, gap = is_resonant(parent_op.eigenvalues(), E, parent.radius, schedule.beta)
-    if resonant:
-        return CnrReport(False, gap, failed_center=center.flat, failed_radius=parent.radius,
-                         failed_gap=gap)
     layout = cnr_subbox_layout(k, schedule)
     total = sum((2 * off + 1) ** (2 * parent.d) for _, off in layout)
     exhaustive = total <= exhaustive_limit
+    resonant, gap = is_resonant(parent_op.eigenvalues(), E, parent.radius, schedule.beta)
+    if resonant:
+        return CnrReport(False, gap, failed_center=center.flat, failed_radius=parent.radius,
+                         failed_gap=gap, n_candidates=total, n_checked=0,
+                         exhaustive=exhaustive)
     rng = None
     if not exhaustive:
         rng = np.random.Generator(

@@ -19,7 +19,7 @@ Keys::
                     "J", "k_max", "p_tilde"}     (preset-dependent defaults)
     preset         "desk" | "asymptotic" | "custom"   (default "desk")
     interval       [a, b] energy interval        (default [-1, 1])
-    grid_spacing   float | null (override of the recorded grid rule)
+    grid_spacing   float > 0 | null              (override of the grid rule)
     trials         int                           (default 200)
     seed           int                           (default 1)
     output_dir     str | null
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Any, Optional
@@ -160,6 +161,12 @@ class ExperimentConfig:
             or not self.interval[0] < self.interval[1]
         ):
             diags.append(("interval", "must be numeric [a, b] with a < b"))
+        if self.grid_spacing is not None and (
+            isinstance(self.grid_spacing, bool)
+            or not isinstance(self.grid_spacing, (int, float))
+            or not 0 < self.grid_spacing < math.inf
+        ):
+            diags.append(("grid_spacing", "must be null or a positive finite number"))
         for key in ("L0", "alpha", "gamma", "m0", "beta", "p", "q", "J", "k_max"):
             if key not in self.schedule:
                 diags.append((f"schedule.{key}", "missing"))

@@ -26,6 +26,7 @@ from .classify import (
     energy_grid,
     is_nontunnelling,
     resonance_width,
+    singular_mask_at,
 )
 from .disorder import (
     DisorderSample,
@@ -74,6 +75,9 @@ EVENT_KINDS = (
     "mixed_pair_residual",
 )
 
+_COUNTER_KINDS = ("ni_counter_at_least", "interactive_counter_at_least",
+                  "total_counter_at_least")
+
 
 @dataclass(frozen=True)
 class EventSpec:
@@ -94,6 +98,8 @@ class EventSpec:
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise InvalidInputError(f"unknown event kind: {self.kind!r}")
+        if self.kind in _COUNTER_KINDS and self.n < 1:
+            raise InvalidInputError(f"{self.kind} needs n >= 1, got {self.n}")
 
     def to_dict(self) -> dict:
         return {
@@ -297,15 +303,15 @@ def _draw_separated(
 # grid-sweep helpers on spectral data
 
 
-def _singular_at(sd: SpectralData, E: float, m: float) -> bool:
-    """Singularity via the eigendecomposition: resonant energies (within
-    the solver guard) count as singular."""
-    from .classify import singular_at_spectral
-
-    op = sd.op
-    return singular_at_spectral(
-        sd.eigenvalues, sd.eigenvectors, op.center_index(),
-        op.boundary_indices(), op.box.radius, E, m,
+def _grid_singular(sds: Sequence[SpectralData], grid: np.ndarray, m: float) -> np.ndarray:
+    """``(len(grid), len(sds))`` singularity mask of diagonalized boxes of
+    one radius over the grid; resonant energies (within the solver guard)
+    count as singular."""
+    op = sds[0].op
+    return singular_mask_at(
+        np.stack([sd.eigenvalues for sd in sds]),
+        np.stack([sd.eigenvectors for sd in sds]),
+        op.center_index(), op.boundary_indices(), op.box.radius, grid, m,
     )
 
 
@@ -404,7 +410,7 @@ def _eval_single_box_singular(spec, ctx: _TrialContext, trial: int) -> bool:
     sd = diagonalize(op)
     grid = energy_grid(_require_interval(spec), L, sched.beta,
                        spec.grid_spacing)
-    return any(_singular_at(sd, float(E), m) for E in grid)
+    return bool(_grid_singular([sd], grid, m).any())
 
 
 def _eval_pair_singular(spec, ctx, trial, interactive_only=False) -> bool:
@@ -425,10 +431,7 @@ def _eval_pair_singular(spec, ctx, trial, interactive_only=False) -> bool:
                                             spec.adjacency))
     grid = energy_grid(_require_interval(spec), L, sched.beta,
                        spec.grid_spacing)
-    return any(
-        _singular_at(sd1, float(E), m) and _singular_at(sd2, float(E), m)
-        for E in grid
-    )
+    return bool(_grid_singular([sd1, sd2], grid, m).all(axis=1).any())
 
 
 def _eval_resonant_at_energy(spec, ctx, trial) -> bool:
@@ -486,7 +489,12 @@ def _counter_thresholds(spec) -> tuple[str, int]:
 
 def _eval_counter(spec, ctx, trial) -> bool:
     """'Some grid energy makes the separated-singular-sub-box counter reach
-    its threshold' inside a scale-(k+1) box at the origin."""
+    its threshold' inside a scale-(k+1) box at the origin.
+
+    One mask decides every (sub-box, grid energy) pair.  The candidates
+    counted keep the order of ``count_singular_subboxes`` (non-interactive
+    first for K), which the greedy subset search depends on, and the search
+    runs once per distinct singular set."""
     from .msa import subbox_spectra
 
     sched = ctx.sched
@@ -500,15 +508,19 @@ def _eval_counter(spec, ctx, trial) -> bool:
     which, threshold = _counter_thresholds(spec)
     grid = energy_grid(_require_interval(spec), L_k, sched.beta,
                        spec.grid_spacing)
-    for E in grid:
-        sing_ni, sing_i = spectra.singular_centers(float(E), m)
-        if which == "M":
-            count, _, _ = max_separated_subset(sing_ni, 8 * L_k)
-        elif which == "N":
-            count, _, _ = max_separated_subset(sing_i, 8 * L_k)
-        else:
-            count, _, _ = max_separated_subset(sing_ni + sing_i, 8 * L_k)
-        if count >= threshold:
+    masks = singular_mask_at(spectra.eigenvalues, spectra.eigenvectors,
+                             spectra.center_index, spectra.boundary_indices,
+                             spectra.radius, grid, m)
+    inter = spectra.interactive
+    pool = {"M": np.flatnonzero(~inter), "N": np.flatnonzero(inter),
+            "K": np.argsort(inter, kind="stable")}[which]
+    counts: dict[bytes, int] = {}
+    for row in masks[:, pool]:
+        key = row.tobytes()
+        if key not in counts:
+            counts[key], _, _ = max_separated_subset(spectra.centers[pool[row]],
+                                                     8 * L_k)
+        if counts[key] >= threshold:
             return True
     return False
 
@@ -541,10 +553,7 @@ def _eval_mixed_pair(spec, ctx, trial) -> dict[str, bool]:
     sdy = diagonalize(assemble_two_particle(by, sample, ctx.interaction, sched.g,
                                             spec.adjacency))
     grid = energy_grid(interval, L_next, sched.beta, spec.grid_spacing)
-    b_event = any(
-        _singular_at(sdx, float(E), m_next) and _singular_at(sdy, float(E), m_next)
-        for E in grid
-    )
+    b_event = bool(_grid_singular([sdx, sdy], grid, m_next).all(axis=1).any())
     p1, p2, _ = projections(by)
     ok1, _ = is_nontunnelling(p1, sample, sched.g, 2.0 * sched.m0, spec.adjacency)
     ok2, _ = is_nontunnelling(p2, sample, sched.g, 2.0 * sched.m0, spec.adjacency)
@@ -585,8 +594,7 @@ def evaluate_event(spec: EventSpec, ctx: _TrialContext, trial: int) -> bool:
         return _eval_pair_resonant(spec, ctx, trial, fixed_energy=True)
     if kind == "single_particle_tunnelling":
         return _eval_single_particle_tunnelling(spec, ctx, trial)
-    if kind in ("ni_counter_at_least", "interactive_counter_at_least",
-                "total_counter_at_least"):
+    if kind in _COUNTER_KINDS:
         return _eval_counter(spec, ctx, trial)
     if kind in _MIXED_KINDS:
         return _eval_mixed_pair(spec, ctx, trial)[kind]

@@ -258,10 +258,13 @@ def validate_parameters(sched: ScaleSchedule) -> ParameterReport:
 
 
 def max_separated_subset(
-    centers: Sequence[Point2], min_separation: int, exact_limit: int = EXACT_SUBSET_LIMIT
+    centers: Sequence[Point2] | np.ndarray,
+    min_separation: int,
+    exact_limit: int = EXACT_SUBSET_LIMIT,
 ) -> tuple[int, list[int], bool]:
     """Largest subset of centers that are pairwise separated by more than
-    ``min_separation`` in the exchange-symmetrised metric.
+    ``min_separation`` in the exchange-symmetrised metric.  ``centers`` are
+    points or an ``(n, 2d)`` integer array of flat centers.
 
     Exact branch-and-bound up to ``exact_limit`` candidates (the inductive
     step needs the true maximum for its 'K <= J' decisions); a greedy lower
@@ -273,7 +276,10 @@ def max_separated_subset(
         return 0, [], True
     from .kernels import pairwise_dist
 
-    flat = np.array([c.flat for c in centers], dtype=np.int64)
+    if isinstance(centers, np.ndarray):
+        flat = centers.astype(np.int64, copy=False)
+    else:
+        flat = np.array([c.flat for c in centers], dtype=np.int64)
     d = flat.shape[1] // 2
     swapped = np.hstack([flat[:, d:], flat[:, :d]])
     direct = pairwise_dist(flat, flat, "sup")

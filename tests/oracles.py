@@ -3,8 +3,10 @@
 These deliberately avoid the library's numerical code paths (no factorized
 solves, no library eigensolvers beyond what a specific oracle states, no
 shared kernels); they share only scalar arithmetic with the modules they
-check.  The exception is the complete-non-resonance oracle: it checks the
-batched sweep against the library's single-box assembly, one box at a time.
+check.  Two oracles are exceptions.  The complete-non-resonance oracle
+checks the batched sweep against the library's single-box assembly, one box
+at a time.  The counter oracle checks the grid-wide counter sweep against
+the library's per-energy singular sets and subset search.
 They are test-tree-only and never imported by the package.
 """
 
@@ -179,10 +181,9 @@ def cnr_by_subbox(probe_spectra, center, k, schedule, E) -> dict:
                failed_gap=None, n_candidates=total, n_checked=0,
                exhaustive=exhaustive)
     if gap < math.exp(-float(L_next) ** schedule.beta):
-        # no sub-box is probed, and the report keeps its defaults
+        # no sub-box is probed
         return dict(out, ok=False, failed_center=tuple(center.flat),
-                    failed_radius=L_next, failed_gap=gap, n_candidates=0,
-                    exhaustive=True)
+                    failed_radius=L_next, failed_gap=gap)
     for n, (radius, c, ev) in enumerate(probes, start=1):
         sgap = float(np.abs(ev - E).min())
         if sgap < math.exp(-float(radius) ** schedule.beta):
@@ -208,3 +209,40 @@ def not_cnr_windows_by_subbox(center, k, schedule, sample, interaction, g,
         else:
             merged.append([lo, hi])
     return [tuple(w) for w in merged]
+
+
+def counter_by_energy(spec, ctx, trial) -> tuple[bool, list]:
+    """The counter event of ``experiment._eval_counter`` decided one grid
+    energy at a time: the singular candidates at each energy as ``Point2``
+    lists (``SubboxSpectra.singular_centers``, non-interactive first for K)
+    and one ``max_separated_subset`` search per energy.
+
+    Returns the verdict and, per energy swept, the searched centers as flat
+    tuples with the search's ``exact`` flag.
+    """
+    from anderson2p.classify import energy_grid
+    from anderson2p.disorder import domain_for_boxes, sample_potential
+    from anderson2p.geometry import Box2
+    from anderson2p.msa import max_separated_subset, subbox_spectra
+
+    sched, k = ctx.sched, spec.k
+    L_k = sched.L[k]
+    m = spec.mass if spec.mass is not None else sched.m[k]
+    parent = Box2.of_origin(sched.d, sched.L[k + 1])
+    sample = sample_potential(ctx.dist, ctx.seed, trial, domain_for_boxes([parent]))
+    spectra = subbox_spectra(parent.center, k, sched, sample, ctx.interaction,
+                             sched.g, spec.adjacency)
+    which, threshold = {
+        "ni_counter_at_least": ("M", max(2, spec.n)),
+        "interactive_counter_at_least": ("N", 2 * spec.n),
+        "total_counter_at_least": ("K", 2 * spec.n + 2),
+    }[spec.kind]
+    searched = []
+    for E in energy_grid(spec.interval, L_k, sched.beta, spec.grid_spacing):
+        sing_ni, sing_i = spectra.singular_centers(float(E), m)
+        centers = {"M": sing_ni, "N": sing_i, "K": sing_ni + sing_i}[which]
+        count, _, exact = max_separated_subset(centers, 8 * L_k)
+        searched.append(([c.flat for c in centers], exact))
+        if count >= threshold:
+            return True, searched
+    return False, searched

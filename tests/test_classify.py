@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from anderson2p import operators
+from anderson2p import classify, operators
 from anderson2p.classify import (
     CNR_EXHAUSTIVE_LIMIT,
     classify_box,
+    cnr_subbox_layout,
     energy_grid,
     exists_resonant_pair,
     is_cnr,
@@ -18,11 +19,14 @@ from anderson2p.classify import (
     nt_size_condition,
     nt_to_ns_check,
     resonance_width,
+    singular_at_spectral,
+    singular_mask_at,
 )
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
+from anderson2p.errors import InvalidInputError
 from anderson2p.geometry import Box1, Box2, Point1, Point2
 from anderson2p.msa import desk_schedule, schedule
-from anderson2p.operators import assemble_two_particle
+from anderson2p.operators import assemble_two_particle, box_family
 
 from .conftest import box_with_sample
 from .oracles import (
@@ -140,6 +144,67 @@ class TestEnergyGrid:
         assert delta <= min(0.02, 0.5 * resonance_width(2, 0.5)) + 1e-12
         assert g[0] == -1.0 and g[-1] == 1.0
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_non_positive_spacing(self, spacing):
+        # 0 used to fall back to the default rule, -0.5 gave the endpoints only
+        with pytest.raises(InvalidInputError):
+            energy_grid((-1.0, 1.0), 2, 0.5, spacing)
+
+    def test_explicit_spacing(self):
+        assert len(energy_grid((-1.0, 1.0), 2, 0.5, 0.5)) == 5
+
+
+def _family_spectra(radius, half_width, g=5.0, adjacency="sup"):
+    """Eigendecompositions of the radius-``radius`` boxes centred in the
+    cube of half-width ``half_width`` around the origin (d = 1)."""
+    centers = Box2.of_origin(1, half_width).points()
+    sample = sample_potential(DistributionSpec.uniform(), 5, 2, domain_for_boxes(
+        [Box2.of_origin(1, radius + half_width)]))
+    ev, q = np.linalg.eigh(box_family(centers, radius, sample, _interaction(), g,
+                                      adjacency))
+    template = Box2.of_origin(1, radius)
+    return ev, q, template.center_index(), template.boundary_indices(), radius
+
+
+class TestSingularMask:
+    """``singular_mask_at`` over an energy array equals one call per energy,
+    whatever the energy block."""
+
+    @pytest.mark.parametrize("case", ["stack", "one-box", "radius-0"])
+    @pytest.mark.parametrize("block", [None, 1, 4])
+    def test_energy_array_matches_per_energy_calls(self, monkeypatch, case, block):
+        ev, q, ci, bidx, radius = _family_spectra(0 if case == "radius-0" else 2, 2)
+        if case == "one-box":
+            ev, q = ev[:1], q[:1]
+        ncand, n = ev.shape
+        if block is not None:
+            monkeypatch.setattr(classify, "MASK_BYTES", block * 8 * ncand * n)
+        # 23 energies, not a multiple of either block; exact eigenvalues included
+        grid = np.concatenate([np.linspace(-1.5, 1.5, 20), ev[0, [0, n // 2, -1]]])
+        mask = singular_mask_at(ev, q, ci, bidx, radius, grid, 0.5)
+        per_energy = np.stack([singular_mask_at(ev, q, ci, bidx, radius, float(E), 0.5)
+                               for E in grid])
+        assert mask.shape == (len(grid), ncand)
+        assert np.array_equal(mask, per_energy)
+        assert mask[-3:, 0].all()  # an eigenvalue of box 0 is singular for it
+        if case == "stack":
+            assert not mask.all()
+
+    def test_single_box_agrees_with_is_ns(self):
+        ev, q, ci, bidx, radius = _family_spectra(2, 0)
+        box = Box2.of_origin(1, 2)
+        sample = sample_potential(DistributionSpec.uniform(), 5, 2,
+                                  domain_for_boxes([box]))
+        energies = np.linspace(-1.0, 6.0, 15)
+        verdicts = set()
+        for m in (0.05, 0.5, 2.0):
+            for E in energies:
+                ns, _ = is_ns(box, sample, _interaction(), 5.0, float(E), m)
+                singular = singular_at_spectral(ev[0], q[0], ci, bidx, radius, float(E), m)
+                assert singular == (not ns), (E, m)
+                verdicts.add(singular)
+        assert verdicts == {True, False}
+
 
 class TestCNR:
     def test_far_energy_is_cnr(self, desk):
@@ -159,6 +224,20 @@ class TestCNR:
         rep = is_cnr(parent.center, 0, desk, sample, _interaction(), desk.g, e)
         assert not rep.ok
         assert rep.failed_radius == parent.radius  # condition (i) fails
+
+    @pytest.mark.parametrize("exhaustive_limit", [CNR_EXHAUSTIVE_LIMIT, 1])
+    def test_resonant_parent_reports_sweep_layout(self, desk, exhaustive_limit):
+        parent = Box2.of_origin(1, desk.L[1])
+        sample = sample_potential(DistributionSpec.uniform(), 11, 0,
+                                  domain_for_boxes([parent]))
+        op = assemble_two_particle(parent, sample, _interaction(), desk.g)
+        rep = is_cnr(parent.center, 0, desk, sample, _interaction(), desk.g,
+                     float(op.eigenvalues()[5]), exhaustive_limit=exhaustive_limit)
+        total = sum((2 * off + 1) ** 2 for _, off in cnr_subbox_layout(0, desk))
+        assert not rep.ok and rep.failed_radius == parent.radius
+        # no sub-box was checked, but the report names the sweep that applies
+        assert (rep.n_candidates, rep.n_checked) == (total, 0)
+        assert rep.exhaustive == (total <= exhaustive_limit)
 
     def test_matches_exhaustive_enumeration(self):
         # J=1 schedule: the only probed radius is L0+1

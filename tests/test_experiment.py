@@ -6,8 +6,11 @@ import pytest
 from anderson2p.classify import is_cnr
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InvalidInputError, PlacementError
+from anderson2p import experiment
 from anderson2p.experiment import (
     EventSpec,
+    _eval_counter,
+    _TrialContext,
     decay_fit,
     estimate_event,
     initial_step_certificate,
@@ -19,10 +22,13 @@ from anderson2p.experiment import (
     wilson_interval,
 )
 from anderson2p.geometry import Box2, Point2
-from anderson2p.msa import desk_schedule, schedule
+from anderson2p.msa import desk_schedule, max_separated_subset, schedule
 from anderson2p.operators import assemble_two_particle
 
-from .oracles import not_cnr_windows_by_subbox
+from .oracles import counter_by_energy, not_cnr_windows_by_subbox
+
+COUNTER_KINDS = ("ni_counter_at_least", "interactive_counter_at_least",
+                 "total_counter_at_least")
 
 
 def _interaction():
@@ -138,6 +144,21 @@ class TestEstimateEvent:
         with pytest.raises(InvalidInputError):
             EventSpec("made_up_event")
 
+    @pytest.mark.parametrize("kind", COUNTER_KINDS)
+    def test_counter_needs_positive_n(self, kind):
+        # n = 0 would make the interactive threshold 0: every trial succeeds
+        for n in (0, -1):
+            with pytest.raises(InvalidInputError):
+                EventSpec(kind, interval=(-1.0, 1.0), n=n)
+        assert EventSpec(kind, interval=(-1.0, 1.0), n=1).n == 1
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.5, math.nan])
+    def test_non_positive_grid_spacing_rejected(self, desk, spacing):
+        spec = EventSpec("single_box_singular", interval=(-1.0, 1.0),
+                         grid_spacing=spacing)
+        with pytest.raises(InvalidInputError):
+            estimate_event(spec, desk, 1, 1)
+
     def test_bound_comparison_branches(self, desk):
         import time as _time
 
@@ -152,6 +173,54 @@ class TestEstimateEvent:
         assert rec.comparison == "fail"
         rec = _finish_record(spec, desk, 100, 1, 1, t0)
         assert rec.comparison == "indeterminate"
+
+
+class TestCounterMatchesPerEnergyOracle:
+    """The grid-wide counter sweep against one singular set and one subset
+    search per grid energy (``counter_by_energy``)."""
+
+    @staticmethod
+    def _compare(monkeypatch, sched, adjacency, trials):
+        """Verdicts and greedy flags of the oracle; asserts that the sweep
+        gives the same verdicts and searches each distinct singular set
+        once, with its candidates in the oracle's order."""
+        searches = []
+
+        def recording(centers, *args):
+            searches.append([tuple(int(x) for x in c) for c in centers])
+            return max_separated_subset(centers, *args)
+
+        monkeypatch.setattr(experiment, "max_separated_subset", recording)
+        ctx = _TrialContext(sched, DistributionSpec.uniform(),
+                            InteractionSpec.triangular(sched.r0), 9000)
+        verdicts, greedy = [], False
+        for kind in COUNTER_KINDS:
+            spec = EventSpec(kind, interval=(-1.0, 1.0), adjacency=adjacency)
+            for trial in trials:
+                want, searched = counter_by_energy(spec, ctx, trial)
+                searches.clear()
+                assert _eval_counter(spec, ctx, trial) == want, (kind, trial)
+                distinct = []
+                for centers, _ in searched:
+                    if centers not in distinct:
+                        distinct.append(centers)
+                assert searches == distinct, (kind, trial)
+                verdicts.append(want)
+                greedy |= not all(exact for _, exact in searched)
+        return verdicts, greedy
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("g", [1.0, 5.0, 30.0])
+    def test_desk_verdicts(self, monkeypatch, adjacency, g):
+        _, greedy = self._compare(monkeypatch, desk_schedule(g=g), adjacency, range(4))
+        # past 40 singular candidates the search is greedy: always so at g=1
+        assert greedy or g != 1.0
+
+    def test_true_verdicts_and_early_exit(self, monkeypatch):
+        # L = (2, 12): separated singular sub-boxes fit in the parent box
+        sched = schedule(2, 3.5, 1.0, 0.5, 1, g=5.0, d=1)
+        verdicts, _ = self._compare(monkeypatch, sched, "sup", range(2))
+        assert True in verdicts and False in verdicts
 
 
 class TestIndependenceCrossCheck:

@@ -124,6 +124,17 @@ class TestConfig:
                 {"distribution": {"kind": "uniform", "support": [1, 0]}})
         assert any(f == "distribution" for f, _ in e.value.diagnostics)
 
+    @pytest.mark.parametrize("spacing", [0, 0.0, -0.5, float("inf"), float("nan"),
+                                         True, "0.1", [0.1]])
+    def test_bad_grid_spacing_diagnosed(self, spacing):
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig.from_dict({"grid_spacing": spacing})
+        assert [f for f, _ in e.value.diagnostics] == ["grid_spacing"]
+
+    @pytest.mark.parametrize("spacing", [None, 0.05, 1])
+    def test_grid_spacing_accepted(self, spacing):
+        assert ExperimentConfig.from_dict({"grid_spacing": spacing}).grid_spacing == spacing
+
     def test_hash_semantics(self):
         a = ExperimentConfig.from_dict({})
         b = ExperimentConfig.from_dict({"output_dir": "/tmp/elsewhere"})
@@ -166,6 +177,22 @@ class TestCli:
         assert out.returncode == 2
         err = json.loads(out.stderr.strip().splitlines()[-1])
         assert err["error"] == "invalid_config"
+
+    @pytest.mark.parametrize("args, field", [
+        (["--event", "single_box_singular", "--set", "grid_spacing=0"], "grid_spacing"),
+        (["--event", "pair_singular", "--set", "grid_spacing=-0.5"], "grid_spacing"),
+        (["--event", "interactive_counter_at_least", "--n", "0"], None),
+    ])
+    def test_event_changing_input_exit_2(self, tmp_path, args, field):
+        out = _run_cli(["mc-estimate", *args, "--set", "trials=1",
+                        "--out", str(tmp_path / "o")], tmp_path)
+        assert out.returncode == 2, out.stderr
+        err = json.loads(out.stderr.strip().splitlines()[-1])
+        if field is None:
+            assert err["error"] == "InvalidInputError" and "n >= 1" in err["message"]
+        else:
+            assert [d["field"] for d in err["diagnostics"]] == [field]
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_schedule_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
