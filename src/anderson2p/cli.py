@@ -37,6 +37,7 @@ from .config import ConfigError, ExperimentConfig
 from .disorder import domain_for_boxes, sample_potential
 from .errors import Anderson2pError, InfeasibleScheduleError, InvalidInputError
 from .experiment import (
+    NEXT_SCALE_KINDS,
     EventSpec,
     estimate_event,
     localization_mass_sweep,
@@ -86,10 +87,34 @@ def _apply_overrides(raw: dict, pairs: list[str]) -> dict:
             pass  # keep as string
         node = raw
         parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        for i, part in enumerate(parts):
+            if not isinstance(node, dict):
+                where = ".".join(parts[:i]) or "config"
+                raise ConfigError([(where, f"is not a JSON object, so "
+                                           f"--set {key} cannot reach into it")])
+            if i < len(parts) - 1:
+                node = node.setdefault(part, {})
         node[parts[-1]] = value
     return raw
+
+
+def _check_scale(subcommand: str, args, sched) -> None:
+    """Reject a scale index outside the schedule: scale ``k`` (``--k``, 0 by
+    default) and scale ``k + 1`` where the command reads it must both lie
+    in ``0..k_max``.  ``classify`` reads a scale only when given ``--k``."""
+    k = getattr(args, "k", None)
+    if k is None:
+        if subcommand == "classify":
+            return
+        k = 0
+    event = getattr(args, "event", None)
+    top = k + (subcommand == "classify"
+               or getattr(args, "check", None) == "inductive-step"
+               or event == "ss-probe" or event in NEXT_SCALE_KINDS)
+    if k < 0 or top > sched.k_max:
+        scales = f"{k} and {top}" if top > k else f"{k}"
+        raise InvalidInputError(f"k={k} reads scale {scales}, but the schedule "
+                                f"has scales 0..{sched.k_max}")
 
 
 def _out_dir(args, cfg: ExperimentConfig, subcommand: str) -> Path:
@@ -300,11 +325,6 @@ def _cmd_mc_estimate(cfg, sched, args):
         out = ss_induction_probe(sched, args.k or 0, cfg.trials, cfg.seed,
                                  cfg.interval, dist, interaction, cfg.adjacency)
         records = [r.to_record() for r in out["records"].values()]
-        records.append({
-            "kind": "ss_probe_summary",
-            "identity_holds_every_trial": out["identity_holds_every_trial"],
-            "counting_inequality_holds": out["counting_inequality_holds"],
-        })
     elif args.event == "g-trend":
         gs = [float(x) for x in args.g_list.split(",")]
         out = singularity_vs_g_probe(gs, sched, cfg.trials, cfg.seed,
@@ -387,8 +407,13 @@ def run(subcommand: str, config_path: str | None, overrides: list[str],
         print(json.dumps({"kind": "error", "error": "infeasible_schedule",
                           "message": str(e), "k": e.k}), file=sys.stderr)
         return 3, []
+    except InvalidInputError as e:
+        print(json.dumps(ConfigError([("schedule", str(e))]).to_record()),
+              file=sys.stderr)
+        return 2, []
     t0 = time.perf_counter()
     try:
+        _check_scale(subcommand, args, sched)
         records, csvs = _COMMANDS[subcommand](cfg, sched, args)
     except InfeasibleScheduleError as e:
         print(json.dumps({"kind": "error", "error": "infeasible_schedule",

@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 from typing import Any, Optional
 
 from .disorder import DistributionSpec, InteractionSpec
@@ -49,6 +48,18 @@ _ASYMPTOTIC_SCHEDULE = {
 }
 _DESK_G = 30.0
 _ASYMPTOTIC_G = 1000.0
+_KEYS = {
+    "dimension", "adjacency", "distribution", "interaction", "g", "schedule",
+    "preset", "interval", "grid_spacing", "trials", "seed", "output_dir",
+}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 class ConfigError(InvalidInputError):
@@ -85,22 +96,22 @@ class ExperimentConfig:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        diags: list[tuple[str, str]] = []
-        known = {
-            "dimension", "adjacency", "distribution", "interaction", "g",
-            "schedule", "preset", "interval", "grid_spacing", "trials",
-            "seed", "output_dir",
-        }
-        for key in raw:
-            if key not in known:
-                diags.append((key, "unknown configuration key"))
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError([("config", "top level must be a JSON object")])
+        diags = [(key, "unknown configuration key") for key in raw
+                 if key not in _KEYS]
         preset = raw.get("preset", "desk")
         if preset not in ("desk", "asymptotic", "custom"):
             diags.append(("preset", f"must be desk|asymptotic|custom, got {preset!r}"))
             preset = "desk"
         base = dict(_ASYMPTOTIC_SCHEDULE if preset == "asymptotic" else _DESK_SCHEDULE)
-        base.update(raw.get("schedule", {}) or {})
+        schedule = raw.get("schedule") or {}
+        if isinstance(schedule, dict):
+            base.update(schedule)
+        else:
+            diags.append(("schedule", "must be a JSON object"))
+        interval = raw.get("interval", (-1.0, 1.0))
         cfg = cls(
             dimension=raw.get("dimension", 1),
             adjacency=raw.get("adjacency", "sup"),
@@ -110,7 +121,7 @@ class ExperimentConfig:
             g=raw.get("g"),
             schedule=base,
             preset=preset,
-            interval=tuple(raw.get("interval", (-1.0, 1.0))),
+            interval=tuple(interval) if isinstance(interval, list) else interval,
             grid_spacing=raw.get("grid_spacing"),
             trials=raw.get("trials", 200),
             seed=raw.get("seed", 1),
@@ -123,53 +134,54 @@ class ExperimentConfig:
             raise ConfigError(diags)
         return cfg
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError([("config", f"file not found: {path}")]) from None
-        except json.JSONDecodeError as e:
-            raise ConfigError([("config", f"not valid JSON: {e}")]) from None
-        if not isinstance(raw, dict):
-            raise ConfigError([("config", "top level must be a JSON object")])
-        return cls.from_dict(raw)
-
     def _validate(self) -> list[tuple[str, str]]:
         diags = []
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+        if not _is_int(self.dimension) or self.dimension < 1:
             diags.append(("dimension", "must be an integer >= 1"))
-        try:
-            self.adjacency = normalize_adjacency(self.adjacency)
-        except InvalidInputError as e:
-            diags.append(("adjacency", str(e)))
-        try:
-            DistributionSpec.from_dict(self.distribution)
-        except (InvalidInputError, KeyError, TypeError) as e:
-            diags.append(("distribution", str(e)))
-        try:
-            InteractionSpec.from_dict(self.interaction)
-        except (InvalidInputError, KeyError, TypeError) as e:
-            diags.append(("interaction", str(e)))
-        if not isinstance(self.trials, int) or self.trials < 0:
+        if not isinstance(self.adjacency, str):
+            diags.append(("adjacency", "must be a string"))
+        else:
+            try:
+                self.adjacency = normalize_adjacency(self.adjacency)
+            except InvalidInputError as e:
+                diags.append(("adjacency", str(e)))
+        for name, spec in (("distribution", DistributionSpec),
+                           ("interaction", InteractionSpec)):
+            if not isinstance(getattr(self, name), dict):
+                diags.append((name, "must be a JSON object"))
+                continue
+            try:
+                spec.from_dict(getattr(self, name))
+            except (ValueError, KeyError, TypeError) as e:
+                diags.append((name, str(e)))
+        if not _is_number(self.g) or not math.isfinite(self.g):
+            diags.append(("g", "must be a finite number"))
+        if not _is_int(self.trials) or self.trials < 0:
             diags.append(("trials", "must be a nonnegative integer"))
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             diags.append(("seed", "must be an integer"))
         if (
-            len(self.interval) != 2
-            or not all(isinstance(x, (int, float)) for x in self.interval)
+            not isinstance(self.interval, tuple)
+            or len(self.interval) != 2
+            or not all(_is_number(x) for x in self.interval)
             or not self.interval[0] < self.interval[1]
         ):
             diags.append(("interval", "must be numeric [a, b] with a < b"))
         if self.grid_spacing is not None and (
-            isinstance(self.grid_spacing, bool)
-            or not isinstance(self.grid_spacing, (int, float))
+            not _is_number(self.grid_spacing)
             or not 0 < self.grid_spacing < math.inf
         ):
             diags.append(("grid_spacing", "must be null or a positive finite number"))
         for key in ("L0", "alpha", "gamma", "m0", "beta", "p", "q", "J", "k_max"):
             if key not in self.schedule:
                 diags.append((f"schedule.{key}", "missing"))
+            elif not _is_number(self.schedule[key]):
+                diags.append((f"schedule.{key}", "must be a number"))
+        if not (self.schedule.get("p_tilde") is None
+                or _is_number(self.schedule["p_tilde"])):
+            diags.append(("schedule.p_tilde", "must be null or a number"))
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            diags.append(("output_dir", "must be null or a string"))
         return diags
 
     # -- derived objects ---------------------------------------------------

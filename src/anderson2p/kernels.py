@@ -1,98 +1,27 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
-Every public kernel has two implementations that produce bit-identical
-results: a ``@njit`` version and a vectorized numpy version.  The active
-backend is chosen once at import time: numba is used when it imports
-successfully and the environment variable ``ANDERSON2P_NO_NUMBA`` is unset
-(or set to ``0``/``""``).  ``benchmarks/bench_kernels.py`` times the two
-paths against each other.
-
+The site-keyed hash behind every disorder draw, all-pairs lattice
+distances, the 0/1 hop matrix of a point set, and per-shell maxima.
 Kernels operate on plain int64/float64 arrays; all lattice-aware wrapping
 lives in :mod:`anderson2p.geometry` and friends.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("ANDERSON2P_NO_NUMBA", "") not in (
-    "1",
-    "true",
-    "yes",
-)
-
-
-def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# splitmix64 constants; arithmetic is modulo 2**64 in both backends.
+# splitmix64 constants; arithmetic is modulo 2**64.
 _GOLD_INT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_GOLD = np.uint64(_GOLD_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(1.0 / 9007199254740992.0)  # 2**-53
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
-
-
-def _uniform01_np(seed: int, trial: int, coords: np.ndarray) -> np.ndarray:
-    n, d = coords.shape
-    # scalar salts computed in python ints to avoid numpy scalar-overflow noise
-    trial_salt = np.uint64((_GOLD_INT * (trial + 1)) & _MASK64)
-    h = np.full(n, np.uint64(seed & _MASK64), dtype=np.uint64)
-    h = _mix64_np(h ^ trial_salt)
-    for i in range(d):
-        c = coords[:, i].view(np.uint64)
-        coord_salt = np.uint64((_GOLD_INT * (i + 1)) & _MASK64)
-        h = _mix64_np(h ^ (c + coord_salt))
-    return (h >> np.uint64(11)).astype(np.float64) * _U53
-
-
-@njit(cache=True)
-def _uniform01_nb(seed, trial, coords):  # pragma: no cover - numba path
-    n, d = coords.shape
-    out = np.empty(n, dtype=np.float64)
-    gold = _GOLD
-    m1 = _MIX1
-    m2 = _MIX2
-    for j in range(n):
-        h = np.uint64(seed)
-        h = h ^ (gold * np.uint64(trial + 1))
-        h = (h ^ (h >> np.uint64(30))) * m1
-        h = (h ^ (h >> np.uint64(27))) * m2
-        h = h ^ (h >> np.uint64(31))
-        for i in range(d):
-            c = np.uint64(coords[j, i])
-            h = h ^ (c + gold * np.uint64(i + 1))
-            h = (h ^ (h >> np.uint64(30))) * m1
-            h = (h ^ (h >> np.uint64(27))) * m2
-            h = h ^ (h >> np.uint64(31))
-        out[j] = np.float64(h >> np.uint64(11)) * _U53
-    return out
 
 
 def uniform01(seed: int, trial: int, coords: np.ndarray) -> np.ndarray:
@@ -105,14 +34,23 @@ def uniform01(seed: int, trial: int, coords: np.ndarray) -> np.ndarray:
     coords = np.ascontiguousarray(coords, dtype=np.int64)
     if coords.ndim != 2:
         raise ValueError("coords must be a 2-d array of site coordinates")
-    if coords.shape[0] == 0:
+    n, d = coords.shape
+    if n == 0:
         return np.empty(0, dtype=np.float64)
-    if USE_NUMBA:
-        return _uniform01_nb(seed, trial, coords)
-    return _uniform01_np(seed, trial, coords)
+    # scalar salts computed in python ints to avoid numpy scalar-overflow noise
+    trial_salt = np.uint64((_GOLD_INT * (trial + 1)) & _MASK64)
+    h = np.full(n, np.uint64(seed & _MASK64), dtype=np.uint64)
+    h = _mix64(h ^ trial_salt)
+    for i in range(d):
+        c = coords[:, i].view(np.uint64)
+        coord_salt = np.uint64((_GOLD_INT * (i + 1)) & _MASK64)
+        h = _mix64(h ^ (c + coord_salt))
+    return (h >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def _pairwise_dist_np(a: np.ndarray, b: np.ndarray, manhattan: bool) -> np.ndarray:
+def _pairwise_dist(a: np.ndarray, b: np.ndarray, manhattan: bool) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    b = np.ascontiguousarray(b, dtype=np.int64)
     # chunk the row axis to keep the (na, nb, d) temporary small
     na = a.shape[0]
     out = np.empty((na, b.shape[0]), dtype=np.int64)
@@ -124,108 +62,25 @@ def _pairwise_dist_np(a: np.ndarray, b: np.ndarray, manhattan: bool) -> np.ndarr
     return out
 
 
-@njit(cache=True)
-def _pairwise_dist_nb(a, b, manhattan):  # pragma: no cover - numba path
-    na, d = a.shape
-    nb = b.shape[0]
-    out = np.empty((na, nb), dtype=np.int64)
-    for i in range(na):
-        for j in range(nb):
-            if manhattan:
-                s = 0
-                for k in range(d):
-                    s += abs(a[i, k] - b[j, k])
-                out[i, j] = s
-            else:
-                m = 0
-                for k in range(d):
-                    v = abs(a[i, k] - b[j, k])
-                    if v > m:
-                        m = v
-                out[i, j] = m
-    return out
-
-
 def pairwise_dist(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
     """All-pairs lattice distances between two point sets.
 
     ``mode`` is ``"sup"`` (Chebyshev over all coordinates) or ``"l1"``
     (Manhattan); rows index ``a``, columns ``b``.
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    manhattan = mode == "l1"
-    if USE_NUMBA:
-        return _pairwise_dist_nb(a, b, manhattan)
-    return _pairwise_dist_np(a, b, manhattan)
-
-
-def _adjacency_np(pts: np.ndarray, manhattan: bool) -> np.ndarray:
-    dist = _pairwise_dist_np(pts, pts, manhattan)
-    return (dist == 1).astype(np.float64)
-
-
-@njit(cache=True)
-def _adjacency_nb(pts, manhattan):  # pragma: no cover - numba path
-    n, d = pts.shape
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if manhattan:
-                s = 0
-                for k in range(d):
-                    s += abs(pts[i, k] - pts[j, k])
-                    if s > 1:
-                        break
-                hit = s == 1
-            else:
-                m = 0
-                ok = True
-                for k in range(d):
-                    v = abs(pts[i, k] - pts[j, k])
-                    if v > m:
-                        m = v
-                    if m > 1:
-                        ok = False
-                        break
-                hit = ok and m == 1
-            if hit:
-                out[i, j] = 1.0
-                out[j, i] = 1.0
-    return out
+    return _pairwise_dist(a, b, mode == "l1")
 
 
 def adjacency_matrix(pts: np.ndarray, mode: str) -> np.ndarray:
     """0/1 hopping matrix: entry (i, j) is 1 iff dist(pts[i], pts[j]) == 1
     under the requested metric, 0 on the diagonal."""
-    pts = np.ascontiguousarray(pts, dtype=np.int64)
-    manhattan = mode == "l1"
-    if USE_NUMBA:
-        return _adjacency_nb(pts, manhattan)
-    return _adjacency_np(pts, manhattan)
-
-
-def _shell_max_np(values: np.ndarray, dists: np.ndarray, nshells: int) -> np.ndarray:
-    prof = np.zeros(nshells, dtype=np.float64)
-    np.maximum.at(prof, dists, values)
-    return prof
-
-
-@njit(cache=True)
-def _shell_max_nb(values, dists, nshells):  # pragma: no cover - numba path
-    prof = np.zeros(nshells, dtype=np.float64)
-    for i in range(values.shape[0]):
-        s = dists[i]
-        if values[i] > prof[s]:
-            prof[s] = values[i]
-    return prof
+    return (_pairwise_dist(pts, pts, mode == "l1") == 1).astype(np.float64)
 
 
 def shell_max(values: np.ndarray, dists: np.ndarray, nshells: int) -> np.ndarray:
     """Per-shell maxima: ``out[s] = max(values[dists == s])`` (0 for empty
     shells).  Used for radial decay profiles of eigenvectors."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    dists = np.ascontiguousarray(dists, dtype=np.int64)
-    if USE_NUMBA:
-        return _shell_max_nb(values, dists, nshells)
-    return _shell_max_np(values, dists, nshells)
+    prof = np.zeros(nshells, dtype=np.float64)
+    np.maximum.at(prof, np.asarray(dists, dtype=np.int64),
+                  np.asarray(values, dtype=np.float64))
+    return prof

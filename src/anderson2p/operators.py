@@ -127,19 +127,13 @@ def assemble_two_particle(
     g: float,
     adjacency: str = "sup",
 ) -> FiniteOperator:
-    """Two-particle Hamiltonian on the box with Dirichlet restriction."""
+    """Two-particle Hamiltonian on the box with Dirichlet restriction: the
+    one-box ``box_family`` at its center."""
     adjacency = normalize_adjacency(adjacency)
     check_projections(box, sample)
-    pts = box.points()
-    d = box.d
-    h = adjacency_matrix(pts, adjacency)
-    x1, x2 = pts[:, :d], pts[:, d:]
-    v1 = sample.values_at_unchecked(x1)
-    v2 = sample.values_at_unchecked(x2)
-    sep = np.abs(x1 - x2).max(axis=1)
-    u = interaction.at_separation(sep)
-    np.fill_diagonal(h, u + g * (v1 + v2))
-    return FiniteOperator(box, pts, h, adjacency, g, sample, interaction)
+    h = box_family(np.array([box.center.flat]), box.radius, sample,
+                   interaction, g, adjacency)[0]
+    return FiniteOperator(box, box.points(), h, adjacency, g, sample, interaction)
 
 
 def box_family(
@@ -152,9 +146,9 @@ def box_family(
 ) -> np.ndarray:
     """Stacked Hamiltonians of the two-particle boxes of one radius at the
     flat ``centers`` (shape ``(ncand, 2d)``): one template hop matrix, as
-    hopping depends only on the box shape, plus each box's diagonal.  Slice
-    ``c`` equals ``assemble_two_particle(Box2(c, radius), ...).matrix``
-    exactly.  The sample domain is not checked (see ``check_projections``).
+    hopping depends only on the box shape, plus each box's diagonal
+    ``U(x) + g (V(x1) + V(x2))``.  ``assemble_two_particle`` is the one-box
+    case.  The sample domain is not checked (see ``check_projections``).
     """
     centers = np.asarray(centers, dtype=np.int64)
     ncand, d = len(centers), centers.shape[1] // 2

@@ -196,8 +196,7 @@ def parse_record(rec: dict):
         f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
         return RecoveryRecord(**f)
     if kind in ("parameter_report", "schedule", "initial_certificate",
-                "wegner_row", "error", "localization_row",
-                "ss_probe_summary", "g_trend_summary"):
+                "wegner_row", "error", "localization_row", "g_trend_summary"):
         return rec
     raise InvalidInputError(f"cannot parse record of kind {kind!r}")
 

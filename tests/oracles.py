@@ -4,9 +4,10 @@ These deliberately avoid the library's numerical code paths (no factorized
 solves, no library eigensolvers beyond what a specific oracle states, no
 shared kernels); they share only scalar arithmetic with the modules they
 check.  Two oracles are exceptions.  The complete-non-resonance oracle
-checks the batched sweep against the library's single-box assembly, one box
-at a time.  The counter oracle checks the grid-wide counter sweep against
-the library's per-energy singular sets and subset search.
+checks the batched sweep against the library's single-box assembly (itself
+checked against ``two_particle_matrix``), one box at a time.  The counter
+oracle checks the grid-wide counter sweep against the library's per-energy
+singular sets and subset search.
 They are test-tree-only and never imported by the package.
 """
 
@@ -124,6 +125,70 @@ def boundary_by_neighbor_scan(points: np.ndarray, all_points: set) -> list:
 def path_graph_eigenvalues(n: int) -> np.ndarray:
     """Eigenvalues 2*cos(k*pi/(n+1)) of the n-site path with unit hopping."""
     return np.array([2.0 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)])
+
+
+_MASK64 = (1 << 64) - 1
+_GOLD = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix_uniform01(seed: int, trial: int, coords) -> np.ndarray:
+    """Site-keyed uniforms in Python integers: the trial-salted seed, then
+    one splitmix64 round per coordinate (read as two's complement), top 53
+    bits scaled to [0, 1)."""
+    out = []
+    for row in coords:
+        h = _splitmix64((seed & _MASK64) ^ ((_GOLD * (trial + 1)) & _MASK64))
+        for i, c in enumerate(row):
+            h = _splitmix64(h ^ ((int(c) + _GOLD * (i + 1)) & _MASK64))
+        out.append((h >> 11) * 2.0 ** -53)
+    return np.array(out, dtype=np.float64)
+
+
+def lattice_dist(x, y, mode: str) -> int:
+    """Sup (Chebyshev) or l1 (Manhattan) distance of two integer tuples."""
+    diffs = [abs(int(a) - int(b)) for a, b in zip(x, y)]
+    return sum(diffs) if mode == "l1" else max(diffs)
+
+
+def pairwise_dist_loops(a, b, mode: str) -> np.ndarray:
+    return np.array([[lattice_dist(x, y, mode) for y in b] for x in a],
+                    dtype=np.int64).reshape(len(a), len(b))
+
+
+def adjacency_loops(pts, mode: str) -> np.ndarray:
+    return np.array([[1.0 if lattice_dist(x, y, mode) == 1 else 0.0 for y in pts]
+                     for x in pts]).reshape(len(pts), len(pts))
+
+
+def shell_max_loops(values, dists, nshells: int) -> np.ndarray:
+    prof = [0.0] * nshells
+    for v, s in zip(values, dists):
+        prof[int(s)] = max(prof[int(s)], float(v))
+    return np.array(prof)
+
+
+def two_particle_matrix(center, radius, sample, interaction, g, mode) -> np.ndarray:
+    """Box Hamiltonian entry by entry: configurations in lexicographic order,
+    1 between configurations at lattice distance one, and
+    ``U(x) + g (V(x1) + V(x2))`` on the diagonal."""
+    d = len(center) // 2
+    pts = list(itertools.product(*[range(int(c) - radius, int(c) + radius + 1)
+                                   for c in center]))
+    h = np.zeros((len(pts), len(pts)))
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            if i != j and lattice_dist(x, y, mode) == 1:
+                h[i, j] = 1.0
+        sep = lattice_dist(x[:d], x[d:], "sup")
+        u = interaction.profile[sep] if sep <= interaction.r0 else 0.0
+        h[i, i] = u + g * (sample.values[x[:d]] + sample.values[x[d:]])
+    return h
 
 
 def cnr_probe_spectra(center, k, schedule, sample, interaction, g, adjacency,

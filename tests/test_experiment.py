@@ -362,8 +362,6 @@ class TestSsInductionProbe:
     def test_identities_and_records(self):
         sched = desk_schedule(L0=2, m0=0.5, g=20.0)
         out = ss_induction_probe(sched, 0, 12, 5, (-0.5, 0.5))
-        assert out["identity_holds_every_trial"]
-        assert out["counting_inequality_holds"]
         recs = out["records"]
         assert set(recs) == {
             "mixed_pair_singular", "ni_projection_tunnelling",

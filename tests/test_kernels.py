@@ -1,76 +1,60 @@
-"""Backend equivalence: the numba fast path and the numpy fallback must
-produce bit-identical results for every kernel."""
-
-import importlib
-import os
+"""Kernels against brute-force Python references."""
 
 import numpy as np
 import pytest
 
 import anderson2p.kernels as kernels
 
-
-@pytest.fixture
-def both_backends():
-    """Yields (numpy_module_functions, active_module_functions)."""
-    if not kernels._HAVE_NUMBA:
-        pytest.skip("numba unavailable; only one backend to compare")
-    os.environ["ANDERSON2P_NO_NUMBA"] = "1"
-    importlib.reload(kernels)
-    assert kernels.active_backend() == "numpy"
-    numpy_funcs = {
-        "uniform01": kernels.uniform01,
-        "pairwise_dist": kernels.pairwise_dist,
-        "adjacency_matrix": kernels.adjacency_matrix,
-        "shell_max": kernels.shell_max,
-    }
-    os.environ.pop("ANDERSON2P_NO_NUMBA")
-    importlib.reload(kernels)
-    assert kernels.active_backend() == "numba"
-    numba_funcs = {
-        "uniform01": kernels.uniform01,
-        "pairwise_dist": kernels.pairwise_dist,
-        "adjacency_matrix": kernels.adjacency_matrix,
-        "shell_max": kernels.shell_max,
-    }
-    yield numpy_funcs, numba_funcs
+from .oracles import (
+    adjacency_loops,
+    pairwise_dist_loops,
+    shell_max_loops,
+    splitmix_uniform01,
+)
 
 
-def test_uniform01_bit_identical(both_backends):
-    np_f, nb_f = both_backends
+@pytest.mark.parametrize("seed,trial", [(0, 0), (123456789, 7), (2**60, 10**6)])
+def test_uniform01_matches_integer_splitmix(seed, trial):
     rng = np.random.default_rng(0)
     coords = rng.integers(-(2**40), 2**40, size=(500, 3))
-    for seed, trial in ((0, 0), (123456789, 7), (2**60, 10**6)):
-        a = np_f["uniform01"](seed, trial, coords)
-        b = nb_f["uniform01"](seed, trial, coords)
-        assert np.array_equal(a, b)
-        assert (a >= 0).all() and (a < 1).all()
+    assert (coords < 0).any()
+    got = kernels.uniform01(seed, trial, coords)
+    assert np.array_equal(got, splitmix_uniform01(seed, trial, coords))
+    assert (got >= 0).all() and (got < 1).all()
 
 
-def test_pairwise_and_adjacency_identical(both_backends):
-    np_f, nb_f = both_backends
-    rng = np.random.default_rng(1)
-    pts = rng.integers(-5, 6, size=(80, 4))
-    for mode in ("sup", "l1"):
-        assert np.array_equal(
-            np_f["pairwise_dist"](pts, pts, mode),
-            nb_f["pairwise_dist"](pts, pts, mode),
-        )
-        assert np.array_equal(
-            np_f["adjacency_matrix"](pts, mode),
-            nb_f["adjacency_matrix"](pts, mode),
-        )
+def test_uniform01_pinned_values():
+    # literal draws: any change to the site hash changes every sample
+    assert kernels.uniform01(0, 0, np.array([[0], [1], [-1]])).tolist() == [
+        0.01403302919427496, 0.28297252426495056, 0.4412276625239172]
+    coords = np.array([[3, -7], [-(2**40), 2**40 - 1]])
+    assert kernels.uniform01(123456789, 7, coords).tolist() == [
+        0.41675392001941225, 0.5744167007942009]
+    assert kernels.uniform01(2**60, 10**6, coords).tolist() == [
+        0.007373021255412282, 0.31840254266924883]
+    assert kernels.uniform01(0, 0, np.empty((0, 2), dtype=np.int64)).shape == (0,)
 
 
-def test_shell_max_identical(both_backends):
-    np_f, nb_f = both_backends
+@pytest.mark.parametrize("mode", ["sup", "l1"])
+@pytest.mark.parametrize("ncols", [2, 4])
+def test_pairwise_and_adjacency_match_loops(mode, ncols):
+    rng = np.random.default_rng(ncols)
+    a = rng.integers(-3, 4, size=(60, ncols))
+    b = rng.integers(-3, 4, size=(25, ncols))
+    assert np.array_equal(kernels.pairwise_dist(a, b, mode),
+                          pairwise_dist_loops(a, b, mode))
+    adj = kernels.adjacency_matrix(a, mode)
+    assert adj.dtype == np.float64
+    assert np.array_equal(adj, adjacency_loops(a, mode))
+
+
+def test_shell_max_matches_loop():
     rng = np.random.default_rng(2)
     vals = rng.random(300)
     dists = rng.integers(0, 12, size=300)
-    assert np.array_equal(
-        np_f["shell_max"](vals, dists, 12),
-        nb_f["shell_max"](vals, dists, 12),
-    )
+    dists[dists == 5] = 4  # one empty shell reads 0
+    assert np.array_equal(kernels.shell_max(vals, dists, 12),
+                          shell_max_loops(vals, dists, 12))
 
 
 def test_adjacency_degrees():

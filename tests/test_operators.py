@@ -21,7 +21,7 @@ from anderson2p.operators import (
 )
 
 from .conftest import box_with_sample, random_point2
-from .oracles import path_graph_eigenvalues
+from .oracles import path_graph_eigenvalues, two_particle_matrix
 
 
 def _interaction():
@@ -113,7 +113,11 @@ class TestBoxFamily:
         assert family.shape == (len(centers), (2 * radius + 1) ** (2 * d),
                                 (2 * radius + 1) ** (2 * d))
         for c, h in zip(centers, family):
-            assert np.array_equal(h, _single_box(c, radius, sample, adjacency).matrix)
+            oracle = two_particle_matrix(c, radius, sample, _interaction(), 2.5,
+                                         adjacency)
+            assert np.array_equal(h, oracle)
+            assert np.array_equal(_single_box(c, radius, sample, adjacency).matrix,
+                                  oracle)
 
     @pytest.mark.parametrize("boxes_per_chunk,sizes", [
         (0, [1] * 7), (1, [1] * 7), (3, [3, 3, 1]), (7, [7]), (100, [7]),

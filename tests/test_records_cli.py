@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from anderson2p import cli
 from anderson2p.classify import classify_box
 from anderson2p.config import ConfigError, ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
@@ -193,6 +194,56 @@ class TestCli:
         else:
             assert [d["field"] for d in err["diagnostics"]] == [field]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, overrides, field", [
+        ([1, 2], [], "config"),
+        ("x", [], "config"),
+        ({}, ["distribution=3"], "distribution"),
+        ({}, ["interval=3"], "interval"),
+        ({}, ["schedule=3"], "schedule"),
+        ({}, ["g=5", "g.x=1"], "g"),
+        ({}, ["dimension=true"], "dimension"),
+        ({}, ["trials=true"], "trials"),
+        ({}, ["seed=true"], "seed"),
+        ({}, ["g=x"], "g"),
+        ({}, ["adjacency=3"], "adjacency"),
+        ({}, ["interaction.r0=x"], "interaction"),
+        ({}, ["schedule.L0=x"], "schedule.L0"),
+        ({}, ["schedule.L0=1"], "schedule"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, config, overrides,
+                                     field):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "invalid_config"
+        assert [d["field"] for d in err["diagnostics"]] == [field]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--energy", "0", "--k", "3"],
+        ["mc-estimate", "--event", "total_counter_at_least", "--k", "2"],
+        ["mc-estimate", "--event", "single_box_singular", "--k", "9"],
+        ["msa-verify", "--check", "inductive-step", "--k", "5"],
+        ["mc-estimate", "--event", "single_box_singular", "--k", "-1"],
+    ])
+    def test_k_outside_schedule_exit_2(self, tmp_path, capsys, argv):
+        # the desk schedule has scales 0..2
+        assert cli.main(argv + ["--set", "trials=1",
+                                "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InvalidInputError"
+        assert "schedule has scales 0..2" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_top_scale_accepted(self, tmp_path):
+        argv = ["mc-estimate", "--event", "single_box_singular", "--k", "2",
+                "--set", "trials=1", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
 
     def test_infeasible_schedule_exit_3(self, tmp_path):
         cfg = tmp_path / "c.json"
