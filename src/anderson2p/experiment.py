@@ -491,10 +491,11 @@ def _eval_counter(spec, ctx, trial) -> bool:
     """'Some grid energy makes the separated-singular-sub-box counter reach
     its threshold' inside a scale-(k+1) box at the origin.
 
-    One mask decides every (sub-box, grid energy) pair.  The candidates
-    counted keep the order of ``count_singular_subboxes`` (non-interactive
-    first for K), which the greedy subset search depends on, and the search
-    runs once per distinct singular set."""
+    One mask decides every (sub-box, grid energy) pair, and the exact
+    subset search runs once per distinct singular set.  The count does not
+    depend on the order of the candidates; they keep the order of
+    ``count_singular_subboxes`` (non-interactive first for K), which the
+    per-energy oracle test pins."""
     from .msa import subbox_spectra
 
     sched = ctx.sched

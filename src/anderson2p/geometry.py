@@ -182,9 +182,6 @@ class Box1:
             idx = idx * w + off
         return idx
 
-    def contains(self, site: Point1) -> bool:
-        return sup_dist1(site, self.center) <= self.radius
-
     def center_index(self) -> int:
         return self.index_of(self.center)
 
@@ -237,9 +234,6 @@ class Box2:
                 raise KeyError(f"configuration {flat} outside box")
             idx = idx * w + off
         return idx
-
-    def contains(self, x: Point2) -> bool:
-        return sup_dist(x, self.center) <= self.radius
 
     def center_index(self) -> int:
         return self.index_of(self.center)

@@ -17,15 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernels
 from .classify import CnrReport, is_cnr, is_ns
 from .disorder import DisorderSample, InteractionSpec
 from .errors import InfeasibleScheduleError, InvalidInputError
 from .geometry import Box2, Point2
 from .operators import assemble_two_particle, box_family, check_projections
-
-#: above this many singular candidates the maximum-separated-subset search
-#: falls back to a greedy lower bound and the report is marked inexact
-EXACT_SUBSET_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -257,62 +254,70 @@ def validate_parameters(sched: ScaleSchedule) -> ParameterReport:
     return ParameterReport(checks, asymptotic_regime=strict)
 
 
-def max_separated_subset(
-    centers: Sequence[Point2] | np.ndarray,
-    min_separation: int,
-    exact_limit: int = EXACT_SUBSET_LIMIT,
-) -> tuple[int, list[int], bool]:
-    """Largest subset of centers that are pairwise separated by more than
-    ``min_separation`` in the exchange-symmetrised metric.  ``centers`` are
-    points or an ``(n, 2d)`` integer array of flat centers.
+def max_separated_subset(centers: Sequence[Point2] | np.ndarray,
+                         min_separation: int) -> tuple[int, list[int], bool]:
+    """Largest subset of centers pairwise separated by more than
+    ``min_separation`` in the exchange-symmetrised metric, found exactly
+    (the inductive step's 'K <= J' decisions need the true maximum).
+    ``centers`` are points or an ``(n, 2d)`` integer array of flat centers.
 
-    Exact branch-and-bound up to ``exact_limit`` candidates (the inductive
-    step needs the true maximum for its 'K <= J' decisions); a greedy lower
-    bound with ``exact=False`` beyond that.
-    Returns (size, chosen indices, exact flag).
+    Such centers are also separated in sup distance, so they fit one per
+    cell of side ``min_separation + 1``: the cells covering their bounding
+    box are a packing ceiling, and a ceiling of 1 needs no search.  Otherwise
+    a branch-and-bound over bitsets, pruned by first-fit clique covers of
+    the conflict graph, stops at the ceiling.  It recurses once per chosen center
+    and returns the first largest subset in index order.
+    Returns (size, chosen indices, exact flag); the flag is always true.
     """
     n = len(centers)
     if n == 0:
         return 0, [], True
-    from .kernels import pairwise_dist
-
     if isinstance(centers, np.ndarray):
         flat = centers.astype(np.int64, copy=False)
     else:
         flat = np.array([c.flat for c in centers], dtype=np.int64)
-    d = flat.shape[1] // 2
-    swapped = np.hstack([flat[:, d:], flat[:, :d]])
-    direct = pairwise_dist(flat, flat, "sup")
-    mirror = pairwise_dist(swapped, flat, "sup")
-    conflict = np.minimum(direct, mirror) <= min_separation
+    extent = (flat.max(axis=0) - flat.min(axis=0)).tolist()
+    ceiling = math.prod(e // (min_separation + 1) + 1 for e in extent)
+    if ceiling == 1:
+        return 1, [0], True
+    swapped = np.roll(flat, flat.shape[1] // 2, axis=1)  # (x1, x2) -> (x2, x1)
+    conflict = np.minimum(kernels.pairwise_dist(flat, flat, "sup"),
+                          kernels.pairwise_dist(swapped, flat, "sup")) <= min_separation
     np.fill_diagonal(conflict, False)
-    if n > exact_limit:
-        order = np.argsort(conflict.sum(axis=1))
-        chosen: list[int] = []
-        for i in order:
-            if all(not conflict[i, j] for j in chosen):
-                chosen.append(int(i))
-        return len(chosen), sorted(chosen), False
+    near = [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(conflict, axis=1, bitorder="little")]
+    full = (1 << n) - 1
+    # bit j of later[i] is set when j > i and centers i and j are separated
+    later = [(full ^ near_i) >> (i + 1) << (i + 1) for i, near_i in enumerate(near)]
 
-    best: list[int] = []
+    def cover(cand: int) -> int:
+        cliques = 0
+        while cand:
+            cliques += 1
+            clique = cand
+            while clique:
+                low = clique & -clique
+                cand ^= low
+                clique &= near[low.bit_length() - 1]
+        return cliques
 
-    def extend(cand: list[int], chosen: list[int]):
+    best, chosen = [], []
+
+    def extend(cand: int):
         nonlocal best
-        if len(chosen) + len(cand) <= len(best):
-            return
-        if not cand:
+        while cand and len(best) < ceiling:
+            if len(chosen) + cover(cand) <= len(best):
+                return
+            i = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            chosen.append(i)
             if len(chosen) > len(best):
                 best = list(chosen)
-            return
-        i = cand[0]
-        rest = cand[1:]
-        # include i
-        extend([j for j in rest if not conflict[i, j]], chosen + [i])
-        # exclude i
-        extend(rest, chosen)
+            extend(cand & later[i])
+            chosen.pop()
 
-    extend(list(range(n)), [])
-    return len(best), sorted(best), True
+    extend(full)
+    return len(best), best, True
 
 
 @dataclass
@@ -334,7 +339,7 @@ class CounterReport:
     witnesses_ni: list[tuple[int, ...]]
     witnesses_i: list[tuple[int, ...]]
     witnesses_all: list[tuple[int, ...]]
-    exact: bool
+    exact: bool = True  # the subset search is always exact
 
     def to_record(self) -> dict:
         return {
@@ -421,7 +426,6 @@ def count_singular_subboxes(
     g: float,
     E: float,
     adjacency: str = "sup",
-    exact_limit: int = EXACT_SUBSET_LIMIT,
 ) -> CounterReport:
     """Classify every scale-k sub-box of the scale-(k+1) box at ``center``
     at ``(E, m_k)`` and compute the maximal pairwise-separated counts.
@@ -436,10 +440,10 @@ def count_singular_subboxes(
     sing_ni, sing_i = spectra.singular_centers(E, sched.m[k])
     offsets_count = len(spectra.centers)
     sep = 8 * L_k
-    M, wit_ni, exact_m = max_separated_subset(sing_ni, sep, exact_limit)
-    N, wit_i, exact_n = max_separated_subset(sing_i, sep, exact_limit)
-    K, wit_all, exact_k = max_separated_subset(sing_ni + sing_i, sep, exact_limit)
     allc = sing_ni + sing_i
+    M, wit_ni, _ = max_separated_subset(sing_ni, sep)
+    N, wit_i, _ = max_separated_subset(sing_i, sep)
+    K, wit_all, _ = max_separated_subset(allc, sep)
     return CounterReport(
         center=center.flat, k=k, energy=float(E), mass=float(sched.m[k]),
         separation=sep, n_candidates=offsets_count,
@@ -449,7 +453,6 @@ def count_singular_subboxes(
         witnesses_ni=[sing_ni[i].flat for i in wit_ni],
         witnesses_i=[sing_i[i].flat for i in wit_i],
         witnesses_all=[allc[i].flat for i in wit_all],
-        exact=exact_m and exact_n and exact_k,
     )
 
 
@@ -465,7 +468,7 @@ class InductiveStepReport:
     cnr_ok: bool
     K: int
     J: int
-    counters_exact: bool
+    counters_exact: bool  # always true, as ``CounterReport.exact``
     hypotheses_hold: bool
     skipped: bool
     mass_bound: float  # raw inductive bound; non-positive at desk scales
@@ -516,7 +519,7 @@ def inductive_ns_step(
     bound = mass_step_value(sched.m[k], sched.L[k], sched.J)
     rep = InductiveStepReport(
         center=center.flat, k=k, energy=float(E), cnr_ok=cnr.ok,
-        K=counters.K, J=sched.J, counters_exact=counters.exact,
+        K=counters.K, J=sched.J, counters_exact=True,
         hypotheses_hold=hyp, skipped=not hyp, mass_bound=float(bound),
     )
     if not hyp:

@@ -280,7 +280,9 @@ def counter_by_energy(spec, ctx, trial) -> tuple[bool, list]:
     """The counter event of ``experiment._eval_counter`` decided one grid
     energy at a time: the singular candidates at each energy as ``Point2``
     lists (``SubboxSpectra.singular_centers``, non-interactive first for K)
-    and one ``max_separated_subset`` search per energy.
+    and one ``max_separated_subset`` search per energy.  The count does not
+    depend on the candidates' order; the order is kept so that a test can
+    compare the sweep's searches with these.
 
     Returns the verdict and, per energy swept, the searched centers as flat
     tuples with the search's ``exact`` flag.

@@ -181,9 +181,9 @@ class TestCounterMatchesPerEnergyOracle:
 
     @staticmethod
     def _compare(monkeypatch, sched, adjacency, trials):
-        """Verdicts and greedy flags of the oracle; asserts that the sweep
-        gives the same verdicts and searches each distinct singular set
-        once, with its candidates in the oracle's order."""
+        """Verdicts of the oracle; asserts that the sweep gives the same
+        verdicts and searches each distinct singular set once, with its
+        candidates in the oracle's order, and that every search is exact."""
         searches = []
 
         def recording(centers, *args):
@@ -193,7 +193,7 @@ class TestCounterMatchesPerEnergyOracle:
         monkeypatch.setattr(experiment, "max_separated_subset", recording)
         ctx = _TrialContext(sched, DistributionSpec.uniform(),
                             InteractionSpec.triangular(sched.r0), 9000)
-        verdicts, greedy = [], False
+        verdicts = []
         for kind in COUNTER_KINDS:
             spec = EventSpec(kind, interval=(-1.0, 1.0), adjacency=adjacency)
             for trial in trials:
@@ -206,20 +206,18 @@ class TestCounterMatchesPerEnergyOracle:
                         distinct.append(centers)
                 assert searches == distinct, (kind, trial)
                 verdicts.append(want)
-                greedy |= not all(exact for _, exact in searched)
-        return verdicts, greedy
+                assert all(exact for _, exact in searched), (kind, trial)
+        return verdicts
 
     @pytest.mark.parametrize("adjacency", ["sup", "l1"])
     @pytest.mark.parametrize("g", [1.0, 5.0, 30.0])
     def test_desk_verdicts(self, monkeypatch, adjacency, g):
-        _, greedy = self._compare(monkeypatch, desk_schedule(g=g), adjacency, range(4))
-        # past 40 singular candidates the search is greedy: always so at g=1
-        assert greedy or g != 1.0
+        self._compare(monkeypatch, desk_schedule(g=g), adjacency, range(4))
 
     def test_true_verdicts_and_early_exit(self, monkeypatch):
         # L = (2, 12): separated singular sub-boxes fit in the parent box
         sched = schedule(2, 3.5, 1.0, 0.5, 1, g=5.0, d=1)
-        verdicts, _ = self._compare(monkeypatch, sched, "sup", range(2))
+        verdicts = self._compare(monkeypatch, sched, "sup", range(2))
         assert True in verdicts and False in verdicts
 
 

@@ -152,11 +152,16 @@ class TestMaxSeparatedSubset:
                 for b in chosen[i + 1:]:
                     assert pair_separation(centers[a], centers[b]) > sep
 
-    def test_greedy_flagged_inexact(self):
-        rng = np.random.default_rng(3)
-        centers = [random_point2(rng, 1, 100) for _ in range(50)]
-        _, _, exact = max_separated_subset(centers, 8, exact_limit=40)
-        assert not exact
+    def test_packing_ceiling_of_one_skips_the_search(self, monkeypatch):
+        # the desk k=0 counter in d=2: 7^4 candidate centers, separation
+        # 8 * L_0 = 24; one cell of side 25 covers them all
+        def refuse(*args):
+            raise AssertionError("conflict matrix built")
+
+        monkeypatch.setattr("anderson2p.kernels.pairwise_dist", refuse)
+        centers = Box2.of_origin(2, 3).points()
+        assert len(centers) == 2401
+        assert max_separated_subset(centers, 24) == (1, [0], True)
 
 
 class TestCounters:
@@ -196,6 +201,25 @@ class TestCounters:
         rep = count_singular_subboxes(parent.center, 0, sched, sample,
                                       _interaction(), sched.g, 2.0)
         pts = [Point2.of(w[:1], w[1:]) for w in rep.witnesses_all]
+        for i, a in enumerate(pts):
+            for b in pts[i + 1:]:
+                assert pair_separation(a, b) > rep.separation
+
+    def test_large_singular_set_counted_exactly(self):
+        # 137 singular candidates with at most 3 pairwise separated; picking
+        # candidates by fewest conflicts finds only 2
+        sched = schedule(2, 3.5, 1.0, 0.5, 1, g=5.0, d=1)
+        parent = Box2.of_origin(1, 12)
+        sample = sample_potential(DistributionSpec.uniform(), 101, 0,
+                                  domain_for_boxes([parent]))
+        E = float(np.linspace(-1, 1, 101)[53])
+        rep = count_singular_subboxes(parent.center, 0, sched, sample,
+                                      InteractionSpec.triangular(1), sched.g, E,
+                                      "sup")
+        assert len(rep.singular_ni) + len(rep.singular_i) == 137
+        assert rep.K == 3 and rep.exact
+        pts = [Point2.of(w[:1], w[1:]) for w in rep.witnesses_all]
+        assert len(pts) == 3
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
                 assert pair_separation(a, b) > rep.separation
