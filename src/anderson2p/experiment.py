@@ -491,7 +491,8 @@ def _eval_counter(spec, ctx, trial) -> bool:
     """'Some grid energy makes the separated-singular-sub-box counter reach
     its threshold' inside a scale-(k+1) box at the origin.
 
-    One mask decides every (sub-box, grid energy) pair, and the exact
+    One mask (``SubboxSpectra.mask``, from one eigensolve per exchange
+    orbit) decides every (sub-box, grid energy) pair, and the exact
     subset search runs once per distinct singular set.  The count does not
     depend on the order of the candidates; they keep the order of
     ``count_singular_subboxes`` (non-interactive first for K), which the
@@ -509,9 +510,7 @@ def _eval_counter(spec, ctx, trial) -> bool:
     which, threshold = _counter_thresholds(spec)
     grid = energy_grid(_require_interval(spec), L_k, sched.beta,
                        spec.grid_spacing)
-    masks = singular_mask_at(spectra.eigenvalues, spectra.eigenvectors,
-                             spectra.center_index, spectra.boundary_indices,
-                             spectra.radius, grid, m)
+    masks = spectra.mask(grid, m)
     inter = spectra.interactive
     pool = {"M": np.flatnonzero(~inter), "N": np.flatnonzero(inter),
             "K": np.argsort(inter, kind="stable")}[which]

@@ -18,11 +18,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .classify import CnrReport, is_cnr, is_ns
+from .classify import CnrReport, is_cnr, is_ns, singular_mask_at
 from .disorder import DisorderSample, InteractionSpec
-from .errors import InfeasibleScheduleError, InvalidInputError
+from .errors import InfeasibleScheduleError, InvalidInputError, NumericError
 from .geometry import Box2, Point2
-from .operators import assemble_two_particle, box_family, check_projections
+from .operators import (
+    SPECTRAL_RTOL,
+    assemble_two_particle,
+    box_family,
+    check_projections,
+    exchange_orbits,
+)
 
 
 @dataclass(frozen=True)
@@ -254,6 +260,25 @@ def validate_parameters(sched: ScaleSchedule) -> ParameterReport:
     return ParameterReport(checks, asymptotic_regime=strict)
 
 
+def packing_ceiling(flat: np.ndarray, min_separation: int) -> int:
+    """Upper bound on a family of the flat ``(n, 2d)`` centers pairwise
+    separated by more than ``min_separation`` in the exchange-symmetrised
+    metric.  Such centers are also separated in sup distance, so they fit
+    one per cell of side ``min_separation + 1``: P counts the cells covering
+    their 2d-dimensional bounding box.  On a one-particle grid of such cells
+    shared by both particles (covering the union of their coordinate
+    ranges), with C cells, a center lies in a cell pair (A, B), and (A, B)
+    conflicts with (B, A) through the exchange image, so at most
+    C (C + 1) / 2 cell pairs hold a member.  Returns the smaller bound."""
+    side = min_separation + 1
+    d = flat.shape[1] // 2
+    extent = (flat.max(axis=0) - flat.min(axis=0)).tolist()
+    P = math.prod(e // side + 1 for e in extent)
+    both = np.concatenate([flat[:, :d], flat[:, d:]])
+    C = math.prod(e // side + 1 for e in (both.max(axis=0) - both.min(axis=0)).tolist())
+    return min(P, C * (C + 1) // 2)
+
+
 def max_separated_subset(centers: Sequence[Point2] | np.ndarray,
                          min_separation: int) -> tuple[int, list[int], bool]:
     """Largest subset of centers pairwise separated by more than
@@ -261,12 +286,12 @@ def max_separated_subset(centers: Sequence[Point2] | np.ndarray,
     (the inductive step's 'K <= J' decisions need the true maximum).
     ``centers`` are points or an ``(n, 2d)`` integer array of flat centers.
 
-    Such centers are also separated in sup distance, so they fit one per
-    cell of side ``min_separation + 1``: the cells covering their bounding
-    box are a packing ceiling, and a ceiling of 1 needs no search.  Otherwise
-    a branch-and-bound over bitsets, pruned by first-fit clique covers of
-    the conflict graph, stops at the ceiling.  It recurses once per chosen center
-    and returns the first largest subset in index order.
+    A ceiling of 1 from ``packing_ceiling`` (which counts cells of side
+    ``min_separation + 1``, pairing each cell pair with its exchange image)
+    needs no search.  Otherwise a branch-and-bound over bitsets, pruned by
+    first-fit clique covers of the conflict graph, stops at the ceiling.
+    It recurses once per chosen center and returns the first largest
+    subset in index order.
     Returns (size, chosen indices, exact flag); the flag is always true.
     """
     n = len(centers)
@@ -276,8 +301,7 @@ def max_separated_subset(centers: Sequence[Point2] | np.ndarray,
         flat = centers.astype(np.int64, copy=False)
     else:
         flat = np.array([c.flat for c in centers], dtype=np.int64)
-    extent = (flat.max(axis=0) - flat.min(axis=0)).tolist()
-    ceiling = math.prod(e // (min_separation + 1) + 1 for e in extent)
+    ceiling = packing_ceiling(flat, min_separation)
     if ceiling == 1:
         return 1, [0], True
     swapped = np.roll(flat, flat.shape[1] // 2, axis=1)  # (x1, x2) -> (x2, x1)
@@ -359,30 +383,37 @@ class CounterReport:
 
 @dataclass
 class SubboxSpectra:
-    """Batched eigendecompositions of every scale-k sub-box of a parent
-    box.  Translated sub-boxes share the hopping matrix and index layout,
-    so one stacked eigensolve serves all candidates (and, downstream, all
-    grid energies)."""
+    """Batched eigendecompositions of the scale-k sub-boxes of a parent box,
+    one per exchange orbit (``operators.exchange_orbits``).  Translated
+    sub-boxes share the hopping matrix and index layout, so one stacked
+    eigensolve serves all candidates (and, downstream, all grid energies).
+    The box at sigma u has G_{sigma u}(E; c, y) = G_u(E; c, sigma y) and a
+    boundary closed under sigma, so it is singular exactly when its
+    orbit's representative is."""
 
     centers: np.ndarray  # (ncand, 2d) candidate center coordinates
-    eigenvalues: np.ndarray  # (ncand, n)
-    eigenvectors: np.ndarray  # (ncand, n, n)
+    eigenvalues: np.ndarray  # (nrep, n), one row per exchange orbit
+    eigenvectors: np.ndarray  # (nrep, n, n)
+    orbit: np.ndarray  # (ncand,) row of each candidate's representative
     center_index: int
     boundary_indices: np.ndarray
     radius: int
     interactive: np.ndarray  # (ncand,) bool
+
+    def mask(self, E: float | np.ndarray, m: float) -> np.ndarray:
+        """``classify.singular_mask_at`` of every candidate at ``(E, m)``:
+        ``(ncand,)`` for a scalar ``E``, ``(nE, ncand)`` for an array."""
+        return singular_mask_at(
+            self.eigenvalues, self.eigenvectors, self.center_index,
+            self.boundary_indices, self.radius, E, m,
+        )[..., self.orbit]
 
     def singular_centers(
         self, E: float, m: float
     ) -> tuple[list[Point2], list[Point2]]:
         """Split candidate centers singular at (E, m) into (non-interactive,
         interactive) lists."""
-        from .classify import singular_mask_at
-
-        mask = singular_mask_at(
-            self.eigenvalues, self.eigenvectors, self.center_index,
-            self.boundary_indices, self.radius, E, m,
-        )
+        mask = self.mask(E, m)
         d = self.centers.shape[1] // 2
         sing_ni, sing_i = [], []
         for flat, inter in zip(self.centers[mask], self.interactive[mask]):
@@ -400,17 +431,27 @@ def subbox_spectra(
     g: float,
     adjacency: str,
 ) -> SubboxSpectra:
+    """Eigendecompose one scale-k sub-box per exchange orbit of the
+    candidates inside the scale-(k+1) box at ``center``.  Raises
+    ``NumericError`` when a residual ||Hq - q lambda|| exceeds
+    ``SPECTRAL_RTOL`` times that box's spectral radius."""
     L_k, L_next = sched.L[k], sched.L[k + 1]
     d = center.d
     template = Box2.of_origin(d, L_k)
     centers = Box2(center, L_next - L_k).points()
-    ev, q = np.linalg.eigh(box_family(centers, L_k, sample, interaction, g, adjacency))
+    reps, orbit = exchange_orbits(centers)
+    h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
+    ev, q = np.linalg.eigh(h)
+    residual = np.linalg.norm(h @ q - q * ev[:, None, :], axis=1).max(axis=1)
+    radius = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+    if not np.all(residual <= SPECTRAL_RTOL * np.maximum(radius, 1e-300)):
+        raise NumericError("stacked eigensolver residuals exceed tolerance")
     interactive = (
         np.abs(centers[:, :d] - centers[:, d:]).max(axis=1)
         <= 2 * L_k + interaction.r0
     )
     return SubboxSpectra(
-        centers=centers, eigenvalues=ev, eigenvectors=q,
+        centers=centers, eigenvalues=ev, eigenvectors=q, orbit=orbit,
         center_index=template.center_index(),
         boundary_indices=template.boundary_indices(),
         radius=L_k, interactive=interactive,

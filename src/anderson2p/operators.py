@@ -165,6 +165,26 @@ def box_family(
     return h
 
 
+def exchange_orbits(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the flat ``centers`` (shape ``(ncand, 2d)``) under particle
+    exchange (x1, x2) -> (x2, x1).  Returns ``reps``, the first row of each
+    orbit {u, sigma u} present in the family, ascending, and ``orbit``, the
+    position in ``reps`` of each row's representative.
+
+    The box at sigma u is the box at u conjugated by the site exchange,
+    which fixes the center and maps the boundary onto itself (diagonal and
+    hops are exchange symmetric), so ``box_family`` at a representative
+    serves its whole orbit.  With no exchange image in the family ``orbit``
+    is the identity.
+    """
+    centers = np.asarray(centers, dtype=np.int64)
+    row_of = {row.tobytes(): i for i, row in enumerate(centers)}
+    swapped = np.roll(centers, centers.shape[1] // 2, axis=1)
+    first = [min(i, row_of.get(row.tobytes(), i)) for i, row in enumerate(swapped)]
+    reps, orbit = np.unique(np.array(first, dtype=np.int64), return_inverse=True)
+    return reps, orbit
+
+
 def family_spectra(
     centers: np.ndarray,
     radius: int,

@@ -3,11 +3,13 @@
 These deliberately avoid the library's numerical code paths (no factorized
 solves, no library eigensolvers beyond what a specific oracle states, no
 shared kernels); they share only scalar arithmetic with the modules they
-check.  Two oracles are exceptions.  The complete-non-resonance oracle
+check.  Three oracles are exceptions.  The complete-non-resonance oracle
 checks the batched sweep against the library's single-box assembly (itself
 checked against ``two_particle_matrix``), one box at a time.  The counter
 oracle checks the grid-wide counter sweep against the library's per-energy
-singular sets and subset search.
+singular sets and subset search.  The sub-box mask oracle diagonalizes
+every candidate sub-box, with no reduction by exchange symmetry, and
+applies the library's ``singular_mask_at``.
 They are test-tree-only and never imported by the package.
 """
 
@@ -313,3 +315,20 @@ def counter_by_energy(spec, ctx, trial) -> tuple[bool, list]:
         if count >= threshold:
             return True, searched
     return False, searched
+
+
+def subbox_mask_all_boxes(center, k, schedule, sample, interaction, g, adjacency,
+                          energies, m) -> np.ndarray:
+    """``(len(energies), ncand)`` singularity mask of every scale-k sub-box
+    of the scale-(k+1) box at ``center``: one stacked ``eigh`` over all
+    candidates, then ``classify.singular_mask_at``."""
+    from anderson2p.classify import singular_mask_at
+    from anderson2p.geometry import Box2
+    from anderson2p.operators import box_family
+
+    L_k = schedule.L[k]
+    template = Box2.of_origin(center.d, L_k)
+    centers = Box2(center, schedule.L[k + 1] - L_k).points()
+    ev, q = np.linalg.eigh(box_family(centers, L_k, sample, interaction, g, adjacency))
+    return singular_mask_at(ev, q, template.center_index(),
+                            template.boundary_indices(), L_k, energies, m)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
-from anderson2p.errors import InfeasibleScheduleError, InvalidInputError
+from anderson2p.errors import InfeasibleScheduleError, InvalidInputError, NumericError
 from anderson2p.geometry import Box2, Point2, pair_separation
 from anderson2p.msa import (
     count_singular_subboxes,
@@ -14,12 +14,14 @@ from anderson2p.msa import (
     mass_step_value,
     max_separated_subset,
     asymptotic_schedule,
+    packing_ceiling,
     schedule,
+    subbox_spectra,
     validate_parameters,
 )
 
 from .conftest import random_point2
-from .oracles import exhaustive_separated_subset
+from .oracles import exhaustive_separated_subset, subbox_mask_all_boxes
 
 
 def _interaction():
@@ -164,6 +166,102 @@ class TestMaxSeparatedSubset:
         assert max_separated_subset(centers, 24) == (1, [0], True)
 
 
+class TestPackingCeiling:
+    @pytest.mark.parametrize("L_k,L_next,ceiling", [
+        (3, 6, 1), (6, 12, 1),  # desk counters
+        (2, 12, 3),  # 2 cells per axis: 4 cell pairs, (A, B) ~ (B, A)
+        (2, 32, 10),  # 4 cells per axis: 16 cell pairs, 10 up to exchange
+    ])
+    def test_parent_at_origin(self, L_k, L_next, ceiling):
+        centers = Box2.of_origin(1, L_next - L_k).points()
+        assert packing_ceiling(centers, 8 * L_k) == ceiling
+
+    def test_disjoint_particle_ranges_keep_the_box_ceiling(self):
+        # x1 in [0, 20], x2 in [100, 120]: the box has 2 x 2 cells of side
+        # 17, while the grid shared by both particles has 8 per axis
+        centers = Box2(Point2.of((10,), (110,)), 10).points()
+        assert packing_ceiling(centers, 16) == 4
+
+    def test_cells_are_as_wide_as_the_separation_allows(self):
+        # sup distance 17 > 16 in x1 alone: two cells of side 17, K = 2
+        centers = np.array([[0, 0], [17, 0]])
+        assert max_separated_subset(centers, 16)[0] == 2
+        assert packing_ceiling(centers, 16) == 2
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_never_below_the_largest_family(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(300):
+            n = int(rng.integers(1, 11))
+            sep = int(rng.integers(2, 25))
+            # spreads of one to four cells per coordinate
+            centers = [random_point2(rng, d, int(rng.integers(sep // 2, 2 * sep + 2)))
+                       for _ in range(n)]
+            flat = np.array([c.flat for c in centers])
+            assert packing_ceiling(flat, sep) >= exhaustive_separated_subset(
+                [c.flat for c in centers], sep)
+
+
+class TestSubboxSpectra:
+    @staticmethod
+    def _sample(sched, k, center, seed):
+        return sample_potential(DistributionSpec.uniform(), seed, 0,
+                                domain_for_boxes([Box2(center, sched.L[k + 1])]))
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("sched,k", [
+        (desk_schedule(g=5.0), 0), (desk_schedule(g=30.0), 0),
+        (desk_schedule(g=5.0), 1), (schedule(2, 3.5, 1.0, 0.5, 1, g=5.0, d=1), 0),
+    ], ids=["desk-k0-g5", "desk-k0-g30", "desk-k1-g5", "L2-12-g5"])
+    def test_mask_equals_every_box_diagonalized(self, sched, k, adjacency):
+        center = Point2.of((0,), (0,))
+        energies = np.linspace(-3.0, 2 * sched.g + 3.0, 101)
+        seen = set()
+        for seed in (1, 2):
+            sample = self._sample(sched, k, center, seed)
+            spectra = subbox_spectra(center, k, sched, sample, _interaction(),
+                                     sched.g, adjacency)
+            n_side = 2 * (sched.L[k + 1] - sched.L[k]) + 1
+            assert len(spectra.eigenvalues) == (n_side**2 + n_side) // 2
+            mask = spectra.mask(energies, sched.m[k])
+            want = subbox_mask_all_boxes(center, k, sched, sample, _interaction(),
+                                         sched.g, adjacency, energies, sched.m[k])
+            assert np.array_equal(mask, want)
+            assert np.array_equal(spectra.mask(float(energies[40]), sched.m[k]),
+                                  want[40])
+            seen |= set(np.unique(mask).tolist())
+        assert seen == {False, True}
+
+    def test_off_diagonal_parent_diagonalizes_every_box(self):
+        sched = desk_schedule(g=5.0)
+        center = Point2.of((30,), (-30,))
+        sample = self._sample(sched, 0, center, 4)
+        spectra = subbox_spectra(center, 0, sched, sample, _interaction(),
+                                 sched.g, "sup")
+        assert np.array_equal(spectra.orbit, np.arange(len(spectra.centers)))
+        energies = np.linspace(-3.0, 13.0, 101)
+        want = subbox_mask_all_boxes(center, 0, sched, sample, _interaction(),
+                                     sched.g, "sup", energies, sched.m[0])
+        assert np.array_equal(spectra.mask(energies, sched.m[0]), want)
+
+    def test_residual_checked(self, monkeypatch):
+        sched = desk_schedule(g=5.0)
+        center = Point2.of((0,), (0,))
+        sample = self._sample(sched, 0, center, 1)
+        args = (center, 0, sched, sample, _interaction(), sched.g, "sup")
+        subbox_spectra(*args)
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            ev, q = eigh(a)
+            q[-1, 0] += 1e-4  # one entry of the last representative
+            return ev, q
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(NumericError, match="residual"):
+            subbox_spectra(*args)
+
+
 class TestCounters:
     @staticmethod
     def _subset_schedule():
@@ -218,8 +316,8 @@ class TestCounters:
                                       "sup")
         assert len(rep.singular_ni) + len(rep.singular_i) == 137
         assert rep.K == 3 and rep.exact
+        assert rep.witnesses_all == [(-10, 9), (-8, -8), (7, 9)]
         pts = [Point2.of(w[:1], w[1:]) for w in rep.witnesses_all]
-        assert len(pts) == 3
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
                 assert pair_separation(a, b) > rep.separation

@@ -15,6 +15,7 @@ from anderson2p.operators import (
     assemble_two_particle,
     box_family,
     diagonalize,
+    exchange_orbits,
     family_spectra,
     permutation_conjugate_check,
     tensor_spectrum,
@@ -132,6 +133,34 @@ class TestBoxFamily:
         expected = [np.linalg.eigvalsh(_single_box(c, 2, sample, "sup").matrix)
                     for c in centers]
         assert np.array_equal(np.concatenate(chunks), np.array(expected))
+
+
+class TestExchangeOrbits:
+    @pytest.mark.parametrize("r0", [1, 2])  # InteractionSpec needs r0 >= 1
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("d,radius", [(1, 2), (2, 1)])
+    def test_image_is_representative_conjugated(self, d, radius, adjacency, r0):
+        # the candidate family of a parent on the diagonal
+        centers = Box2.of_origin(d, 2).points()
+        sample = sample_potential(DistributionSpec.uniform(), 3, 1,
+                                  domain_for_boxes([Box2.of_origin(d, 2 + radius)]))
+        family = box_family(centers, radius, sample,
+                            InteractionSpec.triangular(r0, 1.0), 2.5, adjacency)
+        tpl = Box2.of_origin(d, radius)
+        perm = np.array([tpl.index_of(np.roll(p, d)) for p in tpl.points()])
+        reps, orbit = exchange_orbits(centers)
+        on_diagonal = int((centers[:, :d] == centers[:, d:]).all(axis=1).sum())
+        assert len(reps) == (len(centers) + on_diagonal) // 2
+        assert np.array_equal(orbit[reps], np.arange(len(reps)))
+        images = 0
+        for i, rep in enumerate(reps[orbit]):
+            assert rep <= i
+            if rep == i:
+                continue
+            assert np.array_equal(centers[i], np.roll(centers[rep], d))
+            assert np.array_equal(family[i], family[rep][perm][:, perm])
+            images += 1
+        assert images == len(centers) - len(reps)
 
 
 class TestDiagonalize:
