@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .disorder import DisorderSample, InteractionSpec
 from .errors import InvalidInputError, PreconditionError
@@ -280,9 +281,9 @@ def is_cnr(
                          exhaustive=exhaustive)
     rng = None
     if not exhaustive:
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([sample.seed & (2**64 - 1),
-                                           (sample.trial << 1) ^ 0xC2B2], dtype=np.uint64))
+        rng = Generator(
+            Philox(key=np.array([sample.seed & (2**64 - 1),
+                                 (sample.trial << 1) ^ 0xC2B2], dtype=np.uint64))
         )
     checked = 0
     for radius, max_off in layout:

@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from . import __version__
 from .classify import classify_box, nt_to_ns_check
@@ -217,7 +218,7 @@ def _cmd_msa_verify(cfg, sched, args):
         k = args.k if args.k is not None else 0
         L = args.radius if args.radius is not None else max(9, sched.L[k])
         for s in range(args.seeds):
-            rng = np.random.Generator(np.random.Philox(key=np.array(
+            rng = Generator(Philox(key=np.array(
                 [cfg.seed, s], dtype=np.uint64)))
             offset = int(rng.integers(2 * L + interaction.r0 + 1, 6 * L))
             center = Point2.of((0,) * d, (offset,) + (0,) * (d - 1))
@@ -231,7 +232,7 @@ def _cmd_msa_verify(cfg, sched, args):
     elif args.check == "inductive-step":
         k = args.k if args.k is not None else 0
         for s in range(args.seeds):
-            rng = np.random.Generator(np.random.Philox(key=np.array(
+            rng = Generator(Philox(key=np.array(
                 [cfg.seed, s], dtype=np.uint64)))
             parent = Box2.of_origin(d, sched.L[k + 1])
             sample = sample_potential(dist, cfg.seed, s, domain_for_boxes([parent]))

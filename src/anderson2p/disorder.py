@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError, OutOfDomainError
-from .geometry import Box1, Box2, Point1, Point2, projections, sup_dist1
+from .geometry import (
+    Box1,
+    Box2,
+    Point1,
+    Point2,
+    projections,
+    sup_dist1,
+    unique_rows,
+)
 from .kernels import uniform01
 
 _DENSITY_TOL = 1e-10
@@ -82,6 +89,8 @@ class DistributionSpec:
         if self.kind == "uniform":
             return 1.0 / width
         if self.kind == "truncated-gaussian":
+            from scipy.special import ndtr
+
             lo, hi = self._z(self.a), self._z(self.b)
             mass = ndtr(hi) - ndtr(lo)
             peak_z = min(max(0.0, lo), hi)
@@ -104,6 +113,8 @@ class DistributionSpec:
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * u
         if self.kind == "truncated-gaussian":
+            from scipy.special import ndtr, ndtri
+
             lo, hi = ndtr(self._z(self.a)), ndtr(self._z(self.b))
             x = self.mu + self.sigma * ndtri(lo + u * (hi - lo))
             return np.clip(x, self.a, self.b)
@@ -245,7 +256,7 @@ def sample_potential(
         sites = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
     if sites.shape[0] == 0:
         return DisorderSample(spec, seed, trial, frozenset(), {})
-    sites = np.unique(sites, axis=0)
+    sites = unique_rows(sites)
     vals = spec.transform(uniform01(seed, trial, sites))
     keys = [tuple(int(c) for c in row) for row in sites]
     return DisorderSample(
@@ -272,4 +283,4 @@ def domain_for_boxes(boxes: Iterable[Box2 | Box1], margin: int = 0) -> np.ndarra
             parts.append(Box1(b.center, b.radius + margin).points())
     if not parts:
         return np.empty((0, 1), dtype=np.int64)
-    return np.unique(np.vstack(parts), axis=0)
+    return unique_rows(np.vstack(parts))

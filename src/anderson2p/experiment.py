@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
+from numpy.random import Generator, Philox
 
 from .classify import (
     cnr_subbox_layout,
@@ -123,14 +123,20 @@ class EventSpec:
         )
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; well behaved for
-    small counts and at the 0/1 endpoints."""
+# The 97.5% standard normal quantile, the double that
+# ``scipy.stats.norm.ppf(0.975)`` returns; ``statistics.NormalDist``
+# gives 1.9599639845400536, one ulp away, which would change the bytes
+# of every ``wilson_*`` field.
+_Z_975 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion; well behaved
+    for small counts and at the 0/1 endpoints.  The quantile is the
+    constant ``_Z_975``, so computing an interval loads no scipy module."""
     if trials <= 0:
         raise InvalidInputError("Wilson interval needs at least one trial")
-    z = float(_norm.ppf(0.5 * (1.0 + confidence)))
+    z = _Z_975
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -238,13 +244,13 @@ def reference_bound(spec: EventSpec, sched: ScaleSchedule) -> tuple[Optional[str
 # placement
 
 
-def _stream_rng(seed: int, trial: int, tag: str) -> np.random.Generator:
+def _stream_rng(seed: int, trial: int, tag: str) -> Generator:
     tag_hash = 0
     for ch in tag:
         tag_hash = (tag_hash * 131 + ord(ch)) & 0xFFFFFFFF
     key = np.array([(seed ^ (tag_hash << 16)) & (2**64 - 1), trial & (2**64 - 1)],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def _draw_center(rng, d: int, half_width: int) -> Point2:

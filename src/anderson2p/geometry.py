@@ -134,6 +134,19 @@ def pair_separation(u: Point2, v: Point2) -> int:
     return min(sup_dist(u, v), sup_dist(u.sigma(), v))
 
 
+def unique_rows(a: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D integer array in lexicographic order.
+
+    The same array as ``np.unique(a, axis=0)``, from a lexsort and a
+    row-change mask.  ``np.unique`` without index outputs asks
+    ``np.ma.is_masked``, which imports ``numpy.ma`` on first use.
+    """
+    rows = a[np.lexsort(a.T[::-1])]
+    changed = np.ones(len(rows), dtype=bool)
+    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[changed]
+
+
 @lru_cache(maxsize=4096)
 def _grid_points(center: tuple[int, ...], radius: int) -> np.ndarray:
     axes = [np.arange(c - radius, c + radius + 1, dtype=np.int64) for c in center]
@@ -298,7 +311,7 @@ def projections(b: Box2) -> tuple[Box1, Box1, np.ndarray]:
     """
     p1 = Box1(b.center.x1, b.radius)
     p2 = Box1(b.center.x2, b.radius)
-    merged = np.unique(np.vstack([p1.points(), p2.points()]), axis=0)
+    merged = unique_rows(np.vstack([p1.points(), p2.points()]))
     return p1, p2, merged
 
 
@@ -354,7 +367,7 @@ class AnnulusSpec:
         lk = self.schedule.L[self.k]
         a = Box2(self.center, lk).points()
         b = Box2(self.center.sigma(), lk).points()
-        return np.unique(np.vstack([a, b]), axis=0)
+        return unique_rows(np.vstack([a, b]))
 
     def points(self) -> np.ndarray:
         outer = Box2(self.center, self.outer_radius)

@@ -49,6 +49,19 @@ class TestDistributionSpec:
         assert (x >= 0).all() and (x <= 1).all()
         assert spec.density_bound() > 1.0  # peaked above the uniform level
 
+    def test_truncated_gaussian_matches_scipy_formulas(self):
+        from scipy.special import ndtr, ndtri
+
+        mu, sigma, a, b = 0.5, 0.2, 0.0, 1.0
+        spec = DistributionSpec.truncated_gaussian(mu, sigma, a, b)
+        u = np.linspace(0, 0.999999, 257)
+        lo, hi = ndtr((a - mu) / sigma), ndtr((b - mu) / sigma)
+        ref = np.clip(mu + sigma * ndtri(lo + u * (hi - lo)), a, b)
+        assert np.array_equal(spec.transform(u), ref)
+        # the mode lies inside [a, b], so the density peaks at z = 0
+        assert spec.density_bound() == float(
+            1.0 / np.sqrt(2 * np.pi) / (sigma * (hi - lo)))
+
 
 class TestSamplePotential:
     def test_support_constraint(self):

@@ -50,6 +50,11 @@ class TestWilson:
         with pytest.raises(InvalidInputError):
             wilson_interval(0, 0)
 
+    def test_quantile_is_scipy_double(self):
+        from scipy.stats import norm
+
+        assert experiment._Z_975 == float(norm.ppf(0.975))
+
     def test_coverage_on_synthetic_bernoulli(self):
         # 95% interval coverage over seeded meta-trials of a p=0.3 coin
         rng = np.random.default_rng(2024)

@@ -20,6 +20,7 @@ from anderson2p.geometry import (
     projections,
     sup_dist,
     sup_norm,
+    unique_rows,
 )
 from .conftest import random_point2
 
@@ -191,6 +192,19 @@ class TestProjections:
         q1, q2, _ = projections(box.sigma())
         assert np.array_equal(q1.points(), p2.points())
         assert np.array_equal(q2.points(), p1.points())
+
+
+class TestUniqueRows:
+    def test_matches_numpy_unique(self):
+        rng = np.random.default_rng(8)
+        shapes = [(n, c) for c in (1, 2, 3, 4) for n in (0, 1, 2, 7, 60)]
+        for n, c in shapes:
+            for hi in (2, 5, 1000):
+                a = rng.integers(-hi, hi, size=(n, c), dtype=np.int64)
+                got, ref = unique_rows(a), np.unique(a, axis=0)
+                assert got.dtype == ref.dtype
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref)
 
 
 class TestAnnulus:

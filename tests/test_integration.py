@@ -1,11 +1,12 @@
 """Cross-cutting integration checks: backend invariance of full
-experiments, subsampled budget paths, third-party cross-validation, and
-the single LAPACK library."""
+experiments, subsampled budget paths, third-party cross-validation, the
+single LAPACK library, and the modules the CLI loads."""
 
 import ast
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,72 @@ class TestOneLapackLibrary:
                               if n.split(".")[0] not in allowed
                               or n == "scipy.linalg" or n.startswith("scipy.linalg.")]
         assert offenders == []
+
+    def test_no_scipy_import_at_module_load(self):
+        # scipy costs about 1 s per CLI start; only function bodies (the
+        # truncated-Gaussian marginal) may import it, on first use
+        offenders = []
+        for path in sorted(Path(anderson2p.__file__).parent.glob("*.py")):
+            pending = list(ast.parse(path.read_text()).body)
+            while pending:
+                node = pending.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else []
+                else:
+                    pending.extend(ast.iter_child_nodes(node))
+                    continue
+                offenders += [f"{path.name}:{node.lineno} {n}" for n in names
+                              if n.split(".")[0] == "scipy"]
+        assert offenders == []
+
+
+class TestCliImportPath:
+    _CHILD = textwrap.dedent("""
+        import json
+        import sys
+
+        def loaded():
+            return {m for m in sys.modules
+                    if m.split(".")[0] == "scipy" or m == "numpy.ma"
+                    or m.startswith(("numpy.ma.", "numpy.random"))}
+
+        from anderson2p import cli
+
+        at_import = sorted(m for m in loaded() if m.split(".")[0] == "scipy")
+        before = loaded()
+        out = sys.argv[1]
+        counter = cli.main([
+            "mc-estimate", "--event", "total_counter_at_least",
+            "--set", "dimension=1", "--set", "g=5",
+            "--set", "interval=[-1.0,1.0]", "--set", "trials=2",
+            "--out", out + "/counter"])
+        inductive = cli.main([
+            "msa-verify", "--check", "inductive-step", "--seeds", "2",
+            "--set", "dimension=1", "--set", "adjacency=l1", "--set", "g=30",
+            "--out", out + "/inductive"])
+        print(json.dumps({"at_import": at_import,
+                          "codes": [counter, inductive],
+                          "during_runs": sorted(loaded() - before)}))
+    """)
+
+    def test_cli_runs_load_no_scipy(self, tmp_path):
+        """Importing the CLI loads no scipy module, and a counter and an
+        inductive-step run load none of scipy, ``numpy.ma`` and
+        ``numpy.random`` (numpy imports the last two on first touch, which
+        would land inside the first trial)."""
+        out = subprocess.run(
+            [sys.executable, "-c", self._CHILD, str(tmp_path)],
+            capture_output=True, text=True, env=cli_env(), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report["codes"] == [0, 0]
+        assert report["at_import"] == []
+        assert report["during_runs"] == []
 
 
 class TestCliClassifyScale:
