@@ -434,11 +434,13 @@ def nt_to_ns_check(
     if is_interactive(box, interaction.r0):
         raise PreconditionError("the decay step applies to non-interactive boxes")
     L, d = box.radius, box.d
-    ok1, w1 = is_nontunnelling(Box1(box.center.x1, L), sample, g, m_hat, adjacency)
-    ok2, w2 = is_nontunnelling(Box1(box.center.x2, L), sample, g, m_hat, adjacency)
-    # non-interactive box spectrum via its factors (exact under l1 adjacency)
+    # non-interactive box spectrum via its factors (exact under l1 adjacency),
+    # taken before is_nontunnelling diagonalizes the factors, which replaces
+    # these eigvalsh eigenvalues with eigh's
     op1, op2 = single_particle_factors(box, sample, g, adjacency)
     sums = np.add.outer(op1.eigenvalues(), op2.eigenvalues()).ravel()
+    ok1, w1 = is_nontunnelling(op1.box, sample, g, m_hat, adjacency, op=op1)
+    ok2, w2 = is_nontunnelling(op2.box, sample, g, m_hat, adjacency, op=op2)
     resonant, gap = is_resonant(sums, E, L, beta)
     size_ok = nt_size_condition(L, beta, d)
     report = NtToNsReport(

@@ -263,33 +263,23 @@ def _recovery_batch(cfg, sched, seed_trial, parent_radius, sub_radius):
     parent_op = assemble_two_particle(parent, sample, interaction, cfg.g,
                                       cfg.adjacency)
     sd = diagonalize(parent_op)
-    psi_maps = [
-        {tuple(int(c) for c in p): float(v)
-         for p, v in zip(parent_op.points, sd.eigenvectors[:, s])}
-        for s in range(sd.n)
-    ]
     max_off = parent_radius - sub_radius - 1  # sub-box plus its exterior shell
-    sub_centers = [
-        Point2.of(off[:d], off[d:])
-        for off in Box2.of_origin(d, max_off).points()
-    ]
+    width = resonance_width(sub_radius, sched.beta)
     n_rec = n_skip = 0
     max_err = 0.0
-    for c in sub_centers:
-        sub = Box2(c, sub_radius)
+    for off in Box2.of_origin(d, max_off).points():
+        sub = Box2(Point2.of(off[:d], off[d:]), sub_radius)
         sub_op = assemble_two_particle(sub, sample, interaction, cfg.g,
                                        cfg.adjacency)
         ev = sub_op.eigenvalues()
-        width = resonance_width(sub_radius, sched.beta)
-        for s in range(sd.n):
-            E = float(sd.eigenvalues[s])
-            if np.abs(ev - E).min() < width:
-                n_skip += 1
-                continue
-            res = boundary_recovery(sub_op, E, psi_maps[s])
-            rel = res.max_error / max(res.psi_sup, 1e-300)
-            max_err = max(max_err, rel)
-            n_rec += 1
+        resonant = np.abs(ev[:, None] - sd.eigenvalues).min(axis=0) < width
+        keep = ~resonant
+        n_skip += int(resonant.sum())
+        n_rec += int(keep.sum())
+        res = boundary_recovery(sub_op, sd.eigenvalues[keep],
+                                sd.eigenvectors[:, keep], parent)
+        rel = res.max_error / np.maximum(res.psi_sup, 1e-300)
+        max_err = max(max_err, float(rel.max(initial=0.0)))
     return RecoveryRecord(
         seed=seed_trial, parent_radius=parent_radius, sub_radius=sub_radius,
         n_eigenpairs=sd.n, n_reconstructions=n_rec,

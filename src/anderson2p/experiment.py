@@ -83,7 +83,7 @@ _COUNTER_KINDS = ("ni_counter_at_least", "interactive_counter_at_least",
 class EventSpec:
     """One estimable event: a kind plus its scale, energy data, and
     placement parameters.  Every kind maps to exactly one classifier
-    composition (see the registry in this module)."""
+    composition (see ``evaluate_event``)."""
 
     kind: str
     k: int = 0
@@ -274,29 +274,21 @@ def _draw_ni_center(rng, d: int, half_width: int, L: int, r0: int) -> Point2:
 
 def _draw_separated(
     rng, d: int, half_width: int, min_sep: int,
-    first: Optional[Point2] = None,
     interactive_layer: Optional[tuple[int, int]] = None,
-    ni_layer: Optional[tuple[int, int]] = None,
 ) -> tuple[Point2, Point2]:
     """Draw a pair of centers with exchange-symmetrised separation
-    exceeding ``min_sep``; the layer arguments restrict a center to the
-    interactive layer / its complement for boxes of radius L and range r0."""
+    exceeding ``min_sep``; ``interactive_layer = (L, r0)`` restricts both
+    centers to the interactive layer for boxes of radius L and range r0."""
     if 2 * 2 * half_width <= min_sep:
         raise PlacementError(
             f"region half-width {half_width} cannot realize separation {min_sep}"
         )
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
-        if first is not None:
-            u = first
-        elif interactive_layer:
+        if interactive_layer:
             u = _draw_interactive_center(rng, d, half_width, *interactive_layer)
+            v = _draw_interactive_center(rng, d, half_width, *interactive_layer)
         else:
             u = _draw_center(rng, d, half_width)
-        if interactive_layer:
-            v = _draw_interactive_center(rng, d, half_width, *interactive_layer)
-        elif ni_layer:
-            v = _draw_ni_center(rng, d, half_width, *ni_layer)
-        else:
             v = _draw_center(rng, d, half_width)
         if pair_separation(u, v) > min_sep:
             return u, v

@@ -156,8 +156,38 @@ def _grid_points(center: tuple[int, ...], radius: int) -> np.ndarray:
     return pts
 
 
+def _flat(x):
+    """Coordinates of a ``Point1`` or ``Point2``; anything else as given."""
+    if isinstance(x, Point2):
+        return x.flat
+    if isinstance(x, Point1):
+        return x.coords
+    return x
+
+
+class _GridBox:
+    """Positions in a box whose points are the lexicographic grid of
+    ``_grid_points``; shared by ``Box1`` and ``Box2``."""
+
+    def index_of(self, x) -> int | np.ndarray:
+        """Position of a point, or of each row of an ``(N, D)`` integer
+        array; ``KeyError`` for any point outside the box."""
+        center = np.array(_flat(self.center))
+        pts = np.asarray(_flat(x), dtype=np.int64)
+        off = pts - (center - self.radius)
+        w = 2 * self.radius + 1
+        if pts.shape[-1] != len(center) or ((off < 0) | (off >= w)).any():
+            raise KeyError(f"point outside the box at {_flat(self.center)}, "
+                           f"radius {self.radius}")
+        idx = off @ w ** np.arange(len(center) - 1, -1, -1)
+        return int(idx) if pts.ndim == 1 else idx
+
+    def center_index(self) -> int:
+        return self.index_of(self.center)
+
+
 @dataclass(frozen=True)
-class Box1:
+class Box1(_GridBox):
     """Single-particle box: all sites within sup-distance ``radius`` of the
     center.  Cardinality (2*radius+1)**d."""
 
@@ -184,20 +214,6 @@ class Box1:
         """Lexicographically ordered (N, d) site array."""
         return _grid_points(self.center.coords, self.radius)
 
-    def index_of(self, site: Point1 | Sequence[int]) -> int:
-        coords = site.coords if isinstance(site, Point1) else tuple(site)
-        w = 2 * self.radius + 1
-        idx = 0
-        for c, u in zip(coords, self.center.coords):
-            off = c - (u - self.radius)
-            if not 0 <= off < w:
-                raise KeyError(f"site {coords} outside box")
-            idx = idx * w + off
-        return idx
-
-    def center_index(self) -> int:
-        return self.index_of(self.center)
-
     def boundary_indices(self) -> np.ndarray:
         """Indices of the interior boundary (the sup-distance == radius
         shell); empty for radius 0."""
@@ -208,7 +224,7 @@ class Box1:
 
 
 @dataclass(frozen=True)
-class Box2:
+class Box2(_GridBox):
     """Two-particle box around a center in Z^d x Z^d."""
 
     center: Point2
@@ -236,20 +252,6 @@ class Box2:
 
     def sigma(self) -> "Box2":
         return Box2(self.center.sigma(), self.radius)
-
-    def index_of(self, x: Point2 | Sequence[int]) -> int:
-        flat = x.flat if isinstance(x, Point2) else tuple(x)
-        w = 2 * self.radius + 1
-        idx = 0
-        for c, u in zip(flat, self.center.flat):
-            off = c - (u - self.radius)
-            if not 0 <= off < w:
-                raise KeyError(f"configuration {flat} outside box")
-            idx = idx * w + off
-        return idx
-
-    def center_index(self) -> int:
-        return self.index_of(self.center)
 
     def center_dists(self) -> np.ndarray:
         return np.abs(self.points() - self.center.to_array()).max(axis=1)

@@ -26,12 +26,11 @@ verified numerically in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ResonantEnergyError
-from .geometry import Point2
+from .geometry import Box2, Point2, exterior_boundary
 from .kernels import pairwise_dist
 from .operators import SPECTRAL_RTOL, FiniteOperator, SpectralData
 
@@ -77,7 +76,6 @@ def green_column(
     op: FiniteOperator,
     E: float,
     x: Point2 | int | None = None,
-    guard: float = RESONANCE_GUARD,
 ) -> GreenColumn:
     """Solve ``(H - E) c = delta_x``; by symmetry ``c[y] = G(E; x, y)``.
 
@@ -87,7 +85,7 @@ def green_column(
     ``SPECTRAL_RTOL * max(1, |H - E| |c|)`` (spectral norm).
     """
     gap = spectral_gap(op, E)
-    if gap <= guard * _gap_scale(op, E):
+    if gap <= RESONANCE_GUARD * _gap_scale(op, E):
         raise ResonantEnergyError(
             f"energy {E} within {gap:.3e} of the spectrum; classify as resonant"
         )
@@ -104,11 +102,9 @@ def green_column(
     return GreenColumn(float(E), int(idx), op, vec, residual)
 
 
-def boundary_green_max(
-    op: FiniteOperator, E: float, guard: float = RESONANCE_GUARD
-) -> tuple[float, np.ndarray | None]:
+def boundary_green_max(op: FiniteOperator, E: float) -> tuple[float, np.ndarray | None]:
     """Max |G(E; center, y)| over the interior boundary, via one solve."""
-    col = green_column(op, E, None, guard)
+    col = green_column(op, E)
     return col.boundary_max()
 
 
@@ -118,7 +114,6 @@ def green_spectral(
     E: float,
     u: Point2,
     y: Point2,
-    guard: float = RESONANCE_GUARD,
 ) -> float:
     """Green's function of a non-interactive box from its single-particle
     factors:
@@ -134,7 +129,7 @@ def green_spectral(
     i_u2, i_y2 = sd2.op.index_of(u.x2), sd2.op.index_of(y.x2)
     denom = np.add.outer(sd1.eigenvalues, sd2.eigenvalues) - E
     scale = max(1.0, abs(E), float(np.abs(denom + E).max()))
-    if np.abs(denom).min() <= guard * scale:
+    if np.abs(denom).min() <= RESONANCE_GUARD * scale:
         raise ResonantEnergyError(
             f"energy {E} within guard of a sum of factor eigenvalues"
         )
@@ -145,66 +140,71 @@ def green_spectral(
 
 @dataclass
 class RecoveryResult:
-    """Outcome of reconstructing eigenfunction values inside a box from its
-    exterior-boundary values."""
+    """Interior values of k eigenfunctions reconstructed from their
+    exterior-boundary values, one column per energy.
 
-    values: dict[tuple[int, ...], float]
-    max_error: float
-    psi_sup: float
-    n_interior: int
+    ``values`` is ``(n_interior, k)`` over ``op.box.interior_indices()``;
+    ``max_error`` and ``psi_sup`` have length k: the largest deviation of a
+    reconstruction from the given interior values, and the sup of the given
+    values over the box and its exterior boundary."""
 
-    def within(self, rtol: float = 1e-6) -> bool:
-        return self.max_error <= rtol * self.psi_sup
+    values: np.ndarray
+    max_error: np.ndarray
+    psi_sup: np.ndarray
 
 
 def boundary_recovery(
     op: FiniteOperator,
-    E: float,
-    psi: Mapping[tuple[int, ...], float],
-    guard: float = RESONANCE_GUARD,
+    energies: np.ndarray,
+    psi: np.ndarray,
+    ambient: Box2,
 ) -> RecoveryResult:
-    """Reconstruct interior values of an eigenfunction from its values just
+    """Reconstruct interior values of eigenfunctions from their values just
     outside the box.
 
-    ``psi`` must cover the box and its exterior boundary and satisfy the
-    eigenvalue equation of the ambient operator on the box.  The interior
-    reconstruction is ``-(H - E)^{-1} w`` where ``w(v)`` sums psi over the
-    exterior neighbours of ``v`` under the operator's adjacency; the
-    deviation from the provided values is reported as ``max_error`` (it is
-    the identity residual, nonzero when psi is not an eigenfunction).
+    ``psi`` is an ``(ambient.npoints, k)`` array whose column j is
+    the eigenfunction of energy ``energies[j]``, indexed by ``ambient``'s
+    points; ``ambient`` must cover the box and its exterior boundary, and
+    each column must satisfy the eigenvalue equation of the ambient operator
+    on the box.  The geometry (exterior shell, boundary-to-exterior
+    coupling, positions in ``ambient``) is computed once per call.  The
+    interior reconstruction of a column is ``-(H - E)^{-1} w`` where
+    ``w(v)`` sums psi over the exterior neighbours of ``v`` under the
+    operator's adjacency; its deviation from the given values is reported
+    as ``max_error`` (the identity residual, nonzero when psi is not an
+    eigenfunction).  Raises ``ResonantEnergyError`` when any energy is
+    within the guard of the box spectrum, and ``PreconditionError`` when
+    ``ambient`` misses a point or the shapes of psi and energies disagree.
     """
-    gap = spectral_gap(op, E)
-    if gap <= guard * _gap_scale(op, E):
-        raise ResonantEnergyError("energy resonant with the box; recovery undefined")
+    energies = np.asarray(energies, dtype=np.float64)
+    psi = np.asarray(psi, dtype=np.float64)
+    if energies.ndim != 1 or psi.shape != (ambient.npoints, len(energies)):
+        raise PreconditionError(
+            f"psi must be ({ambient.npoints}, k) for k energies; got psi "
+            f"{psi.shape} and energies {energies.shape}"
+        )
+    for E in energies.tolist():
+        if spectral_gap(op, E) <= RESONANCE_GUARD * _gap_scale(op, E):
+            raise ResonantEnergyError(
+                f"energy {E} resonant with the box; recovery undefined")
     box = op.box
-    from .geometry import exterior_boundary  # local import to avoid cycle noise
-
     ext = exterior_boundary(box)
     try:
-        ext_vals = np.array([psi[tuple(int(c) for c in p)] for p in ext])
-    except KeyError as e:
+        at_box, at_ext = ambient.index_of(op.points), ambient.index_of(ext)
+    except KeyError:
         raise PreconditionError(
-            f"psi must cover the exterior boundary; missing {e.args[0]}"
+            "the ambient box must cover the box and its exterior boundary"
         ) from None
     bidx = op.boundary_indices()
-    w = np.zeros(op.n)
-    if len(ext):
-        # couple boundary points to exterior neighbours under the operator's
-        # own hop relation; these are exactly the hops the restriction drops
-        dist = pairwise_dist(op.points[bidx], ext, op.adjacency)
-        w[bidx] = (dist == 1) @ ext_vals
-    recon = -np.linalg.solve(op.matrix - E * np.eye(op.n), w)
+    # couple boundary points to exterior neighbours under the operator's
+    # own hop relation; these are exactly the hops the restriction drops
+    coupling = pairwise_dist(op.points[bidx], ext, op.adjacency) == 1
     interior = box.interior_indices()
-    psi_box = np.array(
-        [psi[tuple(int(c) for c in p)] for p in op.points], dtype=np.float64
-    )
-    psi_sup = float(np.abs(np.concatenate([psi_box, ext_vals])).max()) if op.n else 0.0
-    err = (
-        float(np.abs(recon[interior] - psi_box[interior]).max())
-        if len(interior)
-        else 0.0
-    )
-    values = {
-        tuple(int(c) for c in op.points[i]): float(recon[i]) for i in interior
-    }
-    return RecoveryResult(values, err, psi_sup, len(interior))
+    recon = np.empty((op.n, len(energies)))
+    for j, E in enumerate(energies.tolist()):
+        w = np.zeros(op.n)
+        w[bidx] = coupling @ psi[at_ext, j]
+        recon[:, j] = -np.linalg.solve(op.matrix - E * np.eye(op.n), w)
+    psi_sup = np.abs(psi[np.concatenate([at_box, at_ext])]).max(axis=0)
+    max_error = np.abs(recon[interior] - psi[at_box[interior]]).max(axis=0, initial=0.0)
+    return RecoveryResult(recon[interior], max_error, psi_sup)

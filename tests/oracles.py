@@ -3,13 +3,15 @@
 These deliberately avoid the library's numerical code paths (no factorized
 solves, no library eigensolvers beyond what a specific oracle states, no
 shared kernels); they share only scalar arithmetic with the modules they
-check.  Three oracles are exceptions.  The complete-non-resonance oracle
+check.  Four oracles are exceptions.  The complete-non-resonance oracle
 checks the batched sweep against the library's single-box assembly (itself
 checked against ``two_particle_matrix``), one box at a time.  The counter
 oracle checks the grid-wide counter sweep against the library's per-energy
 singular sets and subset search.  The sub-box mask oracle diagonalizes
 every candidate sub-box, with no reduction by exchange symmetry, and
-applies the library's ``singular_mask_at``.
+applies the library's ``singular_mask_at``.  The recovery-batch oracle
+repeats the library's boundary-recovery arithmetic one eigenpair at a time
+on dict-keyed eigenvectors, to pin the array path's records.
 They are test-tree-only and never imported by the package.
 """
 
@@ -332,3 +334,90 @@ def subbox_mask_all_boxes(center, k, schedule, sample, interaction, g, adjacency
     ev, q = np.linalg.eigh(box_family(centers, L_k, sample, interaction, g, adjacency))
     return singular_mask_at(ev, q, template.center_index(),
                             template.boundary_indices(), L_k, energies, m)
+
+
+def _boundary_recovery_by_dict(op, E, psi):
+    """The dict-keyed boundary recovery of one eigenpair: ``psi`` maps site
+    tuples to values; returns (max_error, psi_sup)."""
+    from anderson2p.errors import ResonantEnergyError
+    from anderson2p.geometry import exterior_boundary
+    from anderson2p.kernels import pairwise_dist
+    from anderson2p.resolvent import RESONANCE_GUARD, _gap_scale, spectral_gap
+
+    gap = spectral_gap(op, E)
+    if gap <= RESONANCE_GUARD * _gap_scale(op, E):
+        raise ResonantEnergyError("energy resonant with the box; recovery undefined")
+    box = op.box
+    ext = exterior_boundary(box)
+    ext_vals = np.array([psi[tuple(int(c) for c in p)] for p in ext])
+    bidx = op.boundary_indices()
+    w = np.zeros(op.n)
+    if len(ext):
+        dist = pairwise_dist(op.points[bidx], ext, op.adjacency)
+        w[bidx] = (dist == 1) @ ext_vals
+    recon = -np.linalg.solve(op.matrix - E * np.eye(op.n), w)
+    interior = box.interior_indices()
+    psi_box = np.array(
+        [psi[tuple(int(c) for c in p)] for p in op.points], dtype=np.float64
+    )
+    psi_sup = float(np.abs(np.concatenate([psi_box, ext_vals])).max()) if op.n else 0.0
+    err = (
+        float(np.abs(recon[interior] - psi_box[interior]).max())
+        if len(interior)
+        else 0.0
+    )
+    return err, psi_sup
+
+
+def recovery_batch_by_dicts(cfg, sched, seed_trial, parent_radius, sub_radius):
+    """``cli._recovery_batch`` one eigenpair at a time: every parent
+    eigenvector becomes a dict keyed by site tuples, and each
+    (sub-box, eigenpair) recovery rebuilds its own exterior shell and
+    boundary coupling.  Uses the library's assembly, eigensolver and
+    resonance width; returns the ``RecoveryRecord``."""
+    from anderson2p.classify import resonance_width
+    from anderson2p.disorder import domain_for_boxes, sample_potential
+    from anderson2p.geometry import Box2, Point2
+    from anderson2p.operators import assemble_two_particle, diagonalize
+    from anderson2p.records import RecoveryRecord
+
+    d = cfg.dimension
+    interaction = cfg.interaction_spec()
+    parent = Box2.of_origin(d, parent_radius)
+    sample = sample_potential(cfg.distribution_spec(), cfg.seed, seed_trial,
+                              domain_for_boxes([parent]))
+    parent_op = assemble_two_particle(parent, sample, interaction, cfg.g,
+                                      cfg.adjacency)
+    sd = diagonalize(parent_op)
+    psi_maps = [
+        {tuple(int(c) for c in p): float(v)
+         for p, v in zip(parent_op.points, sd.eigenvectors[:, s])}
+        for s in range(sd.n)
+    ]
+    max_off = parent_radius - sub_radius - 1  # sub-box plus its exterior shell
+    sub_centers = [
+        Point2.of(off[:d], off[d:])
+        for off in Box2.of_origin(d, max_off).points()
+    ]
+    n_rec = n_skip = 0
+    max_err = 0.0
+    for c in sub_centers:
+        sub = Box2(c, sub_radius)
+        sub_op = assemble_two_particle(sub, sample, interaction, cfg.g,
+                                       cfg.adjacency)
+        ev = sub_op.eigenvalues()
+        width = resonance_width(sub_radius, sched.beta)
+        for s in range(sd.n):
+            E = float(sd.eigenvalues[s])
+            if np.abs(ev - E).min() < width:
+                n_skip += 1
+                continue
+            err, psi_sup = _boundary_recovery_by_dict(sub_op, E, psi_maps[s])
+            rel = err / max(psi_sup, 1e-300)
+            max_err = max(max_err, rel)
+            n_rec += 1
+    return RecoveryRecord(
+        seed=seed_trial, parent_radius=parent_radius, sub_radius=sub_radius,
+        n_eigenpairs=sd.n, n_reconstructions=n_rec,
+        n_skipped_resonant=n_skip, max_rel_error=max_err,
+    )

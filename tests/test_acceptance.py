@@ -173,26 +173,18 @@ def test_04_boundary_recovery():
         g = 2.0
         pop = assemble_two_particle(parent, sample, INTER, g)
         sd = diagonalize(pop)
-        psi_maps = [
-            {tuple(int(c) for c in p): float(v)
-             for p, v in zip(pop.points, sd.eigenvectors[:, s])}
-            for s in range(sd.n)
-        ]
         for off in Box2.of_origin(1, 1).points():  # interior radius-2 boxes
             sub = Box2(Point2.of(off[:1], off[1:]), 2)
             sub_op = assemble_two_particle(sub, sample, INTER, g)
             ev = sub_op.eigenvalues()
             width = resonance_width(2, 0.5)
-            for s in range(sd.n):
-                e = float(sd.eigenvalues[s])
-                if np.abs(ev - e).min() < width:
-                    continue
-                res = boundary_recovery(sub_op, e, psi_maps[s])
-                rel = res.max_error / max(res.psi_sup, 1e-300)
-                worst = max(worst, rel)
-                n_rec += 1
-                if rel > 1e-6:
-                    failures += 1
+            keep = np.abs(ev[:, None] - sd.eigenvalues).min(axis=0) >= width
+            res = boundary_recovery(sub_op, sd.eigenvalues[keep],
+                                    sd.eigenvectors[:, keep], parent)
+            rel = res.max_error / np.maximum(res.psi_sup, 1e-300)
+            worst = max(worst, float(rel.max(initial=0.0)))
+            n_rec += int(keep.sum())
+            failures += int((rel > 1e-6).sum())
     _report(4, "boundary-recovery", failures == 0 and n_rec > 5000,
             f"({n_rec} reconstructions over 50 seeds, worst relative error "
             f"{worst:.2e}, {failures} failures)")

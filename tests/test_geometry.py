@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from anderson2p.errors import DimensionMismatchError
 from anderson2p.geometry import (
     AnnulusSpec,
+    Box1,
     Box2,
+    Point1,
     Point2,
     annulus,
     box_distance,
@@ -124,6 +126,39 @@ class TestBoundaries:
         scan = set(boundary_by_neighbor_scan(pts, inside))
         shell = {tuple(int(c) for c in p) for p in interior_boundary(box)}
         assert scan == shell
+
+
+class TestIndexOf:
+    @pytest.mark.parametrize("box", [
+        Box1(Point1((2, -1)), 2),
+        Box2(P2((1,), (-3,)), 2),
+        Box2(P2((0, 1), (2, 0)), 1),
+    ])
+    def test_array_positions_match_points(self, box):
+        pts = box.points()
+        assert np.array_equal(box.index_of(pts), np.arange(len(pts)))
+        assert [box.index_of(p) for p in pts] == list(range(len(pts)))
+        assert box.index_of(box.center) == box.center_index()
+
+    def test_array_subset_in_any_order(self):
+        box = Box2(P2((1,), (-3,)), 2)
+        order = np.array([7, 0, 24, 3])
+        assert np.array_equal(box.index_of(box.points()[order]), order)
+
+    def test_outside_point_raises(self):
+        box = Box2(P2((1,), (-3,)), 1)
+        with pytest.raises(KeyError):
+            box.index_of(P2((3,), (-3,)))
+        with pytest.raises(KeyError):
+            Box1(Point1((0,)), 1).index_of((-2,))
+
+    def test_array_with_an_outside_row_raises(self):
+        box = Box2(P2((0,), (0,)), 1)
+        pts = np.vstack([box.points(), exterior_boundary(box)[:1]])
+        with pytest.raises(KeyError):
+            box.index_of(pts)
+        with pytest.raises(KeyError):
+            box.index_of(box.points()[:, :1])
 
 
 class TestDistantPredicate:

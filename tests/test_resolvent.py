@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
-from anderson2p.errors import NumericError, ResonantEnergyError
-from anderson2p.geometry import Box2, Point2
+from anderson2p.cli import _recovery_batch
+from anderson2p.config import ExperimentConfig
+from anderson2p.errors import NumericError, PreconditionError, ResonantEnergyError
+from anderson2p.geometry import Box2, Point2, exterior_boundary
+from anderson2p.kernels import pairwise_dist
 from anderson2p.operators import (
     assemble_two_particle,
     diagonalize,
@@ -17,7 +20,7 @@ from anderson2p.resolvent import (
 )
 
 from .conftest import box_with_sample
-from .oracles import dense_inverse_green
+from .oracles import dense_inverse_green, recovery_batch_by_dicts
 
 
 def _interaction():
@@ -165,6 +168,14 @@ class TestGreenSpectral:
         assert hits == 500
 
 
+def _gapped(sd, sub_op, states, min_gap=0.05):
+    """Parent states whose energy keeps ``min_gap`` from the sub-box
+    spectrum, as (energies, eigenvector columns)."""
+    keep = [s for s in states
+            if spectral_gap(sub_op, float(sd.eigenvalues[s])) >= min_gap]
+    return sd.eigenvalues[keep], sd.eigenvectors[:, keep]
+
+
 class TestBoundaryRecovery:
     def _parent_setup(self, seed, g=2.0, parent_radius=4):
         box = Box2.of_origin(1, parent_radius)
@@ -178,26 +189,31 @@ class TestBoundaryRecovery:
         box, sample, op, sd = self._parent_setup(3)
         sub = Box2.of_origin(1, 2)
         sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
-        psi = {tuple(int(c) for c in p): 0.0 for p in box.points()}
-        res = boundary_recovery(sub_op, -99.0, psi)
-        assert res.max_error == 0.0
-        assert all(v == 0.0 for v in res.values.values())
+        psi = np.zeros((box.npoints, 1))
+        res = boundary_recovery(sub_op, [-99.0], psi, box)
+        assert res.max_error[0] == 0.0
+        assert res.values.shape == (len(sub.interior_indices()), 1)
+        assert (res.values == 0.0).all()
 
     def test_eigenpair_recovery(self):
         box, sample, op, sd = self._parent_setup(7)
         sub = Box2.of_origin(1, 2)
         sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
-        n_ok = 0
-        for s in range(sd.n):
-            e = float(sd.eigenvalues[s])
-            if spectral_gap(sub_op, e) < 0.05:
-                continue
-            psi = {tuple(int(c) for c in p): float(v)
-                   for p, v in zip(op.points, sd.eigenvectors[:, s])}
-            res = boundary_recovery(sub_op, e, psi)
-            assert res.max_error <= 1e-6 * res.psi_sup
-            n_ok += 1
-        assert n_ok > 10
+        energies, psi = _gapped(sd, sub_op, range(sd.n))
+        res = boundary_recovery(sub_op, energies, psi, box)
+        assert (res.max_error <= 1e-6 * res.psi_sup).all()
+        assert len(energies) > 10
+
+    def test_recovered_values_are_the_interior_values(self):
+        box, sample, op, sd = self._parent_setup(7)
+        sub = Box2(Point2.of((1,), (0,)), 2)
+        sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
+        energies, psi = _gapped(sd, sub_op, range(sd.n))
+        res = boundary_recovery(sub_op, energies, psi, box)
+        interior = box.index_of(sub.points()[sub.interior_indices()])
+        assert np.abs(res.values - psi[interior]).max() <= 1e-6
+        assert np.array_equal(res.psi_sup, np.abs(psi[box.index_of(
+            np.vstack([sub.points(), exterior_boundary(sub)]))]).max(axis=0))
 
     def test_scalar_sub_box_sign_convention(self):
         # 1x1 sub-box: psi(u) = -G(E; u, u) * sum of exterior-neighbour values
@@ -209,19 +225,12 @@ class TestBoundaryRecovery:
             e = float(sd.eigenvalues[s])
             if abs(a - e) < 0.05:
                 continue
-            psi = {tuple(int(c) for c in p): float(v)
-                   for p, v in zip(op.points, sd.eigenvectors[:, s])}
-            from anderson2p.geometry import exterior_boundary
-            from anderson2p.kernels import pairwise_dist
-
+            psi = sd.eigenvectors[:, s]
             ext = exterior_boundary(sub)
             dist = pairwise_dist(sub.points(), ext, sub_op.adjacency)
-            neigh_sum = sum(
-                psi[tuple(int(c) for c in p)]
-                for p, dd in zip(ext, dist[0]) if dd == 1
-            )
+            neigh_sum = psi[box.index_of(ext[dist[0] == 1])].sum()
             expected = -neigh_sum / (a - e)
-            got = psi[tuple(int(c) for c in sub.points()[0])]
+            got = psi[box.index_of(sub.center)]
             assert got == pytest.approx(expected, abs=1e-8)
             break
 
@@ -233,17 +242,10 @@ class TestBoundaryRecovery:
         sd = diagonalize(op)
         sub = Box2.of_origin(1, 2)
         sub_op = assemble_two_particle(sub, sample, _interaction(), 3.0, "l1")
-        n_ok = 0
-        for s in range(sd.n):
-            e = float(sd.eigenvalues[s])
-            if spectral_gap(sub_op, e) < 0.05:
-                continue
-            psi = {tuple(int(c) for c in p): float(v)
-                   for p, v in zip(op.points, sd.eigenvectors[:, s])}
-            res = boundary_recovery(sub_op, e, psi)
-            assert res.max_error <= 1e-6 * res.psi_sup
-            n_ok += 1
-        assert n_ok > 10
+        energies, psi = _gapped(sd, sub_op, range(sd.n))
+        res = boundary_recovery(sub_op, energies, psi, box)
+        assert (res.max_error <= 1e-6 * res.psi_sup).all()
+        assert len(energies) > 10
 
     def test_eigenpair_recovery_two_dimensional(self):
         box = Box2.of_origin(2, 2)
@@ -253,24 +255,67 @@ class TestBoundaryRecovery:
         sd = diagonalize(op)
         sub = Box2.of_origin(2, 1)
         sub_op = assemble_two_particle(sub, sample, _interaction(), 4.0)
-        n_ok = 0
-        for s in range(0, sd.n, 7):
-            e = float(sd.eigenvalues[s])
-            if spectral_gap(sub_op, e) < 0.05:
-                continue
-            psi = {tuple(int(c) for c in p): float(v)
-                   for p, v in zip(op.points, sd.eigenvectors[:, s])}
-            res = boundary_recovery(sub_op, e, psi)
-            assert res.max_error <= 1e-6 * res.psi_sup
-            n_ok += 1
-        assert n_ok > 5
+        energies, psi = _gapped(sd, sub_op, range(0, sd.n, 7))
+        res = boundary_recovery(sub_op, energies, psi, box)
+        assert (res.max_error <= 1e-6 * res.psi_sup).all()
+        assert len(energies) > 5
 
     def test_non_eigenfunction_reports_residual(self):
         box, sample, op, sd = self._parent_setup(5)
         sub = Box2.of_origin(1, 2)
         sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
         rng = np.random.default_rng(0)
-        psi = {tuple(int(c) for c in p): float(rng.normal())
-               for p in box.points()}
-        res = boundary_recovery(sub_op, -50.0, psi)
-        assert res.max_error > 1e-3  # identity fails, reported not raised
+        psi = rng.normal(size=(box.npoints, 1))
+        res = boundary_recovery(sub_op, [-50.0], psi, box)
+        assert res.max_error[0] > 1e-3  # identity fails, reported not raised
+
+    def test_ambient_box_too_small_raises(self):
+        box, sample, op, sd = self._parent_setup(3)
+        sub = Box2(Point2.of((1,), (0,)), 2)
+        sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
+        small = Box2.of_origin(1, 3)  # covers the sub-box, not its shell
+        with pytest.raises(PreconditionError):
+            boundary_recovery(sub_op, [-99.0], np.zeros((small.npoints, 1)), small)
+
+    def test_psi_shape_mismatch_raises(self):
+        box, sample, op, sd = self._parent_setup(3)
+        sub = Box2.of_origin(1, 2)
+        sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
+        for psi in (sd.eigenvectors[:, :2], sd.eigenvectors[1:, :1],
+                    sd.eigenvectors[:, 0]):
+            with pytest.raises(PreconditionError):
+                boundary_recovery(sub_op, [-99.0], psi, box)
+
+    def test_energy_at_sub_box_eigenvalue_raises(self):
+        box, sample, op, sd = self._parent_setup(3)
+        sub = Box2.of_origin(1, 2)
+        sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
+        e = float(sub_op.eigenvalues()[3])
+        for energies in ([e], [-99.0, e]):
+            with pytest.raises(ResonantEnergyError):
+                boundary_recovery(sub_op, energies,
+                                  sd.eigenvectors[:, :len(energies)], box)
+
+
+class TestRecoveryBatch:
+    """``cli._recovery_batch`` against the dict-keyed, one-eigenpair-at-a-time
+    oracle: the records must be equal, not close."""
+
+    @pytest.mark.parametrize("adjacency,d,parent_radius,sub_radius", [
+        ("l1", 1, 4, 2),
+        ("sup", 1, 4, 2),
+        ("l1", 1, 5, 1),
+        ("sup", 1, 5, 1),
+        ("sup", 2, 2, 1),
+        ("sup", 1, 3, 0),
+    ])
+    def test_records_equal_oracle(self, adjacency, d, parent_radius, sub_radius):
+        cfg = ExperimentConfig.from_dict(
+            {"g": 2.0, "adjacency": adjacency, "dimension": d})
+        sched = cfg.build_schedule()
+        for seed in (0, 1):
+            got = _recovery_batch(cfg, sched, seed, parent_radius, sub_radius)
+            want = recovery_batch_by_dicts(cfg, sched, seed, parent_radius,
+                                           sub_radius)
+            assert got.to_record() == want.to_record()
+            assert got.n_reconstructions > 0
