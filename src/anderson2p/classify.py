@@ -38,6 +38,7 @@ from .operators import (
     assemble_two_particle,
     check_projections,
     diagonalize,
+    exchange_orbits,
     family_spectra,
     single_particle_factors,
 )
@@ -261,8 +262,9 @@ def is_cnr(
     Exhaustive over all sub-box centers while their count stays within
     budget, else a seeded uniform subsample is checked and the report is
     marked non-exhaustive.  Each probed radius is one translated family
-    (``family_spectra``); the first resonant sub-box in probe order is
-    reported.
+    (``family_spectra``) of one box per exchange orbit
+    (``operators.exchange_orbits``); the first resonant sub-box in probe
+    order is reported.
     """
     if schedule.J < 1 or schedule.J % 2 == 0:
         raise InvalidInputError("CNR sub-box count J must be odd and positive")
@@ -293,17 +295,23 @@ def is_cnr(
             share = max(1, int(sample_budget * (2 * max_off + 1) ** (2 * parent.d) / total))
             centers = np.array(center.flat) + rng.integers(
                 -max_off, max_off + 1, size=(share, 2 * parent.d))
+        # an image box has its representative's spectrum, and a
+        # representative never comes after its image, so the first resonant
+        # representative is the first resonant box in probe order
+        reps, _ = exchange_orbits(centers)
         width = resonance_width(radius, schedule.beta)
-        first = 0  # index in ``centers`` of the chunk's first box
-        for ev in family_spectra(centers, radius, sample, interaction, g, adjacency):
+        first = 0  # index in ``reps`` of the chunk's first representative
+        for ev in family_spectra(centers[reps], radius, sample, interaction, g,
+                                 adjacency):
             gaps = np.abs(ev - E).min(axis=1)
             hits = np.flatnonzero(gaps < width)
             if len(hits):
-                i = int(hits[0])
+                i = int(reps[first + hits[0]])
                 return CnrReport(
-                    False, gap, failed_center=tuple(int(c) for c in centers[first + i]),
-                    failed_radius=radius, failed_gap=float(gaps[i]), n_candidates=total,
-                    n_checked=checked + first + i + 1, exhaustive=exhaustive,
+                    False, gap, failed_center=tuple(int(c) for c in centers[i]),
+                    failed_radius=radius, failed_gap=float(gaps[hits[0]]),
+                    n_candidates=total, n_checked=checked + i + 1,
+                    exhaustive=exhaustive,
                 )
             first += len(ev)
         checked += len(centers)

@@ -795,6 +795,31 @@ class DecayFit:
         }
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median`` over the last axis, NaN when a NaN is present, without
+    its NaN check, which imports ``numpy.ma`` on first use: the middle
+    element, or the mean of the middle two, of the sorted values."""
+    s = np.sort(a, axis=-1)
+    h = s.shape[-1] // 2
+    mid = s[..., h] if s.shape[-1] % 2 else np.mean(s[..., h - 1:h + 1], axis=-1)
+    return np.where(np.isnan(s[..., -1]), np.nan, mid)
+
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """``np.quantile(a, q)`` of a 1-D array (method ``"linear"``), NaN when
+    a NaN is present, without the ``np.unique`` call that imports
+    ``numpy.ma``: numpy's interpolation between the sorted neighbours of
+    position ``(n - 1) q``."""
+    s = np.sort(a)
+    pos = (len(s) - 1) * q
+    if np.isnan(s[-1]) or pos >= len(s) - 1:
+        return float(s[-1])
+    i = math.floor(pos)
+    t = pos - i
+    lo, hi = s[i], s[i + 1]
+    return float(lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1 - t))
+
+
 def decay_fit(
     op: FiniteOperator, sd: Optional[SpectralData] = None
 ) -> tuple[list[DecayFit], dict]:
@@ -839,7 +864,7 @@ def decay_fit(
     masses = np.array([f.m_hat for f in fits])
     agg = {
         "n_fits": len(fits),
-        "median_m_hat": float(np.median(masses)) if len(fits) else math.nan,
+        "median_m_hat": float(_median(masses)) if len(fits) else math.nan,
         "n_skipped": sd.n - len(fits),
     }
     return fits, agg
@@ -871,12 +896,10 @@ def localization_mass_sweep(
             per_sample.append(agg["median_m_hat"])
         arr = np.array(per_sample)
         rng = _stream_rng(seed, gi, "bootstrap")
-        boots = np.median(
-            arr[rng.integers(0, len(arr), size=(bootstrap, len(arr)))], axis=1
-        )
-        lo, hi = np.quantile(boots, [0.025, 0.975])
+        boots = _median(arr[rng.integers(0, len(arr), size=(bootstrap, len(arr)))])
+        lo, hi = _quantile(boots, 0.025), _quantile(boots, 0.975)
         rows.append({
-            "g": float(g), "median_m_hat": float(np.median(arr)),
+            "g": float(g), "median_m_hat": float(_median(arr)),
             "per_sample": [float(x) for x in arr],
             "ci_low": float(lo), "ci_high": float(hi),
             "ci_half_width": float(0.5 * (hi - lo)),

@@ -29,6 +29,7 @@ from .operators import (
     check_projections,
     exchange_orbits,
 )
+from .resolvent import boundary_green_maxima
 
 
 @dataclass(frozen=True)
@@ -413,13 +414,32 @@ class SubboxSpectra:
     ) -> tuple[list[Point2], list[Point2]]:
         """Split candidate centers singular at (E, m) into (non-interactive,
         interactive) lists."""
-        mask = self.mask(E, m)
-        d = self.centers.shape[1] // 2
-        sing_ni, sing_i = [], []
-        for flat, inter in zip(self.centers[mask], self.interactive[mask]):
-            c = Point2.of(flat[:d], flat[d:])
-            (sing_i if inter else sing_ni).append(c)
-        return sing_ni, sing_i
+        return _split_singular(self.centers, self.interactive, self.mask(E, m))
+
+
+def _split_singular(
+    centers: np.ndarray, interactive: np.ndarray, mask: np.ndarray
+) -> tuple[list[Point2], list[Point2]]:
+    """The ``mask``ed flat centers as (non-interactive, interactive) point
+    lists, each in candidate order."""
+    d = centers.shape[1] // 2
+    sing_ni, sing_i = [], []
+    for flat, inter in zip(centers[mask], interactive[mask]):
+        c = Point2.of(flat[:d], flat[d:])
+        (sing_i if inter else sing_ni).append(c)
+    return sing_ni, sing_i
+
+
+def _subbox_candidates(
+    center: Point2, L_k: int, L_next: int, r0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat centers ``(ncand, 2d)`` of the radius-``L_k`` sub-boxes inside
+    the radius-``L_next`` box at ``center``, and whether each is
+    interactive."""
+    d = center.d
+    centers = Box2(center, L_next - L_k).points()
+    interactive = np.abs(centers[:, :d] - centers[:, d:]).max(axis=1) <= 2 * L_k + r0
+    return centers, interactive
 
 
 def subbox_spectra(
@@ -436,9 +456,8 @@ def subbox_spectra(
     ``NumericError`` when a residual ||Hq - q lambda|| exceeds
     ``SPECTRAL_RTOL`` times that box's spectral radius."""
     L_k, L_next = sched.L[k], sched.L[k + 1]
-    d = center.d
-    template = Box2.of_origin(d, L_k)
-    centers = Box2(center, L_next - L_k).points()
+    template = Box2.of_origin(center.d, L_k)
+    centers, interactive = _subbox_candidates(center, L_k, L_next, interaction.r0)
     reps, orbit = exchange_orbits(centers)
     h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
     ev, q = np.linalg.eigh(h)
@@ -446,10 +465,6 @@ def subbox_spectra(
     radius = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
     if not np.all(residual <= SPECTRAL_RTOL * np.maximum(radius, 1e-300)):
         raise NumericError("stacked eigensolver residuals exceed tolerance")
-    interactive = (
-        np.abs(centers[:, :d] - centers[:, d:]).max(axis=1)
-        <= 2 * L_k + interaction.r0
-    )
     return SubboxSpectra(
         centers=centers, eigenvalues=ev, eigenvectors=q, orbit=orbit,
         center_index=template.center_index(),
@@ -472,14 +487,25 @@ def count_singular_subboxes(
     at ``(E, m_k)`` and compute the maximal pairwise-separated counts.
 
     Candidate centers are all configurations whose sub-box fits inside the
-    parent; interactivity is decided exactly per candidate.
+    parent; interactivity is decided exactly per candidate.  One box per
+    exchange orbit (``operators.exchange_orbits``) is assembled, its
+    spectrum taken by a stacked ``eigvalsh`` for the solver guard, and its
+    Green's column at E by one stacked solve
+    (``resolvent.boundary_green_maxima``); images share their
+    representative's verdict, as in ``SubboxSpectra``.
     """
     L_k, L_next = sched.L[k], sched.L[k + 1]
     # the parent's projections must be sampled; candidates stay inside it
     check_projections(Box2(center, L_next), sample)
-    spectra = subbox_spectra(center, k, sched, sample, interaction, g, adjacency)
-    sing_ni, sing_i = spectra.singular_centers(E, sched.m[k])
-    offsets_count = len(spectra.centers)
+    template = Box2.of_origin(center.d, L_k)
+    centers, interactive = _subbox_candidates(center, L_k, L_next, interaction.r0)
+    reps, orbit = exchange_orbits(centers)
+    h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
+    values, _ = boundary_green_maxima(h, np.linalg.eigvalsh(h), template.center_index(),
+                                      template.boundary_indices(), E)
+    singular = values > math.exp(-sched.m[k] * L_k)
+    sing_ni, sing_i = _split_singular(centers, interactive, singular[orbit])
+    offsets_count = len(centers)
     sep = 8 * L_k
     allc = sing_ni + sing_i
     M, wit_ni, _ = max_separated_subset(sing_ni, sep)

@@ -18,6 +18,7 @@ but equality with the direct spectrum is only asserted for ``l1``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -147,8 +148,10 @@ def box_family(
     """Stacked Hamiltonians of the two-particle boxes of one radius at the
     flat ``centers`` (shape ``(ncand, 2d)``): one template hop matrix, as
     hopping depends only on the box shape, plus each box's diagonal
-    ``U(x) + g (V(x1) + V(x2))``.  ``assemble_two_particle`` is the one-box
-    case.  The sample domain is not checked (see ``check_projections``).
+    ``U(x) + g (V(x1) + V(x2))``.  The hop matrix is built once per
+    ``(d, radius, adjacency)`` (``_hop_template``).
+    ``assemble_two_particle`` is the one-box case.  The sample domain is
+    not checked (see ``check_projections``).
     """
     centers = np.asarray(centers, dtype=np.int64)
     ncand, d = len(centers), centers.shape[1] // 2
@@ -158,11 +161,20 @@ def box_family(
     x1, x2 = pts[:, :d], pts[:, d:]
     v = sample.values_at_unchecked(x1) + sample.values_at_unchecked(x2)
     u = interaction.at_separation(np.abs(x1 - x2).max(axis=1))
-    hop = adjacency_matrix(tpl, normalize_adjacency(adjacency))
-    h = np.broadcast_to(hop, (ncand, n, n)).copy()
+    h = np.broadcast_to(_hop_template(d, radius, normalize_adjacency(adjacency)),
+                        (ncand, n, n)).copy()
     idx = np.arange(n)
     h[:, idx, idx] = (u + g * v).reshape(ncand, n)
     return h
+
+
+@functools.lru_cache(maxsize=8)
+def _hop_template(d: int, radius: int, adjacency: str) -> np.ndarray:
+    """Read-only hop matrix of the radius-``radius`` two-particle box in
+    ``2d`` coordinates, shared by every ``box_family`` call of that shape."""
+    hop = adjacency_matrix(Box2.of_origin(d, radius).points(), adjacency)
+    hop.flags.writeable = False
+    return hop
 
 
 def exchange_orbits(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

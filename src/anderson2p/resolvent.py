@@ -102,10 +102,65 @@ def green_column(
     return GreenColumn(float(E), int(idx), op, vec, residual)
 
 
+def boundary_green_maxima(
+    h: np.ndarray,
+    eigenvalues: np.ndarray,
+    center_index: int,
+    boundary_indices: np.ndarray,
+    E: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max |G(E; center, y)| over the interior boundary of every box of a
+    stack of same-layout operators ``h`` (``(nbox, n, n)``, with their
+    ascending spectra ``(nbox, n)``), and the position of the attaining
+    point in ``boundary_indices``.
+
+    A box whose spectrum comes within the solver guard of E, the rule of
+    ``classify.singular_mask_at``, gets ``inf`` at position -1; the others
+    share one stacked solve of ``(H - E) c = delta_center``, each checked
+    with ``green_column``'s residual bound (``NumericError`` on failure).
+    A boundary-less layout gives 0 at position -1.
+    """
+    nbox, n = eigenvalues.shape
+    values = np.full(nbox, np.inf)
+    where = np.full(nbox, -1, dtype=np.int64)
+    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
+    gap = np.abs(eigenvalues - E).min(axis=1)
+    solve = np.flatnonzero(gap > RESONANCE_GUARD * np.maximum(max(1.0, abs(E)), edge))
+    if len(solve) == 0:
+        return values, where
+    hs = h[solve]
+    rhs = np.zeros((len(solve), n, 1))
+    rhs[:, center_index] = 1.0
+    vec = np.linalg.solve(hs - E * np.eye(n), rhs)
+    residual = np.linalg.norm(hs @ vec - E * vec - rhs, axis=(1, 2))
+    shifted = np.abs(eigenvalues[solve][:, [0, -1]] - E).max(axis=1)
+    bound = SPECTRAL_RTOL * np.maximum(1.0, shifted * np.linalg.norm(vec, axis=(1, 2)))
+    if np.any(residual > bound):
+        raise NumericError(
+            f"Green's column residual {residual.max():.3e} exceeds tolerance")
+    if len(boundary_indices) == 0:
+        values[solve] = 0.0
+        return values, where
+    vals = np.abs(vec[:, boundary_indices, 0])
+    where[solve] = np.argmax(vals, axis=1)
+    values[solve] = vals[np.arange(len(solve)), where[solve]]
+    return values, where
+
+
 def boundary_green_max(op: FiniteOperator, E: float) -> tuple[float, np.ndarray | None]:
-    """Max |G(E; center, y)| over the interior boundary, via one solve."""
-    col = green_column(op, E)
-    return col.boundary_max()
+    """Max |G(E; center, y)| over the interior boundary and the attaining
+    point ((0, None) without a boundary): the one-box
+    ``boundary_green_maxima``.  Raises ``ResonantEnergyError`` when E is
+    within the guard of the spectrum."""
+    idx = op.boundary_indices()
+    values, where = boundary_green_maxima(op.matrix[None], op.eigenvalues()[None],
+                                          op.center_index(), idx, E)
+    if values[0] == np.inf:
+        raise ResonantEnergyError(
+            f"energy {E} within guard of the spectrum; classify as resonant")
+    if where[0] < 0:
+        return 0.0, None
+    return float(values[0]), op.points[idx[where[0]]]
 
 
 def green_spectral(

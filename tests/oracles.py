@@ -3,15 +3,17 @@
 These deliberately avoid the library's numerical code paths (no factorized
 solves, no library eigensolvers beyond what a specific oracle states, no
 shared kernels); they share only scalar arithmetic with the modules they
-check.  Four oracles are exceptions.  The complete-non-resonance oracle
+check.  Five oracles are exceptions.  The complete-non-resonance oracle
 checks the batched sweep against the library's single-box assembly (itself
 checked against ``two_particle_matrix``), one box at a time.  The counter
 oracle checks the grid-wide counter sweep against the library's per-energy
 singular sets and subset search.  The sub-box mask oracle diagonalizes
 every candidate sub-box, with no reduction by exchange symmetry, and
-applies the library's ``singular_mask_at``.  The recovery-batch oracle
-repeats the library's boundary-recovery arithmetic one eigenpair at a time
-on dict-keyed eigenvectors, to pin the array path's records.
+applies the library's ``singular_mask_at``.  The counter-report oracle
+decides the single-energy counters through the library's spectral mask
+(``subbox_spectra``) instead of solves.  The recovery-batch oracle repeats
+the library's boundary-recovery arithmetic one eigenpair at a time on
+dict-keyed eigenvectors, to pin the array path's records.
 They are test-tree-only and never imported by the package.
 """
 
@@ -334,6 +336,33 @@ def subbox_mask_all_boxes(center, k, schedule, sample, interaction, g, adjacency
     ev, q = np.linalg.eigh(box_family(centers, L_k, sample, interaction, g, adjacency))
     return singular_mask_at(ev, q, template.center_index(),
                             template.boundary_indices(), L_k, energies, m)
+
+
+def counter_report_by_spectra(center, k, schedule, sample, interaction, g, E,
+                              adjacency):
+    """``msa.count_singular_subboxes`` through eigendecompositions: the
+    singular sets from ``subbox_spectra(...).singular_centers`` (one
+    ``eigh`` per exchange orbit, then ``singular_mask_at``) and one subset
+    search per counter; returns the ``CounterReport``."""
+    from anderson2p.msa import CounterReport, max_separated_subset, subbox_spectra
+
+    L_k = schedule.L[k]
+    spectra = subbox_spectra(center, k, schedule, sample, interaction, g, adjacency)
+    sing_ni, sing_i = spectra.singular_centers(E, schedule.m[k])
+    sep = 8 * L_k
+    allc = sing_ni + sing_i
+    M, wit_ni, _ = max_separated_subset(sing_ni, sep)
+    N, wit_i, _ = max_separated_subset(sing_i, sep)
+    K, wit_all, _ = max_separated_subset(allc, sep)
+    return CounterReport(
+        center=center.flat, k=k, energy=float(E), mass=float(schedule.m[k]),
+        separation=sep, n_candidates=len(spectra.centers),
+        singular_ni=[c.flat for c in sing_ni], singular_i=[c.flat for c in sing_i],
+        M=M, N=N, K=K,
+        witnesses_ni=[sing_ni[i].flat for i in wit_ni],
+        witnesses_i=[sing_i[i].flat for i in wit_i],
+        witnesses_all=[allc[i].flat for i in wit_all],
+    )
 
 
 def _boundary_recovery_by_dict(op, E, psi):

@@ -310,6 +310,49 @@ class TestCnrMatchesPerBoxOracle:
         assert {None, sched.L[1], sched.L[0] + 1} <= outcomes
 
 
+class TestCnrOrbitsMatchPerBoxOracle:
+    """A parent on the diagonal probes each sub-box family's exchange images
+    too; ``is_cnr`` diagonalizes one box per orbit and must still report
+    what the box-by-box sweep reports."""
+
+    @pytest.mark.parametrize("sched", [desk_schedule(), two_radius_schedule()],
+                             ids=["desk", "two-radius"])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("exhaustive_limit", [CNR_EXHAUSTIVE_LIMIT, 1],
+                             ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("boxes_per_chunk", [None, 1, 7])
+    def test_every_report_field(self, monkeypatch, sched, adjacency,
+                                exhaustive_limit, boxes_per_chunk):
+        if boxes_per_chunk is not None:
+            n = (2 * (sched.L[0] + 1) + 1) ** 2
+            monkeypatch.setattr(operators, "FAMILY_BYTES", boxes_per_chunk * 8 * n * n)
+        parent = Box2(Point2.of((0,), (0,)), sched.L[1])
+        sample = sample_potential(DistributionSpec.uniform(), 17, 3,
+                                  domain_for_boxes([parent]))
+        inter = _interaction()
+        kw = dict(exhaustive_limit=exhaustive_limit, sample_budget=20)
+        spectra = cnr_probe_spectra(parent.center, 0, sched, sample, inter,
+                                    sched.g, adjacency, **kw)
+        parent_ev, probes, _, _ = spectra
+        width = resonance_width(sched.L[1], sched.beta)
+        # eigenvalues of exchange images, which the sweep never diagonalizes
+        images = [ev for _, c, ev in probes if c[0] > c[1]]
+        assert images
+        sub_ev = [float(e) for ev in images for e in ev
+                  if np.abs(parent_ev - e).min() >= width]
+        energies = [-50.0, float(parent_ev[5])] + sub_ev[::max(1, len(sub_ev) // 4)]
+        energies += list(np.random.default_rng(1).uniform(parent_ev[0], parent_ev[-1], 4))
+        parent_op = assemble_two_particle(parent, sample, inter, sched.g, adjacency)
+        outcomes = set()
+        for e in energies:
+            rep = is_cnr(parent.center, 0, sched, sample, inter, sched.g, e,
+                         adjacency, parent_op=parent_op, **kw)
+            assert dataclasses.asdict(rep) == cnr_by_subbox(
+                spectra, parent.center, 0, sched, e), e
+            outcomes.add(rep.failed_radius)
+        assert {None, sched.L[1], sched.L[0] + 1} <= outcomes
+
+
 class TestNonTunnelling:
     def test_mass_zero_always_nt(self):
         box = Box1(Point1((0,)), 2)

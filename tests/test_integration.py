@@ -3,6 +3,7 @@ experiments, subsampled budget paths, third-party cross-validation, the
 single LAPACK library, and the modules the CLI loads."""
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -201,6 +202,64 @@ class TestCliImportPath:
         assert report["codes"] == [0, 0]
         assert report["at_import"] == []
         assert report["during_runs"] == []
+
+    _DECAY_CHILD = textwrap.dedent("""
+        import json
+        import sys
+
+        from anderson2p import cli
+
+        before = set(sys.modules)
+        code = cli.main(["decay-fit", "--radius", "4", "--samples", "3",
+                         "--set", "dimension=1", "--out", sys.argv[1]])
+        print(json.dumps({"code": code, "loaded": sorted(
+            m for m in set(sys.modules) - before
+            if m.split(".")[0] == "scipy" or m == "numpy.ma"
+            or m.startswith("numpy.ma."))}))
+    """)
+
+    def test_decay_fit_loads_no_masked_arrays(self, tmp_path):
+        """``np.median`` and ``np.quantile`` import ``numpy.ma`` on first
+        use; the decay fit's medians and bootstrap interval avoid them."""
+        out = subprocess.run(
+            [sys.executable, "-c", self._DECAY_CHILD, str(tmp_path)],
+            capture_output=True, text=True, env=cli_env(), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout.strip().splitlines()[-1])
+        assert report == {"code": 0, "loaded": []}
+
+
+def _load_perfbench(name: str):
+    """A stdlib-only module of ``perfbench/``, imported from its file under
+    a private name, so the benchmark's directory stays off ``sys.path``."""
+    key = f"_perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+class TestBenchmarkReferences:
+    @pytest.mark.parametrize("workload", ["inductive", "counter"])
+    @pytest.mark.parametrize("chunk", [0, 1, 2])
+    def test_chunk_matches_stored_records(self, tmp_path, workload, chunk):
+        """A chunk of a benchmark workload, run in process, gives the
+        records stored under ``perfbench/reference`` (within the benchmark's
+        own float tolerance) and keeps the workload's invariants."""
+        from anderson2p import cli
+
+        workloads = _load_perfbench("workloads")
+        outputs = _load_perfbench("outputs")
+        w = workloads.WORKLOADS[workload]
+        reference = outputs.load_reference(
+            Path(workloads.__file__).parent / "reference" / f"{workload}.jsonl")
+        assert cli.main(w.argv(chunk) + ["--out", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("*/records.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert outputs.diff(records, reference[chunk], "records") == []
+        assert w.invariants(records) == []
 
 
 class TestCliClassifyScale:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,14 @@ from anderson2p.msa import (
     subbox_spectra,
     validate_parameters,
 )
+from anderson2p.operators import box_family
 
 from .conftest import random_point2
-from .oracles import exhaustive_separated_subset, subbox_mask_all_boxes
+from .oracles import (
+    counter_report_by_spectra,
+    exhaustive_separated_subset,
+    subbox_mask_all_boxes,
+)
 
 
 def _interaction():
@@ -260,6 +266,86 @@ class TestSubboxSpectra:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericError, match="residual"):
             subbox_spectra(*args)
+
+
+class TestSingleEnergyCounter:
+    """``count_singular_subboxes`` decides each exchange orbit by one solve
+    at E, not by an eigendecomposition."""
+
+    @staticmethod
+    def _sample(sched, k, center, seed):
+        return sample_potential(DistributionSpec.uniform(), seed, 0,
+                                domain_for_boxes([Box2(center, sched.L[k + 1])]))
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("sched,k,n_random", [
+        (desk_schedule(g=5.0), 0, 8), (desk_schedule(g=5.0), 1, 3),
+        (schedule(2, 3.5, 1.0, 0.5, 1, g=5.0, d=1), 0, 8),
+    ], ids=["desk-k0", "desk-k1", "L2-12"])
+    def test_verdicts_equal_every_box_diagonalized(self, sched, k, n_random,
+                                                   adjacency):
+        center = Point2.of((0,), (0,))
+        inter = _interaction()
+        L_k = sched.L[k]
+        sample = self._sample(sched, k, center, 3)
+        centers = Box2(center, sched.L[k + 1] - L_k).points()
+        ev = np.linalg.eigvalsh(box_family(centers, L_k, sample, inter, sched.g,
+                                           adjacency))
+        rng = np.random.default_rng(k)
+        # random energies, then exact sub-box eigenvalues (the guard path)
+        energies = list(rng.uniform(-1.0, 2 * sched.g + 1.0, n_random))
+        energies += [float(ev[0, 0]), float(ev[len(ev) // 2, ev.shape[1] // 2])]
+        masks = subbox_mask_all_boxes(center, k, sched, sample, inter, sched.g,
+                                      adjacency, np.array(energies), sched.m[k])
+        interactive = np.abs(centers[:, :1] - centers[:, 1:]).max(axis=1) <= 2 * L_k + 1
+        seen = set()
+        for E, mask in zip(energies, masks):
+            rep = count_singular_subboxes(center, k, sched, sample, inter, sched.g,
+                                          E, adjacency)
+            assert rep.singular_ni == [tuple(c) for c in centers[mask & ~interactive]]
+            assert rep.singular_i == [tuple(c) for c in centers[mask & interactive]]
+            seen |= set(mask.tolist())
+        assert masks[-2, 0] and masks[-1, len(ev) // 2]
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("sched,center", [
+        (desk_schedule(g=5.0), Point2.of((0,), (0,))),
+        (desk_schedule(g=30.0), Point2.of((0,), (0,))),
+        (desk_schedule(g=5.0), Point2.of((30,), (-30,))),
+        (schedule(2, 3.5, 1.0, 0.5, 1, g=5.0, d=1), Point2.of((0,), (0,))),
+    ], ids=["desk-g5", "desk-g30", "desk-off-diagonal", "L2-12"])
+    def test_every_field_equals_the_spectral_path(self, sched, center, adjacency):
+        rng = np.random.default_rng(3)
+        inter = _interaction()
+        counts = set()
+        for seed in (1, 2, 3):
+            sample = self._sample(sched, 0, center, seed)
+            for E in rng.uniform(-1.0, 2 * sched.g + 1.0, 4).tolist():
+                got = count_singular_subboxes(center, 0, sched, sample, inter,
+                                              sched.g, E, adjacency)
+                want = counter_report_by_spectra(center, 0, sched, sample, inter,
+                                                 sched.g, E, adjacency)
+                assert dataclasses.asdict(got) == dataclasses.asdict(want), E
+                counts.add(len(got.singular_ni) + len(got.singular_i))
+        assert len(counts) > 1
+
+    def test_solve_residual_checked(self, monkeypatch):
+        sched = desk_schedule(g=5.0)
+        center = Point2.of((0,), (0,))
+        args = (center, 0, sched, self._sample(sched, 0, center, 1), _interaction(),
+                sched.g, 0.7)
+        count_singular_subboxes(*args)
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[-1, 0] += 1e-4 * np.linalg.norm(x[-1])  # the last solved box only
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericError, match="residual"):
+            count_singular_subboxes(*args)
 
 
 class TestCounters:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anderson2p import operators
+from anderson2p import kernels, operators
 from anderson2p.disorder import (
     DistributionSpec,
     InteractionSpec,
@@ -119,6 +119,27 @@ class TestBoxFamily:
             assert np.array_equal(h, oracle)
             assert np.array_equal(_single_box(c, radius, sample, adjacency).matrix,
                                   oracle)
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("d,radius", [(1, 0), (1, 3), (2, 1)])
+    def test_slices_equal_all_pairs_assembly(self, adjacency, d, radius):
+        centers, sample = _family_setup(d, radius)
+        inter = _interaction()
+        family = box_family(centers, radius, sample, inter, 2.5, adjacency)
+        for c, h in zip(centers, family):
+            pts = Box2(Point2.of(c[:d], c[d:]), radius).points()
+            want = kernels.adjacency_matrix(pts, adjacency)
+            x1, x2 = pts[:, :d], pts[:, d:]
+            np.fill_diagonal(want, inter.at_separation(np.abs(x1 - x2).max(axis=1))
+                             + 2.5 * (sample.values_at_unchecked(x1)
+                                      + sample.values_at_unchecked(x2)))
+            assert np.array_equal(h, want)
+        # the shared hop template is cached and read-only
+        hop = operators._hop_template(d, radius, adjacency)
+        assert hop is operators._hop_template(d, radius, adjacency)
+        with pytest.raises(ValueError):
+            hop[0, 0] = 1.0
+        assert family.flags.writeable
 
     @pytest.mark.parametrize("boxes_per_chunk,sizes", [
         (0, [1] * 7), (1, [1] * 7), (3, [3, 3, 1]), (7, [7]), (100, [7]),

@@ -9,10 +9,13 @@ from anderson2p.geometry import Box2, Point2, exterior_boundary
 from anderson2p.kernels import pairwise_dist
 from anderson2p.operators import (
     assemble_two_particle,
+    box_family,
     diagonalize,
     single_particle_factors,
 )
 from anderson2p.resolvent import (
+    boundary_green_max,
+    boundary_green_maxima,
     boundary_recovery,
     green_column,
     green_spectral,
@@ -122,6 +125,74 @@ class TestGreenColumn:
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericError, match="residual"):
             green_column(op, e)
+
+
+class TestBoundaryGreenMaxima:
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("radius", [3, 6])
+    def test_one_box_is_green_column_bitwise(self, adjacency, radius):
+        rng = np.random.default_rng(radius)
+        for seed in range(4):
+            box, sample = box_with_sample(Point2.of((0,), (seed - 1,)), radius, seed=seed)
+            op = assemble_two_particle(box, sample, _interaction(), 5.0, adjacency)
+            for e in _nonresonant_energies(op.eigenvalues(), 3, rng):
+                value, point = green_column(op, e).boundary_max()
+                values, where = boundary_green_maxima(
+                    op.matrix[None], op.eigenvalues()[None], op.center_index(),
+                    op.boundary_indices(), e)
+                assert values[0] == value
+                assert np.array_equal(op.points[op.boundary_indices()[where[0]]], point)
+                got_value, got_point = boundary_green_max(op, e)
+                assert got_value == value and np.array_equal(got_point, point)
+
+    def test_stack_equals_boxes_one_at_a_time(self):
+        radius = 2
+        centers = Box2.of_origin(1, 1).points()
+        sample = sample_potential(DistributionSpec.uniform(), 7, 0,
+                                  domain_for_boxes([Box2.of_origin(1, radius + 1)]))
+        h = box_family(centers, radius, sample, _interaction(), 5.0, "sup")
+        ev = np.linalg.eigvalsh(h)
+        tpl = Box2.of_origin(1, radius)
+        E = float(ev[4, 7])  # an exact eigenvalue of box 4: the guard path
+        values, where = boundary_green_maxima(h, ev, tpl.center_index(),
+                                              tpl.boundary_indices(), E)
+        assert values[4] == np.inf and where[4] == -1
+        for b in np.flatnonzero(np.arange(len(h)) != 4):
+            one = boundary_green_maxima(h[b:b + 1], ev[b:b + 1], tpl.center_index(),
+                                        tpl.boundary_indices(), E)
+            assert (values[b], where[b]) == (one[0][0], one[1][0])
+            assert np.isfinite(values[b])
+
+    def test_resonant_box_rejected(self):
+        box, sample = box_with_sample(Point2.of((0,), (0,)), 2, seed=5)
+        op = assemble_two_particle(box, sample, _interaction(), 1.0)
+        with pytest.raises(ResonantEnergyError):
+            boundary_green_max(op, float(op.eigenvalues()[3]))
+
+    def test_boundaryless_box(self):
+        box, sample = box_with_sample(Point2.of((0,), (3,)), 0, seed=2)
+        op = assemble_two_particle(box, sample, _interaction(), 2.0)
+        assert boundary_green_max(op, -4.0) == green_column(op, -4.0).boundary_max()
+
+    def test_residual_checked_per_box(self, monkeypatch):
+        centers = Box2.of_origin(1, 1).points()
+        sample = sample_potential(DistributionSpec.uniform(), 7, 0,
+                                  domain_for_boxes([Box2.of_origin(1, 3)]))
+        h = box_family(centers, 2, sample, _interaction(), 5.0, "l1")
+        ev = np.linalg.eigvalsh(h)
+        tpl = Box2.of_origin(1, 2)
+        args = (h, ev, tpl.center_index(), tpl.boundary_indices(), -2.5)
+        boundary_green_maxima(*args)
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[-1, 0] += 1e-4 * np.linalg.norm(x[-1])  # the last box only
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericError, match="residual"):
+            boundary_green_maxima(*args)
 
 
 class TestGreenSpectral:
