@@ -29,8 +29,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .disorder import DisorderSample, InteractionSpec
-from .errors import InvalidInputError, PreconditionError
-from .geometry import Box1, Box2, Point2, is_interactive
+from .errors import InvalidInputError, PreconditionError, ResonantEnergyError
+from .geometry import Box1, Box2, Point2, is_interactive, projections
 from .operators import (
     FiniteOperator,
     SpectralData,
@@ -42,7 +42,7 @@ from .operators import (
     family_spectra,
     single_particle_factors,
 )
-from .resolvent import RESONANCE_GUARD, boundary_green_max, spectral_gap
+from .resolvent import boundary_green_max, spectral_gap, within_guard
 
 #: budget rules for exhaustive sub-box enumeration in the CNR test
 CNR_EXHAUSTIVE_LIMIT = 100_000
@@ -110,14 +110,13 @@ def is_ns(
     if op is None:
         op = assemble_two_particle(box, sample, interaction, g, adjacency)
     gap = spectral_gap(op, E)
-    if gap <= RESONANCE_GUARD * max(1.0, abs(E), op.norm2()):
-        return False, NSWitness(
-            math.inf, None, threshold, resonant=True, gap=float(gap)
-        )
-    value, point = boundary_green_max(op, E)
+    try:
+        value, point = boundary_green_max(op, E)
+    except ResonantEnergyError:
+        return False, NSWitness(math.inf, None, threshold, resonant=True, gap=gap)
     ns = value <= threshold
     pt = tuple(int(c) for c in point) if point is not None else None
-    return ns, NSWitness(value, pt, threshold, gap=float(gap))
+    return ns, NSWitness(value, pt, threshold, gap=gap)
 
 
 def singular_at_spectral(
@@ -165,9 +164,7 @@ def singular_mask_at(
     for lo in range(0, len(energies), step):
         block = energies[lo:lo + step]
         shift = eigenvalues[:, :, None] - block  # (ncand, n, block)
-        gaps = np.abs(shift).min(axis=1)
-        scales = np.maximum(np.maximum(1.0, np.abs(block)), edge[:, None])
-        mask = gaps <= RESONANCE_GUARD * scales
+        mask = within_guard(np.abs(shift).min(axis=1), block, edge[:, None])
         if len(boundary_indices):
             with np.errstate(divide="ignore", invalid="ignore"):
                 cols = boundary @ (center / shift)  # (ncand, nb, block)
@@ -359,22 +356,6 @@ def is_nontunnelling(
     return value <= threshold, witness
 
 
-def is_nontunnelling2(
-    box: Box2,
-    sample: DisorderSample,
-    g: float,
-    m_hat: float,
-    adjacency: str = "sup",
-) -> tuple[bool, tuple[NTWitness, NTWitness]]:
-    """Two-particle wrapper: non-tunnelling iff both projections are."""
-    from .geometry import projections
-
-    p1, p2, _ = projections(box)
-    ok1, w1 = is_nontunnelling(p1, sample, g, m_hat, adjacency)
-    ok2, w2 = is_nontunnelling(p2, sample, g, m_hat, adjacency)
-    return ok1 and ok2, (w1, w2)
-
-
 def nt_decay_discount(L: int, beta: float, d: int) -> float:
     """Relative mass loss when converting a non-tunnelling bound into a
     non-singularity bound on a non-interactive box:
@@ -547,9 +528,12 @@ def classify_box(
         beta=beta,
     )
     if nt_mass is not None:
-        nt_ok, (w1, w2) = is_nontunnelling2(box, sample, g, nt_mass, adjacency)
+        # a two-particle box is non-tunnelling when both projections are
+        p1, p2, _ = projections(box)
+        ok1, w1 = is_nontunnelling(p1, sample, g, nt_mass, adjacency)
+        ok2, w2 = is_nontunnelling(p2, sample, g, nt_mass, adjacency)
         worst = w1 if w1.max_product >= w2.max_product else w2
-        rep.nt = nt_ok
+        rep.nt = ok1 and ok2
         rep.nt_mass = float(nt_mass)
         rep.nt_max_product = worst.max_product
         rep.nt_point = worst.attaining_point

@@ -64,17 +64,22 @@ ENV_OUTDIR = "ANDERSON2P_OUTDIR"
 
 
 def _parse_center(text: str | None, d: int) -> Point2:
+    """A configuration given as 'x1,...;x2,...' in dimension ``d``; the
+    origin when ``text`` is empty."""
     if not text:
         return Point2.of((0,) * d, (0,) * d)
     try:
         left, right = text.split(";")
-        x1 = tuple(int(t) for t in left.split(","))
-        x2 = tuple(int(t) for t in right.split(","))
-        return Point2.of(x1, x2)
+        point = Point2.of((int(t) for t in left.split(",")),
+                          (int(t) for t in right.split(",")))
     except Exception:
         raise InvalidInputError(
             f"center must look like 'x1,...;x2,...', got {text!r}"
         ) from None
+    if point.d != d:
+        raise InvalidInputError(
+            f"configuration {text!r} has dimension {point.d}, but dimension={d}")
+    return point
 
 
 def _apply_overrides(raw: dict, pairs: list[str]) -> dict:
@@ -176,11 +181,17 @@ def _cmd_green(cfg, sched, args):
     op = assemble_two_particle(box, sample, cfg.interaction_spec(), cfg.g,
                                cfg.adjacency)
     source = _parse_center(args.source, d) if args.source else box.center
-    col = green_column(op, args.energy, source)
+    try:
+        index = box.index_of(source)
+    except KeyError:
+        raise InvalidInputError(
+            f"source {args.source!r} lies outside the box at "
+            f"{box.center.flat} of radius {box.radius}") from None
+    vector, residual = green_column(op, args.energy, index)
     rec = GreenRecord(
         center=box.center.flat, radius=box.radius, energy=float(args.energy),
-        source=source.flat, residual=col.residual,
-        values=[float(v) for v in col.vector],
+        source=source.flat, residual=residual,
+        values=[float(v) for v in vector],
     )
     return [rec.to_record()], {}
 

@@ -20,9 +20,7 @@ from .geometry import (
     Box1,
     Box2,
     Point1,
-    Point2,
     projections,
-    sup_dist1,
     unique_rows,
 )
 from .kernels import uniform01
@@ -193,13 +191,6 @@ class InteractionSpec:
         return cls.triangular(int(d.get("r0", 1)), float(d.get("u0", 1.0)))
 
 
-def interaction_u(spec: InteractionSpec, x: Point2) -> float:
-    """Interaction energy of a configuration: profile value at the particle
-    separation, zero beyond the range."""
-    s = sup_dist1(x.x1, x.x2)
-    return float(spec.profile[s]) if s <= spec.r0 else 0.0
-
-
 @dataclass(frozen=True)
 class DisorderSample:
     """One realization of the IID site potential over a finite domain."""
@@ -262,11 +253,6 @@ def sample_potential(
     return DisorderSample(
         spec, seed, trial, frozenset(keys), dict(zip(keys, vals.tolist()))
     )
-
-
-def field_w(sample: DisorderSample, x: Point2) -> float:
-    """Two-particle potential field V(x1) + V(x2); exchange symmetric."""
-    return sample.value(x.x1) + sample.value(x.x2)
 
 
 def domain_for_boxes(boxes: Iterable[Box2 | Box1], margin: int = 0) -> np.ndarray:

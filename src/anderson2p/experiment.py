@@ -40,7 +40,6 @@ from .geometry import (
     Box1,
     Box2,
     Point2,
-    hop_degree,
     is_interactive,
     pair_separation,
     projections,
@@ -658,66 +657,6 @@ def estimate_event(
 
 # ---------------------------------------------------------------------------
 # compound experiments
-
-
-@dataclass
-class CertificateReport:
-    """Initial-scale certificate: when every configuration's potential is
-    at least c0 away from the interval center, the whole resolvent is
-    uniformly small on the interval."""
-
-    certificate: bool
-    c0: float
-    min_offset: float
-    norm_bound_ok: Optional[bool]
-    energies_checked: int
-
-    def to_record(self) -> dict:
-        return {
-            "kind": "initial_certificate", "certificate": self.certificate,
-            "c0": self.c0, "min_offset": self.min_offset,
-            "norm_bound_ok": self.norm_bound_ok,
-            "energies_checked": self.energies_checked,
-        }
-
-
-def initial_step_certificate(
-    box: Box2,
-    sample: DisorderSample,
-    interaction: InteractionSpec,
-    g: float,
-    interval: tuple[float, float],
-    m0: float,
-    L0: int,
-    adjacency: str = "l1",
-) -> CertificateReport:
-    """Sufficient condition for uniform resolvent smallness on an interval.
-
-    With ``c0 = hop_degree + 2 eta + exp(m0 L0)`` (eta the interval
-    half-width), ``|U(x) + g W(x) - E0| >= c0`` for every configuration
-    forces ``dist(E, spectrum) >= exp(m0 L0)``, i.e.
-    ``||(H - E)^{-1}|| <= exp(-m0 L0)``, for every E in the interval.  When
-    the certificate holds the spectral condition is asserted on the
-    interval grid; a violation there would be a bug, not randomness.
-    """
-    a, b = interval
-    E0, eta = 0.5 * (a + b), 0.5 * (b - a)
-    deg = hop_degree(box.d, adjacency)
-    c0 = deg + 2.0 * eta + math.exp(m0 * L0)
-    op = assemble_two_particle(box, sample, interaction, g, adjacency)
-    offsets = np.abs(np.diag(op.matrix) - E0)
-    min_offset = float(offsets.min())
-    cert = bool(min_offset >= c0)
-    norm_ok = None
-    n_checked = 0
-    if cert:
-        ev = op.eigenvalues()
-        grid = energy_grid(interval, L0, 0.5)
-        n_checked = len(grid)
-        norm_ok = bool(
-            all(np.abs(ev - float(E)).min() >= math.exp(m0 * L0) for E in grid)
-        )
-    return CertificateReport(cert, float(c0), min_offset, norm_ok, n_checked)
 
 
 def wegner_sweep(

@@ -14,7 +14,6 @@ maps are reproducible run to run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -40,12 +39,6 @@ def normalize_adjacency(name: str) -> str:
         return _ADJ_ALIASES[name.lower()]
     except KeyError:
         raise InvalidInputError(f"unknown adjacency mode: {name!r}") from None
-
-
-def hop_degree(d: int, adjacency: str, particles: int = 2) -> int:
-    """Maximal number of lattice neighbours of a point under the mode."""
-    nd = particles * d
-    return 3**nd - 1 if normalize_adjacency(adjacency) == ADJ_SUP else 2 * nd
 
 
 @dataclass(frozen=True)
@@ -102,16 +95,6 @@ class Point2:
         return np.array(self.flat, dtype=np.int64)
 
 
-def sup_norm1(v: Point1) -> int:
-    return max(abs(c) for c in v.coords)
-
-
-def sup_norm(v: Point2) -> int:
-    """Sup-norm of a two-particle vector: max over both particles of the
-    max coordinate magnitude."""
-    return max(sup_norm1(v.x1), sup_norm1(v.x2))
-
-
 def sup_dist1(a: Point1, b: Point1) -> int:
     if a.d != b.d:
         raise DimensionMismatchError("points of different dimension")
@@ -122,11 +105,6 @@ def sup_dist(a: Point2, b: Point2) -> int:
     if a.d != b.d:
         raise DimensionMismatchError("points of different dimension")
     return max(sup_dist1(a.x1, b.x1), sup_dist1(a.x2, b.x2))
-
-
-def permute(x: Point2) -> Point2:
-    """Particle exchange (x1, x2) -> (x2, x1); an involution."""
-    return x.sigma()
 
 
 def pair_separation(u: Point2, v: Point2) -> int:
@@ -265,33 +243,12 @@ class Box2(_GridBox):
         return np.nonzero(self.center_dists() <= self.radius - 1)[0]
 
 
-def enumerate_box(b: Box2) -> np.ndarray:
-    """All configurations of the box, lexicographic, duplicate-free."""
-    return b.points()
-
-
-def interior_boundary(b: Box2) -> np.ndarray:
-    """Configurations of the box adjacent (sup-distance 1) to its exterior.
-
-    For a full box this is the sup-distance == radius shell; a radius-0 box
-    is treated as having an empty boundary so that degenerate boxes are
-    vacuously non-singular.
-    """
-    return b.points()[b.boundary_indices()]
-
-
 def exterior_boundary(b: Box2) -> np.ndarray:
     """Configurations outside the box at sup-distance exactly 1 from it
     (the sup-distance == radius+1 shell)."""
     outer = Box2(b.center, b.radius + 1)
     dist = outer.center_dists()
     return outer.points()[dist == b.radius + 1]
-
-
-def is_r_distant(b1: Box2, b2: Box2, R: int) -> bool:
-    """Exchange-symmetrised center separation test:
-    min(|u - v|, |sigma u - v|) > 8 R."""
-    return pair_separation(b1.center, b2.center) > 8 * R
 
 
 def is_interactive(b: Box2, r0: int) -> bool:
@@ -315,70 +272,3 @@ def projections(b: Box2) -> tuple[Box1, Box1, np.ndarray]:
     p2 = Box1(b.center.x2, b.radius)
     merged = unique_rows(np.vstack([p1.points(), p2.points()]))
     return p1, p2, merged
-
-
-def box_distance(b1: Box2, b2: Box2) -> int:
-    """Sup-distance between the two boxes as point sets.
-
-    For product boxes this is the max over coordinates of the per-axis
-    interval gaps.
-    """
-    gaps = [
-        max(0, abs(c1 - c2) - b1.radius - b2.radius)
-        for c1, c2 in zip(b1.center.flat, b2.center.flat)
-    ]
-    return max(gaps)
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    """Annulus between consecutive exchange-inflated scale boxes around a
-    center.
-
-    The inflation ``b_k = 1 + R(u)/L_k`` (with ``R(u)`` the distance from
-    the center to its exchange image) makes the inner box contain the union
-    of the scale-k box and its exchange image.
-    """
-
-    center: Point2
-    k: int
-    schedule: "object"  # ScaleSchedule; typed loosely to avoid an import cycle
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise InvalidInputError("scale index must be >= 0")
-
-    def exchange_radius(self) -> int:
-        return sup_dist(self.center.sigma(), self.center)
-
-    def _inflated_radius(self, k: int) -> int:
-        lk = self.schedule.L[k]
-        bk = 1.0 + self.exchange_radius() / lk
-        return math.ceil(bk * lk)
-
-    @property
-    def inner_radius(self) -> int:
-        return self._inflated_radius(self.k)
-
-    @property
-    def outer_radius(self) -> int:
-        return self._inflated_radius(self.k + 1)
-
-    def mirror_union(self) -> np.ndarray:
-        """Union of the scale-k box and its exchange image (deduplicated)."""
-        lk = self.schedule.L[self.k]
-        a = Box2(self.center, lk).points()
-        b = Box2(self.center.sigma(), lk).points()
-        return unique_rows(np.vstack([a, b]))
-
-    def points(self) -> np.ndarray:
-        outer = Box2(self.center, self.outer_radius)
-        dist = outer.center_dists()
-        return outer.points()[dist > self.inner_radius]
-
-
-def annulus(u: Point2, k: int, schedule) -> np.ndarray:
-    """Configurations in the scale-(k+1) inflated box but not the scale-k
-    one; disjoint from the union of the scale-k box and its exchange
-    image."""
-    return AnnulusSpec(u, k, schedule).points()

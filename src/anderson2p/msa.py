@@ -155,21 +155,6 @@ def asymptotic_schedule(k_max: int = 2, **kw) -> ScaleSchedule:
                     k_max, preset="asymptotic", **kw)
 
 
-def mass_step(m_k: float, L_k: int, J: int) -> float:
-    """Lower bound for the next mass in the inductive step:
-    ``m_k * (1 - (5J+6) / sqrt(2 L_k))``.
-
-    Raises when the bound is non-positive, which happens at small scales;
-    ``mass_step_value`` returns the raw value for reporting.
-    """
-    val = mass_step_value(m_k, L_k, J)
-    if val <= 0:
-        raise InfeasibleScheduleError(
-            f"inductive mass bound non-positive at L_k={L_k} with J={J}"
-        )
-    return val
-
-
 def mass_step_value(m_k: float, L_k: int, J: int) -> float:
     return m_k * (1.0 - (5 * J + 6) / math.sqrt(2.0 * L_k))
 

@@ -10,10 +10,10 @@ eigensolver is the right tool at these volumes.
 
 Under the ``l1`` adjacency the two-particle operator on a non-interactive
 box is exactly the tensor sum of its two single-particle factors, so its
-spectrum equals all pairwise sums of the factor spectra.  Under the ``sup``
-adjacency the two-particle hop set also moves both particles at once and
-the tensor identity does not hold; ``tensor_spectrum`` remains computable
-but equality with the direct spectrum is only asserted for ``l1``.
+spectrum equals all pairwise sums of the factor spectra
+(``single_particle_factors``); the test suite checks that identity.  Under
+the ``sup`` adjacency the two-particle hop set also moves both particles at
+once and the tensor identity does not hold.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .disorder import DisorderSample, InteractionSpec
-from .errors import NumericError, OutOfDomainError, PreconditionError
+from .errors import NumericError, OutOfDomainError
 from .geometry import (
     Box1,
     Box2,
-    is_interactive,
     normalize_adjacency,
     projections,
 )
@@ -258,37 +257,3 @@ def single_particle_factors(
     op1 = assemble_single_particle(p1, sample, g, particle=1, adjacency=adjacency)
     op2 = assemble_single_particle(p2, sample, g, particle=2, adjacency=adjacency)
     return op1, op2
-
-
-def tensor_spectrum(
-    box: Box2,
-    sample: DisorderSample,
-    interaction: InteractionSpec,
-    g: float,
-    adjacency: str = "l1",
-) -> np.ndarray:
-    """Spectrum of a non-interactive box as sorted pairwise sums of its
-    single-particle factor spectra.
-
-    Requires a non-interactive box (the interaction vanishes there).  The
-    result equals the directly diagonalized spectrum under ``l1`` adjacency.
-    """
-    if is_interactive(box, interaction.r0):
-        raise PreconditionError("tensor_spectrum requires a non-interactive box")
-    op1, op2 = single_particle_factors(box, sample, g, adjacency)
-    sums = np.add.outer(op1.eigenvalues(), op2.eigenvalues()).ravel()
-    return np.sort(sums)
-
-
-def permutation_conjugate_check(
-    box: Box2,
-    sample: DisorderSample,
-    interaction: InteractionSpec,
-    g: float,
-    adjacency: str = "sup",
-) -> float:
-    """Max elementwise gap between the sorted spectra of the box and of its
-    particle-exchange image; zero up to roundoff for any sample."""
-    op = assemble_two_particle(box, sample, interaction, g, adjacency)
-    op_sigma = assemble_two_particle(box.sigma(), sample, interaction, g, adjacency)
-    return float(np.abs(op.eigenvalues() - op_sigma.eigenvalues()).max())

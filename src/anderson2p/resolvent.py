@@ -1,9 +1,12 @@
 """Green's functions of finite-volume Hamiltonians.
 
-``green_column`` solves ``(H - E) c = delta_x`` by a direct (pivoted LU)
-factorization, which stays accurate for real energies inside the spectral
-hull as long as E keeps a guarded distance from the eigenvalues, and checks
-the residual of the solution.  ``green_spectral`` evaluates the same
+Every Green's function solve in the package is one call of ``_solve``: a
+stacked pivoted-LU solve of ``(H_i - E_i) x_i = b_i`` that skips the boxes
+whose spectrum comes within the solver guard (``within_guard``) of their
+energy and checks every residual.  ``green_column`` (one column at one
+source), ``boundary_green_maxima`` (centre-to-boundary maxima of a stack of
+same-layout boxes at one energy) and ``boundary_recovery`` (one box at many
+energies) are its three callers.  ``green_spectral`` evaluates the same
 quantity on non-interactive boxes through the eigendecomposition of the two
 single-particle factors.
 
@@ -39,8 +42,12 @@ from .operators import SPECTRAL_RTOL, FiniteOperator, SpectralData
 RESONANCE_GUARD = 1e-12
 
 
-def _gap_scale(op: FiniteOperator, E: float) -> float:
-    return max(1.0, abs(E), op.norm2())
+def within_guard(gap, E, edge):
+    """The solver guard: an energy ``E`` at distance ``gap`` from a spectrum
+    of spectral norm ``edge`` (``max(|lambda_min|, |lambda_max|)``) is too
+    close to solve at when ``gap <= RESONANCE_GUARD * max(1, |E|, edge)``.
+    Elementwise on arrays."""
+    return gap <= RESONANCE_GUARD * np.maximum(np.maximum(1.0, np.abs(E)), edge)
 
 
 def spectral_gap(op: FiniteOperator, E: float) -> float:
@@ -48,58 +55,66 @@ def spectral_gap(op: FiniteOperator, E: float) -> float:
     return float(np.abs(ev - E).min())
 
 
-@dataclass
-class GreenColumn:
-    """One column ``G(E; x, .)`` of the box Green's function."""
+def _solve(
+    h: np.ndarray,
+    eigenvalues: np.ndarray,
+    E: float | np.ndarray,
+    rhs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve ``(H_i - E_i) x_i = b_i`` for a stack of symmetric operators
+    ``h`` (``(nbox, n, n)``) with ascending spectra ``(nbox, n)``, energies
+    ``E`` (one for all boxes or one per box) and right-hand sides ``rhs``
+    (``(nbox, n, 1)``).
 
-    energy: float
-    source_index: int
-    op: FiniteOperator
-    vector: np.ndarray
-    residual: float
-
-    def at(self, y) -> float:
-        return float(self.vector[self.op.index_of(y)])
-
-    def boundary_max(self) -> tuple[float, np.ndarray | None]:
-        """Max |G(E; x, y)| over the interior boundary and the attaining
-        point; (0, None) for a degenerate boundary-less box."""
-        idx = self.op.boundary_indices()
-        if len(idx) == 0:
-            return 0.0, None
-        vals = np.abs(self.vector[idx])
-        j = int(np.argmax(vals))
-        return float(vals[j]), self.op.points[idx[j]]
+    Boxes whose energy is ``within_guard`` of their spectrum are skipped.
+    Returns the positions of the solved boxes, their solutions
+    ``(nsolved, n, 1)`` and residual norms ``|(H - E) x - b|``.  Raises
+    ``NumericError`` when a residual exceeds
+    ``SPECTRAL_RTOL * max(1, |H - E| |x|)`` (spectral norm).
+    """
+    nbox, n = eigenvalues.shape
+    E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
+    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
+    gap = np.abs(eigenvalues - E[:, None]).min(axis=1)
+    solved = np.flatnonzero(~within_guard(gap, E, edge))
+    hs, Es, bs = h[solved], E[solved, None, None], rhs[solved]
+    shift = Es * np.eye(n)
+    x = np.linalg.solve(np.subtract(hs, shift, out=shift), bs)  # one stack copy
+    r = hs @ x - Es * x - bs
+    # one dot product per box, as np.linalg.norm of a vector takes it; a
+    # norm over stacked axes sums in another order
+    residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
+    size = np.sqrt(np.swapaxes(x, 1, 2) @ x)[:, 0, 0]
+    shifted = np.abs(eigenvalues[solved][:, [0, -1]] - Es[:, 0]).max(axis=1)
+    bound = SPECTRAL_RTOL * np.maximum(1.0, shifted * size)
+    if np.any(residual > bound):
+        raise NumericError(
+            f"Green's function solve residual {residual.max():.3e} exceeds tolerance")
+    return solved, x, residual
 
 
 def green_column(
     op: FiniteOperator,
     E: float,
     x: Point2 | int | None = None,
-) -> GreenColumn:
+) -> tuple[np.ndarray, float]:
     """Solve ``(H - E) c = delta_x``; by symmetry ``c[y] = G(E; x, y)``.
+    Returns the column and the residual norm ``|(H - E) c - delta_x|``.
 
     ``x`` defaults to the box center.  Raises ``ResonantEnergyError`` when E
     is within the guard of the spectrum, and ``NumericError`` when the
-    residual ``|(H - E) c - delta_x|`` exceeds
-    ``SPECTRAL_RTOL * max(1, |H - E| |c|)`` (spectral norm).
+    residual exceeds ``_solve``'s bound.
     """
-    gap = spectral_gap(op, E)
-    if gap <= RESONANCE_GUARD * _gap_scale(op, E):
-        raise ResonantEnergyError(
-            f"energy {E} within {gap:.3e} of the spectrum; classify as resonant"
-        )
     idx = x if isinstance(x, (int, np.integer)) else (
         op.center_index() if x is None else op.index_of(x)
     )
-    rhs = np.zeros(op.n)
-    rhs[idx] = 1.0
-    vec = np.linalg.solve(op.matrix - E * np.eye(op.n), rhs)
-    residual = float(np.linalg.norm((op.matrix @ vec) - E * vec - rhs))
-    shifted_norm = float(np.abs(op.eigenvalues()[[0, -1]] - E).max())
-    if residual > SPECTRAL_RTOL * max(1.0, shifted_norm * float(np.linalg.norm(vec))):
-        raise NumericError(f"Green's column residual {residual:.3e} exceeds tolerance")
-    return GreenColumn(float(E), int(idx), op, vec, residual)
+    rhs = np.zeros((1, op.n, 1))
+    rhs[0, idx] = 1.0
+    solved, vec, residual = _solve(op.matrix[None], op.eigenvalues()[None], E, rhs)
+    if len(solved) == 0:
+        raise ResonantEnergyError(
+            f"energy {E} within guard of the spectrum; classify as resonant")
+    return vec[0, :, 0], float(residual[0])
 
 
 def boundary_green_maxima(
@@ -114,36 +129,22 @@ def boundary_green_maxima(
     ascending spectra ``(nbox, n)``), and the position of the attaining
     point in ``boundary_indices``.
 
-    A box whose spectrum comes within the solver guard of E, the rule of
-    ``classify.singular_mask_at``, gets ``inf`` at position -1; the others
-    share one stacked solve of ``(H - E) c = delta_center``, each checked
-    with ``green_column``'s residual bound (``NumericError`` on failure).
-    A boundary-less layout gives 0 at position -1.
+    A box within the solver guard of E gets ``inf`` at position -1; the
+    others share one ``_solve`` of ``(H - E) c = delta_center``.  A
+    boundary-less layout gives 0 at position -1.
     """
     nbox, n = eigenvalues.shape
     values = np.full(nbox, np.inf)
     where = np.full(nbox, -1, dtype=np.int64)
-    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
-    gap = np.abs(eigenvalues - E).min(axis=1)
-    solve = np.flatnonzero(gap > RESONANCE_GUARD * np.maximum(max(1.0, abs(E)), edge))
-    if len(solve) == 0:
-        return values, where
-    hs = h[solve]
-    rhs = np.zeros((len(solve), n, 1))
+    rhs = np.zeros((nbox, n, 1))
     rhs[:, center_index] = 1.0
-    vec = np.linalg.solve(hs - E * np.eye(n), rhs)
-    residual = np.linalg.norm(hs @ vec - E * vec - rhs, axis=(1, 2))
-    shifted = np.abs(eigenvalues[solve][:, [0, -1]] - E).max(axis=1)
-    bound = SPECTRAL_RTOL * np.maximum(1.0, shifted * np.linalg.norm(vec, axis=(1, 2)))
-    if np.any(residual > bound):
-        raise NumericError(
-            f"Green's column residual {residual.max():.3e} exceeds tolerance")
+    solved, vec, _ = _solve(h, eigenvalues, E, rhs)
     if len(boundary_indices) == 0:
-        values[solve] = 0.0
+        values[solved] = 0.0
         return values, where
     vals = np.abs(vec[:, boundary_indices, 0])
-    where[solve] = np.argmax(vals, axis=1)
-    values[solve] = vals[np.arange(len(solve)), where[solve]]
+    where[solved] = np.argmax(vals, axis=1)
+    values[solved] = vals[np.arange(len(solved)), where[solved]]
     return values, where
 
 
@@ -182,15 +183,14 @@ def green_spectral(
     """
     i_u1, i_y1 = sd1.op.index_of(u.x1), sd1.op.index_of(y.x1)
     i_u2, i_y2 = sd2.op.index_of(u.x2), sd2.op.index_of(y.x2)
-    denom = np.add.outer(sd1.eigenvalues, sd2.eigenvalues) - E
-    scale = max(1.0, abs(E), float(np.abs(denom + E).max()))
-    if np.abs(denom).min() <= RESONANCE_GUARD * scale:
+    sums = np.add.outer(sd1.eigenvalues, sd2.eigenvalues)
+    if within_guard(np.abs(sums - E).min(), E, np.abs(sums).max()):
         raise ResonantEnergyError(
             f"energy {E} within guard of a sum of factor eigenvalues"
         )
     a = sd1.eigenvectors[i_u1] * sd1.eigenvectors[i_y1]
     b = sd2.eigenvectors[i_u2] * sd2.eigenvectors[i_y2]
-    return float(a @ (1.0 / denom) @ b)
+    return float(a @ (1.0 / (sums - E)) @ b)
 
 
 @dataclass
@@ -225,11 +225,13 @@ def boundary_recovery(
     coupling, positions in ``ambient``) is computed once per call.  The
     interior reconstruction of a column is ``-(H - E)^{-1} w`` where
     ``w(v)`` sums psi over the exterior neighbours of ``v`` under the
-    operator's adjacency; its deviation from the given values is reported
-    as ``max_error`` (the identity residual, nonzero when psi is not an
-    eigenfunction).  Raises ``ResonantEnergyError`` when any energy is
-    within the guard of the box spectrum, and ``PreconditionError`` when
-    ``ambient`` misses a point or the shapes of psi and energies disagree.
+    operator's adjacency, solved for all columns by one ``_solve``; its
+    deviation from the given values is reported as ``max_error`` (the
+    identity residual, nonzero when psi is not an eigenfunction).  Raises
+    ``ResonantEnergyError`` when any energy is within the guard of the box
+    spectrum, ``NumericError`` when a solve residual exceeds ``_solve``'s
+    bound, and ``PreconditionError`` when ``ambient`` misses a point or the
+    shapes of psi and energies disagree.
     """
     energies = np.asarray(energies, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
@@ -238,10 +240,6 @@ def boundary_recovery(
             f"psi must be ({ambient.npoints}, k) for k energies; got psi "
             f"{psi.shape} and energies {energies.shape}"
         )
-    for E in energies.tolist():
-        if spectral_gap(op, E) <= RESONANCE_GUARD * _gap_scale(op, E):
-            raise ResonantEnergyError(
-                f"energy {E} resonant with the box; recovery undefined")
     box = op.box
     ext = exterior_boundary(box)
     try:
@@ -255,11 +253,17 @@ def boundary_recovery(
     # own hop relation; these are exactly the hops the restriction drops
     coupling = pairwise_dist(op.points[bidx], ext, op.adjacency) == 1
     interior = box.interior_indices()
-    recon = np.empty((op.n, len(energies)))
-    for j, E in enumerate(energies.tolist()):
-        w = np.zeros(op.n)
-        w[bidx] = coupling @ psi[at_ext, j]
-        recon[:, j] = -np.linalg.solve(op.matrix - E * np.eye(op.n), w)
+    k = len(energies)
+    w = np.zeros((k, op.n, 1))
+    for j in range(k):
+        # one product per column: a matrix product sums in another order
+        w[j, bidx, 0] = coupling @ psi[at_ext, j]
+    solved, x, _ = _solve(np.broadcast_to(op.matrix, (k, op.n, op.n)),
+                          np.broadcast_to(op.eigenvalues(), (k, op.n)), energies, w)
+    if len(solved) < k:
+        raise ResonantEnergyError(
+            "an energy within guard of the box spectrum; recovery undefined")
+    recon = -x[:, :, 0].T
     psi_sup = np.abs(psi[np.concatenate([at_box, at_ext])]).max(axis=0)
     max_error = np.abs(recon[interior] - psi[at_box[interior]]).max(axis=0, initial=0.0)
     return RecoveryResult(recon[interior], max_error, psi_sup)

@@ -1,9 +1,10 @@
-"""Independent brute-force reference implementations for the test suite.
+"""Reference implementations for the test suite.
 
-These deliberately avoid the library's numerical code paths (no factorized
-solves, no library eigensolvers beyond what a specific oracle states, no
-shared kernels); they share only scalar arithmetic with the modules they
-check.  Five oracles are exceptions.  The complete-non-resonance oracle
+Most oracles are independent brute-force versions that deliberately avoid
+the library's numerical code paths (no factorized solves, no library
+eigensolvers beyond what a specific oracle states, no shared kernels);
+they share only scalar arithmetic with the modules they check.  Six oracles
+are exceptions.  The complete-non-resonance oracle
 checks the batched sweep against the library's single-box assembly (itself
 checked against ``two_particle_matrix``), one box at a time.  The counter
 oracle checks the grid-wide counter sweep against the library's per-energy
@@ -13,13 +14,21 @@ applies the library's ``singular_mask_at``.  The counter-report oracle
 decides the single-energy counters through the library's spectral mask
 (``subbox_spectra``) instead of solves.  The recovery-batch oracle repeats
 the library's boundary-recovery arithmetic one eigenpair at a time on
-dict-keyed eigenvectors, to pin the array path's records.
-They are test-tree-only and never imported by the package.
+dict-keyed eigenvectors, to pin the array path's records.  The one-box
+Green's column oracle is the unstacked guarded solve that
+``resolvent.green_column`` replaced, to pin its bits and its errors.
+
+The last section holds reference code that no command needs, kept for the
+tests that use it: the factor-sum spectrum and exchange-conjugation check
+of a box, the set distance of two boxes, and the typed reader of
+``records.jsonl``.  It calls the library's assembly and record types.
+Everything here is test-tree-only and never imported by the package.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -371,10 +380,10 @@ def _boundary_recovery_by_dict(op, E, psi):
     from anderson2p.errors import ResonantEnergyError
     from anderson2p.geometry import exterior_boundary
     from anderson2p.kernels import pairwise_dist
-    from anderson2p.resolvent import RESONANCE_GUARD, _gap_scale, spectral_gap
+    from anderson2p.resolvent import RESONANCE_GUARD, spectral_gap
 
     gap = spectral_gap(op, E)
-    if gap <= RESONANCE_GUARD * _gap_scale(op, E):
+    if gap <= RESONANCE_GUARD * max(1.0, abs(E), op.norm2()):
         raise ResonantEnergyError("energy resonant with the box; recovery undefined")
     box = op.box
     ext = exterior_boundary(box)
@@ -450,3 +459,170 @@ def recovery_batch_by_dicts(cfg, sched, seed_trial, parent_radius, sub_radius):
         n_eigenpairs=sd.n, n_reconstructions=n_rec,
         n_skipped_resonant=n_skip, max_rel_error=max_err,
     )
+
+
+def green_column_one_box(op, E: float, x=None) -> tuple[np.ndarray, float]:
+    """One Green's column as one unstacked ``np.linalg.solve`` with its own
+    guard and residual check: ``(vector, residual)``, ``ResonantEnergyError``
+    within the guard, ``NumericError`` past the residual bound."""
+    from anderson2p.errors import NumericError, ResonantEnergyError
+    from anderson2p.operators import SPECTRAL_RTOL
+    from anderson2p.resolvent import RESONANCE_GUARD, spectral_gap
+
+    gap = spectral_gap(op, E)
+    if gap <= RESONANCE_GUARD * max(1.0, abs(E), op.norm2()):
+        raise ResonantEnergyError(f"energy {E} within {gap:.3e} of the spectrum")
+    idx = x if isinstance(x, (int, np.integer)) else (
+        op.center_index() if x is None else op.index_of(x)
+    )
+    rhs = np.zeros(op.n)
+    rhs[idx] = 1.0
+    vec = np.linalg.solve(op.matrix - E * np.eye(op.n), rhs)
+    residual = float(np.linalg.norm((op.matrix @ vec) - E * vec - rhs))
+    shifted_norm = float(np.abs(op.eigenvalues()[[0, -1]] - E).max())
+    if residual > SPECTRAL_RTOL * max(1.0, shifted_norm * float(np.linalg.norm(vec))):
+        raise NumericError(f"Green's column residual {residual:.3e} exceeds tolerance")
+    return vec, residual
+
+
+# ---------------------------------------------------------------------------
+# reference code no command needs
+
+
+def tensor_spectrum(box, sample, interaction, g, adjacency="l1") -> np.ndarray:
+    """Spectrum of a non-interactive box as sorted pairwise sums of its
+    single-particle factor spectra.
+
+    Requires a non-interactive box (the interaction vanishes there).  The
+    result equals the directly diagonalized spectrum under ``l1`` adjacency.
+    """
+    from anderson2p.errors import PreconditionError
+    from anderson2p.geometry import is_interactive
+    from anderson2p.operators import single_particle_factors
+
+    if is_interactive(box, interaction.r0):
+        raise PreconditionError("tensor_spectrum requires a non-interactive box")
+    op1, op2 = single_particle_factors(box, sample, g, adjacency)
+    sums = np.add.outer(op1.eigenvalues(), op2.eigenvalues()).ravel()
+    return np.sort(sums)
+
+
+def permutation_conjugate_check(box, sample, interaction, g, adjacency="sup") -> float:
+    """Max elementwise gap between the sorted spectra of the box and of its
+    particle-exchange image; zero up to roundoff for any sample."""
+    from anderson2p.operators import assemble_two_particle
+
+    op = assemble_two_particle(box, sample, interaction, g, adjacency)
+    op_sigma = assemble_two_particle(box.sigma(), sample, interaction, g, adjacency)
+    return float(np.abs(op.eigenvalues() - op_sigma.eigenvalues()).max())
+
+
+def box_distance(b1, b2) -> int:
+    """Sup-distance between the two boxes as point sets.
+
+    For product boxes this is the max over coordinates of the per-axis
+    interval gaps.
+    """
+    gaps = [
+        max(0, abs(c1 - c2) - b1.radius - b2.radius)
+        for c1, c2 in zip(b1.center.flat, b2.center.flat)
+    ]
+    return max(gaps)
+
+
+def read_records(path) -> list[dict]:
+    out = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                out.append(json.loads(line))
+    return out
+
+
+def _tupled(seq) -> tuple[int, ...]:
+    return tuple(int(x) for x in seq)
+
+
+def parse_record(rec: dict):
+    """Parse one record dict back into its domain object.
+
+    Unknown kinds raise; the CLI never emits kinds this function cannot
+    parse.
+    """
+    from anderson2p.classify import ClassificationReport, NtToNsReport
+    from anderson2p.errors import InvalidInputError
+    from anderson2p.experiment import DecayFit, EstimateRecord
+    from anderson2p.msa import CounterReport, InductiveStepReport
+    from anderson2p.records import (
+        GreenRecord,
+        RecoveryRecord,
+        SampleRecord,
+        SpectrumRecord,
+    )
+
+    kind = rec.get("kind")
+    if kind == "estimate":
+        return EstimateRecord.from_record(rec)
+    if kind == "classification":
+        fields = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        fields["center"] = _tupled(fields["center"])
+        if fields.get("gf_point") is not None:
+            fields["gf_point"] = _tupled(fields["gf_point"])
+        if fields.get("nt_point") is not None:
+            fields["nt_point"] = _tupled(fields["nt_point"])
+        return ClassificationReport(**fields)
+    if kind == "counter_report":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        for key in ("singular_ni", "singular_i", "witnesses_ni", "witnesses_i",
+                    "witnesses_all"):
+            f[key] = [_tupled(c) for c in f[key]]
+        f["center"] = _tupled(f["center"])
+        return CounterReport(**f)
+    if kind == "inductive_step":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        f["center"] = _tupled(f["center"])
+        return InductiveStepReport(**f)
+    if kind == "nt_to_ns":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        f["center"] = _tupled(f["center"])
+        return NtToNsReport(**f)
+    if kind == "decay_fit":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        f["loc_center"] = _tupled(f["loc_center"])
+        return DecayFit(**f)
+    if kind == "sample":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        return SampleRecord(**f)
+    if kind == "spectrum":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        f["center"] = _tupled(f["center"])
+        return SpectrumRecord(**f)
+    if kind == "green_column":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        f["center"] = _tupled(f["center"])
+        f["source"] = _tupled(f["source"])
+        return GreenRecord(**f)
+    if kind == "recovery":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        return RecoveryRecord(**f)
+    if kind in ("parameter_report", "schedule", "initial_certificate",
+                "wegner_row", "error", "localization_row", "g_trend_summary"):
+        return rec
+    raise InvalidInputError(f"cannot parse record of kind {kind!r}")
+
+
+def sample_from_record(rec):
+    """Rebuild the ``DisorderSample`` of a ``SampleRecord``; regenerated
+    values must equal the recorded ones (the record is a pure function of
+    its keys)."""
+    from anderson2p.disorder import DistributionSpec, sample_potential
+    from anderson2p.errors import InvalidInputError
+
+    spec = DistributionSpec.from_dict(rec.distribution)
+    sample = sample_potential(spec, rec.seed, rec.trial,
+                              np.array(rec.sites, dtype=np.int64))
+    for site, val in zip(rec.sites, rec.values):
+        if sample.values[tuple(site)] != val:
+            raise InvalidInputError("sample record inconsistent with its keys")
+    return sample

@@ -6,16 +6,26 @@ from hypothesis import strategies as st
 from anderson2p.disorder import (
     DistributionSpec,
     InteractionSpec,
-    field_w,
-    interaction_u,
     sample_potential,
 )
 from anderson2p.errors import InvalidInputError, OutOfDomainError
-from anderson2p.geometry import Point1, Point2
+from anderson2p.geometry import Point1, Point2, sup_dist1
 
 
 def sites_1d(n):
     return np.arange(n, dtype=np.int64).reshape(-1, 1)
+
+
+def interaction_u(spec: InteractionSpec, x: Point2) -> float:
+    """Interaction energy of a configuration: profile value at the particle
+    separation, zero beyond the range."""
+    s = sup_dist1(x.x1, x.x2)
+    return float(spec.profile[s]) if s <= spec.r0 else 0.0
+
+
+def field_w(sample, x: Point2) -> float:
+    """Two-particle potential field V(x1) + V(x2); exchange symmetric."""
+    return sample.value(x.x1) + sample.value(x.x2)
 
 
 class TestDistributionSpec:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from anderson2p.classify import is_cnr
+from anderson2p.classify import energy_grid, is_cnr
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InvalidInputError, PlacementError
 from anderson2p import experiment
@@ -13,7 +15,6 @@ from anderson2p.experiment import (
     _TrialContext,
     decay_fit,
     estimate_event,
-    initial_step_certificate,
     localization_mass_sweep,
     not_cnr_windows,
     singularity_vs_g_probe,
@@ -21,7 +22,7 @@ from anderson2p.experiment import (
     wegner_sweep,
     wilson_interval,
 )
-from anderson2p.geometry import Box2, Point2
+from anderson2p.geometry import ADJ_SUP, Box2, Point2, normalize_adjacency
 from anderson2p.msa import desk_schedule, max_separated_subset, schedule
 from anderson2p.operators import assemble_two_particle
 
@@ -275,6 +276,56 @@ class TestNotCnrWindows:
         for e, want in [(e, False) for e in inside] + [(e, True) for e in between]:
             assert is_cnr(center, 0, sched, sample, _interaction(), sched.g, e,
                           adjacency).ok == want, e
+
+
+def hop_degree(d: int, adjacency: str, particles: int = 2) -> int:
+    """Maximal number of lattice neighbours of a point under the mode."""
+    nd = particles * d
+    return 3**nd - 1 if normalize_adjacency(adjacency) == ADJ_SUP else 2 * nd
+
+
+@dataclass
+class CertificateReport:
+    """Initial-scale certificate: when every configuration's potential is
+    at least c0 away from the interval center, the whole resolvent is
+    uniformly small on the interval."""
+
+    certificate: bool
+    c0: float
+    min_offset: float
+    norm_bound_ok: Optional[bool]
+    energies_checked: int
+
+
+def initial_step_certificate(box, sample, interaction, g, interval, m0, L0,
+                             adjacency="l1") -> CertificateReport:
+    """Sufficient condition for uniform resolvent smallness on an interval.
+
+    With ``c0 = hop_degree + 2 eta + exp(m0 L0)`` (eta the interval
+    half-width), ``|U(x) + g W(x) - E0| >= c0`` for every configuration
+    forces ``dist(E, spectrum) >= exp(m0 L0)``, i.e.
+    ``||(H - E)^{-1}|| <= exp(-m0 L0)``, for every E in the interval.  When
+    the certificate holds the spectral condition is asserted on the
+    interval grid; a violation there would be a bug, not randomness.
+    """
+    a, b = interval
+    E0, eta = 0.5 * (a + b), 0.5 * (b - a)
+    deg = hop_degree(box.d, adjacency)
+    c0 = deg + 2.0 * eta + math.exp(m0 * L0)
+    op = assemble_two_particle(box, sample, interaction, g, adjacency)
+    offsets = np.abs(np.diag(op.matrix) - E0)
+    min_offset = float(offsets.min())
+    cert = bool(min_offset >= c0)
+    norm_ok = None
+    n_checked = 0
+    if cert:
+        ev = op.eigenvalues()
+        grid = energy_grid(interval, L0, 0.5)
+        n_checked = len(grid)
+        norm_ok = bool(
+            all(np.abs(ev - float(E)).min() >= math.exp(m0 * L0) for E in grid)
+        )
+    return CertificateReport(cert, float(c0), min_offset, norm_ok, n_checked)
 
 
 class TestInitialCertificate:

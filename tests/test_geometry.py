@@ -1,46 +1,87 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anderson2p.errors import DimensionMismatchError
+from anderson2p.errors import DimensionMismatchError, InvalidInputError
 from anderson2p.geometry import (
-    AnnulusSpec,
     Box1,
     Box2,
     Point1,
     Point2,
-    annulus,
-    box_distance,
-    enumerate_box,
     exterior_boundary,
-    interior_boundary,
     is_interactive,
-    is_r_distant,
     pair_separation,
-    permute,
     projections,
     sup_dist,
-    sup_norm,
     unique_rows,
 )
 from .conftest import random_point2
+from .oracles import box_distance
 
 
 def P2(x1, x2):
     return Point2.of(x1, x2)
 
 
+@dataclass(frozen=True)
+class AnnulusSpec:
+    """Annulus between consecutive exchange-inflated scale boxes around a
+    center.
+
+    The inflation ``b_k = 1 + R(u)/L_k`` (with ``R(u)`` the distance from
+    the center to its exchange image) makes the inner box contain the union
+    of the scale-k box and its exchange image.
+    """
+
+    center: Point2
+    k: int
+    schedule: "object"  # ScaleSchedule
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise InvalidInputError("scale index must be >= 0")
+
+    def exchange_radius(self) -> int:
+        return sup_dist(self.center.sigma(), self.center)
+
+    def _inflated_radius(self, k: int) -> int:
+        lk = self.schedule.L[k]
+        bk = 1.0 + self.exchange_radius() / lk
+        return math.ceil(bk * lk)
+
+    @property
+    def inner_radius(self) -> int:
+        return self._inflated_radius(self.k)
+
+    @property
+    def outer_radius(self) -> int:
+        return self._inflated_radius(self.k + 1)
+
+    def mirror_union(self) -> np.ndarray:
+        """Union of the scale-k box and its exchange image (deduplicated)."""
+        lk = self.schedule.L[self.k]
+        a = Box2(self.center, lk).points()
+        b = Box2(self.center.sigma(), lk).points()
+        return unique_rows(np.vstack([a, b]))
+
+    def points(self) -> np.ndarray:
+        outer = Box2(self.center, self.outer_radius)
+        dist = outer.center_dists()
+        return outer.points()[dist > self.inner_radius]
+
+
+def annulus(u: Point2, k: int, schedule) -> np.ndarray:
+    """Configurations in the scale-(k+1) inflated box but not the scale-k
+    one; disjoint from the union of the scale-k box and its exchange
+    image."""
+    return AnnulusSpec(u, k, schedule).points()
+
+
 class TestSupNorm:
-    def test_direct_max(self):
-        assert sup_norm(P2((1, 2), (3, -4))) == 4
-
-    def test_zero_vector(self):
-        assert sup_norm(P2((0,), (0,))) == 0
-
-    def test_three_d(self):
-        assert sup_norm(P2((-5, 1, 0), (2, 2, 2))) == 5
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             P2((1, 2), (3,))
@@ -48,40 +89,40 @@ class TestSupNorm:
 
 class TestPermute:
     def test_swaps(self):
-        assert permute(P2((1, 2), (3, 4))) == P2((3, 4), (1, 2))
+        assert P2((1, 2), (3, 4)).sigma() == P2((3, 4), (1, 2))
 
     def test_diagonal_fixed(self):
-        assert permute(P2((5,), (5,))) == P2((5,), (5,))
+        assert P2((5,), (5,)).sigma() == P2((5,), (5,))
 
     @given(st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-50, 50), st.integers(-50, 50))
     def test_involution(self, a, b, c, d):
         x = P2((a, b), (c, d))
-        assert permute(permute(x)) == x
+        assert x.sigma().sigma() == x
 
 
 class TestEnumerateBox:
     def test_count_d1_l1(self):
-        assert len(enumerate_box(Box2(P2((0,), (0,)), 1))) == 9
+        assert len(Box2(P2((0,), (0,)), 1).points()) == 9
 
     def test_radius_zero_single_point(self):
-        pts = enumerate_box(Box2(P2((3, 4), (5, 6)), 0))
+        pts = Box2(P2((3, 4), (5, 6)), 0).points()
         assert pts.shape == (1, 4)
         assert tuple(pts[0]) == (3, 4, 5, 6)
 
     def test_lexicographic_first(self):
-        pts = enumerate_box(Box2(P2((0,), (0,)), 2))
+        pts = Box2(P2((0,), (0,)), 2).points()
         assert len(pts) == 25
         assert tuple(pts[0]) == (-2, -2)
 
     def test_sorted_and_unique(self):
-        pts = enumerate_box(Box2(P2((1,), (-1,)), 2))
+        pts = Box2(P2((1,), (-1,)), 2).points()
         as_tuples = [tuple(p) for p in pts]
         assert as_tuples == sorted(set(as_tuples))
 
     def test_membership_matches_distance(self):
         box = Box2(P2((0, 1), (2, -1)), 1)
-        pts = enumerate_box(box)
+        pts = box.points()
         center = box.center.to_array()
         assert (np.abs(pts - center).max(axis=1) <= box.radius).all()
         assert len(pts) == box.npoints
@@ -89,13 +130,13 @@ class TestEnumerateBox:
 
 class TestBoundaries:
     def test_interior_d1_l1(self):
-        assert len(interior_boundary(Box2(P2((0,), (0,)), 1))) == 8
+        assert len(Box2(P2((0,), (0,)), 1).boundary_indices()) == 8
 
     def test_interior_shell_count(self):
-        assert len(interior_boundary(Box2(P2((0,), (0,)), 2))) == 25 - 9
+        assert len(Box2(P2((0,), (0,)), 2).boundary_indices()) == 25 - 9
 
     def test_interior_radius_zero_empty(self):
-        assert len(interior_boundary(Box2(P2((0,), (0,)), 0))) == 0
+        assert len(Box2(P2((0,), (0,)), 0).boundary_indices()) == 0
 
     def test_exterior_d1_l1(self):
         assert len(exterior_boundary(Box2(P2((0,), (0,)), 1))) == 25 - 9
@@ -107,7 +148,7 @@ class TestBoundaries:
     @settings(max_examples=30)
     def test_disjoint(self, a, b, L):
         box = Box2(P2((a,), (b,)), L)
-        inner = {tuple(p) for p in interior_boundary(box)}
+        inner = {tuple(p) for p in box.points()[box.boundary_indices()]}
         outer = {tuple(p) for p in exterior_boundary(box)}
         assert not inner & outer
 
@@ -115,7 +156,7 @@ class TestBoundaries:
         # |boundary| + |interior| = |box| for radius >= 1
         for L in (1, 2, 3):
             box = Box2(P2((0,), (0,)), L)
-            assert len(interior_boundary(box)) + len(box.interior_indices()) == box.npoints
+            assert len(box.boundary_indices()) + len(box.interior_indices()) == box.npoints
 
     def test_boundary_matches_neighbor_scan(self):
         from .oracles import boundary_by_neighbor_scan
@@ -124,7 +165,7 @@ class TestBoundaries:
         pts = box.points()
         inside = {tuple(int(c) for c in p) for p in pts}
         scan = set(boundary_by_neighbor_scan(pts, inside))
-        shell = {tuple(int(c) for c in p) for p in interior_boundary(box)}
+        shell = {tuple(int(c) for c in p) for p in box.points()[box.boundary_indices()]}
         assert scan == shell
 
 
@@ -165,16 +206,16 @@ class TestDistantPredicate:
     def test_far_apart(self):
         b1 = Box2(P2((0,), (0,)), 2)
         b2 = Box2(P2((100,), (100,)), 2)
-        assert is_r_distant(b1, b2, 10)
+        assert pair_separation(b1.center, b2.center) > 8 * 10
 
     def test_exchange_image_coincides(self):
         b1 = Box2(P2((0,), (50,)), 2)
         b2 = Box2(P2((50,), (0,)), 2)
-        assert not is_r_distant(b1, b2, 10)
+        assert not pair_separation(b1.center, b2.center) > 8 * 10
 
     def test_same_center_never_distant(self):
         b = Box2(P2((3,), (7,)), 1)
-        assert not is_r_distant(b, b, 0)
+        assert not pair_separation(b.center, b.center) > 8 * 0
 
     @given(st.data())
     @settings(max_examples=50)

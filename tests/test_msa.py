@@ -11,7 +11,6 @@ from anderson2p.msa import (
     count_singular_subboxes,
     desk_schedule,
     inductive_ns_step,
-    mass_step,
     mass_step_value,
     max_separated_subset,
     asymptotic_schedule,
@@ -88,17 +87,13 @@ class TestSchedule:
 
 class TestMassStep:
     def test_half_factor(self):
-        assert mass_step(1.0, 5202, 9) == pytest.approx(0.5)
+        assert mass_step_value(1.0, 5202, 9) == pytest.approx(0.5)
 
     def test_large_scale(self):
         assert mass_step_value(1.0, 10**6, 9) == pytest.approx(1 - 0.036062, abs=1e-5)
 
     def test_step_constant_below_gamma(self):
         assert (5 * 9 + 6) / math.sqrt(2) < 40
-
-    def test_infeasible_at_small_scale(self):
-        with pytest.raises(InfeasibleScheduleError):
-            mass_step(0.5, 3, 9)
 
 
 class TestValidateParameters:

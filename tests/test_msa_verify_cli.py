@@ -2,9 +2,8 @@ import json
 import subprocess
 import sys
 
-from anderson2p.records import parse_record, read_records
-
 from .conftest import cli_env
+from .oracles import parse_record, read_records
 
 
 def _run_cli(args, cwd):

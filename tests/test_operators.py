@@ -17,12 +17,15 @@ from anderson2p.operators import (
     diagonalize,
     exchange_orbits,
     family_spectra,
-    permutation_conjugate_check,
-    tensor_spectrum,
 )
 
 from .conftest import box_with_sample, random_point2
-from .oracles import path_graph_eigenvalues, two_particle_matrix
+from .oracles import (
+    path_graph_eigenvalues,
+    permutation_conjugate_check,
+    tensor_spectrum,
+    two_particle_matrix,
+)
 
 
 def _interaction():

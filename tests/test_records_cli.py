@@ -12,15 +12,10 @@ from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_bo
 from anderson2p.experiment import EstimateRecord, EventSpec, estimate_event
 from anderson2p.geometry import Box2
 from anderson2p.msa import count_singular_subboxes
-from anderson2p.records import (
-    dumps_record,
-    parse_record,
-    read_records,
-    sample_record,
-    write_records,
-)
+from anderson2p.records import dumps_record, sample_record, write_records
 
 from .conftest import cli_env
+from .oracles import parse_record, read_records, sample_from_record
 
 
 class TestRoundTrip:
@@ -55,7 +50,7 @@ class TestRoundTrip:
                                   np.arange(5).reshape(-1, 1))
         rec = sample_record(sample)
         back = parse_record(json.loads(dumps_record(rec.to_record())))
-        rebuilt = back.to_sample()
+        rebuilt = sample_from_record(back)
         assert rebuilt.values == sample.values
 
     def test_nt_to_ns_record(self):
@@ -239,6 +234,38 @@ class TestCli:
         assert err["error"] == "InvalidInputError"
         assert "schedule has scales 0..2" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_green_source_outside_box_exit_2(self, tmp_path, capsys):
+        argv = ["green", "--energy", "0.3", "--radius", "2", "--source", "9;9",
+                "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "error" and err["error"] == "InvalidInputError"
+        assert "'9;9'" in err["message"] and "outside the box" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--radius", "1", "--center", "1,2;3,4"],
+        ["spectrum", "--radius", "1", "--center", "1,2;3,4"],
+        ["green", "--energy", "0.3", "--radius", "1", "--center", "1,2;3,4"],
+        ["green", "--energy", "0.3", "--radius", "1", "--source", "1,2;3,4"],
+        ["classify", "--energy", "0.3", "--radius", "1", "--center", "1,2;3,4"],
+        ["classify", "--energy", "0.3", "--k", "0", "--center", "1,2;3,4"],
+    ])
+    def test_configuration_of_wrong_dimension_exit_2(self, tmp_path, capsys, argv):
+        # the default configuration has dimension=1
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "InvalidInputError"
+        assert "has dimension 2, but dimension=1" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_center_of_configured_dimension_accepted(self, tmp_path):
+        argv = ["spectrum", "--center", "1,2;3,4", "--radius", "1",
+                "--set", "dimension=2", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        rec = read_records(next((tmp_path / "o").rglob("records.jsonl")))[0]
+        assert rec["center"] == [1, 2, 3, 4] and len(rec["eigenvalues"]) == 81
 
     def test_top_scale_accepted(self, tmp_path):
         argv = ["mc-estimate", "--event", "single_box_singular", "--k", "2",

@@ -23,7 +23,7 @@ from anderson2p.resolvent import (
 )
 
 from .conftest import box_with_sample
-from .oracles import dense_inverse_green, recovery_batch_by_dicts
+from .oracles import dense_inverse_green, green_column_one_box, recovery_batch_by_dicts
 
 
 def _interaction():
@@ -45,15 +45,15 @@ class TestGreenColumn:
     def test_scalar_inverse(self):
         box, sample = box_with_sample(Point2.of((0,), (2,)), 0, seed=3)
         op = assemble_two_particle(box, sample, _interaction(), 2.0)
-        col = green_column(op, -1.5)
-        assert col.vector[0] == pytest.approx(1.0 / (op.matrix[0, 0] + 1.5))
+        vec, _ = green_column(op, -1.5)
+        assert vec[0] == pytest.approx(1.0 / (op.matrix[0, 0] + 1.5))
 
     def test_positive_below_spectrum(self):
         box, sample = box_with_sample(Point2.of((0,), (0,)), 1, seed=5)
         op = assemble_two_particle(box, sample, _interaction(), 1.0)
         e = float(op.eigenvalues()[0] - op.norm2() - 1.0)
-        col = green_column(op, e)
-        assert col.at(box.center) > 0
+        vec, _ = green_column(op, e)
+        assert vec[op.center_index()] > 0
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(8)
@@ -64,11 +64,11 @@ class TestGreenColumn:
             op = assemble_two_particle(box, sample, _interaction(),
                                        float(rng.uniform(0.5, 8)))
             e = _nonresonant_energies(op.eigenvalues(), 1, rng)[0]
-            col = green_column(op, e)
+            vec, _ = green_column(op, e)
             i = op.center_index()
             for j in (0, op.n // 2, op.n - 1):
                 oracle = dense_inverse_green(op.matrix, e, i, j)
-                assert col.vector[j] == pytest.approx(oracle, abs=1e-8, rel=1e-8)
+                assert vec[j] == pytest.approx(oracle, abs=1e-8, rel=1e-8)
 
     def test_resonant_energy_rejected(self):
         box, sample = box_with_sample(Point2.of((0,), (0,)), 1, seed=5)
@@ -81,8 +81,8 @@ class TestGreenColumn:
         op = assemble_two_particle(box, sample, _interaction(), 4.0)
         rng = np.random.default_rng(0)
         e = _nonresonant_energies(op.eigenvalues(), 1, rng)[0]
-        col = green_column(op, e)
-        assert col.residual <= 1e-8 * (1 + abs(e) + op.norm2())
+        _, residual = green_column(op, e)
+        assert residual <= 1e-8 * (1 + abs(e) + op.norm2())
 
     def test_symmetry(self):
         box, sample = box_with_sample(Point2.of((0,), (2,)), 1, seed=11)
@@ -91,17 +91,17 @@ class TestGreenColumn:
         e = _nonresonant_energies(op.eigenvalues(), 1, rng)[0]
         x = Point2.of((0,), (2,))
         y = Point2.of((1,), (1,))
-        cx = green_column(op, e, x)
-        cy = green_column(op, e, y)
-        assert cx.at(y) == pytest.approx(cy.at(x), abs=1e-8)
+        cx, _ = green_column(op, e, x)
+        cy, _ = green_column(op, e, y)
+        assert cx[op.index_of(y)] == pytest.approx(cy[op.index_of(x)], abs=1e-8)
 
     def test_resolvent_identity(self):
         box, sample = box_with_sample(Point2.of((0,), (1,)), 1, seed=13)
         op = assemble_two_particle(box, sample, _interaction(), 2.0)
         rng = np.random.default_rng(2)
         e1, e2 = _nonresonant_energies(op.eigenvalues(), 2, rng)
-        c1 = green_column(op, e1).vector
-        c2 = green_column(op, e2).vector
+        c1, _ = green_column(op, e1)
+        c2, _ = green_column(op, e2)
         # G(E1) - G(E2) = (E1 - E2) G(E1) G(E2), applied to the delta source
         lhs = c1 - c2
         from scipy.linalg import lu_factor, lu_solve
@@ -114,7 +114,7 @@ class TestGreenColumn:
         box, sample = box_with_sample(Point2.of((0,), (2,)), 1, seed=11)
         op = assemble_two_particle(box, sample, _interaction(), 3.0)
         e = _nonresonant_energies(op.eigenvalues(), 1, np.random.default_rng(5))[0]
-        assert green_column(op, e).residual < 1e-10
+        assert green_column(op, e)[1] < 1e-10
         solve = np.linalg.solve
 
         def perturbed(a, b):
@@ -127,6 +127,51 @@ class TestGreenColumn:
             green_column(op, e)
 
 
+def _outcome(solve, op, e, x):
+    """The bytes of a Green's column and its residual, or the error raised."""
+    try:
+        vec, residual = solve(op, e, x)
+    except (NumericError, ResonantEnergyError) as err:
+        return type(err)
+    return vec.tobytes(), residual
+
+
+class TestGreenColumnMatchesOneBoxSolve:
+    """``green_column`` through the stacked ``_solve`` against the unstacked
+    one-box solve it replaced: equal bits, and the same errors."""
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("radius", [2, 3, 5])
+    def test_same_bits_and_errors(self, monkeypatch, adjacency, radius):
+        rng = np.random.default_rng(radius)
+        seen = set()
+        for seed in range(5):
+            box, sample = box_with_sample(Point2.of((0,), (seed - 2,)), radius, seed=seed)
+            op = assemble_two_particle(box, sample, _interaction(),
+                                       float(rng.uniform(0.5, 8)), adjacency)
+            ev = op.eigenvalues()
+            # an eigenvalue, a point just past the guard, and generic energies
+            energies = [float(ev[seed]), float(ev[seed] + 2e-12 * op.norm2()),
+                        *_nonresonant_energies(ev, 3, rng)]
+            for e in energies:
+                for x in (None, int(rng.integers(op.n)), Point2.of(*np.split(op.points[0], 2))):
+                    want = _outcome(green_column_one_box, op, e, x)
+                    assert _outcome(green_column, op, e, x) == want
+                    seen.add(want if isinstance(want, type) else "solved")
+        assert {"solved", ResonantEnergyError} <= seen
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x.flat[0] += 1e-4 * np.linalg.norm(x)
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        e = energies[-1]
+        assert _outcome(green_column_one_box, op, e, None) is NumericError
+        assert _outcome(green_column, op, e, None) is NumericError
+
+
 class TestBoundaryGreenMaxima:
     @pytest.mark.parametrize("adjacency", ["sup", "l1"])
     @pytest.mark.parametrize("radius", [3, 6])
@@ -135,8 +180,10 @@ class TestBoundaryGreenMaxima:
         for seed in range(4):
             box, sample = box_with_sample(Point2.of((0,), (seed - 1,)), radius, seed=seed)
             op = assemble_two_particle(box, sample, _interaction(), 5.0, adjacency)
+            bidx = op.boundary_indices()
             for e in _nonresonant_energies(op.eigenvalues(), 3, rng):
-                value, point = green_column(op, e).boundary_max()
+                column = np.abs(green_column(op, e)[0][bidx])
+                value, point = column.max(), op.points[bidx[np.argmax(column)]]
                 values, where = boundary_green_maxima(
                     op.matrix[None], op.eigenvalues()[None], op.center_index(),
                     op.boundary_indices(), e)
@@ -172,7 +219,7 @@ class TestBoundaryGreenMaxima:
     def test_boundaryless_box(self):
         box, sample = box_with_sample(Point2.of((0,), (3,)), 0, seed=2)
         op = assemble_two_particle(box, sample, _interaction(), 2.0)
-        assert boundary_green_max(op, -4.0) == green_column(op, -4.0).boundary_max()
+        assert boundary_green_max(op, -4.0) == (0.0, None)
 
     def test_residual_checked_per_box(self, monkeypatch):
         centers = Box2.of_origin(1, 1).points()
@@ -229,11 +276,11 @@ class TestGreenSpectral:
             op1, op2 = single_particle_factors(box, sample, g, "l1")
             sd1, sd2 = diagonalize(op1), diagonalize(op2)
             for e in _nonresonant_energies(op.eigenvalues(), 5, rng):
-                direct = green_column(op, e)
+                direct, _ = green_column(op, e)
                 bidx = op.boundary_indices()
                 y = Point2.of(*np.split(op.points[bidx[0]], 2))
                 gs = green_spectral(sd1, sd2, e, box.center, y)
-                gc = direct.at(y)
+                gc = direct[bidx[0]]
                 assert gs == pytest.approx(gc, rel=1e-6, abs=1e-12)
                 hits += 1
         assert hits == 500
@@ -356,6 +403,24 @@ class TestBoundaryRecovery:
                     sd.eigenvectors[:, 0]):
             with pytest.raises(PreconditionError):
                 boundary_recovery(sub_op, [-99.0], psi, box)
+
+    def test_residual_checked(self, monkeypatch):
+        # recovery solves through ``_solve``, so it checks its residuals
+        box, sample, op, sd = self._parent_setup(7)
+        sub = Box2.of_origin(1, 2)
+        sub_op = assemble_two_particle(sub, sample, _interaction(), 2.0)
+        energies, psi = _gapped(sd, sub_op, range(sd.n))
+        boundary_recovery(sub_op, energies, psi, box)
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[-1, 0] += 1e-4 * np.linalg.norm(x[-1])  # the last energy only
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericError, match="residual"):
+            boundary_recovery(sub_op, energies, psi, box)
 
     def test_energy_at_sub_box_eigenvalue_raises(self):
         box, sample, op, sd = self._parent_setup(3)
