@@ -12,10 +12,12 @@ Subcommands::
                  (--event <kind> | wegner | ss-probe | g-trend)
     decay-fit    effective-mass extraction across couplings
 
-Each run writes ``records.jsonl`` (one JSON record per line; byte-stable
-across reruns of the same configuration) plus ``manifest.json`` carrying
-the config hash, version, timestamp, and wall time; some subcommands also
-emit CSV summaries.  Exit codes: 0 success, 2 invalid configuration or
+Each run does its LAPACK on one BLAS thread (``blas.one_thread``) and
+writes ``records.jsonl`` (one JSON record per line; byte-stable across
+reruns of the same configuration, whatever the host's core count or the
+caller's thread variables) plus ``manifest.json`` carrying the config
+hash, version, timestamp, wall time and BLAS policy; some subcommands
+also emit CSV summaries.  Exit codes: 0 success, 2 invalid configuration or
 arguments, 3 infeasible schedule.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, Philox
 
-from . import __version__
+from . import __version__, blas
 from .classify import classify_box, nt_to_ns_check
 from .config import ConfigError, ExperimentConfig
 from .disorder import domain_for_boxes, sample_potential
@@ -386,8 +388,9 @@ _COMMANDS = {
 
 
 def run(subcommand: str, config_path: str | None, overrides: list[str],
-        args) -> tuple[int, list[Path]]:
-    """Execute one subcommand; returns (exit code, emitted files)."""
+        args, blas_policy: dict) -> tuple[int, list[Path]]:
+    """Execute one subcommand; returns (exit code, emitted files).
+    ``blas_policy`` is the record of ``blas.one_thread`` for the manifest."""
     try:
         raw = {}
         if config_path:
@@ -444,6 +447,7 @@ def run(subcommand: str, config_path: str | None, overrides: list[str],
         "subcommand": subcommand,
         "non_asymptotic_regime": sched.non_asymptotic_regime,
         "parameter_report": param_report,
+        "blas": blas_policy,
         "files": [{"path": p.name, "records": (n if p == rec_path else None)}
                   for p in files],
     }
@@ -468,25 +472,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="override a config key (dotted paths allowed)")
         p.add_argument("--out", help="output directory root")
-        p.add_argument("--trial", type=int, default=0,
-                       help="trial index for single-shot commands")
-        p.add_argument("--center", help="box center as 'x1,..;x2,..'")
         p.add_argument("--radius", type=int, default=None)
 
+    def one_box(p):
+        common(p)
+        p.add_argument("--trial", type=int, default=0,
+                       help="trial index of the disorder sample")
+        p.add_argument("--center", help="box center as 'x1,..;x2,..'")
+
     p = sub.add_parser("sample", help="dump one disorder sample")
-    common(p)
+    one_box(p)
 
     p = sub.add_parser("spectrum", help="diagonalize one box")
-    common(p)
+    one_box(p)
     p.add_argument("--dump-matrix", help="write matrix triplets to this file")
 
     p = sub.add_parser("green", help="one Green's-function column")
-    common(p)
+    one_box(p)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--source", help="source configuration (defaults to center)")
 
     p = sub.add_parser("classify", help="classify one box at one energy")
-    common(p)
+    one_box(p)
     p.add_argument("--energy", type=float, required=True)
     p.add_argument("--mass", type=float, default=None)
     p.add_argument("--nt-mass", type=float, default=None)
@@ -526,7 +533,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         # argparse exits 2 on bad usage already; normalize unknown subcommands
         return int(e.code) if e.code else 0
-    code, _ = run(args.subcommand, args.config, args.overrides, args)
+    # set once per run and put back after it, so in-process callers keep
+    # their own count
+    with blas.one_thread() as blas_policy:
+        code, _ = run(args.subcommand, args.config, args.overrides, args,
+                      blas_policy)
     return code
 
 

@@ -109,18 +109,6 @@ class EventSpec:
             "grid_spacing": self.grid_spacing,
         }
 
-    @classmethod
-    def from_dict(cls, d) -> "EventSpec":
-        iv = d.get("interval")
-        return cls(
-            kind=d["kind"], k=int(d.get("k", 0)),
-            interval=tuple(iv) if iv else None,
-            energy=d.get("energy"), mass=d.get("mass"),
-            n=int(d.get("n", 1)), region=d.get("region"),
-            adjacency=d.get("adjacency", "sup"),
-            grid_spacing=d.get("grid_spacing"),
-        )
-
 
 # The 97.5% standard normal quantile, the double that
 # ``scipy.stats.norm.ppf(0.975)`` returns; ``statistics.NormalDist``
@@ -182,17 +170,6 @@ class EstimateRecord:
             "bound_value": self.bound_value,
             "comparison": self.comparison,
         }
-
-    @classmethod
-    def from_record(cls, d) -> "EstimateRecord":
-        return cls(
-            spec=EventSpec.from_dict(d["event"]), trials=d["trials"],
-            successes=d["successes"], estimate=d["estimate"],
-            wilson_low=d["wilson_low"], wilson_high=d["wilson_high"],
-            seed=d["seed"], grid_delta=d.get("grid_delta"),
-            bound_name=d.get("bound_name"), bound_value=d.get("bound_value"),
-            comparison=d.get("comparison", "n/a"),
-        )
 
 
 def reference_bound(spec: EventSpec, sched: ScaleSchedule) -> tuple[Optional[str], Optional[float]]:

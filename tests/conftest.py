@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import anderson2p
+from anderson2p import blas
 from anderson2p.disorder import (
     DistributionSpec,
     InteractionSpec,
@@ -12,6 +13,14 @@ from anderson2p.disorder import (
 )
 from anderson2p.geometry import Box2, Point2
 from anderson2p.msa import desk_schedule
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """In-process tests run on the BLAS thread count that every CLI run
+    uses, so library results match the CLI's bits."""
+    with blas.one_thread():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -552,7 +552,7 @@ def parse_record(rec: dict):
     """
     from anderson2p.classify import ClassificationReport, NtToNsReport
     from anderson2p.errors import InvalidInputError
-    from anderson2p.experiment import DecayFit, EstimateRecord
+    from anderson2p.experiment import DecayFit, EstimateRecord, EventSpec
     from anderson2p.msa import CounterReport, InductiveStepReport
     from anderson2p.records import (
         GreenRecord,
@@ -563,7 +563,12 @@ def parse_record(rec: dict):
 
     kind = rec.get("kind")
     if kind == "estimate":
-        return EstimateRecord.from_record(rec)
+        f = {k: v for k, v in rec.items()
+             if k not in ("kind", "config_hash", "event")}
+        event = dict(rec["event"])
+        if event["interval"] is not None:
+            event["interval"] = tuple(event["interval"])
+        return EstimateRecord(spec=EventSpec(**event), **f)
     if kind == "classification":
         fields = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
         fields["center"] = _tupled(fields["center"])

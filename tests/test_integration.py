@@ -1,6 +1,7 @@
 """Cross-cutting integration checks: backend invariance of full
 experiments, subsampled budget paths, third-party cross-validation, the
-single LAPACK library, and the modules the CLI loads."""
+single LAPACK library, the BLAS thread policy, and the modules the CLI
+loads."""
 
 import ast
 import importlib.util
@@ -15,6 +16,7 @@ import pytest
 from scipy.stats import binomtest
 
 import anderson2p
+from anderson2p import blas
 from anderson2p.classify import is_cnr
 from anderson2p.disorder import (
     DistributionSpec,
@@ -260,6 +262,55 @@ class TestBenchmarkReferences:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert outputs.diff(records, reference[chunk], "records") == []
         assert w.invariants(records) == []
+
+
+class TestBlasThreadPolicy:
+    @pytest.fixture
+    def openblas(self):
+        lib = blas.loaded_openblas()
+        if lib is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found")
+        return lib
+
+    @pytest.mark.parametrize("workload", ["inductive", "counter"])
+    def test_records_do_not_depend_on_thread_variables(self, tmp_path, openblas,
+                                                        workload):
+        """A chunk run as a CLI process gives the same ``records.jsonl``
+        bytes with ``OPENBLAS_NUM_THREADS`` unset, 1 and 2, and its manifest
+        shows the one pinned thread.  Unpinned, the first ``inductive``
+        chunk differs between one and two threads in the last bits of
+        ``max_boundary_gf``."""
+        w = _load_perfbench("workloads").WORKLOADS[workload]
+        records, policies = set(), []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            run = subprocess.run(
+                [sys.executable, "-m", "anderson2p.cli", *w.argv(0),
+                 "--out", str(out)],
+                capture_output=True, text=True, cwd=tmp_path,
+                env=cli_env(OPENBLAS_NUM_THREADS=threads))
+            assert run.returncode == 0, run.stderr
+            records.add(next(out.rglob("records.jsonl")).read_bytes())
+            policies.append(json.loads(
+                next(out.rglob("manifest.json")).read_text())["blas"])
+        assert len(records) == 1
+        assert policies == [{"library": openblas.name,
+                             "config": openblas.config, "threads": 1}] * 3
+
+    def test_main_restores_callers_count(self, tmp_path, openblas):
+        from anderson2p import cli
+
+        before = openblas.threads()
+        openblas.set_threads(2)
+        try:
+            callers = openblas.threads()
+            assert cli.main(["sample", "--radius", "1",
+                             "--out", str(tmp_path)]) == 0
+            assert openblas.threads() == callers
+        finally:
+            openblas.set_threads(before)
+        manifest = json.loads(next(tmp_path.rglob("manifest.json")).read_text())
+        assert manifest["blas"]["threads"] == 1
 
 
 class TestCliClassifyScale:

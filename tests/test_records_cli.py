@@ -260,6 +260,20 @@ class TestCli:
         assert "has dimension 2, but dimension=1" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["mc-estimate", "--event", "resonant_at_energy", "--energy", "0",
+         "--set", "trials=1"],
+        ["msa-verify", "--check", "inductive-step", "--seeds", "1"],
+    ])
+    @pytest.mark.parametrize("option", [["--center", "1,2;3,4"],
+                                        ["--trial", "3"]])
+    def test_one_box_options_rejected_where_unread(self, tmp_path, capsys,
+                                                   argv, option):
+        # only sample, spectrum, green and classify read --center and --trial
+        assert cli.main(argv + option + ["--out", str(tmp_path / "o")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_center_of_configured_dimension_accepted(self, tmp_path):
         argv = ["spectrum", "--center", "1,2;3,4", "--radius", "1",
                 "--set", "dimension=2", "--out", str(tmp_path / "o")]
