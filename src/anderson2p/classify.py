@@ -33,13 +33,12 @@ from .errors import InvalidInputError, PreconditionError, ResonantEnergyError
 from .geometry import Box1, Box2, Point2, is_interactive, projections
 from .operators import (
     FiniteOperator,
-    SpectralData,
     assemble_single_particle,
     assemble_two_particle,
     check_projections,
-    diagonalize,
     exchange_orbits,
     family_spectra,
+    pole_residues,
     single_particle_factors,
 )
 from .resolvent import boundary_green_max, spectral_gap, within_guard
@@ -128,64 +127,58 @@ def singular_at_spectral(
     E: float,
     m: float,
 ) -> bool:
-    """``singular_mask_at`` for one box and one energy.  Equivalent to
-    ``is_ns`` up to roundoff, with energies within the solver guard of the
-    spectrum counted as singular."""
-    return bool(singular_mask_at(eigenvalues[None], eigenvectors[None], center_index,
-                                 boundary_indices, radius, E, m)[0])
+    """``singular_mask_at`` for one box and one energy, from its
+    eigendecomposition.  Equivalent to ``is_ns`` up to roundoff, with
+    energies within the solver guard of the spectrum counted as
+    singular."""
+    residues = eigenvectors[boundary_indices] * eigenvectors[center_index]
+    return bool(singular_mask_at(eigenvalues[None], residues[None],
+                                 math.exp(-m * radius), E)[0])
 
 
 def singular_mask_at(
-    eigenvalues: np.ndarray,  # (ncand, n) per-candidate ascending spectra
-    eigenvectors: np.ndarray,  # (ncand, n, n)
-    center_index: int,
-    boundary_indices: np.ndarray,
-    radius: int,
+    poles: np.ndarray,  # (ncand, n) per-candidate ascending spectra
+    residues: np.ndarray,  # (ncand, nb, n)
+    threshold: float,
     E: float | np.ndarray,
-    m: float,
 ) -> np.ndarray:
-    """(E, m)-singularity of every operator of a stack of same-shape
-    operators (translated sub-boxes share the index layout), decided
-    through their eigendecompositions; energies within the solver guard of
-    a spectrum count as singular.
+    """Singularity of every box of a stack of same-layout boxes, given as
+    the poles and residues of their centre-to-boundary Green's functions
+    (``operators.pole_residues``): a box is singular at E when some
+    ``|G(E; c, y)| = |sum_s r_s(y) / (lambda_s - E)|`` exceeds
+    ``threshold``, or when E is within the solver guard of its spectrum.
 
     A scalar ``E`` gives a ``(ncand,)`` mask, a 1-D energy array an
     ``(nE, ncand)`` mask.  Energies are taken in blocks whose
     ``(ncand, n, block)`` temporaries fit in ``MASK_BYTES``.
     """
     energies = np.atleast_1d(np.asarray(E, dtype=np.float64))
-    ncand, n = eigenvalues.shape
-    threshold = math.exp(-m * radius)
-    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
-    center = eigenvectors[:, center_index, :, None]  # (ncand, n, 1)
-    boundary = eigenvectors[:, boundary_indices, :]  # (ncand, nb, n)
+    ncand, n = poles.shape
+    edge = np.maximum(np.abs(poles[:, 0]), np.abs(poles[:, -1]))
     out = np.empty((len(energies), ncand), dtype=bool)
     step = max(1, MASK_BYTES // (8 * ncand * n))
     for lo in range(0, len(energies), step):
         block = energies[lo:lo + step]
-        shift = eigenvalues[:, :, None] - block  # (ncand, n, block)
+        shift = poles[:, :, None] - block  # (ncand, n, block)
         mask = within_guard(np.abs(shift).min(axis=1), block, edge[:, None])
-        if len(boundary_indices):
+        if residues.shape[1]:
             with np.errstate(divide="ignore", invalid="ignore"):
-                cols = boundary @ (center / shift)  # (ncand, nb, block)
+                cols = residues @ (1.0 / shift)  # (ncand, nb, block)
             mask |= np.abs(cols).max(axis=1) > threshold
         out[lo:lo + step] = mask.T
     return out if np.ndim(E) else out[0]
 
 
-def is_resonant(
-    spectral: SpectralData | np.ndarray, E: float, L: int, beta: float
-) -> tuple[bool, float]:
-    """E-resonance: the spectrum comes within exp(-L**beta) of E.
+def is_resonant(ev: np.ndarray, E: float, L: int, beta: float) -> tuple[bool, float]:
+    """E-resonance: the spectrum ``ev`` comes within exp(-L**beta) of E.
     Returns the verdict and the spectral gap."""
-    ev = spectral.eigenvalues if isinstance(spectral, SpectralData) else np.asarray(spectral)
     gap = float(np.abs(ev - E).min())
     return gap < resonance_width(L, beta), gap
 
 
 def exists_resonant_pair(
-    spec1: SpectralData | np.ndarray,
-    spec2: SpectralData | np.ndarray,
+    ev1: np.ndarray,
+    ev2: np.ndarray,
     interval: Optional[tuple[float, float]],
     L: int,
     beta: float,
@@ -198,8 +191,6 @@ def exists_resonant_pair(
     eigenvalues are closer than twice that, and the overlap window must
     meet the interval.  No energy grid is involved.
     """
-    ev1 = spec1.eigenvalues if isinstance(spec1, SpectralData) else np.asarray(spec1)
-    ev2 = spec2.eigenvalues if isinstance(spec2, SpectralData) else np.asarray(spec2)
     eps = resonance_width(L, beta)
     lam = ev1[:, None]
     mu = ev2[None, :]
@@ -337,15 +328,15 @@ def is_nontunnelling(
     op: Optional[FiniteOperator] = None,
 ) -> tuple[bool, NTWitness]:
     """m-non-tunnelling for a single-particle box: every eigenvector's
-    center-boundary product stays below exp(-m * radius)."""
+    center-boundary product, a residue of ``operators.pole_residues``,
+    stays below exp(-m * radius)."""
     threshold = math.exp(-m_hat * box.radius)
     if box.radius == 0:
         return True, NTWitness(0.0, None, None, threshold, math.inf, degenerate=True)
     if op is None:
         op = assemble_single_particle(box, sample, g, adjacency=adjacency)
-    sd = diagonalize(op)
     bidx = box.boundary_indices()
-    prod = np.abs(sd.eigenvectors[bidx] * sd.eigenvectors[box.center_index()])
+    prod = np.abs(pole_residues(op.matrix[None], box.center_index(), bidx)[1][0])
     j_flat = int(np.argmax(prod))
     iy, s = np.unravel_index(j_flat, prod.shape)
     value = float(prod[iy, s])
@@ -423,9 +414,7 @@ def nt_to_ns_check(
     if is_interactive(box, interaction.r0):
         raise PreconditionError("the decay step applies to non-interactive boxes")
     L, d = box.radius, box.d
-    # non-interactive box spectrum via its factors (exact under l1 adjacency),
-    # taken before is_nontunnelling diagonalizes the factors, which replaces
-    # these eigvalsh eigenvalues with eigh's
+    # non-interactive box spectrum via its factors (exact under l1 adjacency)
     op1, op2 = single_particle_factors(box, sample, g, adjacency)
     sums = np.add.outer(op1.eigenvalues(), op2.eigenvalues()).ravel()
     ok1, w1 = is_nontunnelling(op1.box, sample, g, m_hat, adjacency, op=op1)

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import __version__, blas
-from .classify import classify_box, nt_to_ns_check
+from .classify import classify_box, nt_to_ns_check, resonance_width
 from .config import ConfigError, ExperimentConfig
 from .disorder import domain_for_boxes, sample_potential
 from .errors import Anderson2pError, InfeasibleScheduleError, InvalidInputError
@@ -222,7 +222,18 @@ def _cmd_classify(cfg, sched, args):
     return [rep.to_record()], {}
 
 
+#: the msa-verify options each ``--check`` reads
+_CHECK_OPTIONS = {"nt-to-ns": ("radius", "nt_mass"), "inductive-step": (),
+                  "boundary-recovery": ("radius", "sub_radius")}
+
+
 def _cmd_msa_verify(cfg, sched, args):
+    unread = [f"--{name.replace('_', '-')}"
+              for name in ("radius", "sub_radius", "nt_mass")
+              if getattr(args, name) is not None
+              and name not in _CHECK_OPTIONS[args.check]]
+    if unread:
+        raise InvalidInputError(f"--check {args.check} does not read {', '.join(unread)}")
     interaction = cfg.interaction_spec()
     dist = cfg.distribution_spec()
     records = []
@@ -240,7 +251,8 @@ def _cmd_msa_verify(cfg, sched, args):
             lo, hi = cfg.interval
             energy = float(rng.uniform(lo, hi))
             rep = nt_to_ns_check(box, sample, interaction, cfg.g, energy,
-                                 args.nt_mass or 1.0, sched.beta, "l1")
+                                 args.nt_mass if args.nt_mass is not None else 1.0,
+                                 sched.beta, "l1")
             records.append(rep.to_record())
     elif args.check == "inductive-step":
         k = args.k if args.k is not None else 0
@@ -256,18 +268,14 @@ def _cmd_msa_verify(cfg, sched, args):
             records.append(rep.to_record())
     elif args.check == "boundary-recovery":
         parent_radius = args.radius if args.radius is not None else 4
-        sub_radius = args.sub_radius
+        sub_radius = args.sub_radius if args.sub_radius is not None else 2
         for s in range(args.seeds):
             rec = _recovery_batch(cfg, sched, s, parent_radius, sub_radius)
             records.append(rec.to_record())
-    else:
-        raise InvalidInputError(f"unknown --check {args.check!r}")
     return records, {}
 
 
 def _recovery_batch(cfg, sched, seed_trial, parent_radius, sub_radius):
-    from .classify import resonance_width
-
     d = cfg.dimension
     interaction = cfg.interaction_spec()
     parent = Box2.of_origin(d, parent_radius)
@@ -472,10 +480,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="override a config key (dotted paths allowed)")
         p.add_argument("--out", help="output directory root")
-        p.add_argument("--radius", type=int, default=None)
 
     def one_box(p):
         common(p)
+        p.add_argument("--radius", type=int, default=None)
         p.add_argument("--trial", type=int, default=0,
                        help="trial index of the disorder sample")
         p.add_argument("--center", help="box center as 'x1,..;x2,..'")
@@ -502,12 +510,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("msa-verify", help="batched deterministic checks")
     common(p)
+    p.add_argument("--radius", type=int, default=None)
     p.add_argument("--check", required=True,
                    choices=["nt-to-ns", "inductive-step", "boundary-recovery"])
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--nt-mass", type=float, default=None)
-    p.add_argument("--sub-radius", type=int, default=2)
+    p.add_argument("--sub-radius", type=int, default=None)
 
     p = sub.add_parser("mc-estimate", help="Monte Carlo event estimation")
     common(p)
@@ -521,6 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay-fit", help="effective-mass sweep over couplings")
     common(p)
+    p.add_argument("--radius", type=int, default=None)
     p.add_argument("--g-list", default="1,5,20")
     p.add_argument("--samples", type=int, default=20)
     return ap

@@ -24,7 +24,9 @@ from numpy.random import Generator, Philox
 from .classify import (
     cnr_subbox_layout,
     energy_grid,
+    exists_resonant_pair,
     is_nontunnelling,
+    is_resonant,
     resonance_width,
     singular_mask_at,
 )
@@ -48,11 +50,12 @@ from .kernels import shell_max
 from .msa import ScaleSchedule, max_separated_subset
 from .operators import (
     FiniteOperator,
-    SpectralData,
     assemble_two_particle,
+    box_family,
     check_projections,
     diagonalize,
     family_spectra,
+    pole_residues,
 )
 
 _MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -277,16 +280,21 @@ def _draw_separated(
 # grid-sweep helpers on spectral data
 
 
-def _grid_singular(sds: Sequence[SpectralData], grid: np.ndarray, m: float) -> np.ndarray:
-    """``(len(grid), len(sds))`` singularity mask of diagonalized boxes of
-    one radius over the grid; resonant energies (within the solver guard)
-    count as singular."""
-    op = sds[0].op
-    return singular_mask_at(
-        np.stack([sd.eigenvalues for sd in sds]),
-        np.stack([sd.eigenvectors for sd in sds]),
-        op.center_index(), op.boundary_indices(), op.box.radius, grid, m,
-    )
+def _grid_singular(boxes: Sequence[Box2], sample: DisorderSample,
+                   interaction: InteractionSpec, g: float, adjacency: str,
+                   grid: np.ndarray, m: float) -> np.ndarray:
+    """``(len(grid), len(boxes))`` singularity mask of two-particle boxes of
+    one radius over the grid, from one ``box_family`` and its poles and
+    residues; resonant energies (within the solver guard) count as
+    singular."""
+    for box in boxes:
+        check_projections(box, sample)
+    template = Box2.of_origin(boxes[0].d, boxes[0].radius)
+    h = box_family(np.array([box.center.flat for box in boxes]), template.radius,
+                   sample, interaction, g, adjacency)
+    poles, residues = pole_residues(h, template.center_index(),
+                                    template.boundary_indices())
+    return singular_mask_at(poles, residues, math.exp(-m * template.radius), grid)
 
 
 def _interval_union(windows: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -380,11 +388,10 @@ def _eval_single_box_singular(spec, ctx: _TrialContext, trial: int) -> bool:
     m = spec.mass if spec.mass is not None else sched.m[spec.k]
     box = Box2.of_origin(sched.d, L)
     sample = _trial_sample(ctx.dist, ctx.seed, trial, [box])
-    op = assemble_two_particle(box, sample, ctx.interaction, sched.g, spec.adjacency)
-    sd = diagonalize(op)
     grid = energy_grid(_require_interval(spec), L, sched.beta,
                        spec.grid_spacing)
-    return bool(_grid_singular([sd], grid, m).any())
+    return bool(_grid_singular([box], sample, ctx.interaction, sched.g,
+                               spec.adjacency, grid, m).any())
 
 
 def _eval_pair_singular(spec, ctx, trial, interactive_only=False) -> bool:
@@ -397,15 +404,12 @@ def _eval_pair_singular(spec, ctx, trial, interactive_only=False) -> bool:
         rng, sched.d, _default_region(spec, sched), 8 * L,
         interactive_layer=layer,
     )
-    b1, b2 = Box2(u, L), Box2(v, L)
-    sample = _trial_sample(ctx.dist, ctx.seed, trial, [b1, b2])
-    sd1 = diagonalize(assemble_two_particle(b1, sample, ctx.interaction, sched.g,
-                                            spec.adjacency))
-    sd2 = diagonalize(assemble_two_particle(b2, sample, ctx.interaction, sched.g,
-                                            spec.adjacency))
+    boxes = [Box2(u, L), Box2(v, L)]
+    sample = _trial_sample(ctx.dist, ctx.seed, trial, boxes)
     grid = energy_grid(_require_interval(spec), L, sched.beta,
                        spec.grid_spacing)
-    return bool(_grid_singular([sd1, sd2], grid, m).all(axis=1).any())
+    return bool(_grid_singular(boxes, sample, ctx.interaction, sched.g,
+                               spec.adjacency, grid, m).all(axis=1).any())
 
 
 def _eval_resonant_at_energy(spec, ctx, trial) -> bool:
@@ -416,8 +420,7 @@ def _eval_resonant_at_energy(spec, ctx, trial) -> bool:
     box = Box2.of_origin(sched.d, L)
     sample = _trial_sample(ctx.dist, ctx.seed, trial, [box])
     op = assemble_two_particle(box, sample, ctx.interaction, sched.g, spec.adjacency)
-    gap = float(np.abs(op.eigenvalues() - spec.energy).min())
-    return gap < resonance_width(L, sched.beta)
+    return is_resonant(op.eigenvalues(), spec.energy, L, sched.beta)[0]
 
 
 def _eval_pair_resonant(spec, ctx, trial, fixed_energy=False) -> bool:
@@ -434,11 +437,7 @@ def _eval_pair_resonant(spec, ctx, trial, fixed_energy=False) -> bool:
     if fixed_energy:
         if spec.energy is None:
             raise InvalidInputError("both_resonant_at_energy needs a fixed energy")
-        w = resonance_width(L, sched.beta)
-        return (float(np.abs(ev1 - spec.energy).min()) < w
-                and float(np.abs(ev2 - spec.energy).min()) < w)
-    from .classify import exists_resonant_pair
-
+        return all(is_resonant(ev, spec.energy, L, sched.beta)[0] for ev in (ev1, ev2))
     hit, _ = exists_resonant_pair(ev1, ev2, spec.interval, L, sched.beta)
     return hit
 
@@ -521,13 +520,9 @@ def _eval_mixed_pair(spec, ctx, trial) -> dict[str, bool]:
     # domain must cover CNR sub-boxes also, which stay inside the parents
     sample = _trial_sample(ctx.dist, ctx.seed, trial, [bx, by])
     interval = _require_interval(spec)
-
-    sdx = diagonalize(assemble_two_particle(bx, sample, ctx.interaction, sched.g,
-                                            spec.adjacency))
-    sdy = diagonalize(assemble_two_particle(by, sample, ctx.interaction, sched.g,
-                                            spec.adjacency))
     grid = energy_grid(interval, L_next, sched.beta, spec.grid_spacing)
-    b_event = bool(_grid_singular([sdx, sdy], grid, m_next).all(axis=1).any())
+    b_event = bool(_grid_singular([bx, by], sample, ctx.interaction, sched.g,
+                                  spec.adjacency, grid, m_next).all(axis=1).any())
     p1, p2, _ = projections(by)
     ok1, _ = is_nontunnelling(p1, sample, sched.g, 2.0 * sched.m0, spec.adjacency)
     ok2, _ = is_nontunnelling(p2, sample, sched.g, 2.0 * sched.m0, spec.adjacency)
@@ -736,9 +731,7 @@ def _quantile(a: np.ndarray, q: float) -> float:
     return float(lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1 - t))
 
 
-def decay_fit(
-    op: FiniteOperator, sd: Optional[SpectralData] = None
-) -> tuple[list[DecayFit], dict]:
+def decay_fit(op: FiniteOperator) -> tuple[list[DecayFit], dict]:
     """Fit the exponential decay rate of every eigenvector.
 
     The localization center is the amplitude argmax; the profile records
@@ -751,7 +744,7 @@ def decay_fit(
     L = op.box.radius
     if L < 4:
         raise InvalidInputError("decay fits need box radius >= 4")
-    sd = sd or diagonalize(op)
+    sd = diagonalize(op)
     pts = op.points
     lo = max(1, math.ceil(L / 4))
     fits = []

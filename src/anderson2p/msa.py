@@ -18,16 +18,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .classify import CnrReport, is_cnr, is_ns, singular_mask_at
+from .classify import is_cnr, is_ns, singular_mask_at
 from .disorder import DisorderSample, InteractionSpec
-from .errors import InfeasibleScheduleError, InvalidInputError, NumericError
+from .errors import InfeasibleScheduleError, InvalidInputError
 from .geometry import Box2, Point2
 from .operators import (
-    SPECTRAL_RTOL,
     assemble_two_particle,
     box_family,
     check_projections,
     exchange_orbits,
+    pole_residues,
 )
 from .resolvent import boundary_green_maxima
 
@@ -369,30 +369,27 @@ class CounterReport:
 
 @dataclass
 class SubboxSpectra:
-    """Batched eigendecompositions of the scale-k sub-boxes of a parent box,
-    one per exchange orbit (``operators.exchange_orbits``).  Translated
-    sub-boxes share the hopping matrix and index layout, so one stacked
-    eigensolve serves all candidates (and, downstream, all grid energies).
-    The box at sigma u has G_{sigma u}(E; c, y) = G_u(E; c, sigma y) and a
-    boundary closed under sigma, so it is singular exactly when its
-    orbit's representative is."""
+    """Poles and residues (``operators.pole_residues``) of the scale-k
+    sub-boxes of a parent box, one box per exchange orbit
+    (``operators.exchange_orbits``).  Translated sub-boxes share the
+    hopping matrix and index layout, so one stacked eigensolve serves all
+    candidates (and, downstream, all grid energies).  The box at sigma u
+    has G_{sigma u}(E; c, y) = G_u(E; c, sigma y) and a boundary closed
+    under sigma, so it is singular exactly when its orbit's representative
+    is."""
 
     centers: np.ndarray  # (ncand, 2d) candidate center coordinates
-    eigenvalues: np.ndarray  # (nrep, n), one row per exchange orbit
-    eigenvectors: np.ndarray  # (nrep, n, n)
+    poles: np.ndarray  # (nrep, n), one row per exchange orbit
+    residues: np.ndarray  # (nrep, nb, n)
     orbit: np.ndarray  # (ncand,) row of each candidate's representative
-    center_index: int
-    boundary_indices: np.ndarray
     radius: int
     interactive: np.ndarray  # (ncand,) bool
 
     def mask(self, E: float | np.ndarray, m: float) -> np.ndarray:
         """``classify.singular_mask_at`` of every candidate at ``(E, m)``:
         ``(ncand,)`` for a scalar ``E``, ``(nE, ncand)`` for an array."""
-        return singular_mask_at(
-            self.eigenvalues, self.eigenvectors, self.center_index,
-            self.boundary_indices, self.radius, E, m,
-        )[..., self.orbit]
+        return singular_mask_at(self.poles, self.residues,
+                                math.exp(-m * self.radius), E)[..., self.orbit]
 
     def singular_centers(
         self, E: float, m: float
@@ -415,16 +412,23 @@ def _split_singular(
     return sing_ni, sing_i
 
 
-def _subbox_candidates(
-    center: Point2, L_k: int, L_next: int, r0: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat centers ``(ncand, 2d)`` of the radius-``L_k`` sub-boxes inside
-    the radius-``L_next`` box at ``center``, and whether each is
-    interactive."""
-    d = center.d
+def _subbox_family(center: Point2, k: int, sched: ScaleSchedule,
+                   sample: DisorderSample, interaction: InteractionSpec, g: float,
+                   adjacency: str):
+    """The scale-k sub-boxes of the scale-(k+1) box at ``center``: flat
+    centers ``(ncand, 2d)`` of all that fit inside it, whether each is
+    interactive, the row of each one's exchange-orbit representative, and
+    the representatives' ``box_family``.  Raises ``OutOfDomainError`` unless
+    the sample covers the parent's projections."""
+    L_k, L_next = sched.L[k], sched.L[k + 1]
+    check_projections(Box2(center, L_next), sample)
     centers = Box2(center, L_next - L_k).points()
-    interactive = np.abs(centers[:, :d] - centers[:, d:]).max(axis=1) <= 2 * L_k + r0
-    return centers, interactive
+    d = center.d
+    interactive = (np.abs(centers[:, :d] - centers[:, d:]).max(axis=1)
+                   <= 2 * L_k + interaction.r0)
+    reps, orbit = exchange_orbits(centers)
+    h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
+    return centers, interactive, orbit, h
 
 
 def subbox_spectra(
@@ -436,26 +440,14 @@ def subbox_spectra(
     g: float,
     adjacency: str,
 ) -> SubboxSpectra:
-    """Eigendecompose one scale-k sub-box per exchange orbit of the
-    candidates inside the scale-(k+1) box at ``center``.  Raises
-    ``NumericError`` when a residual ||Hq - q lambda|| exceeds
-    ``SPECTRAL_RTOL`` times that box's spectral radius."""
-    L_k, L_next = sched.L[k], sched.L[k + 1]
-    template = Box2.of_origin(center.d, L_k)
-    centers, interactive = _subbox_candidates(center, L_k, L_next, interaction.r0)
-    reps, orbit = exchange_orbits(centers)
-    h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
-    ev, q = np.linalg.eigh(h)
-    residual = np.linalg.norm(h @ q - q * ev[:, None, :], axis=1).max(axis=1)
-    radius = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
-    if not np.all(residual <= SPECTRAL_RTOL * np.maximum(radius, 1e-300)):
-        raise NumericError("stacked eigensolver residuals exceed tolerance")
-    return SubboxSpectra(
-        centers=centers, eigenvalues=ev, eigenvectors=q, orbit=orbit,
-        center_index=template.center_index(),
-        boundary_indices=template.boundary_indices(),
-        radius=L_k, interactive=interactive,
-    )
+    """Poles and residues of one scale-k sub-box per exchange orbit of the
+    candidates inside the scale-(k+1) box at ``center``, from one checked
+    ``operators.eigh_stack``."""
+    template = Box2.of_origin(center.d, sched.L[k])
+    centers, interactive, orbit, h = _subbox_family(center, k, sched, sample,
+                                                    interaction, g, adjacency)
+    poles, residues = pole_residues(h, template.center_index(), template.boundary_indices())
+    return SubboxSpectra(centers, poles, residues, orbit, template.radius, interactive)
 
 
 def count_singular_subboxes(
@@ -479,13 +471,10 @@ def count_singular_subboxes(
     (``resolvent.boundary_green_maxima``); images share their
     representative's verdict, as in ``SubboxSpectra``.
     """
-    L_k, L_next = sched.L[k], sched.L[k + 1]
-    # the parent's projections must be sampled; candidates stay inside it
-    check_projections(Box2(center, L_next), sample)
+    L_k = sched.L[k]
     template = Box2.of_origin(center.d, L_k)
-    centers, interactive = _subbox_candidates(center, L_k, L_next, interaction.r0)
-    reps, orbit = exchange_orbits(centers)
-    h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
+    centers, interactive, orbit, h = _subbox_family(center, k, sched, sample,
+                                                    interaction, g, adjacency)
     values, _ = boundary_green_maxima(h, np.linalg.eigvalsh(h), template.center_index(),
                                       template.boundary_indices(), E)
     singular = values > math.exp(-sched.m[k] * L_k)
@@ -547,8 +536,6 @@ def inductive_ns_step(
     g: float,
     E: float,
     adjacency: str = "sup",
-    cnr: Optional[CnrReport] = None,
-    counters: Optional[CounterReport] = None,
 ) -> InductiveStepReport:
     """Evaluate the hypotheses (complete non-resonance; K <= J) and, when
     they hold, assert non-singularity of the parent at the next mass.
@@ -559,14 +546,11 @@ def inductive_ns_step(
     so the assertion is the meaningful one at every scale).
     """
     parent = Box2(center, sched.L[k + 1])
-    parent_op = None
-    if cnr is None:
-        parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
-        cnr = is_cnr(center, k, sched, sample, interaction, g, E, adjacency,
-                     parent_op=parent_op)
-    if counters is None:
-        counters = count_singular_subboxes(center, k, sched, sample, interaction,
-                                           g, E, adjacency)
+    parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
+    cnr = is_cnr(center, k, sched, sample, interaction, g, E, adjacency,
+                 parent_op=parent_op)
+    counters = count_singular_subboxes(center, k, sched, sample, interaction,
+                                       g, E, adjacency)
     hyp = cnr.ok and counters.K <= sched.J
     bound = mass_step_value(sched.m[k], sched.L[k], sched.J)
     rep = InductiveStepReport(

@@ -54,7 +54,6 @@ class FiniteOperator:
     interaction: Optional[InteractionSpec] = None
     particle: Optional[int] = None  # 1 or 2 for single-particle operators
     _eigenvalues: Optional[np.ndarray] = field(default=None, repr=False)
-    _spectral: Optional["SpectralData"] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -71,8 +70,6 @@ class FiniteOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues; cached (cheaper than full eigenpairs)."""
-        if self._spectral is not None:
-            return self._spectral.eigenvalues
         if self._eigenvalues is None:
             self._eigenvalues = np.linalg.eigvalsh(self.matrix)
         return self._eigenvalues
@@ -84,20 +81,12 @@ class FiniteOperator:
 
 @dataclass
 class SpectralData:
-    """Full eigendecomposition with per-state residual norms."""
+    """Full eigendecomposition with per-state residual norms (``eigh_stack``)."""
 
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # orthonormal columns
     residual_norms: np.ndarray
     op: FiniteOperator
-
-    def __post_init__(self):
-        h_norm = max(1e-300, float(np.abs(self.eigenvalues).max(initial=0.0)))
-        if self.residual_norms.max(initial=0.0) > SPECTRAL_RTOL * h_norm:
-            raise NumericError("eigensolver residuals exceed tolerance")
-        gram = self.eigenvectors.T @ self.eigenvectors
-        if np.abs(gram - np.eye(gram.shape[0])).max() > SPECTRAL_RTOL:
-            raise NumericError("eigenvectors not orthonormal within tolerance")
 
     @property
     def n(self) -> int:
@@ -232,18 +221,48 @@ def assemble_single_particle(
     return FiniteOperator(box, pts, h, adjacency, g, sample, particle=particle)
 
 
-def diagonalize(op: FiniteOperator) -> SpectralData:
-    """Dense symmetric eigendecomposition with residual verification."""
-    if op._spectral is not None:
-        return op._spectral
-    if not np.all(np.isfinite(op.matrix)):
+def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one eigensolve with eigenvectors, on a stack of
+    symmetric matrices ``h`` (``(nbox, n, n)``): ascending eigenvalues
+    ``(nbox, n)``, eigenvector columns ``(nbox, n, n)`` and residual norms
+    ``|H q_s - lambda_s q_s|`` ``(nbox, n)``.  Raises ``NumericError`` when
+    an entry is not finite, a residual exceeds ``SPECTRAL_RTOL`` times its
+    box's spectral radius, or eigenvectors are not orthonormal within
+    ``SPECTRAL_RTOL``."""
+    if not np.all(np.isfinite(h)):
         raise NumericError("operator matrix has non-finite entries")
-    ev, q = np.linalg.eigh(op.matrix)
-    res = np.linalg.norm(op.matrix @ q - q * ev, axis=0)
-    sd = SpectralData(ev, q, res, op)
-    op._spectral = sd
-    op._eigenvalues = ev
-    return sd
+    ev, q = np.linalg.eigh(h)
+    res = np.linalg.norm(h @ q - q * ev[:, None, :], axis=1)
+    radius = np.abs(ev).max(axis=1, initial=0.0)
+    if np.any(res.max(axis=1, initial=0.0) > SPECTRAL_RTOL * np.maximum(radius, 1e-300)):
+        raise NumericError("eigensolver residuals exceed tolerance")
+    gram = np.swapaxes(q, 1, 2) @ q
+    gram -= np.eye(h.shape[-1])  # in place: a fresh stack-sized temporary costs more
+    if np.abs(gram, out=gram).max(initial=0.0) > SPECTRAL_RTOL:
+        raise NumericError("eigenvectors not orthonormal within tolerance")
+    return ev, q, res
+
+
+def pole_residues(h: np.ndarray, center_index: int,
+                  boundary_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Poles and residues of the centre-to-boundary Green's functions of a
+    stack of same-layout boxes ``h`` (``(nbox, n, n)``), from one
+    ``eigh_stack``:
+
+        G(E; c, y_b) = sum_s residues[:, b, s] / (poles[:, s] - E)
+
+    with ``poles`` the ascending eigenvalues ``(nbox, n)`` and ``residues``
+    the products ``psi_s(c) psi_s(y_b)`` over the boundary points
+    ``(nbox, nb, n)``."""
+    ev, q, _ = eigh_stack(h)
+    return ev, q[:, boundary_indices, :] * q[:, center_index, None, :]
+
+
+def diagonalize(op: FiniteOperator) -> SpectralData:
+    """Dense symmetric eigendecomposition of one operator: the one-box
+    ``eigh_stack``."""
+    ev, q, res = eigh_stack(op.matrix[None])
+    return SpectralData(ev[0], q[0], res[0], op)
 
 
 def single_particle_factors(

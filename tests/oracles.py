@@ -3,16 +3,21 @@
 Most oracles are independent brute-force versions that deliberately avoid
 the library's numerical code paths (no factorized solves, no library
 eigensolvers beyond what a specific oracle states, no shared kernels);
-they share only scalar arithmetic with the modules they check.  Six oracles
-are exceptions.  The complete-non-resonance oracle
+they share only scalar arithmetic with the modules they check.  Eight
+oracles are exceptions.  The complete-non-resonance oracle
 checks the batched sweep against the library's single-box assembly (itself
 checked against ``two_particle_matrix``), one box at a time.  The counter
 oracle checks the grid-wide counter sweep against the library's per-energy
-singular sets and subset search.  The sub-box mask oracle diagonalizes
-every candidate sub-box, with no reduction by exchange symmetry, and
-applies the library's ``singular_mask_at``.  The counter-report oracle
-decides the single-energy counters through the library's spectral mask
-(``subbox_spectra``) instead of solves.  The recovery-batch oracle repeats
+singular sets and subset search.  The eigenvector-form singularity mask
+is the one the package used before its pole-residue form: it divides each
+centre entry by the energy shifts and multiplies by the boundary entries,
+and shares only the solver guard ``resolvent.within_guard``.  The sub-box
+mask oracle diagonalizes every candidate sub-box, with no reduction by
+exchange symmetry, and applies the eigenvector-form mask.  The
+non-tunnelling oracle takes the products of ``diagonalize``'s
+eigenvectors, as ``is_nontunnelling`` did before it read residues.  The
+counter-report oracle decides the single-energy counters through the
+library's spectral mask (``subbox_spectra``) instead of solves.  The recovery-batch oracle repeats
 the library's boundary-recovery arithmetic one eigenpair at a time on
 dict-keyed eigenvectors, to pin the array path's records.  The one-box
 Green's column oracle is the unstacked guarded solve that
@@ -330,12 +335,52 @@ def counter_by_energy(spec, ctx, trial) -> tuple[bool, list]:
     return False, searched
 
 
+def singular_mask_by_eigenvectors(eigenvalues, eigenvectors, center_index,
+                                  boundary_indices, radius, E, m) -> np.ndarray:
+    """(E, m)-singularity of a stack of same-layout boxes from their whole
+    eigendecompositions ``(ncand, n)`` and ``(ncand, n, n)``:
+    ``sum_s psi_s(y) (psi_s(c) / (lambda_s - E))`` over the boundary
+    points y, with energies within the solver guard counted as singular.
+    A scalar ``E`` gives ``(ncand,)``, an energy array ``(nE, ncand)``."""
+    from anderson2p.resolvent import within_guard
+
+    energies = np.atleast_1d(np.asarray(E, dtype=np.float64))
+    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
+    center = eigenvectors[:, center_index, :, None]  # (ncand, n, 1)
+    boundary = eigenvectors[:, boundary_indices, :]  # (ncand, nb, n)
+    shift = eigenvalues[:, :, None] - energies  # (ncand, n, nE)
+    mask = within_guard(np.abs(shift).min(axis=1), energies, edge[:, None])
+    if len(boundary_indices):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cols = boundary @ (center / shift)  # (ncand, nb, nE)
+        mask |= np.abs(cols).max(axis=1) > math.exp(-m * radius)
+    return mask.T if np.ndim(E) else mask.T[0]
+
+
+def nontunnelling_by_eigenvectors(box, sample, g, m_hat, adjacency="sup"):
+    """``classify.is_nontunnelling`` of a single-particle box of positive
+    radius from ``diagonalize``'s eigenvectors: the largest
+    ``|psi_s(y) psi_s(c)|`` over boundary points y and states s."""
+    from anderson2p.classify import NTWitness
+    from anderson2p.operators import assemble_single_particle, diagonalize
+
+    threshold = math.exp(-m_hat * box.radius)
+    op = assemble_single_particle(box, sample, g, adjacency=adjacency)
+    sd = diagonalize(op)
+    bidx = box.boundary_indices()
+    prod = np.abs(sd.eigenvectors[bidx] * sd.eigenvectors[box.center_index()])
+    iy, s = np.unravel_index(int(np.argmax(prod)), prod.shape)
+    value = float(prod[iy, s])
+    cap = math.inf if value == 0.0 else -math.log(value) / box.radius
+    return value <= threshold, NTWitness(
+        value, int(s), tuple(int(c) for c in op.points[bidx[iy]]), threshold, cap)
+
+
 def subbox_mask_all_boxes(center, k, schedule, sample, interaction, g, adjacency,
                           energies, m) -> np.ndarray:
     """``(len(energies), ncand)`` singularity mask of every scale-k sub-box
     of the scale-(k+1) box at ``center``: one stacked ``eigh`` over all
-    candidates, then ``classify.singular_mask_at``."""
-    from anderson2p.classify import singular_mask_at
+    candidates, then ``singular_mask_by_eigenvectors``."""
     from anderson2p.geometry import Box2
     from anderson2p.operators import box_family
 
@@ -343,15 +388,16 @@ def subbox_mask_all_boxes(center, k, schedule, sample, interaction, g, adjacency
     template = Box2.of_origin(center.d, L_k)
     centers = Box2(center, schedule.L[k + 1] - L_k).points()
     ev, q = np.linalg.eigh(box_family(centers, L_k, sample, interaction, g, adjacency))
-    return singular_mask_at(ev, q, template.center_index(),
-                            template.boundary_indices(), L_k, energies, m)
+    return singular_mask_by_eigenvectors(ev, q, template.center_index(),
+                                         template.boundary_indices(), L_k, energies, m)
 
 
 def counter_report_by_spectra(center, k, schedule, sample, interaction, g, E,
                               adjacency):
     """``msa.count_singular_subboxes`` through eigendecompositions: the
     singular sets from ``subbox_spectra(...).singular_centers`` (one
-    ``eigh`` per exchange orbit, then ``singular_mask_at``) and one subset
+    ``eigh`` per exchange orbit, then the pole-residue mask
+    ``singular_mask_at``) and one subset
     search per counter; returns the ``CounterReport``."""
     from anderson2p.msa import CounterReport, max_separated_subset, subbox_spectra
 

@@ -26,7 +26,7 @@ from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_bo
 from anderson2p.errors import InvalidInputError
 from anderson2p.geometry import Box1, Box2, Point1, Point2
 from anderson2p.msa import desk_schedule, schedule
-from anderson2p.operators import assemble_two_particle, box_family
+from anderson2p.operators import assemble_two_particle, box_family, pole_residues
 
 from .conftest import box_with_sample
 from .oracles import (
@@ -34,6 +34,8 @@ from .oracles import (
     cnr_probe_spectra,
     dense_inverse_green,
     grid_resonant_pair,
+    nontunnelling_by_eigenvectors,
+    singular_mask_by_eigenvectors,
 )
 
 
@@ -154,44 +156,67 @@ class TestEnergyGrid:
         assert len(energy_grid((-1.0, 1.0), 2, 0.5, 0.5)) == 5
 
 
-def _family_spectra(radius, half_width, g=5.0, adjacency="sup"):
-    """Eigendecompositions of the radius-``radius`` boxes centred in the
-    cube of half-width ``half_width`` around the origin (d = 1)."""
+def _family(radius, half_width, g=5.0, adjacency="sup"):
+    """The radius-``radius`` boxes centred in the cube of half-width
+    ``half_width`` around the origin (d = 1): their stacked Hamiltonians,
+    the centre and boundary indices of their layout, and the radius."""
     centers = Box2.of_origin(1, half_width).points()
     sample = sample_potential(DistributionSpec.uniform(), 5, 2, domain_for_boxes(
         [Box2.of_origin(1, radius + half_width)]))
-    ev, q = np.linalg.eigh(box_family(centers, radius, sample, _interaction(), g,
-                                      adjacency))
+    h = box_family(centers, radius, sample, _interaction(), g, adjacency)
     template = Box2.of_origin(1, radius)
-    return ev, q, template.center_index(), template.boundary_indices(), radius
+    return h, template.center_index(), template.boundary_indices(), radius
 
 
 class TestSingularMask:
     """``singular_mask_at`` over an energy array equals one call per energy,
-    whatever the energy block."""
+    whatever the energy block, and equals the eigenvector-form mask."""
 
     @pytest.mark.parametrize("case", ["stack", "one-box", "radius-0"])
     @pytest.mark.parametrize("block", [None, 1, 4])
     def test_energy_array_matches_per_energy_calls(self, monkeypatch, case, block):
-        ev, q, ci, bidx, radius = _family_spectra(0 if case == "radius-0" else 2, 2)
+        h, ci, bidx, radius = _family(0 if case == "radius-0" else 2, 2)
         if case == "one-box":
-            ev, q = ev[:1], q[:1]
+            h = h[:1]
+        poles, residues = pole_residues(h, ci, bidx)
+        ev, q = np.linalg.eigh(h)
+        assert np.array_equal(poles, ev)
         ncand, n = ev.shape
         if block is not None:
             monkeypatch.setattr(classify, "MASK_BYTES", block * 8 * ncand * n)
         # 23 energies, not a multiple of either block; exact eigenvalues included
         grid = np.concatenate([np.linspace(-1.5, 1.5, 20), ev[0, [0, n // 2, -1]]])
-        mask = singular_mask_at(ev, q, ci, bidx, radius, grid, 0.5)
-        per_energy = np.stack([singular_mask_at(ev, q, ci, bidx, radius, float(E), 0.5)
+        threshold = math.exp(-0.5 * radius)
+        mask = singular_mask_at(poles, residues, threshold, grid)
+        per_energy = np.stack([singular_mask_at(poles, residues, threshold, float(E))
                                for E in grid])
         assert mask.shape == (len(grid), ncand)
         assert np.array_equal(mask, per_energy)
+        assert np.array_equal(mask, singular_mask_by_eigenvectors(ev, q, ci, bidx, radius,
+                                                                  grid, 0.5))
         assert mask[-3:, 0].all()  # an eigenvalue of box 0 is singular for it
         if case == "stack":
             assert not mask.all()
 
+    @pytest.mark.parametrize("g", [1.0, 5.0, 30.0])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_equals_eigenvector_form(self, g, adjacency):
+        # a fine grid and every eigenvalue of the first boxes, at three masses
+        h, ci, bidx, radius = _family(3, 3, g, adjacency)
+        poles, residues = pole_residues(h, ci, bidx)
+        ev, q = np.linalg.eigh(h)
+        grid = np.concatenate([np.linspace(-2.0, 2 * g + 2.0, 401), ev[:3].ravel()])
+        seen = set()
+        for m in (0.05, 0.5, 2.0):
+            mask = singular_mask_at(poles, residues, math.exp(-m * radius), grid)
+            assert np.array_equal(
+                mask, singular_mask_by_eigenvectors(ev, q, ci, bidx, radius, grid, m))
+            seen |= set(np.unique(mask).tolist())
+        assert seen == {False, True}
+
     def test_single_box_agrees_with_is_ns(self):
-        ev, q, ci, bidx, radius = _family_spectra(2, 0)
+        h, ci, bidx, radius = _family(2, 0)
+        ev, q = np.linalg.eigh(h)
         box = Box2.of_origin(1, 2)
         sample = sample_potential(DistributionSpec.uniform(), 5, 2,
                                   domain_for_boxes([box]))
@@ -389,6 +414,19 @@ class TestNonTunnelling:
             assert ok
         ok, _ = is_nontunnelling(box, sample, 30.0, cap * 1.01 + 1e-9)
         assert not ok
+
+    @pytest.mark.parametrize("d,radius", [(1, 1), (1, 4), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("g", [0.0, 5.0, 30.0])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_witness_equals_eigenvector_products(self, d, radius, g, adjacency):
+        # the largest residue is the largest product of diagonalize's
+        # eigenvectors, with the same state and point
+        box = Box1(Point1((2,) * d), radius)
+        for seed in (1, 2):
+            sample = sample_potential(DistributionSpec.uniform(), seed, 0,
+                                      domain_for_boxes([box]))
+            got = is_nontunnelling(box, sample, g, 1.0, adjacency)
+            assert got == nontunnelling_by_eigenvectors(box, sample, g, 1.0, adjacency)
 
     def test_degenerate_radius_zero(self):
         box = Box1(Point1((3,)), 0)

@@ -139,6 +139,28 @@ class TestOneLapackLibrary:
                               or n == "scipy.linalg" or n.startswith("scipy.linalg.")]
         assert offenders == []
 
+    def test_one_eigensolve_with_eigenvectors(self):
+        # numpy.linalg.eigh is named only inside operators.eigh_stack, so
+        # every eigenvector the package reads has passed its finiteness,
+        # residual and orthonormality checks
+        offenders = []
+        for path in sorted(Path(anderson2p.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                if (path.stem, getattr(top, "name", None)) == ("operators", "eigh_stack"):
+                    continue
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute):
+                        names = [node.attr]
+                    elif isinstance(node, ast.Name):
+                        names = [node.id]
+                    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                        names = [a.name.split(".")[-1] for a in node.names]
+                    else:
+                        continue
+                    if "eigh" in names:
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
     def test_no_scipy_import_at_module_load(self):
         # scipy costs about 1 s per CLI start; only function bodies (the
         # truncated-Gaussian marginal) may import it, on first use

@@ -21,7 +21,7 @@ from anderson2p.msa import (
 )
 from anderson2p.operators import box_family
 
-from .conftest import random_point2
+from .conftest import duplicated_eigenpair, random_point2
 from .oracles import (
     counter_report_by_spectra,
     exhaustive_separated_subset,
@@ -223,7 +223,7 @@ class TestSubboxSpectra:
             spectra = subbox_spectra(center, k, sched, sample, _interaction(),
                                      sched.g, adjacency)
             n_side = 2 * (sched.L[k + 1] - sched.L[k]) + 1
-            assert len(spectra.eigenvalues) == (n_side**2 + n_side) // 2
+            assert len(spectra.poles) == (n_side**2 + n_side) // 2
             mask = spectra.mask(energies, sched.m[k])
             want = subbox_mask_all_boxes(center, k, sched, sample, _interaction(),
                                          sched.g, adjacency, energies, sched.m[k])
@@ -261,6 +261,14 @@ class TestSubboxSpectra:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(NumericError, match="residual"):
             subbox_spectra(*args)
+
+    def test_orthonormality_checked(self, monkeypatch):
+        sched = desk_schedule(g=5.0)
+        center = Point2.of((0,), (0,))
+        sample = self._sample(sched, 0, center, 1)
+        monkeypatch.setattr(np.linalg, "eigh", duplicated_eigenpair(np.linalg.eigh))
+        with pytest.raises(NumericError, match="not orthonormal"):
+            subbox_spectra(center, 0, sched, sample, _interaction(), sched.g, "sup")
 
 
 class TestSingleEnergyCounter:

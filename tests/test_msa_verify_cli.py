@@ -28,6 +28,13 @@ class TestMsaVerify:
             if not obj.skipped:
                 assert obj.ns_ok
 
+    def test_nt_to_ns_reads_a_zero_mass(self, tmp_path):
+        out = _run_cli(["msa-verify", "--check", "nt-to-ns", "--seeds", "2",
+                        "--nt-mass", "0", "--out", str(tmp_path / "o")], tmp_path)
+        assert out.returncode == 0, out.stderr
+        recs = read_records(next((tmp_path / "o").rglob("records.jsonl")))
+        assert [r["m_hat"] for r in recs] == [0.0, 0.0]
+
     def test_inductive_step_batch(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"interval": [-2.0, 6.0]}))

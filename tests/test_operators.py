@@ -19,7 +19,7 @@ from anderson2p.operators import (
     family_spectra,
 )
 
-from .conftest import box_with_sample, random_point2
+from .conftest import box_with_sample, duplicated_eigenpair, random_point2
 from .oracles import (
     path_graph_eigenvalues,
     permutation_conjugate_check,
@@ -219,6 +219,28 @@ class TestDiagonalize:
         sd = diagonalize(op)
         scale = max(1.0, np.abs(sd.eigenvalues).max())
         assert sd.residual_norms.max() <= 1e-8 * scale
+
+    def test_orthonormality_checked(self, monkeypatch):
+        from anderson2p.errors import NumericError
+
+        box, sample = box_with_sample(Point2.of((0,), (0,)), 1, seed=9)
+        op = assemble_two_particle(box, sample, _interaction(), 5.0)
+        monkeypatch.setattr(np.linalg, "eigh", duplicated_eigenpair(np.linalg.eigh))
+        with pytest.raises(NumericError, match="not orthonormal"):
+            diagonalize(op)
+
+    def test_eigenvalues_unchanged_by_diagonalize(self):
+        # the cached eigenvalues stay eigvalsh's; eigh's differ in the last
+        # bits on these radius-3 boxes
+        differ = 0
+        for seed in range(20):
+            box, sample = box_with_sample(Point2.of((0,), (0,)), 3, seed=seed)
+            op = assemble_two_particle(box, sample, _interaction(), 5.0, "sup")
+            before = op.eigenvalues().tobytes()
+            sd = diagonalize(op)
+            assert op.eigenvalues().tobytes() == before
+            differ += sd.eigenvalues.tobytes() != before
+        assert differ > 0
 
     def test_non_finite_entries_rejected(self):
         from anderson2p.errors import NumericError

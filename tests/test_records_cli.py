@@ -274,6 +274,29 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_radius_rejected_where_unread(self, tmp_path, capsys):
+        argv = ["mc-estimate", "--event", "resonant_at_energy", "--energy", "0",
+                "--radius", "7", "--set", "trials=1", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "unrecognized arguments: --radius 7" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("check,option", [
+        ("inductive-step", ["--radius", "7"]),
+        ("inductive-step", ["--sub-radius", "3", "--nt-mass", "2"]),
+        ("nt-to-ns", ["--sub-radius", "3"]),
+        ("boundary-recovery", ["--nt-mass", "2"]),
+    ])
+    def test_msa_verify_rejects_options_its_check_does_not_read(self, tmp_path, capsys,
+                                                                check, option):
+        argv = ["msa-verify", "--check", check, "--seeds", "1", *option,
+                "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "error" and err["error"] == "InvalidInputError"
+        assert all(flag in err["message"] for flag in option[::2])
+        assert not (tmp_path / "o").exists()
+
     def test_center_of_configured_dimension_accepted(self, tmp_path):
         argv = ["spectrum", "--center", "1,2;3,4", "--radius", "1",
                 "--set", "dimension=2", "--out", str(tmp_path / "o")]
