@@ -82,21 +82,6 @@ class DistributionSpec:
             raise InvalidInputError("piecewise density needs positive total mass")
         return cls("piecewise-density", a, b, weights=tuple(x / s for x in w))
 
-    def density_bound(self) -> float:
-        width = self.b - self.a
-        if self.kind == "uniform":
-            return 1.0 / width
-        if self.kind == "truncated-gaussian":
-            from scipy.special import ndtr
-
-            lo, hi = self._z(self.a), self._z(self.b)
-            mass = ndtr(hi) - ndtr(lo)
-            peak_z = min(max(0.0, lo), hi)
-            phi = np.exp(-0.5 * peak_z**2) / np.sqrt(2 * np.pi)
-            return float(phi / (self.sigma * mass))
-        ncell = len(self.weights)
-        return max(self.weights) * ncell / width
-
     def density_integral(self) -> float:
         if self.kind == "piecewise-density":
             return float(sum(self.weights))
@@ -211,22 +196,11 @@ class DisorderSample:
         except KeyError:
             raise OutOfDomainError(f"site {site.coords} not in sampled domain") from None
 
-    def values_at(self, sites: np.ndarray) -> np.ndarray:
-        """Vectorized lookup for an (N, d) site array.
-
-        Values are recomputed from the site-keyed generator (identical to
-        the stored map by construction) after a domain membership check.
-        """
-        sites = np.asarray(sites, dtype=np.int64)
-        for row in sites:
-            if tuple(int(c) for c in row) not in self.domain:
-                raise OutOfDomainError(f"site {tuple(row)} not in sampled domain")
-        return self.values_at_unchecked(sites)
-
     def values_at_unchecked(self, sites: np.ndarray) -> np.ndarray:
-        """As :meth:`values_at` but skipping the domain check; for callers
-        that already validated coverage (e.g. operator assembly, which
-        checks the box projections once)."""
+        """Vectorized lookup for an (N, d) site array, recomputed from the
+        site-keyed generator (identical to the stored map by construction)
+        with no domain check; for callers that already validated coverage
+        (e.g. operator assembly, which checks the box projections once)."""
         return self.spec.transform(uniform01(self.seed, self.trial, sites))
 
 

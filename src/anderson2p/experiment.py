@@ -13,6 +13,7 @@ recorded next to each estimate but never asserted at desk scales.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .blas import ordered_map
 from .classify import (
     cnr_subbox_layout,
     energy_grid,
@@ -611,7 +613,9 @@ def estimate_event(
     interaction: Optional[InteractionSpec] = None,
 ) -> EstimateRecord:
     """Monte Carlo estimate of one event's probability with a Wilson 95%
-    interval; deterministic given (seed, spec, schedule, trials)."""
+    interval; deterministic given (seed, spec, schedule, trials).  Trials
+    run on ``blas.ordered_map``'s workers; each is a pure function of
+    ``(seed, trial)``, so the record does not depend on the worker count."""
     if trials <= 0:
         raise InvalidInputError("at least one trial is required")
     t0 = time.perf_counter()
@@ -621,9 +625,8 @@ def estimate_event(
         interaction=interaction or InteractionSpec.triangular(sched.r0),
         seed=seed,
     )
-    successes = sum(
-        1 for trial in range(trials) if evaluate_event(spec, ctx, trial)
-    )
+    hits = ordered_map(functools.partial(evaluate_event, spec, ctx), range(trials))
+    successes = sum(1 for hit in hits if hit)
     return _finish_record(spec, sched, trials, successes, seed, t0)
 
 

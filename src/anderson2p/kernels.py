@@ -1,12 +1,15 @@
 """Hot numeric kernels, vectorized in numpy.
 
 The site-keyed hash behind every disorder draw, all-pairs lattice
-distances, the 0/1 hop matrix of a point set, and per-shell maxima.
+distances, the 0/1 hop matrix of a point set (from the stencil of unit
+steps), and per-shell maxima.
 Kernels operate on plain int64/float64 arrays; all lattice-aware wrapping
 lives in :mod:`anderson2p.geometry` and friends.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,7 +51,12 @@ def uniform01(seed: int, trial: int, coords: np.ndarray) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def _pairwise_dist(a: np.ndarray, b: np.ndarray, manhattan: bool) -> np.ndarray:
+def pairwise_dist(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """All-pairs lattice distances between two point sets.
+
+    ``mode`` is ``"sup"`` (Chebyshev over all coordinates) or ``"l1"``
+    (Manhattan); rows index ``a``, columns ``b``.
+    """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
     # chunk the row axis to keep the (na, nb, d) temporary small
@@ -58,23 +66,53 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray, manhattan: bool) -> np.ndarray:
     for lo in range(0, na, step):
         hi = min(na, lo + step)
         diff = np.abs(a[lo:hi, None, :] - b[None, :, :])
-        out[lo:hi] = diff.sum(axis=2) if manhattan else diff.max(axis=2)
+        out[lo:hi] = diff.sum(axis=2) if mode == "l1" else diff.max(axis=2)
     return out
 
 
-def pairwise_dist(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """All-pairs lattice distances between two point sets.
-
-    ``mode`` is ``"sup"`` (Chebyshev over all coordinates) or ``"l1"``
-    (Manhattan); rows index ``a``, columns ``b``.
-    """
-    return _pairwise_dist(a, b, mode == "l1")
+def _unit_steps(dim: int, mode: str) -> np.ndarray:
+    """The offsets at lattice distance one in ``dim`` coordinates: the
+    ``2 dim`` axis steps under ``"l1"``, the ``3**dim - 1`` nonzero points
+    of {-1, 0, 1}**dim under ``"sup"``."""
+    if mode == "l1":
+        eye = np.eye(dim, dtype=np.int64)
+        return np.concatenate([eye, -eye])
+    cube = np.indices((3,) * dim).reshape(dim, -1).T - 1
+    return cube[np.abs(cube).sum(axis=1) > 0]
 
 
 def adjacency_matrix(pts: np.ndarray, mode: str) -> np.ndarray:
     """0/1 hopping matrix: entry (i, j) is 1 iff dist(pts[i], pts[j]) == 1
-    under the requested metric, 0 on the diagonal."""
-    return (_pairwise_dist(pts, pts, mode == "l1") == 1).astype(np.float64)
+    under the requested metric, 0 on the diagonal.
+
+    Built from the stencil of unit steps, with no all-pairs distances:
+    each point gets its lexicographic index in its bounding box widened by
+    one site at every face, so a step is one index offset and never wraps
+    round a face; the neighbours of a point along a step are the points
+    whose index is its own plus that offset.  Beyond the ``(N, N)`` output
+    this takes O(N x degree) memory.
+    """
+    pts = np.ascontiguousarray(pts, dtype=np.int64)
+    n, dim = pts.shape
+    h = np.zeros((n, n))
+    if n == 0:
+        return h
+    low = pts.min(axis=0) - 1
+    extent = [int(e) for e in pts.max(axis=0) - low + 2]
+    if math.prod(extent) >= 2**62:
+        raise ValueError("points span too wide a box for int64 indices")
+    strides = np.array([math.prod(extent[i + 1:]) for i in range(dim)], dtype=np.int64)
+    index = (pts - low) @ strides
+    order = np.argsort(index, kind="stable")
+    ordered = index[order]
+    rows = np.arange(n)
+    for offset in _unit_steps(dim, mode) @ strides:
+        # points sharing a position (allowed) form one run of ``ordered``
+        first = np.searchsorted(ordered, index + offset, "left")
+        count = np.searchsorted(ordered, index + offset, "right") - first
+        run_start = np.repeat(first - np.cumsum(count) + count, count)
+        h[np.repeat(rows, count), order[np.arange(count.sum()) + run_start]] = 1.0
+    return h
 
 
 def shell_max(values: np.ndarray, dists: np.ndarray, nshells: int) -> np.ndarray:

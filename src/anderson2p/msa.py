@@ -171,12 +171,6 @@ class ParameterReport:
     checks: list[ConstraintCheck]
     asymptotic_regime: bool
 
-    def passed(self, name: str) -> bool:
-        for c in self.checks:
-            if c.name == name:
-                return c.status == "pass"
-        raise KeyError(name)
-
     def to_record(self) -> dict:
         return {
             "kind": "parameter_report",

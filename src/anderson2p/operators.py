@@ -74,10 +74,6 @@ class FiniteOperator:
             self._eigenvalues = np.linalg.eigvalsh(self.matrix)
         return self._eigenvalues
 
-    def norm2(self) -> float:
-        ev = self.eigenvalues()
-        return float(max(abs(ev[0]), abs(ev[-1]))) if len(ev) else 0.0
-
 
 @dataclass
 class SpectralData:

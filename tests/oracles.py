@@ -24,7 +24,10 @@ Green's column oracle is the unstacked guarded solve that
 ``resolvent.green_column`` replaced, to pin its bits and its errors.
 
 The last section holds reference code that no command needs, kept for the
-tests that use it: the factor-sum spectrum and exchange-conjugation check
+tests that use it: the all-pairs hop matrix that ``kernels.adjacency_matrix``
+replaced, the spectral norm of an operator, the density bound of a
+disorder law, the domain-checked sample lookup, the status of one
+parameter check, the factor-sum spectrum and exchange-conjugation check
 of a box, the set distance of two boxes, and the typed reader of
 ``records.jsonl``.  It calls the library's assembly and record types.
 Everything here is test-tree-only and never imported by the package.
@@ -429,7 +432,7 @@ def _boundary_recovery_by_dict(op, E, psi):
     from anderson2p.resolvent import RESONANCE_GUARD, spectral_gap
 
     gap = spectral_gap(op, E)
-    if gap <= RESONANCE_GUARD * max(1.0, abs(E), op.norm2()):
+    if gap <= RESONANCE_GUARD * max(1.0, abs(E), operator_norm2(op)):
         raise ResonantEnergyError("energy resonant with the box; recovery undefined")
     box = op.box
     ext = exterior_boundary(box)
@@ -516,7 +519,7 @@ def green_column_one_box(op, E: float, x=None) -> tuple[np.ndarray, float]:
     from anderson2p.resolvent import RESONANCE_GUARD, spectral_gap
 
     gap = spectral_gap(op, E)
-    if gap <= RESONANCE_GUARD * max(1.0, abs(E), op.norm2()):
+    if gap <= RESONANCE_GUARD * max(1.0, abs(E), operator_norm2(op)):
         raise ResonantEnergyError(f"energy {E} within {gap:.3e} of the spectrum")
     idx = x if isinstance(x, (int, np.integer)) else (
         op.center_index() if x is None else op.index_of(x)
@@ -533,6 +536,56 @@ def green_column_one_box(op, E: float, x=None) -> tuple[np.ndarray, float]:
 
 # ---------------------------------------------------------------------------
 # reference code no command needs
+
+
+def adjacency_all_pairs(pts, mode: str) -> np.ndarray:
+    """0/1 hop matrix from all-pairs lattice distances, O(N^2 d) memory:
+    the build ``kernels.adjacency_matrix`` had before its stencil."""
+    from anderson2p.kernels import pairwise_dist
+
+    return (pairwise_dist(pts, pts, mode) == 1).astype(np.float64)
+
+
+def operator_norm2(op) -> float:
+    """Spectral norm of a symmetric operator: its largest |eigenvalue|."""
+    ev = op.eigenvalues()
+    return float(max(abs(ev[0]), abs(ev[-1]))) if len(ev) else 0.0
+
+
+def density_bound(spec) -> float:
+    """Supremum of the density of the disorder law ``spec`` on [a, b]."""
+    width = spec.b - spec.a
+    if spec.kind == "uniform":
+        return 1.0 / width
+    if spec.kind == "truncated-gaussian":
+        from scipy.special import ndtr
+
+        lo, hi = (spec.a - spec.mu) / spec.sigma, (spec.b - spec.mu) / spec.sigma
+        mass = ndtr(hi) - ndtr(lo)
+        peak_z = min(max(0.0, lo), hi)
+        phi = np.exp(-0.5 * peak_z**2) / np.sqrt(2 * np.pi)
+        return float(phi / (spec.sigma * mass))
+    return max(spec.weights) * len(spec.weights) / width
+
+
+def values_at(sample, sites) -> np.ndarray:
+    """``sample.values_at_unchecked`` after checking that every row of
+    ``sites`` lies in the sampled domain."""
+    from anderson2p.errors import OutOfDomainError
+
+    sites = np.asarray(sites, dtype=np.int64)
+    for row in sites:
+        if tuple(int(c) for c in row) not in sample.domain:
+            raise OutOfDomainError(f"site {tuple(row)} not in sampled domain")
+    return sample.values_at_unchecked(sites)
+
+
+def check_passed(report, name: str) -> bool:
+    """Whether the check ``name`` of a ``ParameterReport`` passed."""
+    for c in report.checks:
+        if c.name == name:
+            return c.status == "pass"
+    raise KeyError(name)
 
 
 def tensor_spectrum(box, sample, interaction, g, adjacency="l1") -> np.ndarray:

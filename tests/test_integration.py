@@ -1,14 +1,17 @@
 """Cross-cutting integration checks: backend invariance of full
 experiments, subsampled budget paths, third-party cross-validation, the
-single LAPACK library, the BLAS thread policy, and the modules the CLI
-loads."""
+single LAPACK library, the BLAS thread policy, the worker threads, and the
+modules the CLI loads."""
 
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from scipy.stats import binomtest
 
 import anderson2p
-from anderson2p import blas
+from anderson2p import blas, experiment
 from anderson2p.classify import is_cnr
 from anderson2p.disorder import (
     DistributionSpec,
@@ -24,6 +27,7 @@ from anderson2p.disorder import (
     domain_for_boxes,
     sample_potential,
 )
+from anderson2p.errors import PlacementError
 from anderson2p.experiment import wilson_interval
 from anderson2p.geometry import Box2
 from anderson2p.msa import desk_schedule
@@ -333,6 +337,193 @@ class TestBlasThreadPolicy:
             openblas.set_threads(before)
         manifest = json.loads(next(tmp_path.rglob("manifest.json")).read_text())
         assert manifest["blas"]["threads"] == 1
+
+
+def _set_cpus(monkeypatch, count: int) -> None:
+    """Let this process appear to run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestWorkerPool:
+    """``blas.ordered_map`` spreads seeds and trials over one thread per
+    CPU while ``one_thread`` holds the pin; records, exit codes and error
+    records must not depend on how many there are."""
+
+    @pytest.fixture(autouse=True)
+    def openblas(self):
+        if blas.loaded_openblas() is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found: one worker only")
+
+    @staticmethod
+    def _run(argv, out) -> tuple[int, bytes | None, dict | None]:
+        from anderson2p import cli
+
+        threads = threading.active_count()
+        code = cli.main([*argv, "--out", str(out)])
+        assert threading.active_count() == threads
+        records = next(out.rglob("records.jsonl"), None)
+        manifest = next(out.rglob("manifest.json"), None)
+        return (code, records and records.read_bytes(),
+                manifest and json.loads(manifest.read_text()))
+
+    @pytest.mark.parametrize("argv", [
+        *[("workload", name) for name in ("inductive", "counter", "wegner", "recovery")],
+        *[("msa-verify", "--check", "nt-to-ns", "--seeds", "4", "--set", f"seed={seed}")
+          for seed in (1, 2, 3)],
+    ], ids=lambda argv: argv[1] if argv[0] == "workload" else f"nt-to-ns-{argv[-1]}")
+    def test_records_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, argv):
+        if argv[0] == "workload":
+            argv = _load_perfbench("workloads").WORKLOADS[argv[1]].argv(0)
+        runs = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            code, records, manifest = self._run(argv, tmp_path / str(cpus))
+            assert code == 0 and manifest["workers"] == cpus
+            runs.append(records)
+        assert runs[0] == runs[1]
+
+    def test_error_of_lowest_failing_trial(self, tmp_path, monkeypatch, capsys):
+        """Trials 3 and 5 fail; trial 3 fails last, after trial 5 has
+        failed on the other worker, and its error is the one reported."""
+        evaluate = experiment.evaluate_event
+
+        def failing(spec, ctx, trial):
+            if trial == 3:
+                time.sleep(0.3)
+            if trial in (3, 5):
+                raise PlacementError(f"trial {trial} could not be placed")
+            return evaluate(spec, ctx, trial)
+
+        monkeypatch.setattr(experiment, "evaluate_event", failing)
+        argv = ["mc-estimate", "--event", "resonant_at_energy", "--energy", "0",
+                "--set", "trials=8"]
+        errors = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            code, records, _ = self._run(argv, tmp_path / str(cpus))
+            assert code == 2 and records is None
+            errors.append(json.loads(capsys.readouterr().err))
+        assert errors[0] == errors[1] == {
+            "kind": "error", "error": "PlacementError",
+            "message": "trial 3 could not be placed"}
+
+    def test_results_in_index_order_on_every_worker(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        callers = set()
+
+        def square(i):
+            callers.add(threading.get_ident())
+            time.sleep(0.002 * (i % 3))
+            return i * i
+
+        with blas.one_thread():
+            assert blas.workers() == 2
+            assert blas.ordered_map(square, range(40)) == [i * i for i in range(40)]
+        assert len(callers) == 2 and threading.get_ident() in callers
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        """Eight workers on a one-microsecond switch interval: every item
+        runs exactly once and lands in its slot, and a failure is still
+        the lowest failing index."""
+        _set_cpus(monkeypatch, 8)
+        calls = []
+
+        def item(i):
+            calls.append(i)
+            if i in (700, 1500):
+                raise PlacementError(str(i))
+            return -i
+
+        outcome = {}
+
+        def run():
+            outcome["ok"] = blas.ordered_map(item, range(600))
+            try:
+                blas.ordered_map(item, range(2000))
+            except PlacementError as e:
+                outcome["error"] = str(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert outcome["ok"] == [-i for i in range(600)]
+        assert outcome["error"] == "700"
+        assert sorted(calls[:600]) == list(range(600))
+        assert sorted(set(calls[600:])) == sorted(calls[600:])
+        assert set(range(701)) <= set(calls[600:])
+
+    def test_helpers_run_under_the_callers_profile(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        calls = []
+
+        def item(i):
+            time.sleep(0.001)
+            return i
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is item.__code__:
+                calls.append(threading.get_ident())
+
+        sys.setprofile(profile)
+        try:
+            blas.ordered_map(item, range(40))
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 40 and len(set(calls)) == 2
+
+    def test_no_thread_outside_the_pin(self, monkeypatch):
+        """The test session runs inside ``one_thread`` (``conftest``); this
+        test steps outside it, then checks that a block sets and restores
+        the pin."""
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(blas, "_pinned", False)
+        threads = threading.active_count()
+        seen = []
+
+        def probe(i):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return i
+
+        assert blas.workers() == 1
+        assert blas.ordered_map(probe, range(6)) == list(range(6))
+        assert seen == [(threading.get_ident(), threads)] * 6
+        with blas.one_thread():
+            assert blas.workers() == 2
+        assert blas.workers() == 1
+
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor-fault counts of glibc's malloc")
+    def test_workers_fault_in_no_fresh_pages(self, tmp_path):
+        """With two workers, a second ``counter`` chunk in the same process
+        reuses the memory the first one freed: glibc's default thresholds
+        hand it back and fault it in again, about 500 pages per trial,
+        which makes the kernel flush the other worker's CPU."""
+        workloads = _load_perfbench("workloads")
+        argv = workloads.WORKLOADS["counter"].argv(0)
+        script = textwrap.dedent(f"""
+            import contextlib, io, os, resource
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            from anderson2p import cli
+            argv = {[*argv, "--out", str(tmp_path)]!r}
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert cli.main(argv) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=cli_env(), timeout=120)
+        assert out.returncode == 0, out.stderr
+        if not blas.keep_freed_memory():
+            pytest.skip("no glibc mallopt")
+        assert int(out.stdout) < 20 * workloads.COUNTER_TRIALS
 
 
 class TestCliClassifyScale:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import anderson2p.kernels as kernels
+from anderson2p.geometry import Box1, Box2
 
 from .oracles import (
+    adjacency_all_pairs,
     adjacency_loops,
     pairwise_dist_loops,
     shell_max_loops,
@@ -46,6 +48,25 @@ def test_pairwise_and_adjacency_match_loops(mode, ncols):
     adj = kernels.adjacency_matrix(a, mode)
     assert adj.dtype == np.float64
     assert np.array_equal(adj, adjacency_loops(a, mode))
+
+
+@pytest.mark.parametrize("mode", ["sup", "l1"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("radius", range(9))
+def test_stencil_adjacency_equals_all_pairs(mode, d, radius):
+    """Boxes in one and two coordinates: the single-particle boxes of
+    d = 1, 2 and the two-particle boxes of d = 1."""
+    pts = Box1.of_origin(d, radius).points()
+    assert np.array_equal(kernels.adjacency_matrix(pts, mode),
+                          adjacency_all_pairs(pts, mode))
+
+
+@pytest.mark.parametrize("mode", ["sup", "l1"])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_stencil_adjacency_equals_all_pairs_in_four_coordinates(mode, radius):
+    pts = Box2.of_origin(2, radius).points()
+    assert np.array_equal(kernels.adjacency_matrix(pts, mode),
+                          adjacency_all_pairs(pts, mode))
 
 
 def test_shell_max_matches_loop():

@@ -6,6 +6,7 @@ import pytest
 from anderson2p.msa import asymptotic_schedule, schedule, validate_parameters
 
 from .oracles import (
+    check_passed,
     dense_inverse_green,
     exhaustive_separated_subset,
     gauss_jordan_inverse,
@@ -73,6 +74,6 @@ def test_mass_product_failure_case():
     # infinite-product bound
     s = schedule(250, 1.5, 40.0, 1.0, 1)
     rep = validate_parameters(s)
-    assert not rep.passed("mass_product_half")
+    assert not check_passed(rep, "mass_product_half")
     assert not rep.asymptotic_regime
-    assert validate_parameters(asymptotic_schedule()).passed("mass_product_half")
+    assert check_passed(validate_parameters(asymptotic_schedule()), "mass_product_half")
