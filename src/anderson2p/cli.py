@@ -12,21 +12,27 @@ Subcommands::
                  (--event <kind> | wegner | ss-probe | g-trend)
     decay-fit    effective-mass extraction across couplings
 
-Each run does its LAPACK on one BLAS thread (``blas.one_thread``) and
-spreads the trials of ``mc-estimate`` and the seeds of ``msa-verify``'s
-``nt-to-ns`` check over one worker thread per CPU
-(``blas.ordered_map``).  It writes ``records.jsonl`` (one JSON record per
-line; byte-stable across reruns of the same configuration, whatever the
-host's core count, the worker count or the caller's thread variables)
-plus ``manifest.json`` carrying the config hash, version, timestamp, wall
-time, BLAS policy and worker count; some subcommands also emit CSV
-summaries.  Exit codes: 0 success, 2 invalid configuration or
-arguments, 3 infeasible schedule.
+What each event kind reads (the interval, scale k + 1) comes from
+``experiment.EVENTS``; ``ss-probe`` and ``g-trend`` estimate the kinds
+``experiment.MODE_KINDS`` names, with specs built as for ``--event
+<kind>``.  Each run does its LAPACK on one BLAS thread
+(``blas.one_thread``) and spreads the trials of every ``mc-estimate``
+mode and the seeds of ``msa-verify``'s ``nt-to-ns`` check over one worker
+thread per CPU (``blas.ordered_map``).  It writes ``records.jsonl`` (one
+JSON record per line; byte-stable across reruns of the same
+configuration, whatever the host's core count, the worker count or the
+caller's thread variables) plus ``manifest.json`` carrying the config
+hash, version, timestamp, wall time, BLAS policy and worker count; some
+subcommands also emit CSV summaries.  The files go to
+``<root>/<subcommand>-<tag>``, where the tag hashes the configuration and
+the subcommand's arguments.  Exit codes: 0 success, 2 invalid
+configuration or arguments, 3 infeasible schedule.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -43,12 +49,12 @@ from .config import ConfigError, ExperimentConfig
 from .disorder import domain_for_boxes, sample_potential
 from .errors import Anderson2pError, InfeasibleScheduleError, InvalidInputError
 from .experiment import (
-    NEXT_SCALE_KINDS,
+    EVENTS,
+    MODE_KINDS,
     EventSpec,
     estimate_event,
     localization_mass_sweep,
     singularity_vs_g_probe,
-    ss_induction_probe,
     wegner_sweep,
 )
 from .geometry import Box2, Point2
@@ -118,10 +124,11 @@ def _check_scale(subcommand: str, args, sched) -> None:
         if subcommand == "classify":
             return
         k = 0
-    event = getattr(args, "event", None)
     top = k + (subcommand == "classify"
                or getattr(args, "check", None) == "inductive-step"
-               or event == "ss-probe" or event in NEXT_SCALE_KINDS)
+               or any(EVENTS[kind].next_scale
+                      for kind in _event_kinds(getattr(args, "event", None))
+                      if kind in EVENTS))
     if k < 0 or top > sched.k_max:
         scales = f"{k} and {top}" if top > k else f"{k}"
         raise InvalidInputError(f"k={k} reads scale {scales}, but the schedule "
@@ -129,13 +136,20 @@ def _check_scale(subcommand: str, args, sched) -> None:
 
 
 def _out_dir(args, cfg: ExperimentConfig, subcommand: str) -> Path:
+    """``<root>/<subcommand>-<tag>``, the tag hashing the configuration and
+    the subcommand's own arguments, so that runs differing in either do not
+    share a directory."""
     base = (
         getattr(args, "out", None)
         or cfg.output_dir
         or os.environ.get(ENV_OUTDIR)
         or "runs"
     )
-    path = Path(base) / f"{subcommand}-{cfg.config_hash()[:8]}"
+    own = {name: value for name, value in vars(args).items()
+           if name not in ("subcommand", "config", "overrides", "out")}
+    tag = hashlib.sha256(json.dumps([cfg.config_hash(), own], sort_keys=True)
+                         .encode()).hexdigest()
+    path = Path(base) / f"{subcommand}-{tag[:8]}"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -315,61 +329,47 @@ def _recovery_batch(cfg, sched, seed_trial, parent_radius, sub_radius):
     )
 
 
+def _event_kinds(event: str | None) -> tuple[str, ...]:
+    """The event kinds ``mc-estimate --event <event>`` estimates."""
+    return MODE_KINDS.get(event, (event,))
+
+
+def _event_spec(cfg, args, kind: str) -> EventSpec:
+    """The spec of one estimate; every ``--event`` but ``wegner``, whose
+    specs are not grid events, builds its specs here."""
+    reads_interval = kind in EVENTS and EVENTS[kind].interval  # EventSpec rejects the rest
+    return EventSpec(
+        kind=kind, k=args.k or 0,
+        interval=cfg.interval if reads_interval else None,
+        energy=args.energy, n=args.n, adjacency=cfg.adjacency,
+        grid_spacing=cfg.grid_spacing,
+    )
+
+
 def _cmd_mc_estimate(cfg, sched, args):
     interaction = cfg.interaction_spec()
     dist = cfg.distribution_spec()
-    csvs = {}
     if args.event == "wegner":
         scales = [int(x) for x in args.scales.split(",")]
         energy = args.energy if args.energy is not None else 0.0
         rows = wegner_sweep(scales, energy, cfg.trials, sched, cfg.seed,
                             dist, interaction, cfg.adjacency)
-        records = [dict(r, kind="wegner_row") for r in rows]
-        csvs["wegner.csv"] = (
-            ["scale", "p_single", "single_lo", "single_hi",
-             "p_pair", "pair_lo", "pair_hi", "reference"],
-            [
-                [
-                    r["scale"],
-                    r["single_box"]["estimate"] if r["single_box"] else "",
-                    r["single_box"]["wilson_low"] if r["single_box"] else "",
-                    r["single_box"]["wilson_high"] if r["single_box"] else "",
-                    r["pair"]["estimate"], r["pair"]["wilson_low"],
-                    r["pair"]["wilson_high"], r["reference"],
-                ]
-                for r in records
-            ],
-        )
-    elif args.event == "ss-probe":
-        out = ss_induction_probe(sched, args.k or 0, cfg.trials, cfg.seed,
-                                 cfg.interval, dist, interaction, cfg.adjacency)
-        records = [r.to_record() for r in out["records"].values()]
-    elif args.event == "g-trend":
+        header = ["scale", "p_single", "single_lo", "single_hi",
+                  "p_pair", "pair_lo", "pair_hi", "reference"]
+        table = [[r["scale"], r["single_box"]["estimate"], r["single_box"]["wilson_low"],
+                  r["single_box"]["wilson_high"], r["pair"]["estimate"],
+                  r["pair"]["wilson_low"], r["pair"]["wilson_high"], r["reference"]]
+                 for r in rows]
+        return [dict(r, kind="wegner_row") for r in rows], {"wegner.csv": (header, table)}
+    specs = [_event_spec(cfg, args, kind) for kind in _event_kinds(args.event)]
+    if args.event == "g-trend":
         gs = [float(x) for x in args.g_list.split(",")]
-        out = singularity_vs_g_probe(gs, sched, cfg.trials, cfg.seed,
-                                     cfg.interval, dist, interaction,
-                                     cfg.adjacency)
+        out = singularity_vs_g_probe(gs, specs[0], sched, cfg.trials, cfg.seed,
+                                     dist, interaction)
         records = [dict(r["record"].to_record(), g=r["g"]) for r in out["rows"]]
-        records.append({"kind": "g_trend_summary", "trend": out["trend"]})
-    else:
-        spec = EventSpec(
-            kind=args.event, k=args.k or 0,
-            interval=cfg.interval if _needs_interval(args.event) else None,
-            energy=args.energy, n=args.n, adjacency=cfg.adjacency,
-            grid_spacing=cfg.grid_spacing,
-        )
-        rec = estimate_event(spec, sched, cfg.trials, cfg.seed, dist, interaction)
-        records = [rec.to_record()]
-    return records, csvs
-
-
-def _needs_interval(kind: str) -> bool:
-    return kind in (
-        "single_box_singular", "pair_singular", "interactive_pair_singular",
-        "mixed_pair_singular", "ni_counter_at_least",
-        "interactive_counter_at_least", "total_counter_at_least",
-        "ni_projection_tunnelling", "neither_box_cnr", "mixed_pair_residual",
-    )
+        return records + [{"kind": "g_trend_summary", "trend": out["trend"]}], {}
+    return [rec.to_record() for rec in estimate_event(specs, sched, cfg.trials, cfg.seed,
+                                                      dist, interaction)], {}
 
 
 def _cmd_decay_fit(cfg, sched, args):

@@ -36,18 +36,8 @@ from typing import Any, Optional
 from .disorder import DistributionSpec, InteractionSpec
 from .errors import InvalidInputError
 from .geometry import normalize_adjacency
-from .msa import ScaleSchedule, schedule as build_schedule
+from .msa import PRESETS, ScaleSchedule, schedule as build_schedule
 
-_DESK_SCHEDULE = {
-    "L0": 3, "alpha": 1.5, "gamma": 1.0, "m0": 0.5, "beta": 0.5,
-    "p": 2.0, "q": 8.0, "J": 9, "k_max": 2, "p_tilde": None,
-}
-_ASYMPTOTIC_SCHEDULE = {
-    "L0": 10_000, "alpha": 1.5, "gamma": 40.0, "m0": 1.0, "beta": 0.5,
-    "p": 22.0, "q": 101.0, "J": 9, "k_max": 2, "p_tilde": 160.0,
-}
-_DESK_G = 30.0
-_ASYMPTOTIC_G = 1000.0
 _KEYS = {
     "dimension", "adjacency", "distribution", "interaction", "g", "schedule",
     "preset", "interval", "grid_spacing", "trials", "seed", "output_dir",
@@ -105,7 +95,9 @@ class ExperimentConfig:
         if preset not in ("desk", "asymptotic", "custom"):
             diags.append(("preset", f"must be desk|asymptotic|custom, got {preset!r}"))
             preset = "desk"
-        base = dict(_ASYMPTOTIC_SCHEDULE if preset == "asymptotic" else _DESK_SCHEDULE)
+        # a custom schedule starts from the desk values
+        base = dict(PRESETS["asymptotic" if preset == "asymptotic" else "desk"])
+        default_g = base.pop("g")
         schedule = raw.get("schedule") or {}
         if isinstance(schedule, dict):
             base.update(schedule)
@@ -128,7 +120,7 @@ class ExperimentConfig:
             output_dir=raw.get("output_dir"),
         )
         if cfg.g is None:
-            cfg.g = _ASYMPTOTIC_G if preset == "asymptotic" else _DESK_G
+            cfg.g = default_g
         diags.extend(cfg._validate())
         if diags:
             raise ConfigError(diags)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError, OutOfDomainError
+from .errors import InvalidInputError
 from .geometry import (
     Box1,
     Box2,
@@ -157,17 +157,10 @@ class InteractionSpec:
         """Linearly decaying profile u0 * (1 - s/(r0+1)) on s = 0..r0."""
         return cls(r0, tuple(u0 * (1.0 - s / (r0 + 1.0)) for s in range(r0 + 1)))
 
-    @property
-    def bound(self) -> float:
-        return max(abs(v) for v in self.profile)
-
     def at_separation(self, s: np.ndarray | int):
         s = np.asarray(s)
         table = np.array(self.profile + (0.0,))
         return table[np.minimum(s, self.r0 + 1)]
-
-    def to_dict(self) -> dict:
-        return {"r0": self.r0, "profile": list(self.profile)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "InteractionSpec":
@@ -189,12 +182,6 @@ class DisorderSample:
     @property
     def d(self) -> int | None:
         return len(next(iter(self.domain))) if self.domain else None
-
-    def value(self, site: Point1) -> float:
-        try:
-            return self.values[site.coords]
-        except KeyError:
-            raise OutOfDomainError(f"site {site.coords} not in sampled domain") from None
 
     def values_at_unchecked(self, sites: np.ndarray) -> np.ndarray:
         """Vectorized lookup for an (N, d) site array, recomputed from the

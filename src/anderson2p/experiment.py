@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -62,32 +61,12 @@ from .operators import (
 
 _MAX_PLACEMENT_ATTEMPTS = 10_000
 
-EVENT_KINDS = (
-    "single_box_singular",
-    "pair_singular",
-    "interactive_pair_singular",
-    "resonant_at_energy",
-    "pair_resonant",
-    "both_resonant_at_energy",
-    "single_particle_tunnelling",
-    "ni_counter_at_least",
-    "interactive_counter_at_least",
-    "total_counter_at_least",
-    "mixed_pair_singular",
-    "ni_projection_tunnelling",
-    "neither_box_cnr",
-    "mixed_pair_residual",
-)
-
-_COUNTER_KINDS = ("ni_counter_at_least", "interactive_counter_at_least",
-                  "total_counter_at_least")
-
 
 @dataclass(frozen=True)
 class EventSpec:
     """One estimable event: a kind plus its scale, energy data, and
     placement parameters.  Every kind maps to exactly one classifier
-    composition (see ``evaluate_event``)."""
+    composition, its row of ``EVENTS``."""
 
     kind: str
     k: int = 0
@@ -100,9 +79,9 @@ class EventSpec:
     grid_spacing: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in EVENTS:
             raise InvalidInputError(f"unknown event kind: {self.kind!r}")
-        if self.kind in _COUNTER_KINDS and self.n < 1:
+        if EVENTS[self.kind].counter and self.n < 1:
             raise InvalidInputError(f"{self.kind} needs n >= 1, got {self.n}")
 
     def to_dict(self) -> dict:
@@ -143,9 +122,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 @dataclass
 class EstimateRecord:
     """A Monte Carlo frequency with its confidence interval, reference
-    bound, and provenance.  Wall time is tracked in memory and reported in
-    the run manifest, not in the record, so emitted records stay
-    byte-reproducible."""
+    bound, and provenance.  It holds no timing, so emitted records stay
+    byte-reproducible; the run manifest times the run."""
 
     spec: EventSpec
     trials: int
@@ -158,7 +136,6 @@ class EstimateRecord:
     bound_name: Optional[str] = None
     bound_value: Optional[float] = None
     comparison: str = "n/a"  # pass | fail | indeterminate | n/a
-    wall_time_s: Optional[float] = field(default=None, compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -357,17 +334,15 @@ def _require_interval(spec: EventSpec) -> tuple[float, float]:
     return spec.interval
 
 
-def _default_region(spec: EventSpec, sched: ScaleSchedule) -> int:
-    if spec.region is not None:
-        return spec.region
-    L = sched.L[spec.k]
-    if spec.kind in ("pair_resonant", "both_resonant_at_energy"):
-        return 40 * L + 40
-    if spec.kind == "mixed_pair_singular" or spec.kind.startswith(
-        ("ni_projection", "neither", "mixed")
-    ):
-        return 12 * sched.L[spec.k + 1] + 16
-    return 12 * L + 16
+def _energy_grid(spec: EventSpec, sched: ScaleSchedule) -> np.ndarray:
+    """The energy grid of a grid event, at the scale ``EVENTS`` gives it."""
+    return energy_grid(_require_interval(spec), sched.L[spec.k + EVENTS[spec.kind].grid],
+                       sched.beta, spec.grid_spacing)
+
+
+def _region(spec: EventSpec, default: int) -> int:
+    """Half-width of the placement region: the spec's, else ``default``."""
+    return spec.region if spec.region is not None else default
 
 
 def _trial_sample(
@@ -390,10 +365,8 @@ def _eval_single_box_singular(spec, ctx: _TrialContext, trial: int) -> bool:
     m = spec.mass if spec.mass is not None else sched.m[spec.k]
     box = Box2.of_origin(sched.d, L)
     sample = _trial_sample(ctx.dist, ctx.seed, trial, [box])
-    grid = energy_grid(_require_interval(spec), L, sched.beta,
-                       spec.grid_spacing)
     return bool(_grid_singular([box], sample, ctx.interaction, sched.g,
-                               spec.adjacency, grid, m).any())
+                               spec.adjacency, _energy_grid(spec, sched), m).any())
 
 
 def _eval_pair_singular(spec, ctx, trial, interactive_only=False) -> bool:
@@ -403,15 +376,13 @@ def _eval_pair_singular(spec, ctx, trial, interactive_only=False) -> bool:
     rng = _stream_rng(ctx.seed, trial, spec.kind)
     layer = (L, ctx.interaction.r0) if interactive_only else None
     u, v = _draw_separated(
-        rng, sched.d, _default_region(spec, sched), 8 * L,
+        rng, sched.d, _region(spec, 12 * L + 16), 8 * L,
         interactive_layer=layer,
     )
     boxes = [Box2(u, L), Box2(v, L)]
     sample = _trial_sample(ctx.dist, ctx.seed, trial, boxes)
-    grid = energy_grid(_require_interval(spec), L, sched.beta,
-                       spec.grid_spacing)
-    return bool(_grid_singular(boxes, sample, ctx.interaction, sched.g,
-                               spec.adjacency, grid, m).all(axis=1).any())
+    return bool(_grid_singular(boxes, sample, ctx.interaction, sched.g, spec.adjacency,
+                               _energy_grid(spec, sched), m).all(axis=1).any())
 
 
 def _eval_resonant_at_energy(spec, ctx, trial) -> bool:
@@ -429,7 +400,7 @@ def _eval_pair_resonant(spec, ctx, trial, fixed_energy=False) -> bool:
     sched = ctx.sched
     L = sched.L[spec.k]
     rng = _stream_rng(ctx.seed, trial, spec.kind)
-    u, v = _draw_separated(rng, sched.d, _default_region(spec, sched), 64 * L)
+    u, v = _draw_separated(rng, sched.d, _region(spec, 40 * L + 40), 64 * L)
     b1, b2 = Box2(u, L), Box2(v, L)
     sample = _trial_sample(ctx.dist, ctx.seed, trial, [b1, b2])
     ev1 = assemble_two_particle(b1, sample, ctx.interaction, sched.g,
@@ -454,14 +425,6 @@ def _eval_single_particle_tunnelling(spec, ctx, trial) -> bool:
     return not ok
 
 
-def _counter_thresholds(spec) -> tuple[str, int]:
-    if spec.kind == "ni_counter_at_least":
-        return "M", max(2, spec.n)
-    if spec.kind == "interactive_counter_at_least":
-        return "N", 2 * spec.n
-    return "K", 2 * spec.n + 2
-
-
 def _eval_counter(spec, ctx, trial) -> bool:
     """'Some grid energy makes the separated-singular-sub-box counter reach
     its threshold' inside a scale-(k+1) box at the origin.
@@ -475,17 +438,16 @@ def _eval_counter(spec, ctx, trial) -> bool:
     from .msa import subbox_spectra
 
     sched = ctx.sched
-    k = spec.k
+    k, n = spec.k, spec.n
     L_k, L_next = sched.L[k], sched.L[k + 1]
     m = spec.mass if spec.mass is not None else sched.m[k]
     parent = Box2.of_origin(sched.d, L_next)
     sample = _trial_sample(ctx.dist, ctx.seed, trial, [parent])
     spectra = subbox_spectra(parent.center, k, sched, sample, ctx.interaction,
                              sched.g, spec.adjacency)
-    which, threshold = _counter_thresholds(spec)
-    grid = energy_grid(_require_interval(spec), L_k, sched.beta,
-                       spec.grid_spacing)
-    masks = spectra.mask(grid, m)
+    which = EVENTS[spec.kind].counter
+    threshold = {"M": max(2, n), "N": 2 * n, "K": 2 * n + 2}[which]
+    masks = spectra.mask(_energy_grid(spec, sched), m)
     inter = spectra.interactive
     pool = {"M": np.flatnonzero(~inter), "N": np.flatnonzero(inter),
             "K": np.argsort(inter, kind="stable")}[which]
@@ -510,7 +472,7 @@ def _eval_mixed_pair(spec, ctx, trial) -> dict[str, bool]:
     L_next = sched.L[k + 1]
     m_next = spec.mass if spec.mass is not None else sched.m[k + 1]
     rng = _stream_rng(ctx.seed, trial, "mixed_pair")
-    half = _default_region(spec, sched)
+    half = _region(spec, 12 * L_next + 16)
     for _ in range(_MAX_PLACEMENT_ATTEMPTS):
         u = _draw_interactive_center(rng, sched.d, half, L_next, ctx.interaction.r0)
         v = _draw_ni_center(rng, sched.d, half, L_next, ctx.interaction.r0)
@@ -542,48 +504,71 @@ def _eval_mixed_pair(spec, ctx, trial) -> dict[str, bool]:
     }
 
 
-_MIXED_KINDS = ("mixed_pair_singular", "ni_projection_tunnelling",
-                "neither_box_cnr", "mixed_pair_residual")
+@dataclass(frozen=True)
+class EventKind:
+    """Everything the estimator and the CLI know about one event kind."""
 
-#: kinds whose evaluation reads scale k+1 as well as scale k
-NEXT_SCALE_KINDS = _COUNTER_KINDS + _MIXED_KINDS
+    #: ``(spec, ctx, trial)`` -> the trial's verdict, or, where one
+    #: evaluation decides several kinds, the verdict of each by kind
+    evaluate: Callable
+    #: reads the configured energy interval
+    interval: bool
+    #: reads scale k + 1 as well as scale k
+    next_scale: bool = False
+    #: scale, as an offset from k, of the energy grid whose spacing the
+    #: record reports as ``grid_delta``; None: no ``grid_delta``
+    grid: Optional[int] = None
+    #: the counter whose threshold the event tests: "M", "N" or "K"
+    counter: Optional[str] = None
 
 
-def evaluate_event(spec: EventSpec, ctx: _TrialContext, trial: int) -> bool:
-    kind = spec.kind
-    if kind == "single_box_singular":
-        return _eval_single_box_singular(spec, ctx, trial)
-    if kind == "pair_singular":
-        return _eval_pair_singular(spec, ctx, trial)
-    if kind == "interactive_pair_singular":
-        return _eval_pair_singular(spec, ctx, trial, interactive_only=True)
-    if kind == "resonant_at_energy":
-        return _eval_resonant_at_energy(spec, ctx, trial)
-    if kind == "pair_resonant":
-        return _eval_pair_resonant(spec, ctx, trial)
-    if kind == "both_resonant_at_energy":
-        return _eval_pair_resonant(spec, ctx, trial, fixed_energy=True)
-    if kind == "single_particle_tunnelling":
-        return _eval_single_particle_tunnelling(spec, ctx, trial)
-    if kind in _COUNTER_KINDS:
-        return _eval_counter(spec, ctx, trial)
-    if kind in _MIXED_KINDS:
-        return _eval_mixed_pair(spec, ctx, trial)[kind]
-    raise InvalidInputError(f"unknown event kind: {kind!r}")
+#: every event kind, in the order the documentation lists them; the
+#: positional fields are (evaluate, interval, next_scale, grid, counter)
+EVENTS = {
+    "single_box_singular": EventKind(_eval_single_box_singular, True, grid=0),
+    "pair_singular": EventKind(_eval_pair_singular, True, grid=0),
+    "interactive_pair_singular": EventKind(
+        functools.partial(_eval_pair_singular, interactive_only=True), True, grid=0),
+    "resonant_at_energy": EventKind(_eval_resonant_at_energy, False),
+    "pair_resonant": EventKind(_eval_pair_resonant, False),
+    "both_resonant_at_energy": EventKind(
+        functools.partial(_eval_pair_resonant, fixed_energy=True), False),
+    "single_particle_tunnelling": EventKind(_eval_single_particle_tunnelling, False),
+    "ni_counter_at_least": EventKind(_eval_counter, True, True, 0, "M"),
+    "interactive_counter_at_least": EventKind(_eval_counter, True, True, 0, "N"),
+    "total_counter_at_least": EventKind(_eval_counter, True, True, 0, "K"),
+    "mixed_pair_singular": EventKind(_eval_mixed_pair, True, True, grid=1),
+    "ni_projection_tunnelling": EventKind(_eval_mixed_pair, True, True),
+    "neither_box_cnr": EventKind(_eval_mixed_pair, True, True),
+    "mixed_pair_residual": EventKind(_eval_mixed_pair, True, True),
+}
+EVENT_KINDS = tuple(EVENTS)
+
+#: the kinds each compound ``mc-estimate`` mode estimates: ``ss-probe``
+#: counts the mixed-pair decomposition from one evaluation per trial, and
+#: ``g-trend`` estimates its kind once per coupling
+MODE_KINDS = {
+    "ss-probe": tuple(kind for kind, row in EVENTS.items()
+                      if row.evaluate is _eval_mixed_pair),
+    "g-trend": ("single_box_singular",),
+}
+
+
+def evaluate_event(spec: EventSpec, ctx: _TrialContext, trial: int) -> dict[str, bool]:
+    """Verdicts of one trial by kind: ``{spec.kind: hit}``, or, for a
+    mixed-pair kind, the four kinds its one evaluation decides."""
+    hit = EVENTS[spec.kind].evaluate(spec, ctx, trial)
+    return hit if isinstance(hit, dict) else {spec.kind: hit}
 
 
 def _grid_delta(spec: EventSpec, sched: ScaleSchedule) -> Optional[float]:
-    if spec.kind in ("single_box_singular", "pair_singular",
-                     "interactive_pair_singular", "mixed_pair_singular",
-                     "ni_counter_at_least", "interactive_counter_at_least",
-                     "total_counter_at_least") and spec.interval is not None:
-        L = sched.L[spec.k + 1] if spec.kind == "mixed_pair_singular" else sched.L[spec.k]
-        g = energy_grid(spec.interval, L, sched.beta, spec.grid_spacing)
-        return float(g[1] - g[0])
-    return None
+    if EVENTS[spec.kind].grid is None or spec.interval is None:
+        return None
+    grid = _energy_grid(spec, sched)
+    return float(grid[1] - grid[0])
 
 
-def _finish_record(spec, sched, trials, successes, seed, t0) -> EstimateRecord:
+def _finish_record(spec, sched, trials, successes, seed) -> EstimateRecord:
     est = successes / trials
     lo, hi = wilson_interval(successes, trials)
     name, bound = reference_bound(spec, sched)
@@ -600,34 +585,41 @@ def _finish_record(spec, sched, trials, successes, seed, t0) -> EstimateRecord:
         wilson_low=lo, wilson_high=hi, seed=seed,
         grid_delta=_grid_delta(spec, sched),
         bound_name=name, bound_value=bound, comparison=cmp_,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
 def estimate_event(
-    spec: EventSpec,
+    specs: Sequence[EventSpec],
     sched: ScaleSchedule,
     trials: int,
     seed: int,
     dist: Optional[DistributionSpec] = None,
     interaction: Optional[InteractionSpec] = None,
-) -> EstimateRecord:
-    """Monte Carlo estimate of one event's probability with a Wilson 95%
-    interval; deterministic given (seed, spec, schedule, trials).  Trials
-    run on ``blas.ordered_map``'s workers; each is a pure function of
-    ``(seed, trial)``, so the record does not depend on the worker count."""
+) -> list[EstimateRecord]:
+    """Monte Carlo estimates of the events ``specs``, each with a Wilson
+    95% interval, counted from one pass over the trials; deterministic
+    given (seed, specs, schedule, trials).  The specs differ only in kind,
+    and one evaluation of the first decides them all: one kind, or the
+    mixed-pair kinds.  Trials run on ``blas.ordered_map``'s workers; each
+    is a pure function of ``(seed, trial)``, so the records do not depend
+    on the worker count."""
     if trials <= 0:
         raise InvalidInputError("at least one trial is required")
-    t0 = time.perf_counter()
+    if not specs or any(replace(spec, kind=specs[0].kind) != specs[0] for spec in specs):
+        raise InvalidInputError("events estimated in one pass must differ only in kind")
     ctx = _TrialContext(
         sched=sched,
         dist=dist or DistributionSpec.uniform(),
         interaction=interaction or InteractionSpec.triangular(sched.r0),
         seed=seed,
     )
-    hits = ordered_map(functools.partial(evaluate_event, spec, ctx), range(trials))
-    successes = sum(1 for hit in hits if hit)
-    return _finish_record(spec, sched, trials, successes, seed, t0)
+    hits = ordered_map(functools.partial(evaluate_event, specs[0], ctx), range(trials))
+    undecided = [spec.kind for spec in specs if spec.kind not in hits[0]]
+    if undecided:
+        raise InvalidInputError(f"one evaluation of {specs[0].kind} does not "
+                                f"decide {', '.join(undecided)}")
+    return [_finish_record(spec, sched, trials, sum(1 for hit in hits if hit[spec.kind]),
+                           seed) for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +628,7 @@ def estimate_event(
 
 def wegner_sweep(
     scales: Sequence[int],
-    energy: float | tuple[float, float],
+    energy: float,
     trials: int,
     sched: ScaleSchedule,
     seed: int,
@@ -644,31 +636,20 @@ def wegner_sweep(
     interaction: Optional[InteractionSpec] = None,
     adjacency: str = "sup",
 ) -> list[dict]:
-    """Per-scale resonance frequencies: the single-box fixed-energy event
+    """Per-scale resonance frequencies: the single-box event at ``energy``
     and the exact separated-pair event, with the l^-q reference."""
-    if trials <= 0:
-        raise InvalidInputError("at least one trial is required")
-    fixed_e = not isinstance(energy, (tuple, list))
     rows = []
     for l in scales:
         custom = schedule_with_scale(sched, l)
-        w1 = estimate_event(
-            EventSpec("resonant_at_energy", k=0,
-                      energy=float(energy) if fixed_e else None,
-                      interval=None if fixed_e else tuple(energy),
-                      adjacency=adjacency),
-            custom, trials, seed, dist, interaction,
-        ) if fixed_e else None
-        w2 = estimate_event(
-            EventSpec("pair_resonant", k=0,
-                      interval=None if fixed_e else tuple(energy),
-                      adjacency=adjacency),
-            custom, trials, seed + 1, dist, interaction,
-        )
+        [single] = estimate_event(
+            [EventSpec("resonant_at_energy", energy=float(energy), adjacency=adjacency)],
+            custom, trials, seed, dist, interaction)
+        [pair] = estimate_event([EventSpec("pair_resonant", adjacency=adjacency)],
+                                custom, trials, seed + 1, dist, interaction)
         rows.append({
             "scale": int(l),
-            "single_box": w1.to_record() if w1 else None,
-            "pair": w2.to_record(),
+            "single_box": single.to_record(),
+            "pair": pair.to_record(),
             "reference": float(l) ** (-sched.q),
         })
     return rows
@@ -819,68 +800,23 @@ def localization_mass_sweep(
     return rows
 
 
-def ss_induction_probe(
-    sched: ScaleSchedule,
-    k: int,
-    trials: int,
-    seed: int,
-    interval: tuple[float, float],
-    dist: Optional[DistributionSpec] = None,
-    interaction: Optional[InteractionSpec] = None,
-    adjacency: str = "sup",
-) -> dict:
-    """Estimate the mixed-pair decomposition events in one pass: the
-    pair-singularity event B, the covering events T and Sigma, and the
-    residual ``B and not T and not Sigma``.  Returns ``{"records": {kind:
-    EstimateRecord}}``."""
-    if trials <= 0:
-        raise InvalidInputError("at least one trial is required")
-    t0 = time.perf_counter()
-    ctx = _TrialContext(
-        sched=sched, dist=dist or DistributionSpec.uniform(),
-        interaction=interaction or InteractionSpec.triangular(sched.r0),
-        seed=seed,
-    )
-    spec = EventSpec("mixed_pair_singular", k=k, interval=interval,
-                     adjacency=adjacency)
-    counts = dict.fromkeys(_MIXED_KINDS, 0)
-    for trial in range(trials):
-        flags = _eval_mixed_pair(spec, ctx, trial)
-        for kind in _MIXED_KINDS:
-            counts[kind] += flags[kind]
-    records = {}
-    for kind in _MIXED_KINDS:
-        kspec = EventSpec(kind, k=k, interval=interval, adjacency=adjacency)
-        records[kind] = _finish_record(kspec, sched, trials, counts[kind], seed, t0)
-    return {"records": records}
-
-
 def singularity_vs_g_probe(
     gs: Sequence[float],
+    spec: EventSpec,
     sched: ScaleSchedule,
     trials: int,
     seed: int,
-    interval: tuple[float, float],
     dist: Optional[DistributionSpec] = None,
     interaction: Optional[InteractionSpec] = None,
-    adjacency: str = "sup",
 ) -> dict:
-    """Single-box singularity frequency across couplings, with pairwise
+    """Frequency of the event ``spec`` across couplings, with pairwise
     trend verdicts: 'decreasing' when intervals separate, 'violation' when
     they separate the wrong way, else 'indeterminate'."""
     rows = []
     for g in gs:
-        from .msa import schedule as build
-
-        s_g = build(sched.L0, sched.alpha, sched.gamma, sched.m0, sched.k_max,
-                    beta=sched.beta, p=sched.p, q=sched.q, r0=sched.r0,
-                    g=float(g), J=sched.J, d=sched.d, preset="custom",
-                    p_tilde=sched.p_tilde)
-        rec = estimate_event(
-            EventSpec("single_box_singular", k=0, interval=interval,
-                      adjacency=adjacency),
-            s_g, trials, seed, dist, interaction,
-        )
+        # g enters neither L nor m, so the schedule needs no rebuild
+        [rec] = estimate_event([spec], replace(sched, g=float(g)), trials, seed,
+                               dist, interaction)
         rows.append({"g": float(g), "record": rec})
     verdicts = []
     for a, b in zip(rows, rows[1:]):

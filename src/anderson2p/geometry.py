@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Point1:
 
     def to_array(self) -> np.ndarray:
         return np.array(self.coords, dtype=np.int64)
-
-    def shift(self, delta: Sequence[int]) -> "Point1":
-        return Point1(tuple(c + int(x) for c, x in zip(self.coords, delta)))
 
 
 @dataclass(frozen=True)

@@ -58,16 +58,6 @@ class ScaleSchedule:
     def non_asymptotic_regime(self) -> bool:
         return self.preset != "asymptotic"
 
-    def to_dict(self) -> dict:
-        return {
-            "L0": self.L0, "alpha": self.alpha, "gamma": self.gamma,
-            "m0": self.m0, "beta": self.beta, "p": self.p, "q": self.q,
-            "r0": self.r0, "g": self.g, "J": self.J, "d": self.d,
-            "k_max": self.k_max, "preset": self.preset,
-            "L": list(self.L), "m": list(self.m), "p_tilde": self.p_tilde,
-            "rounding": self.rounding,
-        }
-
 
 def scale_length(L0: int, alpha: float, k: int) -> int:
     """L_k = ceil(L0 ** (alpha ** k)); exact integer powers stay exact."""
@@ -127,32 +117,28 @@ def schedule(
     )
 
 
-def desk_schedule(
-    L0: int = 3, m0: float = 0.5, g: float = 30.0, d: int = 1, k_max: int = 2,
-    **kw,
-) -> ScaleSchedule:
+#: each preset's schedule parameters (``schedule``'s argument names) and
+#: the coupling ``g`` a configuration of that preset defaults to
+PRESETS = {
+    "desk": {"L0": 3, "alpha": 1.5, "gamma": 1.0, "m0": 0.5, "beta": 0.5,
+             "p": 2.0, "q": 8.0, "J": 9, "k_max": 2, "p_tilde": None, "g": 30.0},
+    "asymptotic": {"L0": 10_000, "alpha": 1.5, "gamma": 40.0, "m0": 1.0,
+                   "beta": 0.5, "p": 22.0, "q": 101.0, "J": 9, "k_max": 2,
+                   "p_tilde": 160.0, "g": 1000.0},
+}
+
+
+def desk_schedule(**kw) -> ScaleSchedule:
     """Small-scale preset for desk experiments; deliberately outside the
     large-L parameter regime and labelled as such."""
-    kw.setdefault("gamma", 1.0)
-    kw.setdefault("alpha", 1.5)
-    kw.setdefault("p", 2.0)
-    kw.setdefault("q", 8.0)
-    return schedule(L0, kw.pop("alpha"), kw.pop("gamma"), m0, k_max,
-                    g=g, d=d, preset="desk", **kw)
+    return schedule(**{**PRESETS["desk"], **kw}, preset="desk")
 
 
-def asymptotic_schedule(k_max: int = 2, **kw) -> ScaleSchedule:
-    """Preset satisfying all structural parameter constraints (large L0)."""
-    kw.setdefault("L0", 10_000)
-    kw.setdefault("alpha", 1.5)
-    kw.setdefault("gamma", 40.0)
-    kw.setdefault("m0", 1.0)
-    kw.setdefault("p", 22.0)
-    kw.setdefault("q", 101.0)
-    kw.setdefault("d", 1)
-    kw.setdefault("p_tilde", 160.0)
-    return schedule(kw.pop("L0"), kw.pop("alpha"), kw.pop("gamma"), kw.pop("m0"),
-                    k_max, preset="asymptotic", **kw)
+def asymptotic_schedule(**kw) -> ScaleSchedule:
+    """Preset satisfying all structural parameter constraints (large L0).
+    Its coupling defaults to ``schedule``'s 1.0, not the preset's
+    configuration default: no constraint reads it."""
+    return schedule(**{**PRESETS["asymptotic"], "g": 1.0, **kw}, preset="asymptotic")
 
 
 def mass_step_value(m_k: float, L_k: int, J: int) -> float:

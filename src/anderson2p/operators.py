@@ -49,10 +49,6 @@ class FiniteOperator:
     points: np.ndarray  # (N, D) configuration/site array, lexicographic
     matrix: np.ndarray  # (N, N) float64 symmetric
     adjacency: str
-    g: float
-    sample: DisorderSample
-    interaction: Optional[InteractionSpec] = None
-    particle: Optional[int] = None  # 1 or 2 for single-particle operators
     _eigenvalues: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -118,7 +114,7 @@ def assemble_two_particle(
     check_projections(box, sample)
     h = box_family(np.array([box.center.flat]), box.radius, sample,
                    interaction, g, adjacency)[0]
-    return FiniteOperator(box, box.points(), h, adjacency, g, sample, interaction)
+    return FiniteOperator(box, box.points(), h, adjacency)
 
 
 def box_family(
@@ -203,7 +199,6 @@ def assemble_single_particle(
     box: Box1,
     sample: DisorderSample,
     g: float,
-    particle: int = 1,
     adjacency: str = "sup",
 ) -> FiniteOperator:
     """Single-particle Hamiltonian: diagonal g*V(x), unit hopping at lattice
@@ -214,7 +209,7 @@ def assemble_single_particle(
     h = adjacency_matrix(pts, adjacency)
     vals = sample.values_at_unchecked(pts)
     np.fill_diagonal(h, g * vals)
-    return FiniteOperator(box, pts, h, adjacency, g, sample, particle=particle)
+    return FiniteOperator(box, pts, h, adjacency)
 
 
 def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,6 +264,5 @@ def single_particle_factors(
 ) -> tuple[FiniteOperator, FiniteOperator]:
     """The two single-particle operators on the projections of a box."""
     p1, p2, _ = projections(box)
-    op1 = assemble_single_particle(p1, sample, g, particle=1, adjacency=adjacency)
-    op2 = assemble_single_particle(p2, sample, g, particle=2, adjacency=adjacency)
-    return op1, op2
+    return (assemble_single_particle(p1, sample, g, adjacency),
+            assemble_single_particle(p2, sample, g, adjacency))

@@ -26,7 +26,8 @@ Green's column oracle is the unstacked guarded solve that
 The last section holds reference code that no command needs, kept for the
 tests that use it: the all-pairs hop matrix that ``kernels.adjacency_matrix``
 replaced, the spectral norm of an operator, the density bound of a
-disorder law, the domain-checked sample lookup, the status of one
+disorder law, the bound of an interaction, the domain-checked sample
+lookups of one site and of many, the status of one
 parameter check, the factor-sum spectrum and exchange-conjugation check
 of a box, the set distance of two boxes, and the typed reader of
 ``records.jsonl``.  It calls the library's assembly and record types.
@@ -566,6 +567,22 @@ def density_bound(spec) -> float:
         phi = np.exp(-0.5 * peak_z**2) / np.sqrt(2 * np.pi)
         return float(phi / (spec.sigma * mass))
     return max(spec.weights) * len(spec.weights) / width
+
+
+def interaction_bound(spec) -> float:
+    """Largest |U| over the separations of an ``InteractionSpec``."""
+    return max(abs(v) for v in spec.profile)
+
+
+def sample_value(sample, site) -> float:
+    """The potential at one ``Point1`` of a sample, which must lie in its
+    domain."""
+    from anderson2p.errors import OutOfDomainError
+
+    try:
+        return sample.values[site.coords]
+    except KeyError:
+        raise OutOfDomainError(f"site {site.coords} not in sampled domain") from None
 
 
 def values_at(sample, sites) -> np.ndarray:

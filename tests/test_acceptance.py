@@ -386,8 +386,8 @@ def test_11_wegner_trend():
         from anderson2p.experiment import schedule_with_scale
 
         s_l = schedule_with_scale(sched, l)
-        rec = estimate_event(EventSpec("resonant_at_energy", energy=0.0),
-                             s_l, 2000, 1111)
+        [rec] = estimate_event([EventSpec("resonant_at_energy", energy=0.0)],
+                               s_l, 2000, 1111)
         freq[l] = rec.estimate
         intervals[l] = (rec.wilson_low, rec.wilson_high)
     ok = freq[8] < freq[2] and intervals[8][1] < intervals[2][0]

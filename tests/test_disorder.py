@@ -11,7 +11,7 @@ from anderson2p.disorder import (
 from anderson2p.errors import InvalidInputError, OutOfDomainError
 from anderson2p.geometry import Point1, Point2, sup_dist1
 
-from .oracles import density_bound, values_at
+from .oracles import density_bound, interaction_bound, sample_value, values_at
 
 
 def sites_1d(n):
@@ -27,7 +27,7 @@ def interaction_u(spec: InteractionSpec, x: Point2) -> float:
 
 def field_w(sample, x: Point2) -> float:
     """Two-particle potential field V(x1) + V(x2); exchange symmetric."""
-    return sample.value(x.x1) + sample.value(x.x2)
+    return sample_value(sample, x.x1) + sample_value(sample, x.x2)
 
 
 class TestDistributionSpec:
@@ -110,7 +110,7 @@ class TestSamplePotential:
     def test_out_of_domain(self):
         s = sample_potential(DistributionSpec.uniform(), 1, 0, sites_1d(4))
         with pytest.raises(OutOfDomainError):
-            s.value(Point1((99,)))
+            sample_value(s, Point1((99,)))
 
     def test_values_at_matches_stored(self):
         s = sample_potential(DistributionSpec.uniform(), 7, 2, sites_1d(20))
@@ -191,7 +191,7 @@ class TestInteraction:
     def test_triangular_profile(self):
         spec = InteractionSpec.triangular(1, 1.0)
         assert spec.profile == (1.0, 0.5)
-        assert spec.bound == 1.0
+        assert interaction_bound(spec) == 1.0
 
     def test_invalid_range(self):
         with pytest.raises(InvalidInputError):

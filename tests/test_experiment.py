@@ -18,7 +18,6 @@ from anderson2p.experiment import (
     localization_mass_sweep,
     not_cnr_windows,
     singularity_vs_g_probe,
-    ss_induction_probe,
     wegner_sweep,
     wilson_interval,
 )
@@ -73,66 +72,66 @@ class TestWilson:
 class TestEstimateEvent:
     def test_zero_trials_error(self, desk):
         with pytest.raises(InvalidInputError):
-            estimate_event(EventSpec("resonant_at_energy", energy=0.0),
+            estimate_event([EventSpec("resonant_at_energy", energy=0.0)],
                            desk, 0, 1)
 
     def test_determinism(self, desk):
         spec = EventSpec("resonant_at_energy", energy=0.0)
-        a = estimate_event(spec, desk, 50, 7)
-        b = estimate_event(spec, desk, 50, 7)
+        [a] = estimate_event([spec], desk, 50, 7)
+        [b] = estimate_event([spec], desk, 50, 7)
         assert a.to_record() == b.to_record()
 
     def test_resonant_at_energy_reasonable(self, desk):
         spec = EventSpec("resonant_at_energy", energy=0.0)
-        rec = estimate_event(spec, desk, 100, 3)
+        [rec] = estimate_event([spec], desk, 100, 3)
         assert 0 <= rec.estimate <= 1
         assert rec.wilson_low <= rec.estimate <= rec.wilson_high
 
     def test_single_box_singular_grid_recorded(self, desk):
         spec = EventSpec("single_box_singular", interval=(-1.0, 1.0))
-        rec = estimate_event(spec, desk, 10, 3)
+        [rec] = estimate_event([spec], desk, 10, 3)
         assert rec.grid_delta is not None
         assert rec.bound_name is not None
 
     def test_grid_spacing_override(self, desk):
         spec = EventSpec("single_box_singular", interval=(-1.0, 1.0),
                          grid_spacing=0.05)
-        rec = estimate_event(spec, desk, 5, 3)
+        [rec] = estimate_event([spec], desk, 5, 3)
         assert rec.grid_delta == pytest.approx(0.05, rel=0.05)
 
     def test_strong_disorder_singular_freq_zero(self):
         # overwhelming disorder: the singular-somewhere event never fires
         sched = schedule(2, 1.5, 0.5, 0.05, 1, g=1e6, d=1)
         spec = EventSpec("single_box_singular", interval=(-1.0, 1.0))
-        rec = estimate_event(spec, sched, 100, 11)
+        [rec] = estimate_event([spec], sched, 100, 11)
         assert rec.successes == 0
 
     def test_pair_events_run(self, desk):
         for kind in ("pair_singular", "interactive_pair_singular"):
-            rec = estimate_event(EventSpec(kind, interval=(-0.5, 0.5)),
-                                 desk, 5, 13)
+            [rec] = estimate_event([EventSpec(kind, interval=(-0.5, 0.5))],
+                                   desk, 5, 13)
             assert rec.trials == 5
 
     def test_pair_resonant_exact(self, desk):
-        rec = estimate_event(EventSpec("pair_resonant"), desk, 30, 5)
+        [rec] = estimate_event([EventSpec("pair_resonant")], desk, 30, 5)
         assert 0 <= rec.estimate <= 1
 
     def test_tunnelling_event(self, desk):
-        rec = estimate_event(EventSpec("single_particle_tunnelling"), desk, 40, 9)
+        [rec] = estimate_event([EventSpec("single_particle_tunnelling")], desk, 40, 9)
         # strong desk disorder: tunnelling should be rare
         assert rec.estimate <= 0.5
 
     def test_counter_event(self):
         sched = schedule(2, 3.5, 0.5, 1.0, 1, g=15.0, d=1)
-        rec = estimate_event(
-            EventSpec("total_counter_at_least", interval=(-0.25, 0.25), n=1),
+        [rec] = estimate_event(
+            [EventSpec("total_counter_at_least", interval=(-0.25, 0.25), n=1)],
             sched, 5, 21)
         assert rec.trials == 5
 
     def test_infeasible_placement_raises(self, desk):
         spec = EventSpec("pair_singular", interval=(-1, 1), region=2)
         with pytest.raises(PlacementError):
-            estimate_event(spec, desk, 2, 1)
+            estimate_event([spec], desk, 2, 1)
 
     def test_every_kind_evaluates(self):
         # registry completeness: every declared kind runs end to end
@@ -142,7 +141,7 @@ class TestEstimateEvent:
         sched = schedule(2, 1.5, 0.5, 0.5, 1, g=10.0, d=1)
         for kind in EVENT_KINDS:
             spec = EventSpec(kind, k=0, interval=(-0.5, 0.5), energy=0.0, n=1)
-            rec = estimate_event(spec, sched, 2, 5)
+            [rec] = estimate_event([spec], sched, 2, 5)
             assert rec.trials == 2
             assert rec.to_record()["event"]["kind"] == kind
 
@@ -163,21 +162,18 @@ class TestEstimateEvent:
         spec = EventSpec("single_box_singular", interval=(-1.0, 1.0),
                          grid_spacing=spacing)
         with pytest.raises(InvalidInputError):
-            estimate_event(spec, desk, 1, 1)
+            estimate_event([spec], desk, 1, 1)
 
     def test_bound_comparison_branches(self, desk):
-        import time as _time
-
         from anderson2p.experiment import _finish_record
 
         spec = EventSpec("pair_singular", interval=(-1.0, 1.0))
-        t0 = _time.perf_counter()
         # desk reference bound is L0^-2p = 3^-4; zero successes pass it
-        rec = _finish_record(spec, desk, 4000, 0, 1, t0)
+        rec = _finish_record(spec, desk, 4000, 0, 1)
         assert rec.comparison == "pass"
-        rec = _finish_record(spec, desk, 4000, 2000, 1, t0)
+        rec = _finish_record(spec, desk, 4000, 2000, 1)
         assert rec.comparison == "fail"
-        rec = _finish_record(spec, desk, 100, 1, 1, t0)
+        rec = _finish_record(spec, desk, 100, 1, 1)
         assert rec.comparison == "indeterminate"
 
 
@@ -415,11 +411,11 @@ class TestDecayFit:
 class TestSsInductionProbe:
     def test_identities_and_records(self):
         sched = desk_schedule(L0=2, m0=0.5, g=20.0)
-        out = ss_induction_probe(sched, 0, 12, 5, (-0.5, 0.5))
-        recs = out["records"]
-        assert set(recs) == {
-            "mixed_pair_singular", "ni_projection_tunnelling",
-            "neither_box_cnr", "mixed_pair_residual"}
+        kinds = experiment.MODE_KINDS["ss-probe"]
+        assert kinds == ("mixed_pair_singular", "ni_projection_tunnelling",
+                         "neither_box_cnr", "mixed_pair_residual")
+        specs = [EventSpec(kind, interval=(-0.5, 0.5)) for kind in kinds]
+        recs = dict(zip(kinds, estimate_event(specs, sched, 12, 5)))
         b = recs["mixed_pair_singular"]
         others = (recs["ni_projection_tunnelling"].successes
                   + recs["neither_box_cnr"].successes
@@ -430,7 +426,8 @@ class TestSsInductionProbe:
 class TestGTrendProbe:
     def test_reports_trend(self):
         sched = schedule(2, 1.5, 0.5, 0.8, 1, g=1.0, d=1)
-        out = singularity_vs_g_probe([1.0, 80.0], sched, 60, 19, (-0.5, 0.5))
+        spec = EventSpec("single_box_singular", interval=(-0.5, 0.5))
+        out = singularity_vs_g_probe([1.0, 80.0], spec, sched, 60, 19)
         assert len(out["trend"]) == 1
         assert out["trend"][0] in ("decreasing", "indeterminate", "violation")
         ests = [r["record"].estimate for r in out["rows"]]

@@ -72,9 +72,9 @@ class TestDistributionPlumbing:
             ("gauss", DistributionSpec.truncated_gaussian(0.5, 0.2, 0.0, 1.0)),
             ("piecewise", DistributionSpec.piecewise([1, 2, 1], 0.0, 1.0)),
         ):
-            rec = estimate_event(spec, sched, 40, 3, dist=dist)
+            [rec] = estimate_event([spec], sched, 40, 3, dist=dist)
             results[name] = rec.estimate
-            again = estimate_event(spec, sched, 40, 3, dist=dist)
+            [again] = estimate_event([spec], sched, 40, 3, dist=dist)
             assert again.to_record() == rec.to_record()
         assert all(0 <= v <= 1 for v in results.values())
 

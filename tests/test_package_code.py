@@ -4,8 +4,9 @@ Every public top-level function or class in ``src/anderson2p``, and every
 public method of a public class, must be referenced by other package code
 or exported by ``__init__``.  Code that only the tests use belongs in
 ``tests/oracles.py`` or in the one test file that uses it.  References are
-matched by name, over every ``Name`` and ``Attribute`` node outside the
-definition itself.
+matched by name outside the definition itself: a top-level definition over
+every ``Name`` and ``Attribute`` node, a method over ``Attribute`` nodes
+only, since a local variable of the same name does not reach it.
 """
 
 import ast
@@ -27,26 +28,31 @@ def _unreferenced() -> set[tuple[str, str]]:
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees["__init__"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    public, used = [], set()
+    public, names, attributes = [], set(), set()
     for module, tree in trees.items():
         for top in tree.body:
             if not _is_public_def(top):
-                _collect_names(top, set(), used)
+                _collect_names(top, set(), names, attributes)
                 continue
             public.append((module, top.name))
             if isinstance(top, ast.FunctionDef):
-                _collect_names(top, {top.name}, used)
+                _collect_names(top, {top.name}, names, attributes)
                 continue
             for member in top.body:
                 if _is_public_def(member) and isinstance(member, ast.FunctionDef):
                     public.append((module, f"{top.name}.{member.name}"))
-                    _collect_names(member, {top.name, member.name}, used)
+                    _collect_names(member, {top.name, member.name}, names, attributes)
                 else:
-                    _collect_names(member, {top.name}, used)
+                    _collect_names(member, {top.name}, names, attributes)
             for node in top.decorator_list + top.bases:
-                _collect_names(node, {top.name}, used)
-    return {(m, name) for m, name in public
-            if name.rsplit(".", 1)[-1] not in used | exported}
+                _collect_names(node, {top.name}, names, attributes)
+    unreferenced = set()
+    for module, name in public:
+        owner, _, method = name.rpartition(".")
+        reached = attributes if owner else names | attributes | exported
+        if (method or name) not in reached:
+            unreferenced.add((module, name))
+    return unreferenced
 
 
 def _is_public_def(node: ast.AST) -> bool:
@@ -54,17 +60,15 @@ def _is_public_def(node: ast.AST) -> bool:
             and not node.name.startswith("_"))
 
 
-def _collect_names(tree: ast.AST, own: set[str], used: set[str]) -> None:
-    """Add to ``used`` every name ``tree`` refers to, apart from ``own``."""
+def _collect_names(tree: ast.AST, own: set[str], names: set[str],
+                   attributes: set[str]) -> None:
+    """Add to ``names`` every ``Name`` and to ``attributes`` every
+    ``Attribute`` that ``tree`` refers to, apart from ``own``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            continue
-        if name not in own:
-            used.add(name)
+        if isinstance(node, ast.Name) and node.id not in own:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            attributes.add(node.attr)
 
 
 def test_every_public_definition_is_reached_by_the_package():

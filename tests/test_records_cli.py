@@ -9,7 +9,13 @@ from anderson2p import cli
 from anderson2p.classify import classify_box
 from anderson2p.config import ConfigError, ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
-from anderson2p.experiment import EstimateRecord, EventSpec, estimate_event
+from anderson2p.experiment import (
+    EVENT_KINDS,
+    MODE_KINDS,
+    EstimateRecord,
+    EventSpec,
+    estimate_event,
+)
 from anderson2p.geometry import Box2
 from anderson2p.msa import count_singular_subboxes
 from anderson2p.records import dumps_record, sample_record, write_records
@@ -20,8 +26,8 @@ from .oracles import parse_record, read_records, sample_from_record
 
 class TestRoundTrip:
     def test_estimate_record(self, desk):
-        rec = estimate_event(EventSpec("resonant_at_energy", energy=0.0),
-                             desk, 20, 1)
+        [rec] = estimate_event([EventSpec("resonant_at_energy", energy=0.0)],
+                               desk, 20, 1)
         blob = json.loads(dumps_record(rec.to_record()))
         back = parse_record(blob)
         assert isinstance(back, EstimateRecord)
@@ -370,3 +376,54 @@ class TestCli:
             ["spectrum", "--set", "g=5.0", "--set", "schedule.L0=4",
              "--radius", "0", "--out", str(tmp_path / "o")], tmp_path)
         assert out.returncode == 0, out.stderr
+
+
+class TestMcEstimateModes:
+    """Every ``mc-estimate`` mode builds its specs as ``--event <kind>``
+    does, and runs with other arguments keep their own directories."""
+
+    @staticmethod
+    def _records(tmp_path, *argv) -> list[dict]:
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert cli.main(["mc-estimate", *argv, "--out", str(out)]) == 0
+        [path] = out.rglob("records.jsonl")
+        return read_records(path)
+
+    @pytest.mark.parametrize("kind", EVENT_KINDS)
+    def test_every_kind_runs(self, tmp_path, kind):
+        fixed = ["--energy", "0.3"] if kind.endswith("_at_energy") else []
+        [rec] = self._records(tmp_path, "--event", kind, "--set", "trials=2", *fixed)
+        assert rec["event"]["kind"] == kind and rec["trials"] == 2
+
+    @pytest.mark.parametrize("spacing", [[], ["--set", "grid_spacing=0.05"]])
+    def test_ss_probe_equals_the_single_kind_estimates(self, tmp_path, spacing):
+        argv = ["--set", "trials=3", "--set", "seed=3", *spacing]
+        probe = self._records(tmp_path, "--event", "ss-probe", *argv)
+        kinds = MODE_KINDS["ss-probe"]
+        assert [r["event"]["kind"] for r in probe] == list(kinds)
+        assert probe == [self._records(tmp_path, "--event", kind, *argv)[0]
+                         for kind in kinds]
+
+    @pytest.mark.parametrize("event", ["ss-probe", "g-trend"])
+    def test_modes_read_grid_spacing(self, tmp_path, event):
+        records = self._records(tmp_path, "--event", event, "--set", "trials=2",
+                                "--set", "grid_spacing=0.05")
+        estimates = [r for r in records if r["kind"] == "estimate"]
+        assert estimates
+        assert all(r["event"]["grid_spacing"] == 0.05 for r in estimates)
+        deltas = [r["grid_delta"] for r in estimates if r["grid_delta"] is not None]
+        assert deltas and deltas == pytest.approx([0.05] * len(deltas), rel=0.05)
+
+    def test_runs_with_other_arguments_keep_their_directories(self, tmp_path):
+        runs = [["--event", "wegner", "--scales", "2"],
+                ["--event", "resonant_at_energy", "--energy", "0"],
+                ["--event", "wegner", "--scales", "2"]]
+        for argv in runs:
+            assert cli.main(["mc-estimate", *argv, "--set", "trials=2",
+                             "--out", str(tmp_path)]) == 0
+        dirs = sorted(tmp_path.iterdir())
+        assert len(dirs) == 2
+        for path in dirs:
+            manifest = json.loads((path / "manifest.json").read_text())
+            listed = {f["path"] for f in manifest["files"]}
+            assert listed | {"manifest.json"} == {p.name for p in path.iterdir()}
