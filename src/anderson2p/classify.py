@@ -14,16 +14,16 @@ Terminology (standard in multi-scale analysis of random operators):
   a two-particle box is NT when both its projections are.
 
 Existence-over-an-interval is decided exactly for resonance predicates
-(eigenvalue windows) and on a recorded energy grid for singularity
-predicates, whose Green's-function character admits no exact continuum
-test.
+(``windows_meet`` of two ``resonance_windows`` sets) and on a recorded
+energy grid for singularity predicates, whose Green's-function character
+admits no exact continuum test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -176,6 +176,36 @@ def is_resonant(ev: np.ndarray, E: float, L: int, beta: float) -> tuple[bool, fl
     return gap < resonance_width(L, beta), gap
 
 
+def resonance_windows(
+        spectra: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The energies at which some spectrum is resonant: the union of the
+    open windows ``(lam - w, lam + w)`` of every ``(eigenvalues, w)``, as
+    the ascending ends ``(lo, hi)`` of its disjoint merged windows.
+    Touching windows merge, which adds no overlap of positive length."""
+    lo = np.concatenate([(ev - w).ravel() for ev, w in spectra])
+    hi = np.concatenate([(ev + w).ravel() for ev, w in spectra])
+    order = np.argsort(lo)
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    start = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
+    return lo[start], reach[np.r_[start[1:] - 1, len(lo) - 1]]
+
+
+def windows_meet(first: tuple[np.ndarray, np.ndarray],
+                 second: tuple[np.ndarray, np.ndarray],
+                 interval: Optional[tuple[float, float]]) -> Optional[tuple[float, float]]:
+    """Lowest common window of two ``resonance_windows`` sets inside the
+    open ``interval`` (None: anywhere), or None.  A window of ``first``
+    meets ``second`` there exactly when it meets the first window of
+    ``second`` that ends above its clipped lower end."""
+    a, b = interval if interval is not None else (-math.inf, math.inf)
+    lo, hi = np.maximum(first[0], a), np.minimum(first[1], b)
+    j = np.searchsorted(second[1], lo, side="right")
+    i = np.flatnonzero(j < len(second[1]))
+    lo, hi = np.maximum(lo[i], second[0][j[i]]), np.minimum(hi[i], second[1][j[i]])
+    hits = np.flatnonzero(lo < hi)
+    return (float(lo[hits[0]]), float(hi[hits[0]])) if len(hits) else None
+
+
 def exists_resonant_pair(
     ev1: np.ndarray,
     ev2: np.ndarray,
@@ -184,26 +214,13 @@ def exists_resonant_pair(
     beta: float,
 ) -> tuple[bool, Optional[tuple[float, float]]]:
     """Exact test for 'some E (in the interval) makes both operators
-    resonant'.
-
-    Both are E-resonant iff E lies in the overlap of two eigenvalue
-    windows of half-width ``exp(-L**beta)``; overlap exists iff two
-    eigenvalues are closer than twice that, and the overlap window must
-    meet the interval.  No energy grid is involved.
-    """
+    resonant': their ``resonance_windows`` of half-width
+    ``exp(-L**beta)`` meet (``windows_meet``).  Returns the verdict and
+    the lowest such window of energies.  No energy grid is involved."""
     eps = resonance_width(L, beta)
-    lam = ev1[:, None]
-    mu = ev2[None, :]
-    lo = np.maximum(lam, mu) - eps
-    hi = np.minimum(lam, mu) + eps
-    ok = lo < hi
-    if interval is not None:
-        a, b = interval
-        ok &= (lo < b) & (hi > a)
-    if not ok.any():
-        return False, None
-    i, j = np.argwhere(ok)[0]
-    return True, (float(ev1[i]), float(ev2[j]))
+    common = windows_meet(resonance_windows([(ev1, eps)]),
+                          resonance_windows([(ev2, eps)]), interval)
+    return common is not None, common
 
 
 @dataclass
@@ -305,6 +322,23 @@ def is_cnr(
         checked += len(centers)
     return CnrReport(True, gap, n_candidates=total, n_checked=checked,
                      exhaustive=exhaustive)
+
+
+def not_cnr_windows(
+    center: Point2, k: int, schedule, sample: DisorderSample,
+    interaction: InteractionSpec, g: float, adjacency: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact set of energies at which the scale-(k+1) box at ``center``
+    fails complete non-resonance: ``resonance_windows`` of the box and of
+    every probed sub-box, exchange images included, as an image's own
+    ``eigvalsh`` (a window end) differs from its representative's in the
+    last bits."""
+    check_projections(Box2(center, schedule.L[k + 1]), sample)
+    families = [(schedule.L[k + 1], np.array([center.flat]))] + [
+        (r, Box2(center, off).points()) for r, off in cnr_subbox_layout(k, schedule)]
+    return resonance_windows([
+        (ev, resonance_width(radius, schedule.beta)) for radius, centers in families
+        for ev in family_spectra(centers, radius, sample, interaction, g, adjacency)])
 
 
 @dataclass

@@ -4,7 +4,8 @@ effective-mass extraction from eigenvector decay.
 Each trial derives its disorder sample and box placement deterministically
 from ``(seed, trial index, event kind)``, so estimates reproduce
 bit-identically and trials are order-independent.  Resonance-type events
-are decided exactly through eigenvalue windows; singularity-type events are
+are decided exactly through eigenvalue windows (``classify.windows_meet``
+for the "exists E" ones, over the interval); singularity-type events are
 decided on a recorded energy grid over the interval (their
 Green's-function character admits no exact continuum test), so their
 'exists E' frequencies are lower bounds.  Reference power-law bounds are
@@ -23,13 +24,13 @@ from numpy.random import Generator, Philox
 
 from .blas import ordered_map
 from .classify import (
-    cnr_subbox_layout,
     energy_grid,
     exists_resonant_pair,
     is_nontunnelling,
     is_resonant,
-    resonance_width,
+    not_cnr_windows,
     singular_mask_at,
+    windows_meet,
 )
 from .disorder import (
     DisorderSample,
@@ -55,7 +56,6 @@ from .operators import (
     box_family,
     check_projections,
     diagonalize,
-    family_spectra,
     pole_residues,
 )
 
@@ -154,50 +154,6 @@ class EstimateRecord:
         }
 
 
-def reference_bound(spec: EventSpec, sched: ScaleSchedule) -> tuple[Optional[str], Optional[float]]:
-    """Power-law reference value the estimate is printed against."""
-    k = spec.k
-    L = sched.L[k]
-    a, d = sched.alpha, sched.d
-    if spec.kind in ("single_box_singular", "pair_singular",
-                     "interactive_pair_singular"):
-        return f"L_{k}^-2p", float(L) ** (-2 * sched.p)
-    if spec.kind == "mixed_pair_singular":
-        Ln = sched.L[k + 1]
-        return f"L_{k + 1}^-2p", float(Ln) ** (-2 * sched.p)
-    if spec.kind in ("resonant_at_energy", "pair_resonant",
-                     "both_resonant_at_energy"):
-        return f"L_{k}^-q", float(L) ** (-sched.q)
-    if spec.kind == "single_particle_tunnelling":
-        if sched.p_tilde is None:
-            return None, None
-        s = (sched.p_tilde - 2 * (1 + a) * d) / a
-        return f"L_{k}^-s", float(L) ** (-s)
-    if spec.kind == "ni_counter_at_least":
-        if sched.p_tilde is None:
-            return None, None
-        return "count_bound_ni", float(L) ** (4 * d * a) * float(L) ** (-2 * sched.p_tilde)
-    if spec.kind == "interactive_counter_at_least":
-        n = spec.n
-        return "count_bound_i", float(L) ** (2 * n * (1 + d * a)) * float(L) ** (-2 * n * sched.p)
-    if spec.kind == "total_counter_at_least":
-        n = spec.n
-        b = float(L) ** (2 * n * (1 + d * a)) * float(L) ** (-2 * n * sched.p)
-        if sched.p_tilde is not None:
-            b += float(L) ** (4 * d * a) * float(L) ** (-2 * sched.p_tilde)
-        return "count_bound_total", b
-    if spec.kind == "neither_box_cnr":
-        Ln = sched.L[k + 1]
-        return f"L_{k + 1}^-(q/alpha-4)", float(Ln) ** (-(sched.q / a - 4))
-    if spec.kind == "ni_projection_tunnelling":
-        if sched.p_tilde is None:
-            return None, None
-        s = (sched.p_tilde - 2 * (1 + a) * d) / a
-        Ln = sched.L[k + 1]
-        return f"L_{k + 1}^-s", float(Ln) ** (-s)
-    return None, None
-
-
 # ---------------------------------------------------------------------------
 # placement
 
@@ -274,54 +230,6 @@ def _grid_singular(boxes: Sequence[Box2], sample: DisorderSample,
     poles, residues = pole_residues(h, template.center_index(),
                                     template.boundary_indices())
     return singular_mask_at(poles, residues, math.exp(-m * template.radius), grid)
-
-
-def _interval_union(windows: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not windows:
-        return []
-    ws = sorted(windows)
-    out = [list(ws[0])]
-    for lo, hi in ws[1:]:
-        if lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [tuple(w) for w in out]
-
-
-def _interval_intersection(
-    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def not_cnr_windows(
-    center: Point2, k: int, sched: ScaleSchedule, sample: DisorderSample,
-    interaction: InteractionSpec, g: float, adjacency: str,
-) -> list[tuple[float, float]]:
-    """Exact set of energies at which the scale-(k+1) box fails complete
-    non-resonance: the union of resonance windows of the box and of every
-    probed sub-box."""
-    check_projections(Box2(center, sched.L[k + 1]), sample)
-    families = [(sched.L[k + 1], np.array([center.flat]))] + [
-        (r, Box2(center, off).points()) for r, off in cnr_subbox_layout(k, sched)]
-    windows: list[tuple[float, float]] = []
-    for radius, centers in families:
-        eps = resonance_width(radius, sched.beta)
-        for ev in family_spectra(centers, radius, sample, interaction, g, adjacency):
-            windows += zip((ev - eps).ravel().tolist(), (ev + eps).ravel().tolist())
-    return _interval_union(windows)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +401,7 @@ def _eval_mixed_pair(spec, ctx, trial) -> dict[str, bool]:
     t_event = (not ok1) or (not ok2)
     wx = not_cnr_windows(u, k, sched, sample, ctx.interaction, sched.g, spec.adjacency)
     wy = not_cnr_windows(v, k, sched, sample, ctx.interaction, sched.g, spec.adjacency)
-    overlap = _interval_intersection(wx, wy)
-    overlap = _interval_intersection(overlap, [tuple(interval)])
-    sigma_event = len(overlap) > 0
+    sigma_event = windows_meet(wx, wy, interval) is not None
     return {
         "mixed_pair_singular": b_event,
         "ni_projection_tunnelling": t_event,
@@ -520,27 +426,34 @@ class EventKind:
     grid: Optional[int] = None
     #: the counter whose threshold the event tests: "M", "N" or "K"
     counter: Optional[str] = None
+    #: the label of the reference bound ``L_j^-label`` (``_EXPONENTS``), at
+    #: j = k + 1 for a row that reads scale k + 1; None: the counter's
+    #: bound, or none
+    bound: Optional[str] = None
 
 
 #: every event kind, in the order the documentation lists them; the
-#: positional fields are (evaluate, interval, next_scale, grid, counter)
+#: positional fields are (evaluate, interval, next_scale, grid, counter,
+#: bound)
 EVENTS = {
-    "single_box_singular": EventKind(_eval_single_box_singular, True, grid=0),
-    "pair_singular": EventKind(_eval_pair_singular, True, grid=0),
+    "single_box_singular": EventKind(_eval_single_box_singular, True, grid=0, bound="2p"),
+    "pair_singular": EventKind(_eval_pair_singular, True, grid=0, bound="2p"),
     "interactive_pair_singular": EventKind(
-        functools.partial(_eval_pair_singular, interactive_only=True), True, grid=0),
-    "resonant_at_energy": EventKind(_eval_resonant_at_energy, False),
-    "pair_resonant": EventKind(_eval_pair_resonant, False),
+        functools.partial(_eval_pair_singular, interactive_only=True), True, grid=0,
+        bound="2p"),
+    "resonant_at_energy": EventKind(_eval_resonant_at_energy, False, bound="q"),
+    "pair_resonant": EventKind(_eval_pair_resonant, True, bound="q"),
     "both_resonant_at_energy": EventKind(
-        functools.partial(_eval_pair_resonant, fixed_energy=True), False),
-    "single_particle_tunnelling": EventKind(_eval_single_particle_tunnelling, False),
+        functools.partial(_eval_pair_resonant, fixed_energy=True), False, bound="q"),
+    "single_particle_tunnelling": EventKind(_eval_single_particle_tunnelling, False,
+                                            bound="s"),
     "ni_counter_at_least": EventKind(_eval_counter, True, True, 0, "M"),
     "interactive_counter_at_least": EventKind(_eval_counter, True, True, 0, "N"),
     "total_counter_at_least": EventKind(_eval_counter, True, True, 0, "K"),
-    "mixed_pair_singular": EventKind(_eval_mixed_pair, True, True, grid=1),
-    "ni_projection_tunnelling": EventKind(_eval_mixed_pair, True, True),
-    "neither_box_cnr": EventKind(_eval_mixed_pair, True, True),
-    "mixed_pair_residual": EventKind(_eval_mixed_pair, True, True),
+    "mixed_pair_singular": EventKind(_eval_mixed_pair, True, True, grid=1, bound="2p"),
+    "ni_projection_tunnelling": EventKind(_eval_mixed_pair, True, True, bound="s"),
+    "neither_box_cnr": EventKind(_eval_mixed_pair, True, True, bound="(q/alpha-4)"),
+    "mixed_pair_residual": EventKind(_eval_mixed_pair, True, True, grid=1),
 }
 EVENT_KINDS = tuple(EVENTS)
 
@@ -568,10 +481,39 @@ def _grid_delta(spec: EventSpec, sched: ScaleSchedule) -> Optional[float]:
     return float(grid[1] - grid[0])
 
 
+#: the exponent of each power-law reference bound ``L^-label``, by label
+_EXPONENTS = {
+    "2p": lambda sched: 2 * sched.p,
+    "q": lambda sched: sched.q,
+    "s": lambda sched: sched.single_particle_exponent,
+    "(q/alpha-4)": lambda sched: sched.q / sched.alpha - 4,
+}
+
+
+def _reference_bound(spec: EventSpec,
+                     sched: ScaleSchedule) -> tuple[Optional[str], Optional[float]]:
+    """The power-law reference value of the spec's ``EVENTS`` row, printed
+    next to its estimate; none where it needs an unset ``p_tilde``."""
+    row = EVENTS[spec.kind]
+    if row.counter:
+        L, d, a, n = float(sched.L[spec.k]), sched.d, sched.alpha, spec.n
+        ni = None if sched.p_tilde is None else L ** (4 * d * a) * L ** (-2 * sched.p_tilde)
+        inter = L ** (2 * n * (1 + d * a)) * L ** (-2 * n * sched.p)
+        name, value = {"M": ("count_bound_ni", ni), "N": ("count_bound_i", inter),
+                       "K": ("count_bound_total", inter if ni is None else inter + ni),
+                       }[row.counter]
+        return (None, None) if value is None else (name, value)
+    exponent = _EXPONENTS[row.bound](sched) if row.bound else None
+    if exponent is None:
+        return None, None
+    j = spec.k + 1 if row.next_scale else spec.k
+    return f"L_{j}^-{row.bound}", float(sched.L[j]) ** (-exponent)
+
+
 def _finish_record(spec, sched, trials, successes, seed) -> EstimateRecord:
     est = successes / trials
     lo, hi = wilson_interval(successes, trials)
-    name, bound = reference_bound(spec, sched)
+    name, bound = _reference_bound(spec, sched)
     if bound is None:
         cmp_ = "n/a"
     elif hi <= bound:

@@ -58,6 +58,13 @@ class ScaleSchedule:
     def non_asymptotic_regime(self) -> bool:
         return self.preset != "asymptotic"
 
+    @property
+    def single_particle_exponent(self) -> Optional[float]:
+        """s = (p_tilde - 2(1 + alpha) d) / alpha; None without ``p_tilde``."""
+        if self.p_tilde is None:
+            return None
+        return (self.p_tilde - 2 * (1 + self.alpha) * self.d) / self.alpha
+
 
 def scale_length(L0: int, alpha: float, k: int) -> int:
     """L_k = ceil(L0 ** (alpha ** k)); exact integer powers stay exact."""
@@ -208,7 +215,7 @@ def validate_parameters(sched: ScaleSchedule) -> ParameterReport:
     add("mass_step_consistency", step_const < 40,
         f"51/sqrt(2)={step_const:.4f} < 40")
     if sched.p_tilde is not None:
-        s = (sched.p_tilde - 2 * (1 + a) * d) / a
+        s = sched.single_particle_exponent
         add("single_particle_exponent_margin", s - 2 * sched.p > 1,
             f"s - 2p = {s - 2 * sched.p:.4f} > 1 (s={s:.4f})")
         qp = sched.q / a

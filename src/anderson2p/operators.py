@@ -18,7 +18,7 @@ once and the tensor identity does not hold.
 
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -148,12 +148,27 @@ def box_family(
     return h
 
 
-@functools.lru_cache(maxsize=8)
+#: ``_hop_template``'s matrices, at most 8, oldest first; added under the lock
+_hop_templates: dict[tuple[int, int, str], np.ndarray] = {}
+_hop_lock = threading.Lock()
+
+
 def _hop_template(d: int, radius: int, adjacency: str) -> np.ndarray:
     """Read-only hop matrix of the radius-``radius`` two-particle box in
-    ``2d`` coordinates, shared by every ``box_family`` call of that shape."""
-    hop = adjacency_matrix(Box2.of_origin(d, radius).points(), adjacency)
-    hop.flags.writeable = False
+    ``2d`` coordinates, shared by every ``box_family`` call of that shape.
+    A miss takes the lock and looks again, so workers that miss together
+    build one matrix; a hit takes no lock."""
+    key = (d, radius, adjacency)
+    hop = _hop_templates.get(key)
+    if hop is None:
+        with _hop_lock:
+            hop = _hop_templates.get(key)
+            if hop is None:
+                hop = adjacency_matrix(Box2.of_origin(d, radius).points(), adjacency)
+                hop.flags.writeable = False
+                if len(_hop_templates) >= 8:
+                    del _hop_templates[next(iter(_hop_templates))]
+                _hop_templates[key] = hop
     return hop
 
 

@@ -291,6 +291,12 @@ def not_cnr_windows_by_subbox(center, k, schedule, sample, interaction, g,
     for radius, ev in [(schedule.L[k + 1], parent_ev)] + [(r, ev) for r, _, ev in probes]:
         w = math.exp(-float(radius) ** schedule.beta)
         windows += [(float(e) - w, float(e) + w) for e in ev]
+    return merged_windows(windows)
+
+
+def merged_windows(windows) -> list[tuple[float, float]]:
+    """Union of the open windows ``(lo, hi)``, merged from a sorted list;
+    windows that touch merge."""
     merged: list[list[float]] = []
     for lo, hi in sorted(windows):
         if merged and lo <= merged[-1][1]:
@@ -298,6 +304,21 @@ def not_cnr_windows_by_subbox(center, k, schedule, sample, interaction, g,
         else:
             merged.append([lo, hi])
     return [tuple(w) for w in merged]
+
+
+def resonant_pair_by_pairs(ev1, ev2, interval, L, beta) -> bool:
+    """'Some E in the interval (None: anywhere) makes both spectra
+    resonant', over every eigenvalue pair: the windows of half-width
+    ``exp(-L**beta)`` around lambda and mu overlap, and the overlap meets
+    the interval.  Builds ``len(ev1) x len(ev2)`` arrays."""
+    eps = math.exp(-float(L) ** beta)
+    lo = np.maximum(ev1[:, None], ev2[None, :]) - eps
+    hi = np.minimum(ev1[:, None], ev2[None, :]) + eps
+    ok = lo < hi
+    if interval is not None:
+        a, b = interval
+        ok &= (lo < b) & (hi > a)
+    return bool(ok.any())
 
 
 def counter_by_energy(spec, ctx, trial) -> tuple[bool, list]:

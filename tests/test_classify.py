@@ -19,6 +19,7 @@ from anderson2p.classify import (
     nt_size_condition,
     nt_to_ns_check,
     resonance_width,
+    resonance_windows,
     singular_at_spectral,
     singular_mask_at,
 )
@@ -34,7 +35,9 @@ from .oracles import (
     cnr_probe_spectra,
     dense_inverse_green,
     grid_resonant_pair,
+    merged_windows,
     nontunnelling_by_eigenvectors,
+    resonant_pair_by_pairs,
     singular_mask_by_eigenvectors,
 )
 
@@ -103,11 +106,62 @@ class TestIsResonant:
         assert resonance_width(4, 0.5) == pytest.approx(math.exp(-2.0))
 
 
+def _touching(lam: float, eps: float):
+    """An eigenvalue whose window's lower end, in floating point, is the
+    upper end of the window around ``lam``, or None."""
+    end = lam + eps
+    mu = end + eps
+    for _ in range(8):
+        if mu - eps == end:
+            return mu
+        mu = float(np.nextafter(mu, -np.inf if mu - eps > end else np.inf))
+    return None
+
+
 class TestExistsResonantPair:
     def test_identical_spectra(self):
         ev = np.array([0.0, 1.0, 2.0])
         hit, wit = exists_resonant_pair(ev, ev, (-0.5, 2.5), 3, 0.5)
-        assert hit and wit[0] == wit[1]
+        # the witness is the lowest common window, around the shared 0
+        assert hit and wit[0] < 0.0 < wit[1]
+
+    def test_meet_matches_pairwise_oracle(self):
+        # random spectra with touching windows, inside one spectrum and
+        # across the pair, and intervals whose edges are window ends
+        rng = np.random.default_rng(16)
+        seen = {"touching": 0, "edge": 0, "hit": 0, "miss": 0}
+        for case in range(600):
+            L = int(rng.integers(2, 6))
+            eps = resonance_width(L, 0.5)
+            ev1 = list(rng.uniform(-2, 2, size=int(rng.integers(1, 10))))
+            ev2 = list(rng.uniform(-2, 2, size=int(rng.integers(1, 10))))
+            for spectrum, lam in ((ev1, ev1[0]), (ev2, ev1[-1])):
+                mu = _touching(lam, eps)
+                if mu is not None:
+                    spectrum.append(mu)
+                    seen["touching"] += 1
+            ev1, ev2 = np.sort(ev1), np.sort(ev2)
+            ends = np.concatenate([ev1 - eps, ev1 + eps, ev2 - eps, ev2 + eps])
+            interval = [None, (-1.0, 1.0), (float(rng.choice(ends)), 3.0),
+                        (-3.0, float(rng.choice(ends)))][case % 4]
+            seen["edge"] += case % 4 > 1
+            hit, wit = exists_resonant_pair(ev1, ev2, interval, L, 0.5)
+            assert hit == resonant_pair_by_pairs(ev1, ev2, interval, L, 0.5)
+            seen["hit" if hit else "miss"] += 1
+            if hit:
+                a, b = interval or (-math.inf, math.inf)
+                e = 0.5 * (wit[0] + wit[1])
+                assert a <= wit[0] < wit[1] <= b
+                # within rounding of a window of each spectrum: the middle
+                # of a thin witness can be where two windows touch
+                reach = eps * (1 + 1e-12)
+                assert np.abs(ev1 - e).min() < reach and np.abs(ev2 - e).min() < reach
+            # the merged windows are the list union's, end for end
+            lo, hi = resonance_windows([(ev1, eps), (ev2, 0.5 * eps)])
+            assert list(zip(lo.tolist(), hi.tolist())) == merged_windows(
+                [(e - eps, e + eps) for e in ev1.tolist()]
+                + [(e - 0.5 * eps, e + 0.5 * eps) for e in ev2.tolist()])
+        assert min(seen.values()) > 50, seen
 
     def test_separated_spectra(self):
         hit, _ = exists_resonant_pair(

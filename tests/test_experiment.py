@@ -5,7 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from anderson2p.classify import energy_grid, is_cnr
+from anderson2p.classify import energy_grid, is_cnr, not_cnr_windows
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InvalidInputError, PlacementError
 from anderson2p import experiment
@@ -16,7 +16,6 @@ from anderson2p.experiment import (
     decay_fit,
     estimate_event,
     localization_mass_sweep,
-    not_cnr_windows,
     singularity_vs_g_probe,
     wegner_sweep,
     wilson_interval,
@@ -263,7 +262,8 @@ class TestNotCnrWindows:
         sample = sample_potential(DistributionSpec.uniform(), 17, 3,
                                   domain_for_boxes([Box2(center, sched.L[1])]))
         args = (center, 0, sched, sample, _interaction(), sched.g, adjacency)
-        windows = not_cnr_windows(*args)
+        lo, hi = not_cnr_windows(*args)
+        windows = list(zip(lo.tolist(), hi.tolist()))
         assert windows == not_cnr_windows_by_subbox(*args)
         # the box fails complete non-resonance exactly inside the windows
         inside = [(lo + hi) / 2 for lo, hi in windows[::10]]

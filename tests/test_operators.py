@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -144,6 +148,39 @@ class TestBoxFamily:
         with pytest.raises(ValueError):
             hop[0, 0] = 1.0
         assert family.flags.writeable
+
+    def test_workers_missing_together_build_one_hop_template(self, monkeypatch):
+        # more threads than cores reach an uncached shape at once; the slow
+        # build keeps them all inside the miss path together
+        calls = []
+
+        def slow_adjacency(points, adjacency):
+            calls.append(adjacency)
+            time.sleep(0.05)
+            return kernels.adjacency_matrix(points, adjacency)
+
+        monkeypatch.setattr(operators, "_hop_templates", {})
+        monkeypatch.setattr(operators, "adjacency_matrix", slow_adjacency)
+        start = threading.Barrier(4)
+        got = []
+
+        def worker():
+            start.wait(timeout=10)
+            got.append(operators._hop_template(1, 2, "sup"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(got) == 4 and all(hop is got[0] for hop in got)
 
     @pytest.mark.parametrize("boxes_per_chunk,sizes", [
         (0, [1] * 7), (1, [1] * 7), (3, [3, 3, 1]), (7, [7]), (100, [7]),

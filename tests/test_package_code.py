@@ -1,12 +1,15 @@
 """Guard against regrowth of library code that no command reaches.
 
-Every public top-level function or class in ``src/anderson2p``, and every
-public method of a public class, must be referenced by other package code
-or exported by ``__init__``.  Code that only the tests use belongs in
-``tests/oracles.py`` or in the one test file that uses it.  References are
-matched by name outside the definition itself: a top-level definition over
-every ``Name`` and ``Attribute`` node, a method over ``Attribute`` nodes
-only, since a local variable of the same name does not reach it.
+Every top-level function or class in ``src/anderson2p``, and every method
+of a class, private ones included, must be referenced by other package
+code or exported by ``__init__``; only special methods (``__init__``,
+``__post_init__``, ...) are exempt, as Python calls them.  So a deleted
+caller cannot leave a private helper behind.  Code that only the tests use
+belongs in ``tests/oracles.py`` or in the one test file that uses it.
+References are matched by name outside the definition itself: a top-level
+definition over every ``Name`` and ``Attribute`` node, a method over
+``Attribute`` nodes only, since a local variable of the same name does not
+reach it.
 """
 
 import ast
@@ -28,26 +31,26 @@ def _unreferenced() -> set[tuple[str, str]]:
     exported = {alias.asname or alias.name
                 for node in ast.walk(trees["__init__"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    public, names, attributes = [], set(), set()
+    defined, names, attributes = [], set(), set()
     for module, tree in trees.items():
         for top in tree.body:
-            if not _is_public_def(top):
+            if not _is_checked_def(top):
                 _collect_names(top, set(), names, attributes)
                 continue
-            public.append((module, top.name))
+            defined.append((module, top.name))
             if isinstance(top, ast.FunctionDef):
                 _collect_names(top, {top.name}, names, attributes)
                 continue
             for member in top.body:
-                if _is_public_def(member) and isinstance(member, ast.FunctionDef):
-                    public.append((module, f"{top.name}.{member.name}"))
+                if _is_checked_def(member) and isinstance(member, ast.FunctionDef):
+                    defined.append((module, f"{top.name}.{member.name}"))
                     _collect_names(member, {top.name, member.name}, names, attributes)
                 else:
                     _collect_names(member, {top.name}, names, attributes)
             for node in top.decorator_list + top.bases:
                 _collect_names(node, {top.name}, names, attributes)
     unreferenced = set()
-    for module, name in public:
+    for module, name in defined:
         owner, _, method = name.rpartition(".")
         reached = attributes if owner else names | attributes | exported
         if (method or name) not in reached:
@@ -55,9 +58,9 @@ def _unreferenced() -> set[tuple[str, str]]:
     return unreferenced
 
 
-def _is_public_def(node: ast.AST) -> bool:
+def _is_checked_def(node: ast.AST) -> bool:
     return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_"))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
 def _collect_names(tree: ast.AST, own: set[str], names: set[str],
@@ -71,5 +74,5 @@ def _collect_names(tree: ast.AST, own: set[str], names: set[str],
             attributes.add(node.attr)
 
 
-def test_every_public_definition_is_reached_by_the_package():
+def test_every_definition_is_reached_by_the_package():
     assert _unreferenced() == TRACED_ONLY

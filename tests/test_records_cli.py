@@ -414,6 +414,20 @@ class TestMcEstimateModes:
         deltas = [r["grid_delta"] for r in estimates if r["grid_delta"] is not None]
         assert deltas and deltas == pytest.approx([0.05] * len(deltas), rel=0.05)
 
+    def test_pair_resonant_decides_over_the_interval(self, tmp_path):
+        argv = ["--event", "pair_resonant", "--set", "trials=6"]
+        [wide] = self._records(tmp_path, *argv, "--set", "interval=[-200,200]")
+        [far] = self._records(tmp_path, *argv, "--set", "interval=[1000,1001]")
+        assert wide["event"]["interval"] == [-200, 200] and wide["successes"] > 0
+        # no eigenvalue of a desk box lies near 1000
+        assert far["event"]["interval"] == [1000, 1001] and far["successes"] == 0
+
+    def test_residual_reports_the_singular_grid(self, tmp_path):
+        records = self._records(tmp_path, "--event", "ss-probe", "--set", "trials=1")
+        delta = {r["event"]["kind"]: r["grid_delta"] for r in records}
+        assert delta["mixed_pair_singular"] is not None
+        assert delta["mixed_pair_residual"] == delta["mixed_pair_singular"]
+
     def test_runs_with_other_arguments_keep_their_directories(self, tmp_path):
         runs = [["--event", "wegner", "--scales", "2"],
                 ["--event", "resonant_at_energy", "--energy", "0"],
