@@ -156,21 +156,36 @@ def workers() -> int:
     return len(os.sched_getaffinity(0)) if _pinned else 1
 
 
+def plain_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` on the calling thread.  An exception
+    leaves with the index of its item in ``items`` as ``item_index``, so
+    an error record can name the failing trial or seed."""
+    results = []
+    for i, x in enumerate(items):
+        try:
+            results.append(fn(x))
+        except BaseException as e:
+            e.item_index = i
+            raise
+    return results
+
+
 def ordered_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, computed on ``workers()`` threads.
+    """``plain_map(fn, items)``, computed on ``workers()`` threads.
 
     The calling thread is one of them, so at most ``workers() - 1``
     threads are started, and all of them have ended when this returns.
     Items are handed out in index order, and a worker that sees a failure
     takes no new item; so every item below the lowest failing index has
-    run, and that index's exception is raised, as in the plain loop.
+    run, and that index's exception is raised, with the index as its
+    ``item_index``, as in the plain loop.
     The helpers run under the calling thread's Python-level profile and
     trace functions (``sys.setprofile``, ``sys.settrace``), so a profiler
     set on the caller still sees every item.
     """
     count = min(workers(), len(items))
     if count <= 1:
-        return [fn(x) for x in items]
+        return plain_map(fn, items)
     results: list = [None] * len(items)
     failures: dict[int, BaseException] = {}
     lock = threading.Lock()
@@ -211,5 +226,7 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
         for t in helpers:
             t.join()
     if failures:
-        raise failures[min(failures)]
+        first = min(failures)
+        failures[first].item_index = first
+        raise failures[first]
     return results

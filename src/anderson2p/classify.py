@@ -17,6 +17,11 @@ Existence-over-an-interval is decided exactly for resonance predicates
 (``windows_meet`` of two ``resonance_windows`` sets) and on a recorded
 energy grid for singularity predicates, whose Green's-function character
 admits no exact continuum test.
+
+Complete non-resonance at one energy asks of each sub-box only whether
+some eigenvalue lies within the window: ``window_clear`` certifies "none"
+for a whole stack of boxes from one matrix product and one Cholesky
+factorization, and only a stack it cannot certify is diagonalized.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .disorder import DisorderSample, InteractionSpec
-from .errors import InvalidInputError, PreconditionError, ResonantEnergyError
+from .errors import InvalidInputError, NumericError, PreconditionError, ResonantEnergyError
 from .geometry import Box1, Box2, Point2, is_interactive, projections
 from .operators import (
     FiniteOperator,
@@ -37,6 +42,7 @@ from .operators import (
     assemble_two_particle,
     check_projections,
     exchange_orbits,
+    family_chunks,
     family_spectra,
     pole_residues,
     single_particle_factors,
@@ -169,6 +175,50 @@ def singular_mask_at(
     return out if np.ndim(E) else out[0]
 
 
+def window_clear(h: np.ndarray, E: float, w: float) -> bool:
+    """Certify that no box of the stack ``h`` (symmetric, ``(..., n, n)``)
+    has an eigenvalue within ``w`` of ``E``, without its spectrum.
+
+    An eigenvalue of H lies in [E - w, E + w] exactly when
+    (H - E)^2 - w^2 is not positive definite.  True means the Cholesky
+    factorization of (H - E)^2 - ((w + eta)^2 + delta) completed with a
+    finite factor for every box, where
+
+    * delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
+      product and of the factorization (after S. M. Rump, "Verification
+      of positive definiteness", BIT 46 (2006) 433; the underflow term of
+      that bound, below 1e-300, is left out), so every eigenvalue lies
+      farther than w + eta from E;
+    * eta = n eps (||H - E||_F + |E|) covers the error of ``eigvalsh``
+      itself, so every gap it would report is at least ``w``.
+
+    False says nothing: a box may merely come near the window, and the
+    caller decides from the spectrum.  ``h`` is shifted in place for the
+    product and its diagonal is written back, so it is unchanged on
+    return.  Raises ``NumericError`` when an entry is not finite, as
+    numpy's stacked Cholesky does not fail on one.
+    """
+    if not np.isfinite(h).all():
+        raise NumericError("operator matrix has non-finite entries")
+    n = h.shape[-1]
+    idx = np.arange(n)
+    diagonal = h[..., idx, idx]
+    h[..., idx, idx] -= E
+    try:
+        sq = h @ h
+    finally:
+        h[..., idx, idx] = diagonal
+    eps = np.finfo(np.float64).eps
+    fro2 = np.trace(sq, axis1=-2, axis2=-1)  # ||H - E||_F^2, as H - E is symmetric
+    eta = n * eps * (np.sqrt(fro2) + abs(E))
+    sq[..., idx, idx] -= ((w + eta) ** 2 + 2 * (n + 2) * eps * fro2)[..., None]
+    try:
+        factor = np.linalg.cholesky(sq)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
 def is_resonant(ev: np.ndarray, E: float, L: int, beta: float) -> tuple[bool, float]:
     """E-resonance: the spectrum ``ev`` comes within exp(-L**beta) of E.
     Returns the verdict and the spectral gap."""
@@ -267,15 +317,25 @@ def is_cnr(
     Exhaustive over all sub-box centers while their count stays within
     budget, else a seeded uniform subsample is checked and the report is
     marked non-exhaustive.  Each probed radius is one translated family
-    (``family_spectra``) of one box per exchange orbit
-    (``operators.exchange_orbits``); the first resonant sub-box in probe
-    order is reported.
+    (``family_chunks``) of one box per exchange orbit
+    (``operators.exchange_orbits``).  A chunk of the family that
+    ``window_clear`` certifies has no resonant box; any other chunk is
+    diagonalized and scanned, so the first resonant sub-box in probe
+    order, its gap and every other field are those of a sweep over the
+    spectra.  The parent's resonance is read from its spectrum
+    (``parent_op``, which must be the operator of the scale-(k+1) box at
+    ``center``, is assembled when not given).
     """
     if schedule.J < 1 or schedule.J % 2 == 0:
         raise InvalidInputError("CNR sub-box count J must be odd and positive")
     parent = Box2(center, schedule.L[k + 1])
     if parent_op is None:
         parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
+    elif parent_op.box != parent:
+        raise InvalidInputError(
+            f"parent_op is the box at {parent_op.box.center.flat} of radius "
+            f"{parent_op.box.radius}, not the scale-{k + 1} box at {center.flat} "
+            f"of radius {parent.radius}")
     else:
         check_projections(parent, sample)
     layout = cnr_subbox_layout(k, schedule)
@@ -306,19 +366,20 @@ def is_cnr(
         reps, _ = exchange_orbits(centers)
         width = resonance_width(radius, schedule.beta)
         first = 0  # index in ``reps`` of the chunk's first representative
-        for ev in family_spectra(centers[reps], radius, sample, interaction, g,
-                                 adjacency):
-            gaps = np.abs(ev - E).min(axis=1)
-            hits = np.flatnonzero(gaps < width)
-            if len(hits):
-                i = int(reps[first + hits[0]])
-                return CnrReport(
-                    False, gap, failed_center=tuple(int(c) for c in centers[i]),
-                    failed_radius=radius, failed_gap=float(gaps[hits[0]]),
-                    n_candidates=total, n_checked=checked + i + 1,
-                    exhaustive=exhaustive,
-                )
-            first += len(ev)
+        for h in family_chunks(centers[reps], radius, sample, interaction, g,
+                               adjacency):
+            if not window_clear(h, E, width):
+                gaps = np.abs(np.linalg.eigvalsh(h) - E).min(axis=1)
+                hits = np.flatnonzero(gaps < width)
+                if len(hits):
+                    i = int(reps[first + hits[0]])
+                    return CnrReport(
+                        False, gap, failed_center=tuple(int(c) for c in centers[i]),
+                        failed_radius=radius, failed_gap=float(gaps[hits[0]]),
+                        n_candidates=total, n_checked=checked + i + 1,
+                        exhaustive=exhaustive,
+                    )
+            first += len(h)
         checked += len(centers)
     return CnrReport(True, gap, n_candidates=total, n_checked=checked,
                      exhaustive=exhaustive)

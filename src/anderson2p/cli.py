@@ -26,7 +26,11 @@ hash, version, timestamp, wall time, BLAS policy and worker count; some
 subcommands also emit CSV summaries.  The files go to
 ``<root>/<subcommand>-<tag>``, where the tag hashes the configuration and
 the subcommand's arguments.  Exit codes: 0 success, 2 invalid
-configuration or arguments, 3 infeasible schedule.
+configuration or arguments, or a package or numpy ``LinAlgError`` failure
+during the run, 3 infeasible schedule.  A failure prints one JSON error
+record to stderr and writes no files; that of ``mc-estimate`` names the
+lowest failing trial (``"trial"``), that of ``msa-verify`` the lowest
+failing seed (``"seed"``).
 """
 
 from __future__ import annotations
@@ -256,8 +260,9 @@ def _cmd_msa_verify(cfg, sched, args):
         sub_radius = args.sub_radius if args.sub_radius is not None else 2
         # a plain loop: a seed is Python around many tiny LAPACK calls, and
         # two workers trading the GIL at each call ran slower than one
-        return [_recovery_batch(cfg, sched, s, parent_radius, sub_radius).to_record()
-                for s in range(args.seeds)], {}
+        return [rec.to_record() for rec in blas.plain_map(
+            lambda s: _recovery_batch(cfg, sched, s, parent_radius, sub_radius),
+            range(args.seeds))], {}
     interaction = cfg.interaction_spec()
     dist = cfg.distribution_spec()
     d = cfg.dimension
@@ -292,7 +297,7 @@ def _cmd_msa_verify(cfg, sched, args):
 
         # a plain loop: on two workers, the seeds per second of one
         # 55-second run ranged over 1.5x from run to run, against 1.1x on one
-        reports = [check(s) for s in range(args.seeds)]
+        reports = blas.plain_map(check, range(args.seeds))
     return [rep.to_record() for rep in reports], {}
 
 
@@ -391,6 +396,9 @@ def _cmd_decay_fit(cfg, sched, args):
     return records, csvs
 
 
+#: what the failing item of a subcommand's ``blas`` map is, in its error record
+_ITEM_NAMES = {"msa-verify": "seed", "mc-estimate": "trial"}
+
 _COMMANDS = {
     "sample": _cmd_sample,
     "spectrum": _cmd_spectrum,
@@ -439,9 +447,14 @@ def run(subcommand: str, config_path: str | None, overrides: list[str],
         print(json.dumps({"kind": "error", "error": "infeasible_schedule",
                           "message": str(e)}), file=sys.stderr)
         return 3, []
-    except Anderson2pError as e:
-        print(json.dumps({"kind": "error", "error": type(e).__name__,
-                          "message": str(e)}), file=sys.stderr)
+    except (Anderson2pError, np.linalg.LinAlgError) as e:
+        # numpy's LinAlgError (an eigensolver that does not converge, a
+        # singular solve) is a numeric failure like the package's own
+        error = "NumericError" if isinstance(e, np.linalg.LinAlgError) else type(e).__name__
+        record = {"kind": "error", "error": error, "message": str(e)}
+        if subcommand in _ITEM_NAMES and hasattr(e, "item_index"):
+            record[_ITEM_NAMES[subcommand]] = e.item_index
+        print(json.dumps(record), file=sys.stderr)
         return 2, []
     out = _out_dir(args, cfg, subcommand)
     chash = cfg.config_hash()

@@ -37,7 +37,7 @@ from .kernels import adjacency_matrix
 #: relative tolerance for eigensolver residuals and orthonormality
 SPECTRAL_RTOL = 1e-8
 
-#: largest stack of box matrices one ``family_spectra`` eigensolve takes
+#: largest stack of box matrices one ``family_chunks`` stack holds
 FAMILY_BYTES = 1 << 24
 
 
@@ -65,8 +65,11 @@ class FiniteOperator:
         return self.box.boundary_indices()
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues; cached (cheaper than full eigenpairs)."""
+        """Ascending eigenvalues; cached (cheaper than full eigenpairs).
+        Raises ``NumericError`` when an entry is not finite."""
         if self._eigenvalues is None:
+            if not np.isfinite(self.matrix).all():
+                raise NumericError("operator matrix has non-finite entries")
             self._eigenvalues = np.linalg.eigvalsh(self.matrix)
         return self._eigenvalues
 
@@ -192,6 +195,23 @@ def exchange_orbits(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reps, orbit
 
 
+def family_chunks(
+    centers: np.ndarray,
+    radius: int,
+    sample: DisorderSample,
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str = "sup",
+) -> Iterator[np.ndarray]:
+    """The ``box_family`` at ``centers``, in order, as stacks of at most
+    ``FAMILY_BYTES`` of matrices (at least one box each)."""
+    n = (2 * radius + 1) ** np.shape(centers)[1]
+    step = max(1, FAMILY_BYTES // (8 * n * n))
+    for start in range(0, len(centers), step):
+        yield box_family(centers[start:start + step], radius, sample, interaction, g,
+                         adjacency)
+
+
 def family_spectra(
     centers: np.ndarray,
     radius: int,
@@ -201,13 +221,10 @@ def family_spectra(
     adjacency: str = "sup",
 ) -> Iterator[np.ndarray]:
     """Ascending spectra of the ``box_family`` at ``centers``, in order: one
-    ``(nchunk, n)`` array per stacked eigensolve over a chunk of at most
-    ``FAMILY_BYTES`` of matrices (at least one box)."""
-    n = (2 * radius + 1) ** np.shape(centers)[1]
-    step = max(1, FAMILY_BYTES // (8 * n * n))
-    for start in range(0, len(centers), step):
-        yield np.linalg.eigvalsh(box_family(
-            centers[start:start + step], radius, sample, interaction, g, adjacency))
+    ``(nchunk, n)`` array per stacked eigensolve over a ``family_chunks``
+    stack."""
+    for h in family_chunks(centers, radius, sample, interaction, g, adjacency):
+        yield np.linalg.eigvalsh(h)
 
 
 def assemble_single_particle(

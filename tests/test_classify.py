@@ -22,9 +22,10 @@ from anderson2p.classify import (
     resonance_windows,
     singular_at_spectral,
     singular_mask_at,
+    window_clear,
 )
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
-from anderson2p.errors import InvalidInputError
+from anderson2p.errors import InvalidInputError, NumericError
 from anderson2p.geometry import Box1, Box2, Point1, Point2
 from anderson2p.msa import desk_schedule, schedule
 from anderson2p.operators import assemble_two_particle, box_family, pole_residues
@@ -430,6 +431,136 @@ class TestCnrOrbitsMatchPerBoxOracle:
                 spectra, parent.center, 0, sched, e), e
             outcomes.add(rep.failed_radius)
         assert {None, sched.L[1], sched.L[0] + 1} <= outcomes
+
+
+def _planted(rng, n, E, planted):
+    """A random orthogonal conjugate of a spectrum spread over [-4, 64],
+    the range of a desk box at g=30, keeping clear of E by 0.5, plus the
+    ``planted`` eigenvalues."""
+    bulk = rng.uniform(-4, 64, size=n - len(planted))
+    bulk[np.abs(bulk - E) < 0.5] += 1.0
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    h = (q * np.concatenate([bulk, planted])) @ q.T
+    return (h + h.T) / 2
+
+
+class TestWindowClear:
+    """``window_clear`` certifies "no eigenvalue within w of E" from a
+    Cholesky factorization; a certified box must never have an
+    ``eigvalsh`` gap below w, and nothing non-finite is ever certified."""
+
+    @pytest.mark.parametrize("n", [25, 81, 169])
+    @pytest.mark.parametrize("w", [math.exp(-2.0), math.exp(-math.sqrt(12.0))])
+    def test_never_clear_where_eigvalsh_finds_a_gap_below_w(self, n, w):
+        rng = np.random.default_rng(n)
+        E = 0.7
+        planted = [E + sign * w * factor for sign in (-1, 1)
+                   for factor in (1 - 1e-9, 1.0, 1 + 1e-9)]
+        verdicts = {}
+        for target in planted + [None]:
+            for _ in range(3):
+                h = _planted(rng, n, E, [] if target is None else [target])
+                clear = window_clear(h.copy(), E, w)
+                gap = np.abs(np.linalg.eigvalsh(h) - E).min()
+                assert not (clear and gap < w), (target, gap)
+                verdicts.setdefault(target, set()).add(clear)
+        assert verdicts[None] == {True}  # far from the window: certified
+        for target in (E - w * (1 - 1e-9), E + w * (1 - 1e-9)):
+            assert verdicts[target] == {False}  # inside the window
+
+    def test_stack_is_clear_only_when_every_box_is(self):
+        rng = np.random.default_rng(5)
+        E, w = 0.7, math.exp(-2.0)
+        far = [_planted(rng, 49, E, []) for _ in range(4)]
+        near = _planted(rng, 49, E, [E + 0.5 * w])
+        assert window_clear(np.array(far), E, w)
+        assert not window_clear(np.array(far[:2] + [near] + far[2:]), E, w)
+
+    def test_input_restored_bit_for_bit(self):
+        h = np.array([_planted(np.random.default_rng(s), 25, 0.3, []) for s in range(3)])
+        before = h.copy()
+        window_clear(h, 0.3, 0.1)
+        assert np.array_equal(h, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        h = np.array([_planted(np.random.default_rng(s), 25, 0.3, []) for s in range(3)])
+        h[1, 4, 4] = bad
+        with pytest.raises(NumericError):
+            window_clear(h, 0.3, 0.1)
+
+
+class TestCnrWindowFallback:
+    """``is_cnr`` diagonalizes only the chunks ``window_clear`` cannot
+    certify; forcing every chunk onto that path changes no report."""
+
+    @staticmethod
+    def _reports(sched, parent, sample, adjacency, energies, **kw):
+        return [dataclasses.asdict(is_cnr(parent.center, 0, sched, sample, _interaction(),
+                                          sched.g, e, adjacency, **kw))
+                for e in energies]
+
+    @staticmethod
+    def _energies(sched, parent, sample, adjacency):
+        parent_ev = assemble_two_particle(parent, sample, _interaction(), sched.g,
+                                          adjacency).eigenvalues()
+        sub_ev = np.linalg.eigvalsh(box_family(
+            Box2.of_origin(1, sched.L[1] - sched.L[0] - 1).points(), sched.L[0] + 1,
+            sample, _interaction(), sched.g, adjacency)).ravel()
+        return ([-50.0, float(parent_ev[5])] + [float(e) for e in sub_ev[::97]]
+                + list(np.random.default_rng(2).uniform(parent_ev[0], parent_ev[-1], 6)))
+
+    @pytest.mark.parametrize("sched", [desk_schedule(), two_radius_schedule()],
+                             ids=["desk", "two-radius"])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("exhaustive_limit", [CNR_EXHAUSTIVE_LIMIT, 1],
+                             ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    def test_uncertified_chunks_give_identical_reports(self, monkeypatch, sched, adjacency,
+                                                      exhaustive_limit, failure):
+        parent = Box2(Point2.of((0,), (1,)), sched.L[1])
+        sample = sample_potential(DistributionSpec.uniform(), 29, 1,
+                                  domain_for_boxes([parent]))
+        energies = self._energies(sched, parent, sample, adjacency)
+        kw = dict(exhaustive_limit=exhaustive_limit, sample_budget=20)
+        expected = self._reports(sched, parent, sample, adjacency, energies, **kw)
+        assert {r["failed_radius"] for r in expected} >= {None, sched.L[1], sched.L[0] + 1}
+        cholesky = np.linalg.cholesky
+
+        def uncertified(a):
+            if failure == "raises":
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            factor = cholesky(a)
+            factor[..., -1, -1] = np.nan
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", uncertified)
+        assert self._reports(sched, parent, sample, adjacency, energies, **kw) == expected
+
+    def test_non_finite_family_is_never_cnr(self, desk):
+        parent = Box2.of_origin(1, desk.L[1])
+        sample = sample_potential(DistributionSpec.uniform(), 11, 0,
+                                  domain_for_boxes([parent]))
+        parent_op = assemble_two_particle(parent, sample, _interaction(), desk.g)
+        assert is_cnr(parent.center, 0, desk, sample, _interaction(), desk.g, -50.0,
+                      parent_op=parent_op).ok
+        # a finite parent spectrum, but every sub-box has a NaN diagonal
+        with pytest.raises(NumericError):
+            is_cnr(parent.center, 0, desk, sample, _interaction(), math.nan, -50.0,
+                   parent_op=parent_op)
+        with pytest.raises(NumericError):
+            is_cnr(parent.center, 0, desk, sample, _interaction(), math.nan, -50.0)
+
+    @pytest.mark.parametrize("x1,shrink", [((0,), 1), ((1,), 0)], ids=["radius", "center"])
+    def test_mismatched_parent_op_rejected(self, desk, x1, shrink):
+        parent = Box2.of_origin(1, desk.L[1])
+        other = Box2(Point2.of(x1, (0,)), desk.L[1] - shrink)
+        sample = sample_potential(DistributionSpec.uniform(), 11, 0,
+                                  domain_for_boxes([parent, other]))
+        op = assemble_two_particle(other, sample, _interaction(), desk.g)
+        with pytest.raises(InvalidInputError, match="parent_op"):
+            is_cnr(parent.center, 0, desk, sample, _interaction(), desk.g, -50.0,
+                   parent_op=op)
 
 
 class TestNonTunnelling:

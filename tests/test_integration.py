@@ -382,30 +382,62 @@ class TestWorkerPool:
             runs.append(records)
         assert runs[0] == runs[1]
 
-    def test_error_of_lowest_failing_trial(self, tmp_path, monkeypatch, capsys):
-        """Trials 3 and 5 fail; trial 3 fails last, after trial 5 has
-        failed on the other worker, and its error is the one reported."""
-        evaluate = experiment.evaluate_event
+    #: the message of a real placement failure, which names no trial
+    _PLACEMENT = "could not place a non-interactive box in the region"
 
-        def failing(spec, ctx, trial):
-            if trial == 3:
-                time.sleep(0.3)
-            if trial in (3, 5):
-                raise PlacementError(f"trial {trial} could not be placed")
-            return evaluate(spec, ctx, trial)
-
-        monkeypatch.setattr(experiment, "evaluate_event", failing)
-        argv = ["mc-estimate", "--event", "resonant_at_energy", "--energy", "0",
-                "--set", "trials=8"]
+    def _errors(self, argv, tmp_path, monkeypatch, capsys) -> list[dict]:
+        """The error record of a failing run on one worker and on two."""
         errors = []
         for cpus in (1, 2):
             _set_cpus(monkeypatch, cpus)
             code, records, _ = self._run(argv, tmp_path / str(cpus))
             assert code == 2 and records is None
             errors.append(json.loads(capsys.readouterr().err))
+        return errors
+
+    def test_error_of_lowest_failing_trial(self, tmp_path, monkeypatch, capsys):
+        """Trials 3 and 5 fail; trial 3 fails last, after trial 5 has
+        failed on the other worker, and its error is the one reported,
+        named by the record."""
+        evaluate = experiment.evaluate_event
+
+        def failing(spec, ctx, trial):
+            if trial == 3:
+                time.sleep(0.3)
+            if trial in (3, 5):
+                raise PlacementError(self._PLACEMENT)
+            return evaluate(spec, ctx, trial)
+
+        monkeypatch.setattr(experiment, "evaluate_event", failing)
+        argv = ["mc-estimate", "--event", "resonant_at_energy", "--energy", "0",
+                "--set", "trials=8"]
+        errors = self._errors(argv, tmp_path, monkeypatch, capsys)
         assert errors[0] == errors[1] == {
             "kind": "error", "error": "PlacementError",
-            "message": "trial 3 could not be placed"}
+            "message": self._PLACEMENT, "trial": 3}
+
+    @pytest.mark.parametrize("check,step", [("nt-to-ns", "nt_to_ns_check"),
+                                            ("inductive-step", "inductive_ns_step")])
+    def test_error_of_lowest_failing_seed(self, tmp_path, monkeypatch, capsys, check, step):
+        """Seeds 3 and 5 fail, on the worker threads (``nt-to-ns``) or on
+        the plain loop (``inductive-step``); the record names seed 3."""
+        from anderson2p import cli
+
+        def failing(*args, **kwargs):
+            sample = next(a for a in args if hasattr(a, "trial"))
+            if sample.trial == 3:
+                time.sleep(0.3)
+            if sample.trial in (3, 5):
+                raise PlacementError(self._PLACEMENT)
+            return original(*args, **kwargs)
+
+        original = getattr(cli, step)
+        monkeypatch.setattr(cli, step, failing)
+        argv = ["msa-verify", "--check", check, "--seeds", "8"]
+        errors = self._errors(argv, tmp_path, monkeypatch, capsys)
+        assert errors[0] == errors[1] == {
+            "kind": "error", "error": "PlacementError",
+            "message": self._PLACEMENT, "seed": 3}
 
     def test_results_in_index_order_on_every_worker(self, monkeypatch):
         _set_cpus(monkeypatch, 2)

@@ -241,6 +241,23 @@ class TestCli:
         assert "schedule has scales 0..2" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        (["classify", "--energy", "0.3", "--k", "0"], {}),
+        (["msa-verify", "--check", "inductive-step", "--seeds", "2"], {"seed": 0}),
+    ], ids=["classify", "inductive-step"])
+    def test_linalg_error_is_numeric_error_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  argv, named):
+        # an eigensolver that does not converge is a numeric failure, not a crash
+        def diverging(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverging)
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"kind": "error", "error": "NumericError",
+                       "message": "Eigenvalues did not converge", **named}
+        assert not (tmp_path / "o").exists()
+
     def test_green_source_outside_box_exit_2(self, tmp_path, capsys):
         argv = ["green", "--energy", "0.3", "--radius", "2", "--source", "9;9",
                 "--out", str(tmp_path / "o")]
