@@ -47,6 +47,7 @@ from .operators import (
     pole_residues,
     single_particle_factors,
 )
+from .records import Record
 from .resolvent import boundary_green_max, spectral_gap, within_guard
 
 #: budget rules for exhaustive sub-box enumeration in the CNR test
@@ -455,10 +456,12 @@ def nt_size_condition(L: int, beta: float, d: int) -> bool:
 
 
 @dataclass
-class NtToNsReport:
+class NtToNsReport(Record):
     """Record of one instance of the deterministic step 'non-tunnelling
     projections + non-resonant box => non-singular box at a reduced mass'
     on a non-interactive box."""
+
+    kind = "nt_to_ns"
 
     center: tuple[int, ...]
     radius: int
@@ -478,14 +481,6 @@ class NtToNsReport:
     @property
     def hypotheses_hold(self) -> bool:
         return self.hyp_nt1 and self.hyp_nt2 and self.hyp_nr and self.hyp_size
-
-    def to_record(self) -> dict:
-        from dataclasses import asdict
-
-        rec = asdict(self)
-        rec["kind"] = "nt_to_ns"
-        rec["center"] = list(self.center)
-        return rec
 
 
 def nt_to_ns_check(
@@ -540,9 +535,11 @@ def nt_to_ns_check(
 
 
 @dataclass
-class ClassificationReport:
+class ClassificationReport(Record):
     """Aggregate classification of one box at one energy, with the witness
     data each flag can be reproduced from."""
+
+    kind = "classification"
 
     center: tuple[int, ...]
     radius: int
@@ -565,13 +562,6 @@ class ClassificationReport:
     cnr_J: Optional[int] = None
     degenerate: bool = False
     beta: float = 0.5
-
-    def to_record(self) -> dict:
-        from dataclasses import asdict
-
-        d = asdict(self)
-        d["kind"] = "classification"
-        return d
 
 
 def classify_box(
@@ -613,7 +603,7 @@ def classify_box(
     )
     if nt_mass is not None:
         # a two-particle box is non-tunnelling when both projections are
-        p1, p2, _ = projections(box)
+        p1, p2 = projections(box)
         ok1, w1 = is_nontunnelling(p1, sample, g, nt_mass, adjacency)
         ok2, w2 = is_nontunnelling(p2, sample, g, nt_mass, adjacency)
         worst = w1 if w1.max_product >= w2.max_product else w2

@@ -158,10 +158,16 @@ def _out_dir(args, cfg: ExperimentConfig, subcommand: str) -> Path:
     return path
 
 
-def _trial_sample_for(cfg, sched, boxes, trial=0):
-    return sample_potential(
-        cfg.distribution_spec(), cfg.seed, trial, domain_for_boxes(boxes)
-    )
+def _one_box(cfg, sched, args, radius=None):
+    """The box of a one-box subcommand, at ``--center`` with ``radius``
+    (by default ``--radius``, else L_0), and its disorder sample at
+    ``--trial``."""
+    if radius is None:
+        radius = args.radius if args.radius is not None else sched.L[0]
+    box = Box2(_parse_center(args.center, cfg.dimension), radius)
+    sample = sample_potential(cfg.distribution_spec(), cfg.seed, args.trial,
+                              domain_for_boxes([box]))
+    return box, sample
 
 
 # --------------------------------------------------------------------------
@@ -170,18 +176,12 @@ def _trial_sample_for(cfg, sched, boxes, trial=0):
 
 
 def _cmd_sample(cfg, sched, args):
-    d = cfg.dimension
-    radius = args.radius if args.radius is not None else sched.L[0]
-    box = Box2(_parse_center(args.center, d), radius)
-    sample = _trial_sample_for(cfg, sched, [box], trial=args.trial)
+    _, sample = _one_box(cfg, sched, args)
     return [sample_record(sample).to_record()], {}
 
 
 def _cmd_spectrum(cfg, sched, args):
-    d = cfg.dimension
-    radius = args.radius if args.radius is not None else sched.L[0]
-    box = Box2(_parse_center(args.center, d), radius)
-    sample = _trial_sample_for(cfg, sched, [box], trial=args.trial)
+    box, sample = _one_box(cfg, sched, args)
     op = assemble_two_particle(box, sample, cfg.interaction_spec(), cfg.g,
                                cfg.adjacency)
     sd = diagonalize(op)
@@ -197,13 +197,10 @@ def _cmd_spectrum(cfg, sched, args):
 
 
 def _cmd_green(cfg, sched, args):
-    d = cfg.dimension
-    radius = args.radius if args.radius is not None else sched.L[0]
-    box = Box2(_parse_center(args.center, d), radius)
-    sample = _trial_sample_for(cfg, sched, [box], trial=args.trial)
+    box, sample = _one_box(cfg, sched, args)
     op = assemble_two_particle(box, sample, cfg.interaction_spec(), cfg.g,
                                cfg.adjacency)
-    source = _parse_center(args.source, d) if args.source else box.center
+    source = _parse_center(args.source, cfg.dimension) if args.source else box.center
     try:
         index = box.index_of(source)
     except KeyError:
@@ -220,7 +217,7 @@ def _cmd_green(cfg, sched, args):
 
 
 def _cmd_classify(cfg, sched, args):
-    d = cfg.dimension
+    radius = None
     if args.k is not None:
         # the complete-non-resonance flag is defined for scale-(k+1) boxes
         required = sched.L[args.k + 1]
@@ -230,10 +227,7 @@ def _cmd_classify(cfg, sched, args):
                 f"radius must be {required}"
             )
         radius = required
-    else:
-        radius = args.radius if args.radius is not None else sched.L[0]
-    box = Box2(_parse_center(args.center, d), radius)
-    sample = _trial_sample_for(cfg, sched, [box], trial=args.trial)
+    box, sample = _one_box(cfg, sched, args, radius)
     mass = args.mass if args.mass is not None else sched.m[0]
     rep = classify_box(
         box, sample, cfg.interaction_spec(), cfg.g, args.energy, mass,

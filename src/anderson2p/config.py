@@ -1,9 +1,11 @@
 """Experiment configuration: file format, validation, and hashing.
 
 A configuration is a JSON object with the documented keys below; presets
-fill in schedule defaults, and the config hash covers exactly the
-semantically meaningful fields (the output directory and any timestamps are
-excluded), so the hash changes iff a field that can affect results does.
+fill in schedule defaults.  The keys, their defaults and the hashed fields
+all come from the fields of ``ExperimentConfig``: a key that is absent
+takes the field's default, and the config hash covers every field but
+``output_dir`` (timestamps live in the manifest), so the hash changes iff a
+field that can affect results does.
 
 Keys::
 
@@ -30,19 +32,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from typing import Any, Optional
 
 from .disorder import DistributionSpec, InteractionSpec
 from .errors import InvalidInputError
 from .geometry import normalize_adjacency
 from .msa import PRESETS, ScaleSchedule, schedule as build_schedule
-
-_KEYS = {
-    "dimension", "adjacency", "distribution", "interaction", "g", "schedule",
-    "preset", "interval", "grid_spacing", "trials", "seed", "output_dir",
-}
-
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
@@ -91,34 +87,24 @@ class ExperimentConfig:
             raise ConfigError([("config", "top level must be a JSON object")])
         diags = [(key, "unknown configuration key") for key in raw
                  if key not in _KEYS]
-        preset = raw.get("preset", "desk")
+        # the keys given; the dataclass defaults fill in the rest
+        given = {key: value for key, value in raw.items() if key in _KEYS}
+        preset = given.get("preset", cls.preset)
         if preset not in ("desk", "asymptotic", "custom"):
             diags.append(("preset", f"must be desk|asymptotic|custom, got {preset!r}"))
-            preset = "desk"
+            given["preset"] = preset = "desk"
         # a custom schedule starts from the desk values
         base = dict(PRESETS["asymptotic" if preset == "asymptotic" else "desk"])
         default_g = base.pop("g")
-        schedule = raw.get("schedule") or {}
+        schedule = given.get("schedule") or {}
         if isinstance(schedule, dict):
             base.update(schedule)
         else:
             diags.append(("schedule", "must be a JSON object"))
-        interval = raw.get("interval", (-1.0, 1.0))
-        cfg = cls(
-            dimension=raw.get("dimension", 1),
-            adjacency=raw.get("adjacency", "sup"),
-            distribution=raw.get("distribution",
-                                 {"kind": "uniform", "support": [0.0, 1.0]}),
-            interaction=raw.get("interaction", {"r0": 1, "u0": 1.0}),
-            g=raw.get("g"),
-            schedule=base,
-            preset=preset,
-            interval=tuple(interval) if isinstance(interval, list) else interval,
-            grid_spacing=raw.get("grid_spacing"),
-            trials=raw.get("trials", 200),
-            seed=raw.get("seed", 1),
-            output_dir=raw.get("output_dir"),
-        )
+        given["schedule"] = base
+        if isinstance(given.get("interval"), list):
+            given["interval"] = tuple(given["interval"])
+        cfg = cls(**given)
         if cfg.g is None:
             cfg.g = default_g
         diags.extend(cfg._validate())
@@ -198,22 +184,16 @@ class ExperimentConfig:
     # -- hashing -----------------------------------------------------------
 
     def semantic_dict(self) -> dict[str, Any]:
-        """All fields that can influence emitted results (output location
-        excluded)."""
-        return {
-            "dimension": self.dimension,
-            "adjacency": self.adjacency,
-            "distribution": self.distribution,
-            "interaction": self.interaction,
-            "g": self.g,
-            "schedule": self.schedule,
-            "preset": self.preset,
-            "interval": list(self.interval),
-            "grid_spacing": self.grid_spacing,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        """All fields that can influence emitted results: every dataclass
+        field but the output location."""
+        d = asdict(self)
+        del d["output_dir"]
+        return d
 
     def config_hash(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: the configuration file's keys, one per field
+_KEYS = frozenset(f.name for f in fields(ExperimentConfig))

@@ -216,18 +216,15 @@ def sample_potential(
     )
 
 
-def domain_for_boxes(boxes: Iterable[Box2 | Box1], margin: int = 0) -> np.ndarray:
+def domain_for_boxes(boxes: Iterable[Box2 | Box1]) -> np.ndarray:
     """Single-particle sites needed to assemble operators on the boxes
-    (union of all projections, optionally inflated by ``margin``)."""
+    (union of all projections)."""
     parts = []
     for b in boxes:
         if isinstance(b, Box2):
-            grown = Box2(b.center, b.radius + margin)
-            p1, p2, _ = projections(grown)
-            parts.append(p1.points())
-            parts.append(p2.points())
+            parts.extend(p.points() for p in projections(b))
         else:
-            parts.append(Box1(b.center, b.radius + margin).points())
+            parts.append(b.points())
     if not parts:
         return np.empty((0, 1), dtype=np.int64)
     return unique_rows(np.vstack(parts))

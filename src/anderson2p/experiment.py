@@ -58,6 +58,7 @@ from .operators import (
     diagonalize,
     pole_residues,
 )
+from .records import Record
 
 _MAX_PLACEMENT_ATTEMPTS = 10_000
 
@@ -83,15 +84,6 @@ class EventSpec:
             raise InvalidInputError(f"unknown event kind: {self.kind!r}")
         if EVENTS[self.kind].counter and self.n < 1:
             raise InvalidInputError(f"{self.kind} needs n >= 1, got {self.n}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "k": self.k,
-            "interval": list(self.interval) if self.interval else None,
-            "energy": self.energy, "mass": self.mass, "n": self.n,
-            "region": self.region, "adjacency": self.adjacency,
-            "grid_spacing": self.grid_spacing,
-        }
 
 
 # The 97.5% standard normal quantile, the double that
@@ -120,12 +112,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 @dataclass
-class EstimateRecord:
+class EstimateRecord(Record):
     """A Monte Carlo frequency with its confidence interval, reference
     bound, and provenance.  It holds no timing, so emitted records stay
     byte-reproducible; the run manifest times the run."""
 
-    spec: EventSpec
+    kind = "estimate"
+
+    event: EventSpec
     trials: int
     successes: int
     estimate: float
@@ -136,22 +130,6 @@ class EstimateRecord:
     bound_name: Optional[str] = None
     bound_value: Optional[float] = None
     comparison: str = "n/a"  # pass | fail | indeterminate | n/a
-
-    def to_record(self) -> dict:
-        return {
-            "kind": "estimate",
-            "event": self.spec.to_dict(),
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "seed": self.seed,
-            "grid_delta": self.grid_delta,
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "comparison": self.comparison,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +373,7 @@ def _eval_mixed_pair(spec, ctx, trial) -> dict[str, bool]:
     grid = energy_grid(interval, L_next, sched.beta, spec.grid_spacing)
     b_event = bool(_grid_singular([bx, by], sample, ctx.interaction, sched.g,
                                   spec.adjacency, grid, m_next).all(axis=1).any())
-    p1, p2, _ = projections(by)
+    p1, p2 = projections(by)
     ok1, _ = is_nontunnelling(p1, sample, sched.g, 2.0 * sched.m0, spec.adjacency)
     ok2, _ = is_nontunnelling(p2, sample, sched.g, 2.0 * sched.m0, spec.adjacency)
     t_event = (not ok1) or (not ok2)
@@ -523,7 +501,7 @@ def _finish_record(spec, sched, trials, successes, seed) -> EstimateRecord:
     else:
         cmp_ = "indeterminate"
     return EstimateRecord(
-        spec=spec, trials=trials, successes=successes, estimate=est,
+        event=spec, trials=trials, successes=successes, estimate=est,
         wilson_low=lo, wilson_high=hi, seed=seed,
         grid_delta=_grid_delta(spec, sched),
         bound_name=name, bound_value=bound, comparison=cmp_,
@@ -610,8 +588,10 @@ def schedule_with_scale(sched: ScaleSchedule, L: int) -> ScaleSchedule:
 
 
 @dataclass
-class DecayFit:
+class DecayFit(Record):
     """Per-eigenvector exponential-decay fit of the shell-max profile."""
+
+    kind = "decay_fit"
 
     state: int
     loc_center: tuple[int, ...]
@@ -621,15 +601,6 @@ class DecayFit:
     fit_hi: int
     profile: list[float]
     excluded_shells: list[int]
-
-    def to_record(self) -> dict:
-        return {
-            "kind": "decay_fit", "state": self.state,
-            "loc_center": list(self.loc_center), "m_hat": self.m_hat,
-            "residual": self.residual, "fit_lo": self.fit_lo,
-            "fit_hi": self.fit_hi, "profile": self.profile,
-            "excluded_shells": self.excluded_shells,
-        }
 
 
 def _median(a: np.ndarray) -> np.ndarray:

@@ -259,13 +259,7 @@ def is_interactive(b: Box2, r0: int) -> bool:
     return sup_dist1(b.center.x1, b.center.x2) <= 2 * b.radius + r0
 
 
-def projections(b: Box2) -> tuple[Box1, Box1, np.ndarray]:
-    """Per-particle projections of the box and their merged site set.
-
-    Returns (projection onto particle 1, projection onto particle 2,
-    deduplicated union of their sites).
-    """
-    p1 = Box1(b.center.x1, b.radius)
-    p2 = Box1(b.center.x2, b.radius)
-    merged = unique_rows(np.vstack([p1.points(), p2.points()]))
-    return p1, p2, merged
+def projections(b: Box2) -> tuple[Box1, Box1]:
+    """Per-particle projections of the box: (onto particle 1, onto
+    particle 2)."""
+    return Box1(b.center.x1, b.radius), Box1(b.center.x2, b.radius)

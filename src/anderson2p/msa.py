@@ -29,6 +29,7 @@ from .operators import (
     exchange_orbits,
     pole_residues,
 )
+from .records import Record
 from .resolvent import boundary_green_maxima
 
 
@@ -160,19 +161,11 @@ class ConstraintCheck:
 
 
 @dataclass
-class ParameterReport:
+class ParameterReport(Record):
+    kind = "parameter_report"
+
     checks: list[ConstraintCheck]
     asymptotic_regime: bool
-
-    def to_record(self) -> dict:
-        return {
-            "kind": "parameter_report",
-            "asymptotic_regime": self.asymptotic_regime,
-            "checks": [
-                {"name": c.name, "detail": c.detail, "status": c.status}
-                for c in self.checks
-            ],
-        }
 
 
 def _mass_product(gamma: float, L0: int, alpha: float, terms: int = 50) -> float:
@@ -318,9 +311,11 @@ def max_separated_subset(centers: Sequence[Point2] | np.ndarray,
 
 
 @dataclass
-class CounterReport:
+class CounterReport(Record):
     """Maximal pairwise-separated singular sub-box counts inside a parent
     box: M over non-interactive, N over interactive, K over all."""
+
+    kind = "counter_report"
 
     center: tuple[int, ...]
     k: int
@@ -337,21 +332,6 @@ class CounterReport:
     witnesses_i: list[tuple[int, ...]]
     witnesses_all: list[tuple[int, ...]]
     exact: bool = True  # the subset search is always exact
-
-    def to_record(self) -> dict:
-        return {
-            "kind": "counter_report",
-            "center": list(self.center), "k": self.k, "energy": self.energy,
-            "mass": self.mass, "separation": self.separation,
-            "n_candidates": self.n_candidates,
-            "singular_ni": [list(c) for c in self.singular_ni],
-            "singular_i": [list(c) for c in self.singular_i],
-            "M": self.M, "N": self.N, "K": self.K,
-            "witnesses_ni": [list(c) for c in self.witnesses_ni],
-            "witnesses_i": [list(c) for c in self.witnesses_i],
-            "witnesses_all": [list(c) for c in self.witnesses_all],
-            "exact": self.exact,
-        }
 
 
 @dataclass
@@ -485,10 +465,12 @@ def count_singular_subboxes(
 
 
 @dataclass
-class InductiveStepReport:
+class InductiveStepReport(Record):
     """One instance of the inductive step: a completely non-resonant parent
     with at most J separated singular sub-boxes must be non-singular at the
     next mass."""
+
+    kind = "inductive_step"
 
     center: tuple[int, ...]
     k: int
@@ -504,14 +486,6 @@ class InductiveStepReport:
     ns_ok: Optional[bool] = None
     ns_margin: Optional[float] = None
     max_boundary_gf: Optional[float] = None
-
-    def to_record(self) -> dict:
-        from dataclasses import asdict
-
-        rec = asdict(self)
-        rec["kind"] = "inductive_step"
-        rec["center"] = list(self.center)
-        return rec
 
 
 def inductive_ns_step(

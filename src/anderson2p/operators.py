@@ -99,7 +99,7 @@ def _check_domain(sample: DisorderSample, sites: np.ndarray, what: str):
 def check_projections(box: Box2, sample: DisorderSample) -> None:
     """Raise ``OutOfDomainError`` unless the sample covers both projections
     of the box, and with them every two-particle box inside it."""
-    p1, p2, _ = projections(box)
+    p1, p2 = projections(box)
     _check_domain(sample, p1.points(), "projection of particle 1")
     _check_domain(sample, p2.points(), "projection of particle 2")
 
@@ -295,6 +295,6 @@ def single_particle_factors(
     adjacency: str = "l1",
 ) -> tuple[FiniteOperator, FiniteOperator]:
     """The two single-particle operators on the projections of a box."""
-    p1, p2, _ = projections(box)
+    p1, p2 = projections(box)
     return (assemble_single_particle(p1, sample, g, adjacency),
             assemble_single_particle(p2, sample, g, adjacency))

@@ -1,20 +1,24 @@
-"""Line-delimited record persistence and the record types the CLI builds
-itself (spectrum, Green's column, sample, boundary recovery).
+"""Line-delimited record persistence, the one record serializer, and the
+record types the CLI builds itself (spectrum, Green's column, sample,
+boundary recovery).
 
-Records are one JSON object per line with sorted keys; floats are written
-with Python's shortest round-trip representation, so a reader recovers
-every numeric field bit-exactly (the test suite's ``parse_record`` turns
-each record kind back into its domain object).  Volatile provenance
-(timestamps, wall times) lives in the run manifest, never in record lines,
-which makes repeated runs with the same configuration byte-identical.
+A record is its dataclass's fields plus ``kind``: every report type
+derives from ``Record``, whose ``to_record`` is the only serializer, so the
+format of each kind is written once, in its dataclass.  Records are one
+JSON object per line with sorted keys; floats are written with Python's
+shortest round-trip representation, so a reader recovers every numeric
+field bit-exactly (the test suite's ``parse_record`` turns each record kind
+back into its domain object).  Volatile provenance (timestamps, wall times)
+lives in the run manifest, never in record lines, which makes repeated runs
+with the same configuration byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -38,23 +42,33 @@ def write_records(path: Path | str, records: Iterable[dict], config_hash: str) -
     return n
 
 
+class Record:
+    """A record type: its line is the dataclass's fields plus ``kind``.
+
+    Each report dataclass that the CLI writes derives from this class and
+    names its ``kind``; the fields are the record format, so it is written
+    down once, in the dataclass.  Tuples become JSON lists."""
+
+    kind: ClassVar[str]
+
+    def to_record(self) -> dict:
+        return {**asdict(self), "kind": self.kind}
+
+
 @dataclass
-class SpectrumRecord:
+class SpectrumRecord(Record):
+    kind = "spectrum"
+
     center: tuple[int, ...]
     radius: int
     eigenvalues: list[float]
     max_residual: float
 
-    def to_record(self) -> dict:
-        return {
-            "kind": "spectrum", "center": list(self.center),
-            "radius": self.radius, "eigenvalues": self.eigenvalues,
-            "max_residual": self.max_residual,
-        }
-
 
 @dataclass
-class GreenRecord:
+class GreenRecord(Record):
+    kind = "green_column"
+
     center: tuple[int, ...]
     radius: int
     energy: float
@@ -62,32 +76,22 @@ class GreenRecord:
     residual: float
     values: list[float]  # in box enumeration order
 
-    def to_record(self) -> dict:
-        return {
-            "kind": "green_column", "center": list(self.center),
-            "radius": self.radius, "energy": self.energy,
-            "source": list(self.source), "residual": self.residual,
-            "values": self.values,
-        }
-
 
 @dataclass
-class SampleRecord:
+class SampleRecord(Record):
+    kind = "sample"
+
     distribution: dict
     seed: int
     trial: int
     sites: list[list[int]]
     values: list[float]
 
-    def to_record(self) -> dict:
-        return {
-            "kind": "sample", "distribution": self.distribution,
-            "seed": self.seed, "trial": self.trial,
-            "sites": self.sites, "values": self.values,
-        }
 
 @dataclass
-class RecoveryRecord:
+class RecoveryRecord(Record):
+    kind = "recovery"
+
     seed: int
     parent_radius: int
     sub_radius: int
@@ -95,16 +99,6 @@ class RecoveryRecord:
     n_reconstructions: int
     n_skipped_resonant: int
     max_rel_error: float
-
-    def to_record(self) -> dict:
-        return {
-            "kind": "recovery", "seed": self.seed,
-            "parent_radius": self.parent_radius, "sub_radius": self.sub_radius,
-            "n_eigenpairs": self.n_eigenpairs,
-            "n_reconstructions": self.n_reconstructions,
-            "n_skipped_resonant": self.n_skipped_resonant,
-            "max_rel_error": self.max_rel_error,
-        }
 
 
 def sample_record(sample: DisorderSample) -> SampleRecord:

@@ -690,7 +690,12 @@ def parse_record(rec: dict):
     from anderson2p.classify import ClassificationReport, NtToNsReport
     from anderson2p.errors import InvalidInputError
     from anderson2p.experiment import DecayFit, EstimateRecord, EventSpec
-    from anderson2p.msa import CounterReport, InductiveStepReport
+    from anderson2p.msa import (
+        ConstraintCheck,
+        CounterReport,
+        InductiveStepReport,
+        ParameterReport,
+    )
     from anderson2p.records import (
         GreenRecord,
         RecoveryRecord,
@@ -705,7 +710,7 @@ def parse_record(rec: dict):
         event = dict(rec["event"])
         if event["interval"] is not None:
             event["interval"] = tuple(event["interval"])
-        return EstimateRecord(spec=EventSpec(**event), **f)
+        return EstimateRecord(event=EventSpec(**event), **f)
     if kind == "classification":
         fields = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
         fields["center"] = _tupled(fields["center"])
@@ -748,7 +753,11 @@ def parse_record(rec: dict):
     if kind == "recovery":
         f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
         return RecoveryRecord(**f)
-    if kind in ("parameter_report", "schedule", "initial_certificate",
+    if kind == "parameter_report":
+        return ParameterReport(
+            checks=[ConstraintCheck(**c) for c in rec["checks"]],
+            asymptotic_regime=rec["asymptotic_regime"])
+    if kind in ("schedule", "initial_certificate",
                 "wegner_row", "error", "localization_row", "g_trend_summary"):
         return rec
     raise InvalidInputError(f"cannot parse record of kind {kind!r}")

@@ -30,7 +30,7 @@ from anderson2p.experiment import (
     estimate_event,
     localization_mass_sweep,
 )
-from anderson2p.geometry import Box1, Box2, Point2, projections
+from anderson2p.geometry import Box1, Box2, Point2
 from anderson2p.msa import (
     count_singular_subboxes,
     desk_schedule,
@@ -242,8 +242,8 @@ def test_05_projection_disjointness():
             bu, bv = Box2(u, L), Box2(v, L)
             if box_distance(bu, bv) > 8 * L and box_distance(bu.sigma(), bv) > 8 * L:
                 break
-        _, _, mu = projections(bu)
-        _, _, mv = projections(bv)
+        mu = domain_for_boxes([bu])
+        mv = domain_for_boxes([bv])
         assert not ({tuple(p) for p in mu} & {tuple(p) for p in mv})
     _report(5, "projection-disjointness", bad == 0,
             f"({total} interactive well-separated pairs, {bad} counterexamples)")

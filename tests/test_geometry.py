@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anderson2p.disorder import domain_for_boxes
 from anderson2p.errors import DimensionMismatchError, InvalidInputError
 from anderson2p.geometry import (
     Box1,
@@ -252,20 +253,22 @@ class TestInteractive:
 
 class TestProjections:
     def test_disjoint_projections(self):
-        p1, p2, merged = projections(Box2(P2((0,), (10,)), 2))
+        box = Box2(P2((0,), (10,)), 2)
+        p1, p2 = projections(box)
         assert p1.points().ravel().tolist() == [-2, -1, 0, 1, 2]
         assert p2.points().ravel().tolist() == [8, 9, 10, 11, 12]
-        assert len(merged) == 10
+        assert len(domain_for_boxes([box])) == 10
 
     def test_diagonal_center_projections_coincide(self):
-        p1, p2, merged = projections(Box2(P2((3, 3), (3, 3)), 1))
+        box = Box2(P2((3, 3), (3, 3)), 1)
+        p1, p2 = projections(box)
         assert np.array_equal(p1.points(), p2.points())
-        assert len(merged) == 9
+        assert len(domain_for_boxes([box])) == 9
 
     def test_exchange_swaps_projections(self):
         box = Box2(P2((0, 1), (5, -2)), 1)
-        p1, p2, _ = projections(box)
-        q1, q2, _ = projections(box.sigma())
+        p1, p2 = projections(box)
+        q1, q2 = projections(box.sigma())
         assert np.array_equal(q1.points(), p2.points())
         assert np.array_equal(q2.points(), p1.points())
 
@@ -341,8 +344,9 @@ class TestProjectionDisjointness:
             r0 = 1
             L = int(rng.integers(r0 + 1, 6))
             bu, bv = self._random_instance(rng, d, L, r0)
-            pu1, pu2, mu = projections(bu)
-            pv1, pv2, mv = projections(bv)
+            pu1, pu2 = projections(bu)
+            pv1, pv2 = projections(bv)
+            mu, mv = domain_for_boxes([bu]), domain_for_boxes([bv])
             set_u = {tuple(p) for p in mu}
             set_v = {tuple(p) for p in mv}
             assert not set_u & set_v

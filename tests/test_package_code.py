@@ -10,6 +10,11 @@ References are matched by name outside the definition itself: a top-level
 definition over every ``Name`` and ``Attribute`` node, a method over
 ``Attribute`` nodes only, since a local variable of the same name does not
 reach it.
+
+The record format is written once: ``records.Record.to_record`` serializes
+every report dataclass from its fields, so no other class may define a
+``to_record`` of its own (``config.ConfigError``, a stderr error record and
+not a dataclass, is the one exception).
 """
 
 import ast
@@ -76,3 +81,17 @@ def _collect_names(tree: ast.AST, own: set[str], names: set[str],
 
 def test_every_definition_is_reached_by_the_package():
     assert _unreferenced() == TRACED_ONLY
+
+
+#: the classes allowed a ``to_record`` of their own
+SERIALIZERS = {("records", "Record"), ("config", "ConfigError")}
+
+
+def test_one_record_serializer():
+    defining = {(p.stem, node.name)
+                for p in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(p.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and m.name == "to_record" for m in node.body)}
+    assert defining == SERIALIZERS

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,44 +14,120 @@ from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_bo
 from anderson2p.experiment import (
     EVENT_KINDS,
     MODE_KINDS,
-    EstimateRecord,
     EventSpec,
     estimate_event,
 )
 from anderson2p.geometry import Box2
-from anderson2p.msa import count_singular_subboxes
-from anderson2p.records import dumps_record, sample_record, write_records
+from anderson2p.msa import count_singular_subboxes, validate_parameters
+from anderson2p.records import Record, dumps_record, sample_record, write_records
 
 from .conftest import cli_env
 from .oracles import parse_record, read_records, sample_from_record
 
 
+def _estimate(desk):
+    [rec] = estimate_event([EventSpec("resonant_at_energy", energy=0.0)],
+                           desk, 20, 1)
+    return rec.to_record()
+
+
+def _classification(desk):
+    box = Box2.of_origin(1, 2)
+    sample = sample_potential(DistributionSpec.uniform(), 2, 0,
+                              domain_for_boxes([box]))
+    return classify_box(box, sample, InteractionSpec.triangular(), desk.g,
+                        0.5, 0.5, nt_mass=1.0).to_record()
+
+
+def _counter_report(desk):
+    sample = sample_potential(DistributionSpec.uniform(), 2, 0,
+                              domain_for_boxes([Box2.of_origin(1, desk.L[1])]))
+    return count_singular_subboxes(Box2.of_origin(1, desk.L[1]).center, 0,
+                                   desk, sample, InteractionSpec.triangular(),
+                                   desk.g, 0.0).to_record()
+
+
+def _sample(desk):
+    sample = sample_potential(DistributionSpec.uniform(), 7, 3,
+                              np.arange(5).reshape(-1, 1))
+    return sample_record(sample).to_record()
+
+
+def _nt_to_ns(desk):
+    from anderson2p.classify import nt_to_ns_check
+    from anderson2p.geometry import Point2
+
+    box = Box2(Point2.of((0,), (30,)), 9)
+    sample = sample_potential(DistributionSpec.uniform(), 6, 0,
+                              domain_for_boxes([box]))
+    return nt_to_ns_check(box, sample, InteractionSpec.triangular(), 25.0,
+                          -5.0, 1.0, 0.5, "l1").to_record()
+
+
+def _inductive_step(desk):
+    from anderson2p.msa import inductive_ns_step
+
+    parent = Box2.of_origin(1, desk.L[1])
+    sample = sample_potential(DistributionSpec.uniform(), 6, 0,
+                              domain_for_boxes([parent]))
+    return inductive_ns_step(parent.center, 0, desk, sample,
+                             InteractionSpec.triangular(), desk.g, -1.0).to_record()
+
+
+def _decay_fit(desk):
+    from anderson2p.experiment import decay_fit
+    from anderson2p.operators import assemble_two_particle
+
+    box = Box2.of_origin(1, 4)
+    sample = sample_potential(DistributionSpec.uniform(), 6, 0,
+                              domain_for_boxes([box]))
+    op = assemble_two_particle(box, sample, InteractionSpec.triangular(), 10.0)
+    fits, _ = decay_fit(op)
+    return fits[0].to_record()
+
+
+def _cli_record(command, **options):
+    """The one record of a CLI subcommand run in process on the default
+    configuration."""
+    cfg = ExperimentConfig.from_dict({})
+    args = argparse.Namespace(center=None, trial=0, radius=None, **options)
+    [rec], _ = cli._COMMANDS[command](cfg, cfg.build_schedule(), args)
+    return rec
+
+
+#: one record of every kind, as the package emits it
+_RECORDS = {
+    "estimate": _estimate,
+    "classification": _classification,
+    "counter_report": _counter_report,
+    "sample": _sample,
+    "nt_to_ns": _nt_to_ns,
+    "inductive_step": _inductive_step,
+    "decay_fit": _decay_fit,
+    "spectrum": lambda desk: _cli_record("spectrum", dump_matrix=None),
+    "green_column": lambda desk: _cli_record("green", energy=0.3, source=None),
+    "recovery": lambda desk: _cli_record(
+        "msa-verify", check="boundary-recovery", sub_radius=None, nt_mass=None,
+        seeds=1, k=None),
+    "parameter_report": lambda desk: validate_parameters(desk).to_record(),
+}
+
+
 class TestRoundTrip:
-    def test_estimate_record(self, desk):
-        [rec] = estimate_event([EventSpec("resonant_at_energy", energy=0.0)],
-                               desk, 20, 1)
-        blob = json.loads(dumps_record(rec.to_record()))
-        back = parse_record(blob)
-        assert isinstance(back, EstimateRecord)
-        assert back.to_record() == rec.to_record()
+    @pytest.mark.parametrize("kind", list(_RECORDS))
+    def test_round_trip(self, kind, desk):
+        rec = _RECORDS[kind](desk)
+        assert rec["kind"] == kind
+        back = parse_record(json.loads(dumps_record(rec)))
+        assert isinstance(back, Record) and back.kind == kind
+        assert back.to_record() == rec
 
-    def test_classification_record(self, desk):
-        box = Box2.of_origin(1, 2)
-        sample = sample_potential(DistributionSpec.uniform(), 2, 0,
-                                  domain_for_boxes([box]))
-        rep = classify_box(box, sample, InteractionSpec.triangular(), desk.g,
-                           0.5, 0.5, nt_mass=1.0)
-        back = parse_record(json.loads(dumps_record(rep.to_record())))
-        assert back.to_record() == rep.to_record()
-
-    def test_counter_record(self, desk):
-        sample = sample_potential(DistributionSpec.uniform(), 2, 0,
-                                  domain_for_boxes([Box2.of_origin(1, desk.L[1])]))
-        rep = count_singular_subboxes(Box2.of_origin(1, desk.L[1]).center, 0,
-                                      desk, sample, InteractionSpec.triangular(),
-                                      desk.g, 0.0)
-        back = parse_record(json.loads(dumps_record(rep.to_record())))
-        assert back.to_record() == rep.to_record()
+    def test_every_record_kind_is_distinct_and_parsed(self):
+        """Every ``Record`` type has its own kind, and ``parse_record``
+        round-trips a record of each (``test_round_trip``)."""
+        kinds = [cls.kind for cls in Record.__subclasses__()]
+        assert len(set(kinds)) == len(kinds)
+        assert set(kinds) == set(_RECORDS)
 
     def test_sample_record_rebuilds(self):
         sample = sample_potential(DistributionSpec.uniform(), 7, 3,
@@ -58,42 +136,6 @@ class TestRoundTrip:
         back = parse_record(json.loads(dumps_record(rec.to_record())))
         rebuilt = sample_from_record(back)
         assert rebuilt.values == sample.values
-
-    def test_nt_to_ns_record(self):
-        from anderson2p.classify import nt_to_ns_check
-        from anderson2p.geometry import Point2
-
-        box = Box2(Point2.of((0,), (30,)), 9)
-        sample = sample_potential(DistributionSpec.uniform(), 6, 0,
-                                  domain_for_boxes([box]))
-        rep = nt_to_ns_check(box, sample, InteractionSpec.triangular(), 25.0,
-                             -5.0, 1.0, 0.5, "l1")
-        back = parse_record(json.loads(dumps_record(rep.to_record())))
-        assert back.to_record() == rep.to_record()
-
-    def test_inductive_step_record(self, desk):
-        from anderson2p.msa import inductive_ns_step
-
-        parent = Box2.of_origin(1, desk.L[1])
-        sample = sample_potential(DistributionSpec.uniform(), 6, 0,
-                                  domain_for_boxes([parent]))
-        rep = inductive_ns_step(parent.center, 0, desk, sample,
-                                InteractionSpec.triangular(), desk.g, -1.0)
-        back = parse_record(json.loads(dumps_record(rep.to_record())))
-        assert back.to_record() == rep.to_record()
-
-    def test_decay_fit_record(self):
-        from anderson2p.experiment import decay_fit
-        from anderson2p.operators import assemble_two_particle
-
-        box = Box2.of_origin(1, 4)
-        sample = sample_potential(DistributionSpec.uniform(), 6, 0,
-                                  domain_for_boxes([box]))
-        op = assemble_two_particle(box, sample, InteractionSpec.triangular(), 10.0)
-        fits, _ = decay_fit(op)
-        rec = fits[0].to_record()
-        back = parse_record(json.loads(dumps_record(rec)))
-        assert back.to_record() == rec
 
     def test_write_read_stamps_hash(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -143,6 +185,27 @@ class TestConfig:
         c = ExperimentConfig.from_dict({"seed": 2})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_hash_pinned(self):
+        """The hash is sha256 of sorted-key JSON, so these hex values hold on
+        any machine; a changed value changes every record's ``config_hash``
+        and every output directory name."""
+        full = {
+            "dimension": 2, "adjacency": "l1",
+            "distribution": {"kind": "truncated-gaussian", "support": [-1.0, 2.0],
+                             "mu": 0.5, "sigma": 0.75},
+            "interaction": {"r0": 2, "profile": [1.0, 0.5, 0.25]}, "g": 7.5,
+            "schedule": {"L0": 3, "alpha": 1.5, "gamma": 0.25, "m0": 2.0,
+                         "beta": 0.5, "p": 2.0, "q": 1.5, "J": 1, "k_max": 2,
+                         "p_tilde": 3.0},
+            "preset": "custom", "interval": [-0.5, 0.5], "grid_spacing": 0.05,
+            "trials": 12, "seed": 42, "output_dir": "out",
+        }
+        assert set(full) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert ExperimentConfig.from_dict({}).config_hash() == (
+            "acb6aee516cb999973c5960425af7d77f809c2173830d5cffdd99c13a78d1bc4")
+        assert ExperimentConfig.from_dict(full).config_hash() == (
+            "a86ae1c085f532523303ea6c4144bb597c5120f7c886ed4193bbd94a4000bdba")
 
 
 def _run_cli(args, cwd):
