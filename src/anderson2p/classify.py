@@ -19,9 +19,13 @@ energy grid for singularity predicates, whose Green's-function character
 admits no exact continuum test.
 
 Complete non-resonance at one energy asks of each sub-box only whether
-some eigenvalue lies within the window: ``window_clear`` certifies "none"
-for a whole stack of boxes from one matrix product and one Cholesky
-factorization, and only a stack it cannot certify is diagonalized.
+some eigenvalue lies within the window: ``resolvent.window_clear``
+certifies "none" for a whole stack of boxes from one matrix product and
+one Cholesky factorization, and only a stack it cannot certify is
+diagonalized (``resolvent.spectra_unless_clear``).  The counter step of
+the inductive step (``msa.count_singular_subboxes``) asks the same
+question at a width just above the solver guard, so it diagonalizes no
+stack that is certified either.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .disorder import DisorderSample, InteractionSpec
-from .errors import InvalidInputError, NumericError, PreconditionError, ResonantEnergyError
+from .errors import InvalidInputError, PreconditionError, ResonantEnergyError
 from .geometry import Box1, Box2, Point2, is_interactive, projections
 from .operators import (
     FiniteOperator,
@@ -48,7 +52,13 @@ from .operators import (
     single_particle_factors,
 )
 from .records import Record
-from .resolvent import boundary_green_max, spectral_gap, within_guard
+from .resolvent import (
+    boundary_green_max,
+    spectra_unless_clear,
+    spectral_gap,
+    window_clear,
+    within_guard,
+)
 
 #: budget rules for exhaustive sub-box enumeration in the CNR test
 CNR_EXHAUSTIVE_LIMIT = 100_000
@@ -176,50 +186,6 @@ def singular_mask_at(
     return out if np.ndim(E) else out[0]
 
 
-def window_clear(h: np.ndarray, E: float, w: float) -> bool:
-    """Certify that no box of the stack ``h`` (symmetric, ``(..., n, n)``)
-    has an eigenvalue within ``w`` of ``E``, without its spectrum.
-
-    An eigenvalue of H lies in [E - w, E + w] exactly when
-    (H - E)^2 - w^2 is not positive definite.  True means the Cholesky
-    factorization of (H - E)^2 - ((w + eta)^2 + delta) completed with a
-    finite factor for every box, where
-
-    * delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
-      product and of the factorization (after S. M. Rump, "Verification
-      of positive definiteness", BIT 46 (2006) 433; the underflow term of
-      that bound, below 1e-300, is left out), so every eigenvalue lies
-      farther than w + eta from E;
-    * eta = n eps (||H - E||_F + |E|) covers the error of ``eigvalsh``
-      itself, so every gap it would report is at least ``w``.
-
-    False says nothing: a box may merely come near the window, and the
-    caller decides from the spectrum.  ``h`` is shifted in place for the
-    product and its diagonal is written back, so it is unchanged on
-    return.  Raises ``NumericError`` when an entry is not finite, as
-    numpy's stacked Cholesky does not fail on one.
-    """
-    if not np.isfinite(h).all():
-        raise NumericError("operator matrix has non-finite entries")
-    n = h.shape[-1]
-    idx = np.arange(n)
-    diagonal = h[..., idx, idx]
-    h[..., idx, idx] -= E
-    try:
-        sq = h @ h
-    finally:
-        h[..., idx, idx] = diagonal
-    eps = np.finfo(np.float64).eps
-    fro2 = np.trace(sq, axis1=-2, axis2=-1)  # ||H - E||_F^2, as H - E is symmetric
-    eta = n * eps * (np.sqrt(fro2) + abs(E))
-    sq[..., idx, idx] -= ((w + eta) ** 2 + 2 * (n + 2) * eps * fro2)[..., None]
-    try:
-        factor = np.linalg.cholesky(sq)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
-
-
 def is_resonant(ev: np.ndarray, E: float, L: int, beta: float) -> tuple[bool, float]:
     """E-resonance: the spectrum ``ev`` comes within exp(-L**beta) of E.
     Returns the verdict and the spectral gap."""
@@ -321,9 +287,9 @@ def is_cnr(
     (``family_chunks``) of one box per exchange orbit
     (``operators.exchange_orbits``).  A chunk of the family that
     ``window_clear`` certifies has no resonant box; any other chunk is
-    diagonalized and scanned, so the first resonant sub-box in probe
-    order, its gap and every other field are those of a sweep over the
-    spectra.  The parent's resonance is read from its spectrum
+    diagonalized (``spectra_unless_clear``) and scanned, so the first
+    resonant sub-box in probe order, its gap and every other field are
+    those of a sweep over the spectra.  The parent's resonance is read from its spectrum
     (``parent_op``, which must be the operator of the scale-(k+1) box at
     ``center``, is assembled when not given).
     """
@@ -369,8 +335,9 @@ def is_cnr(
         first = 0  # index in ``reps`` of the chunk's first representative
         for h in family_chunks(centers[reps], radius, sample, interaction, g,
                                adjacency):
-            if not window_clear(h, E, width):
-                gaps = np.abs(np.linalg.eigvalsh(h) - E).min(axis=1)
+            ev = spectra_unless_clear(h, E, width)
+            if ev is not None:
+                gaps = np.abs(ev - E).min(axis=1)
                 hits = np.flatnonzero(gaps < width)
                 if len(hits):
                     i = int(reps[first + hits[0]])

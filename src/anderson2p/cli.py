@@ -355,18 +355,17 @@ def _cmd_mc_estimate(cfg, sched, args):
                             dist, interaction, cfg.adjacency)
         header = ["scale", "p_single", "single_lo", "single_hi",
                   "p_pair", "pair_lo", "pair_hi", "reference"]
-        table = [[r["scale"], r["single_box"]["estimate"], r["single_box"]["wilson_low"],
-                  r["single_box"]["wilson_high"], r["pair"]["estimate"],
-                  r["pair"]["wilson_low"], r["pair"]["wilson_high"], r["reference"]]
-                 for r in rows]
-        return [dict(r, kind="wegner_row") for r in rows], {"wegner.csv": (header, table)}
+        table = [[r.scale, r.single_box.estimate, r.single_box.wilson_low,
+                  r.single_box.wilson_high, r.pair.estimate, r.pair.wilson_low,
+                  r.pair.wilson_high, r.reference] for r in rows]
+        return [r.to_record() for r in rows], {"wegner.csv": (header, table)}
     specs = [_event_spec(cfg, args, kind) for kind in _event_kinds(args.event)]
     if args.event == "g-trend":
         gs = [float(x) for x in args.g_list.split(",")]
-        out = singularity_vs_g_probe(gs, specs[0], sched, cfg.trials, cfg.seed,
-                                     dist, interaction)
-        records = [dict(r["record"].to_record(), g=r["g"]) for r in out["rows"]]
-        return records + [{"kind": "g_trend_summary", "trend": out["trend"]}], {}
+        estimates, summary = singularity_vs_g_probe(gs, specs[0], sched, cfg.trials,
+                                                    cfg.seed, dist, interaction)
+        records = [dict(rec.to_record(), g=g) for g, rec in zip(gs, estimates)]
+        return records + [summary.to_record()], {}
     return [rec.to_record() for rec in estimate_event(specs, sched, cfg.trials, cfg.seed,
                                                       dist, interaction)], {}
 
@@ -379,15 +378,13 @@ def _cmd_decay_fit(cfg, sched, args):
         dist=cfg.distribution_spec(), interaction=cfg.interaction_spec(),
         adjacency=cfg.adjacency,
     )
-    records = [dict(r, kind="localization_row") for r in rows]
     csvs = {
         "decay.csv": (
             ["g", "median_m_hat", "ci_low", "ci_high"],
-            [[r["g"], r["median_m_hat"], r["ci_low"], r["ci_high"]]
-             for r in rows],
+            [[r.g, r.median_m_hat, r.ci_low, r.ci_high] for r in rows],
         )
     }
-    return records, csvs
+    return [r.to_record() for r in rows], csvs
 
 
 #: what the failing item of a subcommand's ``blas`` map is, in its error record

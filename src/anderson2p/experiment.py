@@ -546,6 +546,20 @@ def estimate_event(
 # compound experiments
 
 
+@dataclass
+class WegnerRow(Record):
+    """One scale of ``wegner_sweep``: the single-box resonance estimate at
+    the energy, the exact separated-pair estimate, and the l^-q
+    reference.  The estimates are written as their own records."""
+
+    kind = "wegner_row"
+
+    scale: int
+    single_box: EstimateRecord
+    pair: EstimateRecord
+    reference: float
+
+
 def wegner_sweep(
     scales: Sequence[int],
     energy: float,
@@ -555,7 +569,7 @@ def wegner_sweep(
     dist: Optional[DistributionSpec] = None,
     interaction: Optional[InteractionSpec] = None,
     adjacency: str = "sup",
-) -> list[dict]:
+) -> list[WegnerRow]:
     """Per-scale resonance frequencies: the single-box event at ``energy``
     and the exact separated-pair event, with the l^-q reference."""
     rows = []
@@ -566,12 +580,8 @@ def wegner_sweep(
             custom, trials, seed, dist, interaction)
         [pair] = estimate_event([EventSpec("pair_resonant", adjacency=adjacency)],
                                 custom, trials, seed + 1, dist, interaction)
-        rows.append({
-            "scale": int(l),
-            "single_box": single.to_record(),
-            "pair": pair.to_record(),
-            "reference": float(l) ** (-sched.q),
-        })
+        rows.append(WegnerRow(scale=int(l), single_box=single, pair=pair,
+                              reference=float(l) ** (-sched.q)))
     return rows
 
 
@@ -676,6 +686,22 @@ def decay_fit(op: FiniteOperator) -> tuple[list[DecayFit], dict]:
     return fits, agg
 
 
+@dataclass
+class LocalizationRow(Record):
+    """One coupling of ``localization_mass_sweep``: the median over the
+    samples of each sample's median fitted decay mass, the per-sample
+    medians, and a bootstrap 95% interval for the median."""
+
+    kind = "localization_row"
+
+    g: float
+    median_m_hat: float
+    per_sample: list[float]
+    ci_low: float
+    ci_high: float
+    ci_half_width: float
+
+
 def localization_mass_sweep(
     gs: Sequence[float],
     L: int,
@@ -686,7 +712,7 @@ def localization_mass_sweep(
     interaction: Optional[InteractionSpec] = None,
     adjacency: str = "sup",
     bootstrap: int = 2000,
-) -> list[dict]:
+) -> list[LocalizationRow]:
     """Median fitted decay mass per coupling over seeded disorder samples,
     with a bootstrap 95% interval for the median."""
     dist = dist or DistributionSpec.uniform()
@@ -704,13 +730,23 @@ def localization_mass_sweep(
         rng = _stream_rng(seed, gi, "bootstrap")
         boots = _median(arr[rng.integers(0, len(arr), size=(bootstrap, len(arr)))])
         lo, hi = _quantile(boots, 0.025), _quantile(boots, 0.975)
-        rows.append({
-            "g": float(g), "median_m_hat": float(_median(arr)),
-            "per_sample": [float(x) for x in arr],
-            "ci_low": float(lo), "ci_high": float(hi),
-            "ci_half_width": float(0.5 * (hi - lo)),
-        })
+        rows.append(LocalizationRow(
+            g=float(g), median_m_hat=float(_median(arr)),
+            per_sample=[float(x) for x in arr],
+            ci_low=float(lo), ci_high=float(hi),
+            ci_half_width=float(0.5 * (hi - lo)),
+        ))
     return rows
+
+
+@dataclass
+class GTrendSummary(Record):
+    """The pairwise trend verdicts of ``singularity_vs_g_probe``, one per
+    consecutive pair of couplings."""
+
+    kind = "g_trend_summary"
+
+    trend: list[str]
 
 
 def singularity_vs_g_probe(
@@ -721,23 +757,22 @@ def singularity_vs_g_probe(
     seed: int,
     dist: Optional[DistributionSpec] = None,
     interaction: Optional[InteractionSpec] = None,
-) -> dict:
-    """Frequency of the event ``spec`` across couplings, with pairwise
-    trend verdicts: 'decreasing' when intervals separate, 'violation' when
-    they separate the wrong way, else 'indeterminate'."""
-    rows = []
+) -> tuple[list[EstimateRecord], GTrendSummary]:
+    """Frequency of the event ``spec`` at each coupling of ``gs``, with
+    pairwise trend verdicts: 'decreasing' when intervals separate,
+    'violation' when they separate the wrong way, else 'indeterminate'."""
+    estimates = []
     for g in gs:
         # g enters neither L nor m, so the schedule needs no rebuild
         [rec] = estimate_event([spec], replace(sched, g=float(g)), trials, seed,
                                dist, interaction)
-        rows.append({"g": float(g), "record": rec})
+        estimates.append(rec)
     verdicts = []
-    for a, b in zip(rows, rows[1:]):
-        ra, rb = a["record"], b["record"]
+    for ra, rb in zip(estimates, estimates[1:]):
         if rb.wilson_high < ra.wilson_low:
             verdicts.append("decreasing")
         elif rb.wilson_low > ra.wilson_high:
             verdicts.append("violation")
         else:
             verdicts.append("indeterminate")
-    return {"rows": rows, "trend": verdicts}
+    return estimates, GTrendSummary(trend=verdicts)

@@ -30,7 +30,7 @@ from .operators import (
     pole_residues,
 )
 from .records import Record
-from .resolvent import boundary_green_maxima
+from .resolvent import boundary_green_maxima, guard_width, spectra_unless_clear
 
 
 @dataclass(frozen=True)
@@ -432,17 +432,24 @@ def count_singular_subboxes(
 
     Candidate centers are all configurations whose sub-box fits inside the
     parent; interactivity is decided exactly per candidate.  One box per
-    exchange orbit (``operators.exchange_orbits``) is assembled, its
-    spectrum taken by a stacked ``eigvalsh`` for the solver guard, and its
-    Green's column at E by one stacked solve
+    exchange orbit (``operators.exchange_orbits``) is assembled and its
+    Green's column at E taken by one stacked solve
     (``resolvent.boundary_green_maxima``); images share their
     representative's verdict, as in ``SubboxSpectra``.
+
+    The solver guard needs no spectrum: ``resolvent.spectra_unless_clear``
+    certifies the stack at ``resolvent.guard_width``.  Every ``eigvalsh``
+    gap of a certified stack is at least that width, above every box's
+    guard, so ``within_guard`` would skip no box either and the same boxes
+    are solved; a stack it cannot certify is diagonalized and guarded box
+    by box.
     """
     L_k = sched.L[k]
     template = Box2.of_origin(center.d, L_k)
     centers, interactive, orbit, h = _subbox_family(center, k, sched, sample,
                                                     interaction, g, adjacency)
-    values, _ = boundary_green_maxima(h, np.linalg.eigvalsh(h), template.center_index(),
+    values, _ = boundary_green_maxima(h, spectra_unless_clear(h, E, guard_width(h, E)),
+                                      template.center_index(),
                                       template.boundary_indices(), E)
     singular = values > math.exp(-sched.m[k] * L_k)
     sing_ni, sing_i = _split_singular(centers, interactive, singular[orbit])

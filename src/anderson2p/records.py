@@ -16,7 +16,7 @@ with the same configuration byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, ClassVar, Iterable, Sequence
 
@@ -47,12 +47,19 @@ class Record:
 
     Each report dataclass that the CLI writes derives from this class and
     names its ``kind``; the fields are the record format, so it is written
-    down once, in the dataclass.  Tuples become JSON lists."""
+    down once, in the dataclass.  Tuples become JSON lists, and a field
+    that is itself a ``Record`` is written as its record, ``kind``
+    included."""
 
     kind: ClassVar[str]
 
     def to_record(self) -> dict:
-        return {**asdict(self), "kind": self.kind}
+        rec = asdict(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Record):
+                rec[f.name] = value.to_record()
+        return {**rec, "kind": self.kind}
 
 
 @dataclass

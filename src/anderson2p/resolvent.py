@@ -3,12 +3,20 @@
 Every Green's function solve in the package is one call of ``_solve``: a
 stacked pivoted-LU solve of ``(H_i - E_i) x_i = b_i`` that skips the boxes
 whose spectrum comes within the solver guard (``within_guard``) of their
-energy and checks every residual.  ``green_column`` (one column at one
+energy and checks every residual against the largest column norm of
+``H_i - E_i``, read from the matrix.  ``green_column`` (one column at one
 source), ``boundary_green_maxima`` (centre-to-boundary maxima of a stack of
 same-layout boxes at one energy) and ``boundary_recovery`` (one box at many
 energies) are its three callers.  ``green_spectral`` evaluates the same
 quantity on non-interactive boxes through the eigendecomposition of the two
 single-particle factors.
+
+A stack need not be diagonalized for the guard: ``spectra_unless_clear``
+returns None when ``window_clear`` certifies, from one matrix product and
+one Cholesky factorization, that no box has an eigenvalue within a width
+above the guard, and ``_solve`` then solves every box; only a stack it
+cannot certify is diagonalized.  The complete non-resonance test asks the
+same question at the resonance width.
 
 All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
 the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool
@@ -50,6 +58,68 @@ def within_guard(gap, E, edge):
     return gap <= RESONANCE_GUARD * np.maximum(np.maximum(1.0, np.abs(E)), edge)
 
 
+def window_clear(h: np.ndarray, E: float, w: float) -> bool:
+    """Certify that no box of the stack ``h`` (symmetric, ``(..., n, n)``)
+    has an eigenvalue within ``w`` of ``E``, without its spectrum.
+
+    An eigenvalue of H lies in [E - w, E + w] exactly when
+    (H - E)^2 - w^2 is not positive definite.  True means the Cholesky
+    factorization of (H - E)^2 - ((w + eta)^2 + delta) completed with a
+    finite factor for every box, where
+
+    * delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
+      product and of the factorization (after S. M. Rump, "Verification
+      of positive definiteness", BIT 46 (2006) 433; the underflow term of
+      that bound, below 1e-300, is left out), so every eigenvalue lies
+      farther than w + eta from E;
+    * eta = n eps (||H - E||_F + |E|) covers the error of ``eigvalsh``
+      itself, so every gap it would report is at least ``w``.
+
+    False says nothing: a box may merely come near the window, and the
+    caller decides from the spectrum.  ``h`` is shifted in place for the
+    product and its diagonal is written back, so it is unchanged on
+    return.  Raises ``NumericError`` when an entry is not finite, as
+    numpy's stacked Cholesky does not fail on one.
+    """
+    if not np.isfinite(h).all():
+        raise NumericError("operator matrix has non-finite entries")
+    n = h.shape[-1]
+    idx = np.arange(n)
+    diagonal = h[..., idx, idx]
+    h[..., idx, idx] -= E
+    try:
+        sq = h @ h
+    finally:
+        h[..., idx, idx] = diagonal
+    eps = np.finfo(np.float64).eps
+    fro2 = np.trace(sq, axis1=-2, axis2=-1)  # ||H - E||_F^2, as H - E is symmetric
+    eta = n * eps * (np.sqrt(fro2) + abs(E))
+    sq[..., idx, idx] -= ((w + eta) ** 2 + 2 * (n + 2) * eps * fro2)[..., None]
+    try:
+        factor = np.linalg.cholesky(sq)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
+
+
+def spectra_unless_clear(h: np.ndarray, E: float, w: float) -> np.ndarray | None:
+    """None when ``window_clear`` certifies that no box of the stack ``h``
+    (``(nbox, n, n)``) has an eigenvalue within ``w`` of ``E``, else the
+    boxes' ascending spectra ``(nbox, n)`` from one stacked ``eigvalsh``.
+    Every gap ``eigvalsh`` would report for a certified stack is at least
+    ``w``."""
+    return None if window_clear(h, E, w) else np.linalg.eigvalsh(h)
+
+
+def guard_width(h: np.ndarray, E: float) -> float:
+    """A window width above the solver guard of every box of the stack
+    ``h`` at ``E``: ``2 * RESONANCE_GUARD * max(1, |E|, max_i |H_i|_F)``.
+    The Frobenius norm bounds the spectral edge that ``within_guard``
+    reads, so a box whose ``eigvalsh`` gap is at least this width is
+    outside its guard."""
+    return 2 * RESONANCE_GUARD * max(1.0, abs(E), float(np.linalg.norm(h, axis=(1, 2)).max()))
+
+
 def spectral_gap(op: FiniteOperator, E: float) -> float:
     ev = op.eigenvalues()
     return float(np.abs(ev - E).min())
@@ -57,40 +127,54 @@ def spectral_gap(op: FiniteOperator, E: float) -> float:
 
 def _solve(
     h: np.ndarray,
-    eigenvalues: np.ndarray,
+    eigenvalues: np.ndarray | None,
     E: float | np.ndarray,
     rhs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve ``(H_i - E_i) x_i = b_i`` for a stack of symmetric operators
-    ``h`` (``(nbox, n, n)``) with ascending spectra ``(nbox, n)``, energies
-    ``E`` (one for all boxes or one per box) and right-hand sides ``rhs``
-    (``(nbox, n, 1)``).
+    ``h`` (``(nbox, n, n)``) at energies ``E`` (one for all boxes or one per
+    box) with right-hand sides ``rhs`` (``(nbox, n, 1)``).
 
-    Boxes whose energy is ``within_guard`` of their spectrum are skipped.
-    Returns the positions of the solved boxes, their solutions
-    ``(nsolved, n, 1)`` and residual norms ``|(H - E) x - b|``.  Raises
-    ``NumericError`` when a residual exceeds
-    ``SPECTRAL_RTOL * max(1, |H - E| |x|)`` (spectral norm).
+    ``eigenvalues`` are the boxes' ascending spectra ``(nbox, n)``, and
+    the boxes whose energy is ``within_guard`` of their spectrum are
+    skipped; None says the stack is certified clear of the guard
+    (``spectra_unless_clear``) and every box is solved.  Returns the
+    positions of the solved boxes, their solutions ``(nsolved, n, 1)`` and
+    residual norms ``|(H - E) x - b|``.  Raises ``NumericError`` when a
+    residual exceeds ``SPECTRAL_RTOL * max(1, |H - E| |x|)``, where
+    ``|H - E|`` is the largest column norm of ``H - E``: it is never
+    larger than the spectral norm, so the check is no looser than one
+    against the spectral edge, and it needs no spectrum.
     """
-    nbox, n = eigenvalues.shape
+    nbox, n = h.shape[:2]
     E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
-    edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
-    gap = np.abs(eigenvalues - E[:, None]).min(axis=1)
-    solved = np.flatnonzero(~within_guard(gap, E, edge))
+    if eigenvalues is None:
+        solved = np.arange(nbox)
+    else:
+        edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
+        gap = np.abs(eigenvalues - E[:, None]).min(axis=1)
+        solved = np.flatnonzero(~within_guard(gap, E, edge))
     hs, Es, bs = h[solved], E[solved, None, None], rhs[solved]
-    shift = Es * np.eye(n)
-    x = np.linalg.solve(np.subtract(hs, shift, out=shift), bs)  # one stack copy
+    shifted = Es * np.eye(n)
+    np.subtract(hs, shifted, out=shifted)  # one stack copy
+    x = np.linalg.solve(shifted, bs)
     r = hs @ x - Es * x - bs
     # one dot product per box, as np.linalg.norm of a vector takes it; a
     # norm over stacked axes sums in another order
     residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
     size = np.sqrt(np.swapaxes(x, 1, 2) @ x)[:, 0, 0]
-    shifted = np.abs(eigenvalues[solved][:, [0, -1]] - Es[:, 0]).max(axis=1)
-    bound = SPECTRAL_RTOL * np.maximum(1.0, shifted * size)
+    bound = SPECTRAL_RTOL * np.maximum(1.0, _column_norm(shifted) * size)
     if np.any(residual > bound):
         raise NumericError(
             f"Green's function solve residual {residual.max():.3e} exceeds tolerance")
     return solved, x, residual
+
+
+def _column_norm(a: np.ndarray) -> np.ndarray:
+    """The largest column 2-norm of every matrix of the stack ``a``
+    (``(nbox, n, n)``): ``|A e_j| <= |A|_2``, so it never exceeds the
+    spectral norm."""
+    return np.sqrt(np.einsum("bij,bij->bj", a, a)).max(axis=1)
 
 
 def green_column(
@@ -119,21 +203,22 @@ def green_column(
 
 def boundary_green_maxima(
     h: np.ndarray,
-    eigenvalues: np.ndarray,
+    eigenvalues: np.ndarray | None,
     center_index: int,
     boundary_indices: np.ndarray,
     E: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max |G(E; center, y)| over the interior boundary of every box of a
     stack of same-layout operators ``h`` (``(nbox, n, n)``, with their
-    ascending spectra ``(nbox, n)``), and the position of the attaining
-    point in ``boundary_indices``.
+    ascending spectra ``(nbox, n)``, or None for a stack certified clear
+    of the guard as ``_solve`` takes it), and the position of the
+    attaining point in ``boundary_indices``.
 
     A box within the solver guard of E gets ``inf`` at position -1; the
     others share one ``_solve`` of ``(H - E) c = delta_center``.  A
     boundary-less layout gives 0 at position -1.
     """
-    nbox, n = eigenvalues.shape
+    nbox, n = h.shape[:2]
     values = np.full(nbox, np.inf)
     where = np.full(nbox, -1, dtype=np.int64)
     rhs = np.zeros((nbox, n, 1))

@@ -689,7 +689,14 @@ def parse_record(rec: dict):
     """
     from anderson2p.classify import ClassificationReport, NtToNsReport
     from anderson2p.errors import InvalidInputError
-    from anderson2p.experiment import DecayFit, EstimateRecord, EventSpec
+    from anderson2p.experiment import (
+        DecayFit,
+        EstimateRecord,
+        EventSpec,
+        GTrendSummary,
+        LocalizationRow,
+        WegnerRow,
+    )
     from anderson2p.msa import (
         ConstraintCheck,
         CounterReport,
@@ -757,8 +764,15 @@ def parse_record(rec: dict):
         return ParameterReport(
             checks=[ConstraintCheck(**c) for c in rec["checks"]],
             asymptotic_regime=rec["asymptotic_regime"])
-    if kind in ("schedule", "initial_certificate",
-                "wegner_row", "error", "localization_row", "g_trend_summary"):
+    if kind == "wegner_row":
+        return WegnerRow(scale=rec["scale"], single_box=parse_record(rec["single_box"]),
+                         pair=parse_record(rec["pair"]), reference=rec["reference"])
+    if kind == "localization_row":
+        f = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
+        return LocalizationRow(**f)
+    if kind == "g_trend_summary":
+        return GTrendSummary(trend=rec["trend"])
+    if kind in ("schedule", "initial_certificate", "error"):
         return rec
     raise InvalidInputError(f"cannot parse record of kind {kind!r}")
 

@@ -364,8 +364,8 @@ def test_09_counter_exactness():
 def test_10_localization_trend():
     rows = localization_mass_sweep([1.0, 5.0, 20.0], 10, 50, seed=1010,
                                    adjacency="l1")
-    m = {r["g"]: r["median_m_hat"] for r in rows}
-    hw = {r["g"]: r["ci_half_width"] for r in rows}
+    m = {r.g: r.median_m_hat for r in rows}
+    hw = {r.g: r.ci_half_width for r in rows}
     gap_5_1 = m[5.0] - m[1.0]
     gap_20_5 = m[20.0] - m[5.0]
     ok = (

@@ -357,11 +357,11 @@ class TestInitialCertificate:
 class TestWegnerSweep:
     def test_rows_and_reference(self, desk):
         rows = wegner_sweep([2, 3], 0.0, 20, desk, 17)
-        assert [r["scale"] for r in rows] == [2, 3]
+        assert [r.scale for r in rows] == [2, 3]
         for r in rows:
-            assert r["reference"] == pytest.approx(r["scale"] ** -desk.q)
-            assert r["single_box"]["trials"] == 20
-            assert r["pair"]["trials"] == 20
+            assert r.reference == pytest.approx(r.scale ** -desk.q)
+            assert r.single_box.trials == 20
+            assert r.pair.trials == 20
 
     def test_zero_trials(self, desk):
         with pytest.raises(InvalidInputError):
@@ -404,8 +404,8 @@ class TestDecayFit:
 
     def test_mass_sweep_monotone(self):
         rows = localization_mass_sweep([1.0, 20.0], 8, 6, seed=3)
-        assert rows[1]["median_m_hat"] > rows[0]["median_m_hat"]
-        assert rows[0]["ci_half_width"] >= 0
+        assert rows[1].median_m_hat > rows[0].median_m_hat
+        assert rows[0].ci_half_width >= 0
 
 
 class TestSsInductionProbe:
@@ -427,8 +427,8 @@ class TestGTrendProbe:
     def test_reports_trend(self):
         sched = schedule(2, 1.5, 0.5, 0.8, 1, g=1.0, d=1)
         spec = EventSpec("single_box_singular", interval=(-0.5, 0.5))
-        out = singularity_vs_g_probe([1.0, 80.0], spec, sched, 60, 19)
-        assert len(out["trend"]) == 1
-        assert out["trend"][0] in ("decreasing", "indeterminate", "violation")
-        ests = [r["record"].estimate for r in out["rows"]]
+        estimates, summary = singularity_vs_g_probe([1.0, 80.0], spec, sched, 60, 19)
+        assert len(summary.trend) == 1
+        assert summary.trend[0] in ("decreasing", "indeterminate", "violation")
+        ests = [r.estimate for r in estimates]
         assert ests[1] <= ests[0] + 0.1  # strong disorder not more singular

@@ -165,6 +165,29 @@ class TestOneLapackLibrary:
                         offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
+    def test_spectra_only_where_named(self):
+        # numpy.linalg.eigvalsh is named only in these functions, so a new
+        # full spectrum on a hot path is a deliberate change to this list:
+        # a window question goes through resolvent.spectra_unless_clear
+        allowed = {("operators", "FiniteOperator.eigenvalues"),
+                   ("operators", "family_spectra"),
+                   ("resolvent", "spectra_unless_clear")}
+        found = set()
+        for path in sorted(Path(anderson2p.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                defs = [(getattr(top, "name", "<module>"), top)]
+                if isinstance(top, ast.ClassDef):
+                    defs = [(f"{top.name}.{m.name}", m) for m in top.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                for name, node in defs:
+                    for sub in ast.walk(node):
+                        if ((isinstance(sub, ast.Attribute) and sub.attr == "eigvalsh")
+                                or (isinstance(sub, ast.Name) and sub.id == "eigvalsh")
+                                or (isinstance(sub, ast.alias)
+                                    and sub.name.split(".")[-1] == "eigvalsh")):
+                            found.add((path.stem, name))
+        assert found == allowed
+
     def test_no_scipy_import_at_module_load(self):
         # scipy costs about 1 s per CLI start; only function bodies (the
         # truncated-Gaussian marginal) may import it, on first use

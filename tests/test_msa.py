@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from anderson2p.config import ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InfeasibleScheduleError, InvalidInputError, NumericError
 from anderson2p.geometry import Box2, Point2, pair_separation
@@ -350,6 +352,69 @@ class TestSingleEnergyCounter:
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericError, match="residual"):
             count_singular_subboxes(*args)
+
+
+class TestCertifiedCounterGuard:
+    """The counter step's solver guard comes from ``window_clear`` at
+    ``resolvent.guard_width``, not from a stacked ``eigvalsh``; a stack it
+    cannot certify is diagonalized, with the same report."""
+
+    @staticmethod
+    def _reports(sched, adjacency):
+        center = Point2.of((0,), (0,))
+        inter = _interaction()
+        L_k = sched.L[0]
+        out = []
+        for seed in (1, 2, 3):
+            sample = TestSingleEnergyCounter._sample(sched, 0, center, seed)
+            ev = np.linalg.eigvalsh(box_family(Box2(center, sched.L[1] - L_k).points(),
+                                               L_k, sample, inter, sched.g, adjacency))
+            # random energies, then a sub-box eigenvalue (the guard path)
+            energies = np.random.default_rng(seed).uniform(-1.0, 2 * sched.g + 1.0, 3)
+            for E in [*energies.tolist(), float(ev[seed, 5])]:
+                out.append(count_singular_subboxes(center, 0, sched, sample, inter,
+                                                   sched.g, E, adjacency))
+        return out
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("g", [5.0, 30.0])
+    @pytest.mark.parametrize("failure", ["window_clear", "cholesky"])
+    def test_uncertified_gives_the_same_reports(self, monkeypatch, adjacency, g, failure):
+        sched = desk_schedule(g=g)
+        want = self._reports(sched, adjacency)
+        if failure == "window_clear":
+            monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
+        else:
+            def fail(a):
+                raise np.linalg.LinAlgError("not positive definite")
+            monkeypatch.setattr(np.linalg, "cholesky", fail)
+        assert self._reports(sched, adjacency) == want
+        assert any(rep.singular_ni or rep.singular_i for rep in want)
+
+    def test_inductive_seeds_need_no_eigvalsh(self, monkeypatch):
+        """The counter step of the benchmark's ``inductive`` configuration
+        (``msa-verify --check inductive-step``, d=1, ``l1``, g=30) at
+        seeds 7000-7015 runs with ``eigvalsh`` broken: every stack is
+        certified."""
+        instances = []
+        for seed in range(7000, 7016):
+            cfg = ExperimentConfig.from_dict({"dimension": 1, "adjacency": "l1",
+                                              "g": 30, "seed": seed})
+            sched = cfg.build_schedule()
+            parent = Box2.of_origin(1, sched.L[1])
+            rng = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
+            sample = sample_potential(cfg.distribution_spec(), seed, 0,
+                                      domain_for_boxes([parent]))
+            energy = float(rng.uniform(*cfg.interval))
+            instances.append((parent.center, 0, sched, sample, cfg.interaction_spec(),
+                              cfg.g, energy, cfg.adjacency))
+        want = [count_singular_subboxes(*args) for args in instances]
+
+        def broken(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+        assert [count_singular_subboxes(*args) for args in instances] == want
 
 
 class TestCounters:

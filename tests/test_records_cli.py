@@ -86,13 +86,22 @@ def _decay_fit(desk):
     return fits[0].to_record()
 
 
-def _cli_record(command, **options):
-    """The one record of a CLI subcommand run in process on the default
-    configuration."""
-    cfg = ExperimentConfig.from_dict({})
-    args = argparse.Namespace(center=None, trial=0, radius=None, **options)
-    [rec], _ = cli._COMMANDS[command](cfg, cfg.build_schedule(), args)
+def _cli_records(command, settings=None, **options):
+    """The records of a CLI subcommand run in process on the default
+    configuration, updated by ``settings``."""
+    cfg = ExperimentConfig.from_dict(settings or {})
+    args = argparse.Namespace(**{"center": None, "trial": 0, "radius": None, **options})
+    return cli._COMMANDS[command](cfg, cfg.build_schedule(), args)[0]
+
+
+def _cli_record(command, settings=None, **options):
+    """The one record of a CLI subcommand run in process."""
+    [rec] = _cli_records(command, settings, **options)
     return rec
+
+
+#: ``mc-estimate``'s options apart from ``--event``
+_MC_OPTIONS = dict(scales="2", energy=None, k=None, n=1, g_list="1,80")
 
 
 #: one record of every kind, as the package emits it
@@ -110,6 +119,12 @@ _RECORDS = {
         "msa-verify", check="boundary-recovery", sub_radius=None, nt_mass=None,
         seeds=1, k=None),
     "parameter_report": lambda desk: validate_parameters(desk).to_record(),
+    "wegner_row": lambda desk: _cli_record(
+        "mc-estimate", {"trials": 4}, event="wegner", **_MC_OPTIONS),
+    "localization_row": lambda desk: _cli_record(
+        "decay-fit", radius=4, g_list="5", samples=2),
+    "g_trend_summary": lambda desk: _cli_records(
+        "mc-estimate", {"trials": 4}, event="g-trend", **_MC_OPTIONS)[-1],
 }
 
 

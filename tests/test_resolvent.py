@@ -13,13 +13,20 @@ from anderson2p.operators import (
     diagonalize,
     single_particle_factors,
 )
+from anderson2p.operators import SPECTRAL_RTOL
 from anderson2p.resolvent import (
+    RESONANCE_GUARD,
+    _column_norm,
+    _solve,
     boundary_green_max,
     boundary_green_maxima,
     boundary_recovery,
     green_column,
     green_spectral,
+    guard_width,
+    spectra_unless_clear,
     spectral_gap,
+    within_guard,
 )
 
 from .conftest import box_with_sample
@@ -245,6 +252,112 @@ class TestBoundaryGreenMaxima:
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericError, match="residual"):
             boundary_green_maxima(*args)
+
+
+def _random_symmetric(rng, nbox, n, scale=1.0):
+    a = rng.normal(scale=scale, size=(nbox, n, n))
+    return a + np.swapaxes(a, 1, 2)
+
+
+class TestColumnNormBound:
+    """``_solve`` bounds its residual with the largest column norm of
+    ``H - E``, read from the matrix: never more than the spectral norm
+    ``max |lambda - E|`` that the bound read from the spectrum before, so
+    the check is never looser."""
+
+    def test_never_above_the_spectral_norm(self):
+        rng = np.random.default_rng(19)
+        for trial in range(200):
+            n = int(rng.integers(1, 13))
+            a = _random_symmetric(rng, 4, n, scale=float(rng.uniform(0.1, 30)))
+            spectral = np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+            assert np.all(_column_norm(a) <= spectral * (1 + 1e-12)), trial
+
+    @staticmethod
+    def _ones_stack(n=16):
+        """H = all-ones at E = -1: H - E has spectral norm n + 1 against a
+        largest column norm of sqrt(n + 3)."""
+        h = np.ones((1, n, n))
+        rhs = np.zeros((1, n, 1))
+        rhs[0, 0] = 1.0
+        return h, rhs, -1.0
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_residual_between_the_two_bounds_raises(self, monkeypatch, certified):
+        h, rhs, E = self._ones_stack()
+        n = h.shape[-1]
+        ev = None if certified else np.linalg.eigvalsh(h)
+        solved, x, residual = _solve(h, ev, E, rhs)
+        assert list(solved) == [0] and residual[0] < 1e-14
+        size = np.linalg.norm(x[0])
+        column, spectral = np.sqrt(n + 3), n + 1.0
+        assert _column_norm(h - E * np.eye(n))[0] == pytest.approx(column)
+        solve = np.linalg.solve
+        # (H - E) acts as the identity on vectors orthogonal to all-ones
+        step = np.zeros((n, 1))
+        step[0], step[1] = 1.0, -1.0
+        step /= np.linalg.norm(step)
+
+        def perturbed(scale):
+            def inner(a, b):
+                return solve(a, b) + scale * SPECTRAL_RTOL * size * step
+            return inner
+
+        # a residual under the column-norm bound passes
+        monkeypatch.setattr(np.linalg, "solve", perturbed(0.5 * column))
+        _solve(h, ev, E, rhs)
+        # one between the column-norm and the spectral-norm bounds fails
+        monkeypatch.setattr(np.linalg, "solve", perturbed(0.5 * (column + spectral)))
+        with pytest.raises(NumericError, match="residual"):
+            _solve(h, ev, E, rhs)
+
+
+class TestCertifiedGuard:
+    """``spectra_unless_clear`` at ``guard_width`` replaces the counter
+    step's stacked ``eigvalsh``: a certified stack has no box within its
+    solver guard, and an eigenvalue at the guard is never certified."""
+
+    def test_planted_eigenvalue_at_the_guard_never_certified(self):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            nbox, n = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+            E = float(rng.choice([0.0, rng.uniform(-40, 40)]))
+            lam = rng.uniform(-30, 30, size=(nbox, n))
+            q, _ = np.linalg.qr(rng.normal(size=(nbox, n, n)))
+            box = int(rng.integers(nbox))
+            edge = np.abs(lam[box]).max()
+            guard = RESONANCE_GUARD * max(1.0, abs(E), edge)
+            sign, side = rng.choice([-1.0, 1.0], size=2)
+            lam[box, 0] = E + sign * guard * (1 + side * 1e-9)
+            h = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+            h = 0.5 * (h + np.swapaxes(h, 1, 2))
+            before = h.copy()
+            ev = spectra_unless_clear(h, E, guard_width(h, E))
+            assert ev is not None, trial
+            assert np.array_equal(h, before)
+            assert np.array_equal(ev, np.linalg.eigvalsh(h))
+
+    def test_certified_stack_is_outside_every_guard(self):
+        rng = np.random.default_rng(29)
+        certified = 0
+        for trial in range(100):
+            h = _random_symmetric(rng, 8, int(rng.integers(2, 40)),
+                                  scale=float(rng.uniform(0.01, 20)))
+            E = float(rng.uniform(-5, 5))
+            w = guard_width(h, E)
+            ev = np.linalg.eigvalsh(h)
+            edge = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
+            assert within_guard(w, E, edge).sum() == 0
+            if spectra_unless_clear(h, E, w) is None:
+                certified += 1
+                gap = np.abs(ev - E).min(axis=1)
+                assert np.all(gap >= w) and not within_guard(gap, E, edge).any()
+        assert certified > 90
+
+    def test_uncertified_stack_gets_its_spectra(self, monkeypatch):
+        h = _random_symmetric(np.random.default_rng(31), 5, 9)
+        monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
+        assert np.array_equal(spectra_unless_clear(h, 0.3, 1e-9), np.linalg.eigvalsh(h))
 
 
 class TestGreenSpectral:
