@@ -25,7 +25,10 @@ one Cholesky factorization, and only a stack it cannot certify is
 diagonalized (``resolvent.spectra_unless_clear``).  The counter step of
 the inductive step (``msa.count_singular_subboxes``) asks the same
 question at a width just above the solver guard, so it diagonalizes no
-stack that is certified either.
+stack that is certified either.  The inductive step certifies its parent
+at the resonance width itself and then calls ``cnr_sweep`` and
+``is_ns_clear``, which read no parent spectrum; ``is_cnr`` and ``is_ns``
+read it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from .operators import (
 from .records import Record
 from .resolvent import (
     boundary_green_max,
+    boundary_green_maxima,
+    guard_width,
     spectra_unless_clear,
     spectral_gap,
     window_clear,
@@ -133,6 +138,21 @@ def is_ns(
     ns = value <= threshold
     pt = tuple(int(c) for c in point) if point is not None else None
     return ns, NSWitness(value, pt, threshold, gap=gap)
+
+
+def is_ns_clear(op: FiniteOperator, E: float, m: float) -> tuple[bool, NSWitness]:
+    """``is_ns`` of the box of ``op`` (of positive radius) at an energy
+    known to be clear of its solver guard, as one
+    ``resolvent.boundary_green_maxima`` solve with no spectrum; the
+    witness carries no gap.  The caller's certificate (``window_clear`` at
+    a width of at least ``guard_width``, or a gap that clears it) means
+    ``is_ns`` would solve the same box with the same result."""
+    threshold = math.exp(-m * op.box.radius)
+    idx = op.boundary_indices()
+    values, where = boundary_green_maxima(op.matrix[None], None, op.center_index(), idx, E)
+    value = float(values[0])
+    pt = tuple(int(c) for c in op.points[idx[where[0]]]) if where[0] >= 0 else None
+    return value <= threshold, NSWitness(value, pt, threshold)
 
 
 def singular_at_spectral(
@@ -245,7 +265,7 @@ class CnrReport:
     """Outcome of the complete-non-resonance test at scale k+1."""
 
     ok: bool
-    parent_gap: float
+    parent_gap: Optional[float]  # None: certified non-resonant by window_clear
     failed_center: Optional[tuple[int, ...]] = None
     failed_radius: Optional[int] = None
     failed_gap: Optional[float] = None
@@ -279,22 +299,11 @@ def is_cnr(
     exhaustive_limit: int = CNR_EXHAUSTIVE_LIMIT,
     sample_budget: int = CNR_SAMPLE_BUDGET,
 ) -> CnrReport:
-    """(E, J)-complete non-resonance of the scale-(k+1) box at ``center``.
-
-    Exhaustive over all sub-box centers while their count stays within
-    budget, else a seeded uniform subsample is checked and the report is
-    marked non-exhaustive.  Each probed radius is one translated family
-    (``family_chunks``) of one box per exchange orbit
-    (``operators.exchange_orbits``).  A chunk of the family that
-    ``window_clear`` certifies has no resonant box; any other chunk is
-    diagonalized (``spectra_unless_clear``) and scanned, so the first
-    resonant sub-box in probe order, its gap and every other field are
-    those of a sweep over the spectra.  The parent's resonance is read from its spectrum
+    """(E, J)-complete non-resonance of the scale-(k+1) box at ``center``:
+    ``cnr_sweep`` given the parent's gap, read from its spectrum
     (``parent_op``, which must be the operator of the scale-(k+1) box at
     ``center``, is assembled when not given).
     """
-    if schedule.J < 1 or schedule.J % 2 == 0:
-        raise InvalidInputError("CNR sub-box count J must be odd and positive")
     parent = Box2(center, schedule.L[k + 1])
     if parent_op is None:
         parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
@@ -305,14 +314,49 @@ def is_cnr(
             f"of radius {parent.radius}")
     else:
         check_projections(parent, sample)
+    return cnr_sweep(center, k, schedule, sample, interaction, g, E, adjacency,
+                     spectral_gap(parent_op, E), exhaustive_limit, sample_budget)
+
+
+def cnr_sweep(
+    center: Point2,
+    k: int,
+    schedule,
+    sample: DisorderSample,
+    interaction: InteractionSpec,
+    g: float,
+    E: float,
+    adjacency: str,
+    parent_gap: Optional[float],
+    exhaustive_limit: int = CNR_EXHAUSTIVE_LIMIT,
+    sample_budget: int = CNR_SAMPLE_BUDGET,
+) -> CnrReport:
+    """Complete non-resonance of the scale-(k+1) box at ``center`` given
+    the parent's distance ``parent_gap`` from E: a resonant parent fails
+    with no sub-box probed, and None stands for a parent that
+    ``resolvent.window_clear`` certified non-resonant (the report's
+    ``parent_gap`` is then None).
+
+    The sub-boxes are probed exhaustively while their count stays within
+    budget, else a seeded uniform subsample is checked and the report is
+    marked non-exhaustive.  Each probed radius is one translated family
+    (``family_chunks``) of one box per exchange orbit
+    (``operators.exchange_orbits``).  A chunk of the family that
+    ``window_clear`` certifies has no resonant box; any other chunk is
+    diagonalized (``spectra_unless_clear``) and scanned, so the first
+    resonant sub-box in probe order, its gap and every other field are
+    those of a sweep over the spectra.
+    """
+    if schedule.J < 1 or schedule.J % 2 == 0:
+        raise InvalidInputError("CNR sub-box count J must be odd and positive")
+    parent = Box2(center, schedule.L[k + 1])
     layout = cnr_subbox_layout(k, schedule)
     total = sum((2 * off + 1) ** (2 * parent.d) for _, off in layout)
     exhaustive = total <= exhaustive_limit
-    resonant, gap = is_resonant(parent_op.eigenvalues(), E, parent.radius, schedule.beta)
-    if resonant:
-        return CnrReport(False, gap, failed_center=center.flat, failed_radius=parent.radius,
-                         failed_gap=gap, n_candidates=total, n_checked=0,
-                         exhaustive=exhaustive)
+    if parent_gap is not None and parent_gap < resonance_width(parent.radius, schedule.beta):
+        return CnrReport(False, parent_gap, failed_center=center.flat,
+                         failed_radius=parent.radius, failed_gap=parent_gap,
+                         n_candidates=total, n_checked=0, exhaustive=exhaustive)
     rng = None
     if not exhaustive:
         rng = Generator(
@@ -342,14 +386,14 @@ def is_cnr(
                 if len(hits):
                     i = int(reps[first + hits[0]])
                     return CnrReport(
-                        False, gap, failed_center=tuple(int(c) for c in centers[i]),
+                        False, parent_gap, failed_center=tuple(int(c) for c in centers[i]),
                         failed_radius=radius, failed_gap=float(gaps[hits[0]]),
                         n_candidates=total, n_checked=checked + i + 1,
                         exhaustive=exhaustive,
                     )
             first += len(h)
         checked += len(centers)
-    return CnrReport(True, gap, n_candidates=total, n_checked=checked,
+    return CnrReport(True, parent_gap, n_candidates=total, n_checked=checked,
                      exhaustive=exhaustive)
 
 
@@ -420,6 +464,22 @@ def nt_decay_discount(L: int, beta: float, d: int) -> float:
 def nt_size_condition(L: int, beta: float, d: int) -> bool:
     """Size condition for the conversion: (L**beta + ln((2L+1)**(2d))) / L < 1."""
     return (float(L) ** beta + math.log((2 * L + 1) ** (2 * d))) / L < 1.0
+
+
+def _tensor_sum_error(op: FiniteOperator, op1: FiniteOperator, op2: FiniteOperator,
+                      E: float) -> float:
+    """A bound on how far the gap at E of the non-interactive box ``op``
+    under ``l1`` adjacency, as its own ``eigvalsh`` would report it, lies
+    from the gap of the sums of its factors' (``op1``, ``op2``)
+    eigenvalues: 2 n eps (||H - E||_F + |E| + ||H_1||_F + ||H_2||_F).
+    It covers ``eigvalsh``'s error on the box (``window_clear``'s eta) and
+    on each factor, the rounding of the assembled diagonal against the
+    exact tensor sum, and the rounding of the sums."""
+    n = op.n
+    eps = np.finfo(np.float64).eps
+    norms = (np.linalg.norm(op.matrix - E * np.eye(n)) + abs(E)
+             + np.linalg.norm(op1.matrix) + np.linalg.norm(op2.matrix))
+    return float(2 * n * eps * norms)
 
 
 @dataclass
@@ -493,7 +553,14 @@ def nt_to_ns_check(
         report.skipped = True
         return report
     m_eff = m_hat * nt_decay_discount(L, beta, d)
-    ns, w = is_ns(box, sample, interaction, g, E, m_eff, adjacency)
+    op = assemble_two_particle(box, sample, interaction, g, adjacency)
+    # under l1 the sums are the box's spectrum, and a gap that clears the
+    # guard lets is_ns_clear solve the box without diagonalizing it
+    if (op.adjacency == "l1"
+            and gap - _tensor_sum_error(op, op1, op2, E) >= guard_width(op.matrix[None], E)):
+        ns, w = is_ns_clear(op, E, m_eff)
+    else:
+        ns, w = is_ns(box, sample, interaction, g, E, m_eff, adjacency, op=op)
     report.m_eff = float(m_eff)
     report.ns_ok = bool(ns)
     report.max_boundary_gf = w.max_boundary_gf

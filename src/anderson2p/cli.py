@@ -364,8 +364,7 @@ def _cmd_mc_estimate(cfg, sched, args):
         gs = [float(x) for x in args.g_list.split(",")]
         estimates, summary = singularity_vs_g_probe(gs, specs[0], sched, cfg.trials,
                                                     cfg.seed, dist, interaction)
-        records = [dict(rec.to_record(), g=g) for g, rec in zip(gs, estimates)]
-        return records + [summary.to_record()], {}
+        return [rec.to_record() for rec in [*estimates, summary]], {}
     return [rec.to_record() for rec in estimate_event(specs, sched, cfg.trials, cfg.seed,
                                                       dist, interaction)], {}
 

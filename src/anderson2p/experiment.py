@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -740,6 +740,14 @@ def localization_mass_sweep(
 
 
 @dataclass
+class GTrendEstimate(EstimateRecord):
+    """The estimate of ``singularity_vs_g_probe`` at one coupling ``g``:
+    an ``estimate`` record with the coupling added."""
+
+    g: float = field(kw_only=True)
+
+
+@dataclass
 class GTrendSummary(Record):
     """The pairwise trend verdicts of ``singularity_vs_g_probe``, one per
     consecutive pair of couplings."""
@@ -757,7 +765,7 @@ def singularity_vs_g_probe(
     seed: int,
     dist: Optional[DistributionSpec] = None,
     interaction: Optional[InteractionSpec] = None,
-) -> tuple[list[EstimateRecord], GTrendSummary]:
+) -> tuple[list[GTrendEstimate], GTrendSummary]:
     """Frequency of the event ``spec`` at each coupling of ``gs``, with
     pairwise trend verdicts: 'decreasing' when intervals separate,
     'violation' when they separate the wrong way, else 'indeterminate'."""
@@ -766,7 +774,7 @@ def singularity_vs_g_probe(
         # g enters neither L nor m, so the schedule needs no rebuild
         [rec] = estimate_event([spec], replace(sched, g=float(g)), trials, seed,
                                dist, interaction)
-        estimates.append(rec)
+        estimates.append(GTrendEstimate(**vars(rec), g=float(g)))
     verdicts = []
     for ra, rb in zip(estimates, estimates[1:]):
         if rb.wilson_high < ra.wilson_low:

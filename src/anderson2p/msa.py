@@ -7,6 +7,13 @@ rejected when any requested mass fails to be positive.  The counters M/N/K
 count maximal families of pairwise well-separated singular sub-boxes
 (non-interactive, interactive, and all, respectively), where separation is
 the exchange-symmetrised center distance exceeding ``8 * L_k``.
+
+The inductive step asks only window questions of its spectra, so it
+diagonalizes nothing that ``resolvent.window_clear`` certifies: the
+parent at its resonance width, the CNR sub-box families at theirs, and
+the counter's sub-box stack at the solver guard width.  A certified
+parent is non-resonant and clear of the guard, and the non-singularity
+assertion is one solve with no spectrum.
 """
 
 from __future__ import annotations
@@ -18,7 +25,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .classify import is_cnr, is_ns, singular_mask_at
+from .classify import (
+    cnr_sweep,
+    is_cnr,
+    is_ns,
+    is_ns_clear,
+    resonance_width,
+    singular_mask_at,
+)
 from .disorder import DisorderSample, InteractionSpec
 from .errors import InfeasibleScheduleError, InvalidInputError
 from .geometry import Box2, Point2
@@ -30,7 +44,12 @@ from .operators import (
     pole_residues,
 )
 from .records import Record
-from .resolvent import boundary_green_maxima, guard_width, spectra_unless_clear
+from .resolvent import (
+    boundary_green_maxima,
+    guard_width,
+    spectra_unless_clear,
+    window_clear,
+)
 
 
 @dataclass(frozen=True)
@@ -508,6 +527,15 @@ def inductive_ns_step(
     """Evaluate the hypotheses (complete non-resonance; K <= J) and, when
     they hold, assert non-singularity of the parent at the next mass.
 
+    The parent is decided by ``resolvent.window_clear`` at its resonance
+    width.  A certified parent is non-resonant and, as that width is at
+    least ``resolvent.guard_width``, clear of the solver guard: its
+    sub-boxes are swept by ``classify.cnr_sweep`` and the assertion is one
+    solve with no spectrum (``classify.is_ns_clear``), so it is never
+    diagonalized.  A parent it cannot certify (or a width below the guard)
+    is diagonalized once and decided by ``is_cnr`` and ``is_ns``; both
+    ways give the same report.
+
     The asserted mass is the inductive bound when positive; at desk scales
     where the bound degenerates to a non-positive value the schedule's own
     next mass is asserted instead (it is smaller in the admissible regime,
@@ -515,8 +543,14 @@ def inductive_ns_step(
     """
     parent = Box2(center, sched.L[k + 1])
     parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
-    cnr = is_cnr(center, k, sched, sample, interaction, g, E, adjacency,
-                 parent_op=parent_op)
+    h = parent_op.matrix[None]
+    width = resonance_width(parent.radius, sched.beta)
+    certified = width >= guard_width(h, E) and window_clear(h, E, width)
+    if certified:
+        cnr = cnr_sweep(center, k, sched, sample, interaction, g, E, adjacency, None)
+    else:
+        cnr = is_cnr(center, k, sched, sample, interaction, g, E, adjacency,
+                     parent_op=parent_op)
     counters = count_singular_subboxes(center, k, sched, sample, interaction,
                                        g, E, adjacency)
     hyp = cnr.ok and counters.K <= sched.J
@@ -529,8 +563,11 @@ def inductive_ns_step(
     if not hyp:
         return rep
     assert_mass = bound if bound > 0 else sched.m[k + 1]
-    ns, w = is_ns(parent, sample, interaction, g, E, assert_mass, adjacency,
-                  op=parent_op)
+    if certified:
+        ns, w = is_ns_clear(parent_op, E, assert_mass)
+    else:
+        ns, w = is_ns(parent, sample, interaction, g, E, assert_mass, adjacency,
+                      op=parent_op)
     rep.assert_mass = float(assert_mass)
     rep.ns_ok = bool(ns)
     rep.max_boundary_gf = w.max_boundary_gf

@@ -16,7 +16,12 @@ returns None when ``window_clear`` certifies, from one matrix product and
 one Cholesky factorization, that no box has an eigenvalue within a width
 above the guard, and ``_solve`` then solves every box; only a stack it
 cannot certify is diagonalized.  The complete non-resonance test asks the
-same question at the resonance width.
+same question at the resonance width, of the sub-box families and of the
+inductive step's parent; a resonance width is above the guard width, so a
+parent certified non-resonant is solved without a spectrum too.  Only a
+box the test cannot certify, or one whose gap is not already known
+(``nt-to-ns`` reads it from the tensor sums of its factors), is
+diagonalized.
 
 All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
 the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool

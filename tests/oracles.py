@@ -693,6 +693,7 @@ def parse_record(rec: dict):
         DecayFit,
         EstimateRecord,
         EventSpec,
+        GTrendEstimate,
         GTrendSummary,
         LocalizationRow,
         WegnerRow,
@@ -717,7 +718,9 @@ def parse_record(rec: dict):
         event = dict(rec["event"])
         if event["interval"] is not None:
             event["interval"] = tuple(event["interval"])
-        return EstimateRecord(event=EventSpec(**event), **f)
+        # ``g-trend`` writes its estimates with their coupling
+        record_type = GTrendEstimate if "g" in f else EstimateRecord
+        return record_type(event=EventSpec(**event), **f)
     if kind == "classification":
         fields = {k: v for k, v in rec.items() if k not in ("kind", "config_hash")}
         fields["center"] = _tupled(fields["center"])

@@ -680,6 +680,37 @@ class TestNtToNs:
             n_ok += 1
         assert n_ok >= 40
 
+    @pytest.mark.parametrize("adjacency", ["l1", "sup"])
+    def test_ns_step_without_the_box_spectrum(self, monkeypatch, adjacency):
+        """Under ``l1`` a tensor-sum gap that clears the solver guard
+        decides the NS step without the box's ``eigvalsh``; under ``sup``
+        the sums are not the box's spectrum and ``is_ns`` diagonalizes.
+        Either way the report is ``is_ns``'s."""
+        L, g = 9, 30.0  # the CLI's ``nt-to-ns`` defaults
+        rng = np.random.default_rng(78)
+        instances = []
+        for s in range(12):
+            box = Box2(Point2.of((0,), (int(rng.integers(2 * L + 2, 5 * L)),)), L)
+            sample = sample_potential(DistributionSpec.uniform(), 2000 + s, 0,
+                                      domain_for_boxes([box]))
+            instances.append((box, sample, _interaction(), g, float(rng.uniform(-1, 1)),
+                              1.0, 0.5, adjacency))
+        with monkeypatch.context() as m:
+            m.setattr(classify, "_tensor_sum_error", lambda *a: math.inf)
+            want = [nt_to_ns_check(*args) for args in instances]
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert [nt_to_ns_check(*args) for args in instances] == want
+        verified = sum(not rep.skipped for rep in want)
+        assert verified >= 6
+        assert sizes.count((2 * L + 1) ** 2) == (0 if adjacency == "l1" else verified)
+
 
 class TestClassifyReport:
     def test_flags_reproducible_from_witnesses(self, desk):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from anderson2p import resolvent
 from anderson2p.config import ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InfeasibleScheduleError, InvalidInputError, NumericError
@@ -21,7 +22,7 @@ from anderson2p.msa import (
     subbox_spectra,
     validate_parameters,
 )
-from anderson2p.operators import box_family
+from anderson2p.operators import assemble_two_particle, box_family
 
 from .conftest import duplicated_eigenpair, random_point2
 from .oracles import (
@@ -354,6 +355,25 @@ class TestSingleEnergyCounter:
             count_singular_subboxes(*args)
 
 
+def _inductive_instances(adjacency):
+    """Arguments of ``inductive_ns_step`` in the benchmark's ``inductive``
+    configuration (``msa-verify --check inductive-step``, d=1, g=30) under
+    ``adjacency``: the CLI's seed 0 at configuration seeds 7000-7015."""
+    instances = []
+    for seed in range(7000, 7016):
+        cfg = ExperimentConfig.from_dict({"dimension": 1, "adjacency": adjacency,
+                                          "g": 30, "seed": seed})
+        sched = cfg.build_schedule()
+        parent = Box2.of_origin(1, sched.L[1])
+        rng = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        sample = sample_potential(cfg.distribution_spec(), seed, 0,
+                                  domain_for_boxes([parent]))
+        energy = float(rng.uniform(*cfg.interval))
+        instances.append((parent.center, 0, sched, sample, cfg.interaction_spec(),
+                          cfg.g, energy, cfg.adjacency))
+    return instances
+
+
 class TestCertifiedCounterGuard:
     """The counter step's solver guard comes from ``window_clear`` at
     ``resolvent.guard_width``, not from a stacked ``eigvalsh``; a stack it
@@ -393,21 +413,9 @@ class TestCertifiedCounterGuard:
 
     def test_inductive_seeds_need_no_eigvalsh(self, monkeypatch):
         """The counter step of the benchmark's ``inductive`` configuration
-        (``msa-verify --check inductive-step``, d=1, ``l1``, g=30) at
-        seeds 7000-7015 runs with ``eigvalsh`` broken: every stack is
+        at seeds 7000-7015 runs with ``eigvalsh`` broken: every stack is
         certified."""
-        instances = []
-        for seed in range(7000, 7016):
-            cfg = ExperimentConfig.from_dict({"dimension": 1, "adjacency": "l1",
-                                              "g": 30, "seed": seed})
-            sched = cfg.build_schedule()
-            parent = Box2.of_origin(1, sched.L[1])
-            rng = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64)))
-            sample = sample_potential(cfg.distribution_spec(), seed, 0,
-                                      domain_for_boxes([parent]))
-            energy = float(rng.uniform(*cfg.interval))
-            instances.append((parent.center, 0, sched, sample, cfg.interaction_spec(),
-                              cfg.g, energy, cfg.adjacency))
+        instances = _inductive_instances("l1")
         want = [count_singular_subboxes(*args) for args in instances]
 
         def broken(a):
@@ -415,6 +423,72 @@ class TestCertifiedCounterGuard:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", broken)
         assert [count_singular_subboxes(*args) for args in instances] == want
+
+
+class TestCertifiedParent:
+    """The inductive step decides its parent by ``window_clear`` at the
+    parent's resonance width: an instance whose every window question is
+    certified makes no ``eigvalsh`` call, a resonant parent is
+    diagonalized, and either way the report is the one of a step that
+    always diagonalizes the parent."""
+
+    @staticmethod
+    def _diagonalizing(monkeypatch, instances):
+        with monkeypatch.context() as m:
+            m.setattr("anderson2p.msa.window_clear", lambda *a: False)
+            return [inductive_ns_step(*args) for args in instances]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record every ``eigvalsh`` call's matrix size and every
+        ``window_clear`` verdict."""
+        calls, verdicts = [], []
+        eigvalsh, window_clear = np.linalg.eigvalsh, resolvent.window_clear
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            calls.append(a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        def counted_window_clear(*args):
+            verdicts.append(window_clear(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        for module in ("msa", "resolvent"):
+            monkeypatch.setattr(f"anderson2p.{module}.window_clear", counted_window_clear)
+        return calls, verdicts
+
+    @pytest.mark.parametrize("adjacency", ["l1", "sup"])
+    def test_certified_instances_make_no_eigvalsh_call(self, monkeypatch, adjacency):
+        instances = _inductive_instances(adjacency)
+        want = self._diagonalizing(monkeypatch, instances)
+        calls, verdicts = self._counting(monkeypatch)
+        certified = 0
+        for args, expected in zip(instances, want):
+            calls.clear()
+            verdicts.clear()
+            assert inductive_ns_step(*args) == expected
+            # one eigvalsh per uncertified stack, none for a certified one
+            assert len(calls) == verdicts.count(False)
+            certified += all(verdicts)
+        assert certified >= 12
+        assert sum(rep.ns_ok is not None for rep in want) >= 12
+
+    @pytest.mark.parametrize("adjacency", ["l1", "sup"])
+    def test_resonant_parent_is_diagonalized(self, monkeypatch, adjacency):
+        center, k, sched, sample, inter, g, _, adj = _inductive_instances(adjacency)[0]
+        parent = assemble_two_particle(Box2(center, sched.L[k + 1]), sample, inter,
+                                       g, adj)
+        instances = [(center, k, sched, sample, inter, g, float(E), adj)
+                     for E in parent.eigenvalues()[[20, 80, 140]]]
+        want = self._diagonalizing(monkeypatch, instances)
+        calls, verdicts = self._counting(monkeypatch)
+        for args, expected in zip(instances, want):
+            calls.clear()
+            verdicts.clear()
+            rep = inductive_ns_step(*args)
+            assert rep == expected and not rep.cnr_ok and rep.skipped
+            assert verdicts[0] is False and calls.count(parent.n) == 1
 
 
 class TestCounters:
