@@ -20,8 +20,9 @@ admits no exact continuum test.
 
 Complete non-resonance at one energy asks of each sub-box only whether
 some eigenvalue lies within the window: ``resolvent.window_clear``
-certifies "none" for a whole stack of boxes from one matrix product and
-one Cholesky factorization, and only a stack it cannot certify is
+certifies "none" for a whole stack of boxes, each box by its Gershgorin
+discs or, where they come near the window, by one Cholesky factorization
+of the stack of such boxes, and only a stack it cannot certify is
 diagonalized (``resolvent.spectra_unless_clear``).  The counter step of
 the inductive step (``msa.count_singular_subboxes``) asks the same
 question at a width just above the solver guard, so it diagonalizes no

@@ -9,11 +9,12 @@ count maximal families of pairwise well-separated singular sub-boxes
 the exchange-symmetrised center distance exceeding ``8 * L_k``.
 
 The inductive step asks only window questions of its spectra, so it
-diagonalizes nothing that ``resolvent.window_clear`` certifies: the
-parent at its resonance width, the CNR sub-box families at theirs, and
-the counter's sub-box stack at the solver guard width.  A certified
-parent is non-resonant and clear of the guard, and the non-singularity
-assertion is one solve with no spectrum.
+diagonalizes nothing that ``resolvent.window_clear`` certifies (by
+Gershgorin discs, then one Cholesky factorization of the boxes the discs
+leave): the parent at its resonance width, the CNR sub-box families at
+theirs, and the counter's sub-box stack at the solver guard width.  A
+certified parent is non-resonant and clear of the guard, and the
+non-singularity assertion is one solve with no spectrum.
 """
 
 from __future__ import annotations

@@ -185,14 +185,23 @@ def exchange_orbits(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which fixes the center and maps the boundary onto itself (diagonal and
     hops are exchange symmetric), so ``box_family`` at a representative
     serves its whole orbit.  With no exchange image in the family ``orbit``
-    is the identity.
+    is the identity.  A row's image is the last row equal to its exchange,
+    so a family with repeated rows (a sampled one) may keep more than one
+    representative of an orbit.
     """
-    centers = np.asarray(centers, dtype=np.int64)
-    row_of = {row.tobytes(): i for i, row in enumerate(centers)}
-    swapped = np.roll(centers, centers.shape[1] // 2, axis=1)
-    first = [min(i, row_of.get(row.tobytes(), i)) for i, row in enumerate(swapped)]
-    reps, orbit = np.unique(np.array(first, dtype=np.int64), return_inverse=True)
-    return reps, orbit
+    centers = np.ascontiguousarray(centers, dtype=np.int64)
+    ncand, width = centers.shape
+    half = width // 2
+    swapped = np.concatenate([centers[:, half:], centers[:, :half]], axis=1)
+    row = np.dtype((np.void, 8 * width))
+    keys, images = centers.view(row).ravel(), swapped.view(row).ravel()
+    order = np.argsort(keys, kind="stable")
+    # the last row equal to each swapped row (stable order keeps it last)
+    last = order[np.searchsorted(keys[order], images, side="right") - 1]
+    i = np.arange(ncand)
+    first = np.where(keys[last] == images, np.minimum(i, last), i)
+    is_rep = first == i
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
 
 
 def family_chunks(

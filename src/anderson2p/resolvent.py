@@ -12,16 +12,18 @@ quantity on non-interactive boxes through the eigendecomposition of the two
 single-particle factors.
 
 A stack need not be diagonalized for the guard: ``spectra_unless_clear``
-returns None when ``window_clear`` certifies, from one matrix product and
-one Cholesky factorization, that no box has an eigenvalue within a width
-above the guard, and ``_solve`` then solves every box; only a stack it
-cannot certify is diagonalized.  The complete non-resonance test asks the
-same question at the resonance width, of the sub-box families and of the
-inductive step's parent; a resonance width is above the guard width, so a
-parent certified non-resonant is solved without a spectrum too.  Only a
-box the test cannot certify, or one whose gap is not already known
-(``nt-to-ns`` reads it from the tensor sums of its factors), is
-diagonalized.
+returns None when ``window_clear`` certifies that no box has an eigenvalue
+within a width above the guard, and ``_solve`` then solves every box; only
+a stack it cannot certify is diagonalized.  ``window_clear`` certifies a
+box in two stages: its Gershgorin discs, read from the matrix in O(n^2),
+and, for the boxes whose discs come near the window, one matrix product
+and one Cholesky factorization of the stack they form.  The complete
+non-resonance test asks the same question at the resonance width, of the
+sub-box families and of the inductive step's parent; a resonance width is
+above the guard width, so a parent certified non-resonant is solved
+without a spectrum too.  Only a box the test cannot certify, or one whose
+gap is not already known (``nt-to-ns`` reads it from the tensor sums of
+its factors), is diagonalized.
 
 All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
 the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool
@@ -67,36 +69,64 @@ def window_clear(h: np.ndarray, E: float, w: float) -> bool:
     """Certify that no box of the stack ``h`` (symmetric, ``(..., n, n)``)
     has an eigenvalue within ``w`` of ``E``, without its spectrum.
 
-    An eigenvalue of H lies in [E - w, E + w] exactly when
-    (H - E)^2 - w^2 is not positive definite.  True means the Cholesky
-    factorization of (H - E)^2 - ((w + eta)^2 + delta) completed with a
-    finite factor for every box, where
+    True means every box is certified by one of two stages; either way
+    every eigenvalue lies farther than w + eta from E, where
+    eta = n eps (||H - E||_F + |E|) covers the error of ``eigvalsh``
+    itself, so every gap it would report is at least ``w``.
 
-    * delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
+    * Discs, O(n^2) per box.  Every eigenvalue lies in a Gershgorin disc
+      [h_xx - r_x, h_xx + r_x], r_x = sum_{y != x} |h_xy|.  A box is
+      certified when every row x has
+
+          |h_xx - E| - r_x - (w + eta') > 2 (n + 2) eps (|h_xx - E| + r_x)
+
+      with eta' = n eps (sqrt(n) G + |E|) >= eta, where
+      G = max_x (|h_xx - E| + r_x) bounds ||H - E||_2 and sqrt(n) G
+      bounds ||H - E||_F.  The right side covers the rounding of
+      h_xx - E (eps / 2 relative) and of r_x (a sum of n - 1 terms,
+      (n - 1) eps / 2 relative), of the test's own subtractions and of
+      eta'.
+    * Cholesky, O(n^3) per box, for the boxes the discs leave.  An
+      eigenvalue of H lies in [E - w, E + w] exactly when
+      (H - E)^2 - w^2 is not positive definite.  A box is certified when
+      the factorization of (H - E)^2 - ((w + eta)^2 + delta) completes
+      with a finite factor for the whole stack of such boxes, where
+      delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
       product and of the factorization (after S. M. Rump, "Verification
-      of positive definiteness", BIT 46 (2006) 433; the underflow term of
-      that bound, below 1e-300, is left out), so every eigenvalue lies
-      farther than w + eta from E;
-    * eta = n eps (||H - E||_F + |E|) covers the error of ``eigvalsh``
-      itself, so every gap it would report is at least ``w``.
+      of positive definiteness", BIT 46 (2006) 433).
 
-    False says nothing: a box may merely come near the window, and the
-    caller decides from the spectrum.  ``h`` is shifted in place for the
-    product and its diagonal is written back, so it is unchanged on
-    return.  Raises ``NumericError`` when an entry is not finite, as
-    numpy's stacked Cholesky does not fail on one.
+    Underflow terms, below 1e-300, are left out of both bounds.  False
+    says nothing: a box may merely come near the window, and the caller
+    decides from the spectrum.  The boxes left to the Cholesky stage are
+    gathered into a copy unless no box was certified by its discs; then
+    ``h`` itself is shifted in place for the product and its diagonal is
+    written back, so it is unchanged on return.  Raises ``NumericError``
+    when an entry is not finite, as numpy's stacked Cholesky does not fail
+    on one.
     """
-    if not np.isfinite(h).all():
-        raise NumericError("operator matrix has non-finite entries")
     n = h.shape[-1]
     idx = np.arange(n)
+    eps = np.finfo(np.float64).eps
+    shift = np.abs(h[..., idx, idx] - E)
+    off = np.abs(h)
+    off[..., idx, idx] = 0.0
+    radius = off.sum(axis=-1)
+    del off  # a stack's worth of memory, not needed by the Cholesky stage
+    size = shift + radius  # not finite where an entry of h (or E) is not
+    if not np.isfinite(size).all() and not np.isfinite(h).all():
+        raise NumericError("operator matrix has non-finite entries")
+    eta = n * eps * (np.sqrt(n) * size.max(axis=-1) + abs(E))
+    clear = (shift - radius - (w + eta)[..., None] > 2 * (n + 2) * eps * size).all(axis=-1)
+    if clear.all():
+        return True
+    if clear.any():
+        h = h[~clear]
     diagonal = h[..., idx, idx]
     h[..., idx, idx] -= E
     try:
         sq = h @ h
     finally:
         h[..., idx, idx] = diagonal
-    eps = np.finfo(np.float64).eps
     fro2 = np.trace(sq, axis1=-2, axis2=-1)  # ||H - E||_F^2, as H - E is symmetric
     eta = n * eps * (np.sqrt(fro2) + abs(E))
     sq[..., idx, idx] -= ((w + eta) ** 2 + 2 * (n + 2) * eps * fro2)[..., None]

@@ -25,6 +25,7 @@ Green's column oracle is the unstacked guarded solve that
 
 The last section holds reference code that no command needs, kept for the
 tests that use it: the all-pairs hop matrix that ``kernels.adjacency_matrix``
+replaced, the dict-keyed exchange orbits that ``operators.exchange_orbits``
 replaced, the spectral norm of an operator, the density bound of a
 disorder law, the bound of an interaction, the domain-checked sample
 lookups of one site and of many, the status of one
@@ -566,6 +567,18 @@ def adjacency_all_pairs(pts, mode: str) -> np.ndarray:
     from anderson2p.kernels import pairwise_dist
 
     return (pairwise_dist(pts, pts, mode) == 1).astype(np.float64)
+
+
+def exchange_orbits_by_dict(centers) -> tuple[np.ndarray, np.ndarray]:
+    """``(reps, orbit)`` of the flat ``centers`` under particle exchange
+    from a dict of row bytes and one comprehension per row: the version
+    ``operators.exchange_orbits`` had before its sorted match.  A repeated
+    row is keyed at its last occurrence."""
+    centers = np.asarray(centers, dtype=np.int64)
+    row_of = {row.tobytes(): i for i, row in enumerate(centers)}
+    swapped = np.roll(centers, centers.shape[1] // 2, axis=1)
+    first = [min(i, row_of.get(row.tobytes(), i)) for i, row in enumerate(swapped)]
+    return np.unique(np.array(first, dtype=np.int64), return_inverse=True)
 
 
 def operator_norm2(op) -> float:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anderson2p import classify, operators
 from anderson2p.classify import (
@@ -444,10 +446,41 @@ def _planted(rng, n, E, planted):
     return (h + h.T) / 2
 
 
+def _tight_discs(rng, n, E, edge):
+    """A hop-plus-diagonal box of ``n >= 4`` sites whose nearest Gershgorin
+    disc edge is at signed distance ``edge`` from E and is an eigenvalue: a
+    4-cycle of unit hops on the constant diagonal E + edge +- 2 (spectrum
+    E + edge + {0, 2, 2, 4}, or its mirror below E) beside a path whose
+    discs stay at least 3 from E, in random site order."""
+    hop = np.zeros((n, n))
+    for i in range(4):
+        hop[i, (i + 1) % 4] = hop[(i + 1) % 4, i] = 1.0
+    for i in range(4, n - 1):
+        hop[i, i + 1] = hop[i + 1, i] = 1.0
+    far = E + rng.choice([-1.0, 1.0], n - 4) * rng.uniform(5.0, 30.0, n - 4)
+    diagonal = np.concatenate([np.full(4, E + edge + math.copysign(2.0, edge)), far])
+    order = rng.permutation(n)
+    return (hop + np.diag(diagonal))[order][:, order]
+
+
+def _counting_cholesky(monkeypatch):
+    """Wrap ``numpy.linalg.cholesky``; returns the list of the stack sizes
+    it is called with."""
+    sizes, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return sizes
+
+
 class TestWindowClear:
-    """``window_clear`` certifies "no eigenvalue within w of E" from a
-    Cholesky factorization; a certified box must never have an
-    ``eigvalsh`` gap below w, and nothing non-finite is ever certified."""
+    """``window_clear`` certifies "no eigenvalue within w of E" from
+    Gershgorin discs and, for the boxes they leave, a Cholesky
+    factorization; a certified box must never have an ``eigvalsh`` gap
+    below w, and nothing non-finite is ever certified."""
 
     @pytest.mark.parametrize("n", [25, 81, 169])
     @pytest.mark.parametrize("w", [math.exp(-2.0), math.exp(-math.sqrt(12.0))])
@@ -468,6 +501,61 @@ class TestWindowClear:
         for target in (E - w * (1 - 1e-9), E + w * (1 - 1e-9)):
             assert verdicts[target] == {False}  # inside the window
 
+    @pytest.mark.parametrize("n", [9, 49, 169])
+    @pytest.mark.parametrize("w", [math.exp(-2.0), math.exp(-math.sqrt(12.0)), 5e-10])
+    def test_disc_edge_at_the_window(self, monkeypatch, n, w):
+        # the nearest disc edge is an eigenvalue at w (1 +- 1e-9) from E:
+        # inside the window nothing is certified, and just outside it the
+        # discs certify alone, once w 1e-9 is above their rounding margin
+        rng = np.random.default_rng(n)
+        E = 0.7
+        sizes = _counting_cholesky(monkeypatch)
+        for factor in (1 - 1e-9, 1 + 1e-9):
+            for sign in (-1.0, 1.0):
+                stack = [_tight_discs(rng, n, E, sign * w * factor),
+                         _tight_discs(rng, n, E, 1.0 + w), _tight_discs(rng, n, E, -1.0 - w)]
+                h = np.array([stack[i] for i in rng.permutation(3)])
+                sizes.clear()
+                clear = window_clear(h.copy(), E, w)
+                gap = np.abs(np.linalg.eigvalsh(h) - E).min()
+                assert gap == pytest.approx(w * factor, rel=1e-12)
+                assert not (clear and gap < w)
+                if factor < 1:
+                    assert not clear and sizes == [1]
+                elif w > 1e-3:
+                    assert clear and sizes == []
+
+    def test_disc_certified_stack_makes_no_cholesky_call(self, monkeypatch):
+        sample = sample_potential(DistributionSpec.uniform(), 3, 0,
+                                  domain_for_boxes([Box2.of_origin(1, 6)]))
+        stacks = [box_family(Box2.of_origin(1, 2).points(), 4, sample, _interaction(), 30.0,
+                             adjacency) for adjacency in ("sup", "l1")]
+        rng = np.random.default_rng(4)
+        stacks.append(np.array([_tight_discs(rng, 81, -10.0, s * 1.0) for s in (-1, 1, 1)]))
+
+        def broken(a):
+            raise AssertionError("cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", broken)
+        for h in stacks:
+            # every diagonal is at least 0 and every row has at most 8 hops
+            assert window_clear(h, -10.0, math.exp(-2.0))
+
+    def test_mixed_stack(self, monkeypatch):
+        # boxes certified by their discs, one certified by Cholesky (a dense
+        # box: its discs are wide) and one resonant box
+        rng = np.random.default_rng(6)
+        E, w = 0.7, math.exp(-2.0)
+        discs = [_tight_discs(rng, 49, E, edge) for edge in (0.5, -0.5, 2.0)]
+        dense = _planted(rng, 49, E, [])
+        resonant = _planted(rng, 49, E, [E + 0.5 * w])
+        sizes = _counting_cholesky(monkeypatch)
+        assert not window_clear(np.array(discs[:2] + [dense, resonant] + discs[2:]), E, w)
+        assert sizes == [2]
+        assert window_clear(np.array(discs[:2] + [dense] + discs[2:]), E, w)
+        assert sizes == [2, 1]
+        assert not window_clear(np.array(discs[:2] + [resonant]), E, w)
+
     def test_stack_is_clear_only_when_every_box_is(self):
         rng = np.random.default_rng(5)
         E, w = 0.7, math.exp(-2.0)
@@ -476,18 +564,50 @@ class TestWindowClear:
         assert window_clear(np.array(far), E, w)
         assert not window_clear(np.array(far[:2] + [near] + far[2:]), E, w)
 
-    def test_input_restored_bit_for_bit(self):
-        h = np.array([_planted(np.random.default_rng(s), 25, 0.3, []) for s in range(3)])
+    @staticmethod
+    def _stack(kind):
+        rng = np.random.default_rng(7)
+        discs = [_tight_discs(rng, 25, 0.3, edge) for edge in (1.0, -2.0)]
+        dense = [_planted(rng, 25, 0.3, []) for _ in range(2)]
+        return np.array({"discs": discs, "dense": dense, "mixed": discs + dense}[kind])
+
+    @pytest.mark.parametrize("kind", ["discs", "dense", "mixed"])
+    def test_input_restored_bit_for_bit(self, kind):
+        h = self._stack(kind)
         before = h.copy()
         window_clear(h, 0.3, 0.1)
-        assert np.array_equal(h, before)
+        assert h.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_raises(self, bad):
-        h = np.array([_planted(np.random.default_rng(s), 25, 0.3, []) for s in range(3)])
-        h[1, 4, 4] = bad
+    @pytest.mark.parametrize("kind", ["discs", "dense", "mixed"])
+    @pytest.mark.parametrize("entry", [(1, 4, 4), (1, 4, 7), (0, 24, 0)],
+                             ids=["diagonal", "off-diagonal", "corner"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, kind, entry, bad):
+        h = self._stack(kind)
+        h[entry] = bad
         with pytest.raises(NumericError):
             window_clear(h, 0.3, 0.1)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_box_family_certified_gaps_at_least_w(self, data):
+        adjacency = data.draw(st.sampled_from(["sup", "l1"]))
+        g = data.draw(st.sampled_from([1.0, 5.0, 30.0]))
+        radius = data.draw(st.integers(0, 3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        sample = sample_potential(DistributionSpec.uniform(), seed, 0,
+                                  domain_for_boxes([Box2.of_origin(1, radius + 1)]))
+        h = box_family(Box2.of_origin(1, 1).points(), radius, sample, _interaction(), g,
+                       adjacency)
+        ev = np.linalg.eigvalsh(h)
+        w = 10.0 ** data.draw(st.floats(-12.0, 0.0))
+        if data.draw(st.booleans()):  # near an eigenvalue, on the scale of w
+            E = float(ev.flat[data.draw(st.integers(0, ev.size - 1))]
+                      + w * data.draw(st.floats(-2.0, 2.0)))
+        else:
+            E = data.draw(st.floats(float(ev.min()) - 5.0, float(ev.max()) + 5.0))
+        if window_clear(h.copy(), E, w):
+            assert np.abs(ev - E).min() >= w
 
 
 class TestCnrWindowFallback:
@@ -510,12 +630,17 @@ class TestCnrWindowFallback:
         return ([-50.0, float(parent_ev[5])] + [float(e) for e in sub_ev[::97]]
                 + list(np.random.default_rng(2).uniform(parent_ev[0], parent_ev[-1], 6)))
 
-    @pytest.mark.parametrize("sched", [desk_schedule(), two_radius_schedule()],
-                             ids=["desk", "two-radius"])
+    # At the two-radius schedule's energies every family that reaches the
+    # Cholesky stage is resonant, so only a window test that certifies
+    # nothing sends more families to eigvalsh there.
+    @pytest.mark.parametrize("sched,failure", [
+        (desk_schedule(), "raises"), (desk_schedule(), "non-finite"),
+        (desk_schedule(), "window_clear"), (two_radius_schedule(), "window_clear"),
+    ], ids=["desk-raises", "desk-non-finite", "desk-window_clear",
+            "two-radius-window_clear"])
     @pytest.mark.parametrize("adjacency", ["sup", "l1"])
     @pytest.mark.parametrize("exhaustive_limit", [CNR_EXHAUSTIVE_LIMIT, 1],
                              ids=["exhaustive", "sampled"])
-    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
     def test_uncertified_chunks_give_identical_reports(self, monkeypatch, sched, adjacency,
                                                       exhaustive_limit, failure):
         parent = Box2(Point2.of((0,), (1,)), sched.L[1])
@@ -523,8 +648,16 @@ class TestCnrWindowFallback:
                                   domain_for_boxes([parent]))
         energies = self._energies(sched, parent, sample, adjacency)
         kw = dict(exhaustive_limit=exhaustive_limit, sample_budget=20)
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            stacks.append(a.ndim == 3)  # a sub-box family, not the parent
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         expected = self._reports(sched, parent, sample, adjacency, energies, **kw)
         assert {r["failed_radius"] for r in expected} >= {None, sched.L[1], sched.L[0] + 1}
+        certified_calls = sum(stacks)
         cholesky = np.linalg.cholesky
 
         def uncertified(a):
@@ -534,8 +667,14 @@ class TestCnrWindowFallback:
             factor[..., -1, -1] = np.nan
             return factor
 
-        monkeypatch.setattr(np.linalg, "cholesky", uncertified)
+        if failure == "window_clear":
+            monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
+        else:
+            monkeypatch.setattr(np.linalg, "cholesky", uncertified)
+        stacks.clear()
         assert self._reports(sched, parent, sample, adjacency, energies, **kw) == expected
+        # the failure sent families to eigvalsh that the window test certifies
+        assert sum(stacks) > certified_calls
 
     def test_non_finite_family_is_never_cnr(self, desk):
         parent = Box2.of_origin(1, desk.L[1])

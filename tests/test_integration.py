@@ -165,13 +165,10 @@ class TestOneLapackLibrary:
                         offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
 
-    def test_spectra_only_where_named(self):
-        # numpy.linalg.eigvalsh is named only in these functions, so a new
-        # full spectrum on a hot path is a deliberate change to this list:
-        # a window question goes through resolvent.spectra_unless_clear
-        allowed = {("operators", "FiniteOperator.eigenvalues"),
-                   ("operators", "family_spectra"),
-                   ("resolvent", "spectra_unless_clear")}
+    @staticmethod
+    def _functions_naming(name):
+        """The (module, function) pairs of the package whose code names
+        ``name`` as an attribute, a variable or an import."""
         found = set()
         for path in sorted(Path(anderson2p.__file__).parent.glob("*.py")):
             for top in ast.parse(path.read_text()).body:
@@ -179,14 +176,28 @@ class TestOneLapackLibrary:
                 if isinstance(top, ast.ClassDef):
                     defs = [(f"{top.name}.{m.name}", m) for m in top.body
                             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
-                for name, node in defs:
+                for qualname, node in defs:
                     for sub in ast.walk(node):
-                        if ((isinstance(sub, ast.Attribute) and sub.attr == "eigvalsh")
-                                or (isinstance(sub, ast.Name) and sub.id == "eigvalsh")
+                        if ((isinstance(sub, ast.Attribute) and sub.attr == name)
+                                or (isinstance(sub, ast.Name) and sub.id == name)
                                 or (isinstance(sub, ast.alias)
-                                    and sub.name.split(".")[-1] == "eigvalsh")):
-                            found.add((path.stem, name))
-        assert found == allowed
+                                    and sub.name.split(".")[-1] == name)):
+                            found.add((path.stem, qualname))
+        return found
+
+    def test_spectra_only_where_named(self):
+        # numpy.linalg.eigvalsh is named only in these functions, so a new
+        # full spectrum on a hot path is a deliberate change to this list:
+        # a window question goes through resolvent.spectra_unless_clear
+        assert self._functions_naming("eigvalsh") == {
+            ("operators", "FiniteOperator.eigenvalues"),
+            ("operators", "family_spectra"),
+            ("resolvent", "spectra_unless_clear")}
+
+    def test_one_cholesky_factorization(self):
+        # numpy.linalg.cholesky is named only in resolvent.window_clear, so
+        # every positive-definiteness certificate carries its rounding bound
+        assert self._functions_naming("cholesky") == {("resolvent", "window_clear")}
 
     def test_no_scipy_import_at_module_load(self):
         # scipy costs about 1 s per CLI start; only function bodies (the

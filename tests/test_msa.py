@@ -396,19 +396,37 @@ class TestCertifiedCounterGuard:
                                                    sched.g, E, adjacency))
         return out
 
+    @staticmethod
+    def _counted_reports(monkeypatch, sched, adjacency):
+        """The reports, and the number of ``eigvalsh`` calls they made."""
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", counted)
+            reports = TestCertifiedCounterGuard._reports(sched, adjacency)
+        # ``_reports`` diagonalizes one family per seed to pick its energies
+        return reports, len(calls) - 3
+
     @pytest.mark.parametrize("adjacency", ["sup", "l1"])
     @pytest.mark.parametrize("g", [5.0, 30.0])
     @pytest.mark.parametrize("failure", ["window_clear", "cholesky"])
     def test_uncertified_gives_the_same_reports(self, monkeypatch, adjacency, g, failure):
         sched = desk_schedule(g=g)
-        want = self._reports(sched, adjacency)
+        want, certified_calls = self._counted_reports(monkeypatch, sched, adjacency)
         if failure == "window_clear":
             monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
         else:
             def fail(a):
                 raise np.linalg.LinAlgError("not positive definite")
             monkeypatch.setattr(np.linalg, "cholesky", fail)
-        assert self._reports(sched, adjacency) == want
+        got, calls = self._counted_reports(monkeypatch, sched, adjacency)
+        assert got == want
+        # the failure sent stacks to eigvalsh that the window test certifies
+        assert calls > certified_calls
         assert any(rep.singular_ni or rep.singular_i for rep in want)
 
     def test_inductive_seeds_need_no_eigvalsh(self, monkeypatch):

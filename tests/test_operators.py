@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anderson2p import kernels, operators
 from anderson2p.disorder import (
@@ -25,6 +27,7 @@ from anderson2p.operators import (
 
 from .conftest import box_with_sample, duplicated_eigenpair, random_point2
 from .oracles import (
+    exchange_orbits_by_dict,
     operator_norm2,
     path_graph_eigenvalues,
     permutation_conjugate_check,
@@ -223,6 +226,22 @@ class TestExchangeOrbits:
             assert np.array_equal(family[i], family[rep][perm][:, perm])
             images += 1
         assert images == len(centers) - len(reps)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dict_version(self, data):
+        # small coordinate ranges give exchange images, points on the
+        # diagonal and repeated rows (as in a sampled family)
+        d = data.draw(st.integers(1, 3))
+        ncand = data.draw(st.integers(0, 40))
+        span = data.draw(st.integers(0, 3))
+        rows = data.draw(st.lists(st.lists(st.integers(-span, span), min_size=2 * d,
+                                           max_size=2 * d),
+                                  min_size=ncand, max_size=ncand))
+        centers = np.array(rows, dtype=np.int64).reshape(ncand, 2 * d)
+        got, want = exchange_orbits(centers), exchange_orbits_by_dict(centers)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestDiagonalize:

@@ -331,9 +331,12 @@ class TestCli:
     def test_linalg_error_is_numeric_error_exit_2(self, tmp_path, capsys, monkeypatch,
                                                   argv, named):
         # an eigensolver that does not converge is a numeric failure, not a
-        # crash; a window test that certifies nothing sends every question
-        # that ``window_clear`` would answer to the eigensolver
+        # crash; a window test whose Cholesky stage certifies nothing sends
+        # every question the Gershgorin discs leave to the eigensolver
+        calls = []
+
         def diverging(a, *args, **kwargs):
+            calls.append(a.shape)
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         def indefinite(a):
@@ -342,6 +345,7 @@ class TestCli:
         monkeypatch.setattr(np.linalg, "eigvalsh", diverging)
         monkeypatch.setattr(np.linalg, "cholesky", indefinite)
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert calls  # the eigensolver was reached, and its error ended the run
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"kind": "error", "error": "NumericError",
                        "message": "Eigenvalues did not converge", **named}
