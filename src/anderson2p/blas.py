@@ -14,9 +14,13 @@ reached through ``ctypes``.  Where it is not found (another BLAS build, or
 no ``/proc``), the block runs unpinned and its policy record says so.
 
 While the pin holds, ``ordered_map`` spreads independent work items (the
-seeds and trials of a run) over one worker thread per CPU the process may
+trials of ``mc-estimate``, the seeds of ``msa-verify``'s ``nt-to-ns`` and
+``inductive-step`` checks) over one worker thread per CPU the process may
 use, and returns their results in index order, so records do not depend
-on the worker count.  Threads rather than processes: numpy's LAPACK calls
+on the worker count.  ``plain_map`` is the same loop on the calling
+thread, for loops whose items are Python around many tiny LAPACK calls
+(``boundary-recovery``), where two workers trading the GIL ran slower
+than one.  Threads rather than processes: numpy's LAPACK calls
 release the GIL and take most of a trial, so one trial's LAPACK overlaps
 the next one's Python, whereas a fresh interpreter costs about as much as
 a whole CLI run's work, and a worker process's CPU time would not be
@@ -26,12 +30,13 @@ Before its first helper starts, ``ordered_map`` has glibc's malloc keep
 freed memory in the process (``keep_freed_memory``).  By default glibc
 hands the few megabytes a trial allocates back to the kernel and faults
 them in again for the next trial (about 500 page faults per benchmark
-``counter`` trial, 360 per ``inductive`` seed).  In a process with two
+``counter`` trial, 450 per ``inductive`` seed).  In a process with two
 running threads, every return makes the kernel flush the other CPU's
 TLB and wait for it; on a virtual machine whose CPUs are shared with
 other guests, that wait lasts until the hypervisor runs the other CPU,
 so two workers on ``inductive`` seeds were anywhere from 0.6x to 1.6x
-one worker from one pass to the next.
+one worker from one pass to the next.  With the memory kept, a second
+benchmark chunk on two workers faults in a few dozen pages in all.
 """
 
 from __future__ import annotations

@@ -17,16 +17,17 @@ What each event kind reads (the interval, scale k + 1) comes from
 ``experiment.MODE_KINDS`` names, with specs built as for ``--event
 <kind>``.  Each run does its LAPACK on one BLAS thread
 (``blas.one_thread``) and spreads the trials of every ``mc-estimate``
-mode and the seeds of ``msa-verify``'s ``nt-to-ns`` check over one worker
-thread per CPU (``blas.ordered_map``).  It writes ``records.jsonl`` (one
-JSON record per line; byte-stable across reruns of the same
-configuration, whatever the host's core count, the worker count or the
-caller's thread variables) plus ``manifest.json`` carrying the config
-hash, version, timestamp, wall time, BLAS policy and worker count; some
-subcommands also emit CSV summaries.  The files go to
+mode and the seeds of ``msa-verify``'s ``nt-to-ns`` and ``inductive-step``
+checks over one worker thread per CPU (``blas.ordered_map``).  It writes
+``records.jsonl`` (one JSON record per line; byte-stable across reruns of
+the same configuration, whatever the host's core count, the worker count
+or the caller's thread variables) plus ``manifest.json`` carrying the
+config hash, version, timestamp, wall time, BLAS policy and worker count;
+some subcommands also emit CSV summaries.  The files go to
 ``<root>/<subcommand>-<tag>``, where the tag hashes the configuration and
 the subcommand's arguments.  Exit codes: 0 success, 2 invalid
-configuration or arguments, or a package or numpy ``LinAlgError`` failure
+configuration or arguments (a non-finite ``--energy``, ``--mass`` or
+``--nt-mass`` among them), or a package or numpy ``LinAlgError`` failure
 during the run, 3 infeasible schedule.  A failure prints one JSON error
 record to stderr and writes no files; that of ``mc-estimate`` names the
 lowest failing trial (``"trial"``), that of ``msa-verify`` the lowest
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -137,6 +139,17 @@ def _check_scale(subcommand: str, args, sched) -> None:
         scales = f"{k} and {top}" if top > k else f"{k}"
         raise InvalidInputError(f"k={k} reads scale {scales}, but the schedule "
                                 f"has scales 0..{sched.k_max}")
+
+
+def _check_finite(args) -> None:
+    """Reject a ``--energy``, ``--mass`` or ``--nt-mass`` that is not a
+    finite number: argparse's ``float`` takes ``nan`` and ``inf``, which
+    no predicate can decide and JSON cannot carry."""
+    for name in ("energy", "mass", "nt_mass"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise InvalidInputError(
+                f"--{name.replace('_', '-')} must be a finite number, got {value}")
 
 
 def _out_dir(args, cfg: ExperimentConfig, subcommand: str) -> Path:
@@ -275,10 +288,6 @@ def _cmd_msa_verify(cfg, sched, args):
             energy = float(rng.uniform(lo, hi))
             return nt_to_ns_check(box, sample, interaction, cfg.g, energy,
                                   nt_mass, sched.beta, "l1")
-
-        # each seed is a pure function of (cfg.seed, s), so the workers'
-        # order cannot reach the records
-        reports = blas.ordered_map(check, range(args.seeds))
     else:
         parent = Box2.of_origin(d, sched.L[k + 1])
 
@@ -289,9 +298,9 @@ def _cmd_msa_verify(cfg, sched, args):
             return inductive_ns_step(parent.center, k, sched, sample, interaction,
                                      cfg.g, energy, cfg.adjacency)
 
-        # a plain loop: on two workers, the seeds per second of one
-        # 55-second run ranged over 1.5x from run to run, against 1.1x on one
-        reports = blas.plain_map(check, range(args.seeds))
+    # each seed is a pure function of (cfg.seed, s), so the workers' order
+    # cannot reach the records
+    reports = blas.ordered_map(check, range(args.seeds))
     return [rep.to_record() for rep in reports], {}
 
 
@@ -431,6 +440,7 @@ def run(subcommand: str, config_path: str | None, overrides: list[str],
         return 2, []
     t0 = time.perf_counter()
     try:
+        _check_finite(args)
         _check_scale(subcommand, args, sched)
         records, csvs = _COMMANDS[subcommand](cfg, sched, args)
     except InfeasibleScheduleError as e:

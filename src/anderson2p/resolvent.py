@@ -180,20 +180,24 @@ def _solve(
     ``|H - E|`` is the largest column norm of ``H - E``: it is never
     larger than the spectral norm, so the check is no looser than one
     against the spectral edge, and it needs no spectrum.
+
+    When every box is solved, ``h`` and ``rhs`` are read in place; the one
+    stack copy is ``H - E``, formed by shifting the diagonal of a copy.
     """
     nbox, n = h.shape[:2]
     E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
-    if eigenvalues is None:
-        solved = np.arange(nbox)
-    else:
+    solved = np.arange(nbox)
+    if eigenvalues is not None:
         edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
         gap = np.abs(eigenvalues - E[:, None]).min(axis=1)
         solved = np.flatnonzero(~within_guard(gap, E, edge))
-    hs, Es, bs = h[solved], E[solved, None, None], rhs[solved]
-    shifted = Es * np.eye(n)
-    np.subtract(hs, shifted, out=shifted)  # one stack copy
-    x = np.linalg.solve(shifted, bs)
-    r = hs @ x - Es * x - bs
+        if len(solved) < nbox:
+            h, E, rhs = h[solved], E[solved], rhs[solved]
+    idx = np.arange(n)
+    shifted = h.copy()
+    shifted[:, idx, idx] -= E[:, None]
+    x = np.linalg.solve(shifted, rhs)
+    r = h @ x - E[:, None, None] * x - rhs
     # one dot product per box, as np.linalg.norm of a vector takes it; a
     # norm over stacked axes sums in another order
     residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]

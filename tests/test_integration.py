@@ -404,7 +404,10 @@ class TestWorkerPool:
         *[("workload", name) for name in ("inductive", "counter", "wegner", "recovery")],
         *[("msa-verify", "--check", "nt-to-ns", "--seeds", "4", "--set", f"seed={seed}")
           for seed in (1, 2, 3)],
-    ], ids=lambda argv: argv[1] if argv[0] == "workload" else f"nt-to-ns-{argv[-1]}")
+        ("msa-verify", "--check", "inductive-step", "--seeds", "3",
+         "--set", "adjacency=l1", "--set", "g=30", "--k", "1"),
+    ], ids=["inductive", "counter", "wegner", "recovery", "nt-to-ns-seed=1",
+            "nt-to-ns-seed=2", "nt-to-ns-seed=3", "inductive-step-k=1"])
     def test_records_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, argv):
         if argv[0] == "workload":
             argv = _load_perfbench("workloads").WORKLOADS[argv[1]].argv(0)
@@ -415,6 +418,38 @@ class TestWorkerPool:
             assert code == 0 and manifest["workers"] == cpus
             runs.append(records)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("parent", ["certified", "uncertified"])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_inductive_records_do_not_depend_on_worker_count(
+            self, tmp_path, monkeypatch, adjacency, parent):
+        """Desk inductive-step seeds on one worker and on two.  An
+        uncertified parent (``window_clear`` patched to return False) is
+        diagonalized, as is every sub-box stack, so the ``eigvalsh``
+        fallback runs on both threads."""
+        calls = []
+        if parent == "uncertified":
+            eigvalsh = np.linalg.eigvalsh
+
+            def counted(a, *args, **kwargs):
+                calls.append(threading.get_ident())
+                return eigvalsh(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            for module in ("msa", "resolvent"):
+                monkeypatch.setattr(f"anderson2p.{module}.window_clear", lambda *a: False)
+        argv = ["msa-verify", "--check", "inductive-step", "--seeds", "8",
+                "--set", f"adjacency={adjacency}", "--set", "seed=2"]
+        runs = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            calls.clear()
+            code, records, manifest = self._run(argv, tmp_path / str(cpus))
+            assert code == 0 and manifest["workers"] == cpus
+            runs.append(records)
+        assert runs[0] == runs[1]
+        if parent == "uncertified":
+            assert len(set(calls)) == 2
 
     #: the message of a real placement failure, which names no trial
     _PLACEMENT = "could not place a non-interactive box in the region"
@@ -453,8 +488,8 @@ class TestWorkerPool:
     @pytest.mark.parametrize("check,step", [("nt-to-ns", "nt_to_ns_check"),
                                             ("inductive-step", "inductive_ns_step")])
     def test_error_of_lowest_failing_seed(self, tmp_path, monkeypatch, capsys, check, step):
-        """Seeds 3 and 5 fail, on the worker threads (``nt-to-ns``) or on
-        the plain loop (``inductive-step``); the record names seed 3."""
+        """Seeds 3 and 5 fail on the worker threads, seed 3 after seed 5;
+        the record names seed 3."""
         from anderson2p import cli
 
         def failing(*args, **kwargs):
@@ -564,15 +599,11 @@ class TestWorkerPool:
         assert blas.workers() == 1
 
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="minor-fault counts of glibc's malloc")
-    def test_workers_fault_in_no_fresh_pages(self, tmp_path):
-        """With two workers, a second ``counter`` chunk in the same process
-        reuses the memory the first one freed: glibc's default thresholds
-        hand it back and fault it in again, about 500 pages per trial,
-        which makes the kernel flush the other worker's CPU."""
-        workloads = _load_perfbench("workloads")
-        argv = workloads.WORKLOADS["counter"].argv(0)
+    @staticmethod
+    def _second_chunk_faults(name: str, tmp_path) -> int:
+        """Minor page faults of the second of two runs of the benchmark
+        workload ``name``'s first chunk in one process, on two workers."""
+        argv = _load_perfbench("workloads").WORKLOADS[name].argv(0)
         script = textwrap.dedent(f"""
             import contextlib, io, os, resource
             os.sched_getaffinity = lambda pid: {{0, 1}}
@@ -589,7 +620,25 @@ class TestWorkerPool:
         assert out.returncode == 0, out.stderr
         if not blas.keep_freed_memory():
             pytest.skip("no glibc mallopt")
-        assert int(out.stdout) < 20 * workloads.COUNTER_TRIALS
+        return int(out.stdout)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor-fault counts of glibc's malloc")
+    def test_workers_fault_in_no_fresh_pages(self, tmp_path):
+        """With two workers, a second ``counter`` chunk in the same process
+        reuses the memory the first one freed: glibc's default thresholds
+        hand it back and fault it in again, about 500 pages per trial,
+        which makes the kernel flush the other worker's CPU."""
+        faults = self._second_chunk_faults("counter", tmp_path)
+        assert faults < 20 * _load_perfbench("workloads").COUNTER_TRIALS
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor-fault counts of glibc's malloc")
+    def test_inductive_workers_fault_in_no_fresh_pages(self, tmp_path):
+        """The same for an ``inductive`` chunk, whose seeds fault in about
+        450 fresh pages each under glibc's default thresholds."""
+        faults = self._second_chunk_faults("inductive", tmp_path)
+        assert faults < 20 * _load_perfbench("workloads").INDUCTIVE_SEEDS
 
 
 class TestCliClassifyScale:

@@ -360,6 +360,23 @@ class TestCli:
         assert "'9;9'" in err["message"] and "outside the box" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv,option", [
+        (["green", "--radius", "1"], "--energy"),
+        (["classify", "--k", "0"], "--energy"),
+        (["classify", "--energy", "0.1"], "--mass"),
+        (["classify", "--energy", "0.1"], "--nt-mass"),
+        (["mc-estimate", "--event", "resonant_at_energy", "--set", "trials=1"], "--energy"),
+    ], ids=["green-energy", "classify-energy", "classify-mass", "classify-nt-mass",
+            "mc-estimate-energy"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, argv, option, value):
+        # argparse's float takes all three; the record would hold bare NaN
+        assert cli.main(argv + [f"{option}={value}", "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"kind": "error", "error": "InvalidInputError",
+                       "message": f"{option} must be a finite number, got {float(value)}"}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--radius", "1", "--center", "1,2;3,4"],
         ["spectrum", "--radius", "1", "--center", "1,2;3,4"],

@@ -360,6 +360,56 @@ class TestCertifiedGuard:
         assert np.array_equal(spectra_unless_clear(h, 0.3, 1e-9), np.linalg.eigvalsh(h))
 
 
+def _solve_by_identity(h, E, rhs):
+    """The solution and residual norms of ``(H - E) x = b`` with ``H - E``
+    formed as ``H - E * I``, as a reference for ``_solve``'s bits."""
+    n = h.shape[-1]
+    E = np.broadcast_to(np.asarray(E, dtype=np.float64), h.shape[:1])[:, None, None]
+    x = np.linalg.solve(h - E * np.eye(n), rhs)
+    r = h @ x - E * x - rhs
+    return x, np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
+
+
+class TestSolvePaths:
+    """A certified stack (no spectrum) is solved in place, and a stack with
+    spectra has the boxes the guard leaves gathered first.  Either way a
+    box's solution and residual norm are the same bits, and those of a
+    solve of ``H - E * I``; the inputs are left as they were."""
+
+    def test_certified_path_equals_spectrum_path(self):
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            nbox, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            h = _random_symmetric(rng, nbox, n, scale=float(rng.uniform(0.1, 10)))
+            E = rng.uniform(-3, 3, size=nbox) if trial % 2 else float(rng.uniform(-3, 3))
+            rhs = rng.normal(size=(nbox, n, 1))
+            before = h.copy(), rhs.copy()
+            ev = np.linalg.eigvalsh(h)
+            certified = _solve(h, None, E, rhs)
+            spectrum = _solve(h, ev, E, rhs)
+            assert list(certified[0]) == list(spectrum[0]) == list(range(nbox)), trial
+            for a, b in zip(certified[1:], spectrum[1:]):
+                assert np.array_equal(a, b), trial
+            for a, b in zip(certified[1:], _solve_by_identity(h, E, rhs)):
+                assert np.array_equal(a, b), trial
+            assert np.array_equal(h, before[0]) and np.array_equal(rhs, before[1])
+
+    def test_guarded_boxes_leave_the_stack(self):
+        rng = np.random.default_rng(41)
+        nbox, n = 6, 12
+        lam = rng.uniform(-4, 4, size=(nbox, n))
+        E = rng.uniform(-1, 1, size=nbox)
+        lam[[1, 4], 3] = E[[1, 4]]  # an eigenvalue at the energy: within the guard
+        q, _ = np.linalg.qr(rng.normal(size=(nbox, n, n)))
+        h = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+        h = 0.5 * (h + np.swapaxes(h, 1, 2))
+        rhs = rng.normal(size=(nbox, n, 1))
+        solved, x, residual = _solve(h, np.linalg.eigvalsh(h), E, rhs)
+        assert list(solved) == [0, 2, 3, 5]
+        alone = _solve(h[solved], None, E[solved], rhs[solved])
+        assert np.array_equal(alone[1], x) and np.array_equal(alone[2], residual)
+
+
 class TestGreenSpectral:
     def test_single_point_factors(self):
         box, sample = box_with_sample(Point2.of((0,), (5,)), 0, seed=2)
