@@ -14,29 +14,42 @@ reached through ``ctypes``.  Where it is not found (another BLAS build, or
 no ``/proc``), the block runs unpinned and its policy record says so.
 
 While the pin holds, ``ordered_map`` spreads independent work items (the
-trials of ``mc-estimate``, the seeds of ``msa-verify``'s ``nt-to-ns`` and
-``inductive-step`` checks) over one worker thread per CPU the process may
-use, and returns their results in index order, so records do not depend
-on the worker count.  ``plain_map`` is the same loop on the calling
-thread, for loops whose items are Python around many tiny LAPACK calls
-(``boundary-recovery``), where two workers trading the GIL ran slower
-than one.  Threads rather than processes: numpy's LAPACK calls
-release the GIL and take most of a trial, so one trial's LAPACK overlaps
-the next one's Python, whereas a fresh interpreter costs about as much as
-a whole CLI run's work, and a worker process's CPU time would not be
-counted in the run's own.
+trials of ``mc-estimate``, the seeds of ``msa-verify``'s ``nt-to-ns``
+check) over one worker thread per CPU the process may use, and returns
+their results in index order, so records do not depend on the worker
+count.  ``batched_map`` hands it one contiguous batch of items per worker
+instead, for a function that decides a list of items as it would decide
+each alone (the ``inductive-step`` seeds, ``msa.inductive_ns_steps``).
+``plain_map`` is the same loop on the calling thread, for loops whose
+items are Python around many tiny LAPACK calls (``boundary-recovery``),
+where two workers trading the GIL ran slower than one.
 
-Before its first helper starts, ``ordered_map`` has glibc's malloc keep
-freed memory in the process (``keep_freed_memory``).  By default glibc
-hands the few megabytes a trial allocates back to the kernel and faults
-them in again for the next trial (about 500 page faults per benchmark
-``counter`` trial, 450 per ``inductive`` seed).  In a process with two
-running threads, every return makes the kernel flush the other CPU's
-TLB and wait for it; on a virtual machine whose CPUs are shared with
-other guests, that wait lasts until the hypervisor runs the other CPU,
-so two workers on ``inductive`` seeds were anywhere from 0.6x to 1.6x
-one worker from one pass to the next.  With the memory kept, a second
-benchmark chunk on two workers faults in a few dozen pages in all.
+Threads rather than processes: a fresh interpreter costs about as much
+as a whole CLI run's work, and a worker process's CPU time would not be
+counted in the run's own.  numpy's LAPACK calls and stacked products
+release the GIL, but the Python between them does not, and the workers
+of one process take turns at it.  With one ``inductive-step`` seed per
+item (stacked calls on boxes of 49 to 169 sites), a worker waited for the
+GIL 20 to 67 times per seed and two workers took 3.4-3.7 ms per seed
+against 4.2-4.9 ms on one (24 benchmark chunks in one process, 2-vCPU
+host).  A batch builds its geometry once and makes each call cover up to
+``operators.STACK_BYTES`` of boxes: one worker then takes 2.5-3.9 ms per
+seed, two take 2.4-3.0 ms with 24-26 waits per seed, and each of the two
+spends 1.8 times one worker's wall time and 1.3-1.7 times its CPU time on
+its batch, so a second CPU adds little inside one process.
+
+Before its first item, either map has glibc's malloc keep freed memory in
+the process (``keep_freed_memory``), on one worker as on several.  By
+default glibc hands the few megabytes a trial allocates back to the
+kernel and faults them in again for the next trial (about 500 page
+faults per benchmark ``counter`` trial, 450 per ``inductive`` seed).  In
+a process with two running threads, every return makes the kernel flush
+the other CPU's TLB and wait for it; on a virtual machine whose CPUs are
+shared with other guests, that wait lasts until the hypervisor runs the
+other CPU, so two workers on ``inductive`` seeds were anywhere from 0.6x
+to 1.6x one worker from one pass to the next.  With the memory kept, a second
+benchmark chunk faults in a few dozen pages in all, on one worker or
+two.
 """
 
 from __future__ import annotations
@@ -164,7 +177,11 @@ def workers() -> int:
 def plain_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]`` on the calling thread.  An exception
     leaves with the index of its item in ``items`` as ``item_index``, so
-    an error record can name the failing trial or seed."""
+    an error record can name the failing trial or seed.  While the pin
+    holds, glibc's malloc keeps freed memory first
+    (``keep_freed_memory``), as on ``ordered_map``'s workers."""
+    if _pinned:
+        keep_freed_memory()
     results = []
     for i, x in enumerate(items):
         try:
@@ -235,3 +252,31 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
         failures[first].item_index = first
         raise failures[first]
     return results
+
+
+def batched_map(fn: Callable, items: Sequence) -> list:
+    """``plain_map`` of one item at a time, where ``fn`` maps a list of
+    items to the list of their results: the items go to ``ordered_map``
+    as one contiguous batch per worker (``ceil(len(items) / workers())``
+    items each).  A batch that raises is run again item by item, so an
+    exception leaves with the index in ``items`` of the lowest failing
+    item as ``item_index``, as in the plain loop."""
+    size = max(1, -(-len(items) // workers()))
+    starts = range(0, len(items), size)
+
+    def run(start: int):
+        batch = items[start:start + size]
+        try:
+            return fn(batch)
+        except Exception:
+            try:
+                return plain_map(lambda x: fn([x])[0], batch)
+            except Exception as e:  # raised below, once every batch has ended
+                return e
+
+    outputs = ordered_map(run, starts)
+    for start, out in zip(starts, outputs):
+        if isinstance(out, Exception):
+            out.item_index += start
+            raise out
+    return [result for out in outputs for result in out]

@@ -20,16 +20,15 @@ admits no exact continuum test.
 
 Complete non-resonance at one energy asks of each sub-box only whether
 some eigenvalue lies within the window: ``resolvent.window_clear``
-certifies "none" for a whole stack of boxes, each box by its Gershgorin
-discs or, where they come near the window, by one Cholesky factorization
-of the stack of such boxes, and only a stack it cannot certify is
-diagonalized (``resolvent.spectra_unless_clear``).  The counter step of
-the inductive step (``msa.count_singular_subboxes``) asks the same
-question at a width just above the solver guard, so it diagonalizes no
-stack that is certified either.  The inductive step certifies its parent
-at the resonance width itself and then calls ``cnr_sweep`` and
-``is_ns_clear``, which read no parent spectrum; ``is_cnr`` and ``is_ns``
-read it.
+certifies "none" box by box, by its Gershgorin discs or, where they come
+near the window, by a Cholesky factorization of the stack of such boxes,
+and only the boxes it cannot certify are diagonalized
+(``resolvent.spectra_unless_clear``).  The counter step of the inductive
+step (``msa.singular_subbox_counts``) asks the same question at a width
+just above the solver guard, so it diagonalizes no certified box either.
+The inductive step certifies its parents at the resonance width itself
+and sweeps their sub-boxes by ``cnr_sweeps``, a batch of samples at once,
+reading no spectrum of a certified parent; ``is_cnr`` reads it.
 """
 
 from __future__ import annotations
@@ -49,9 +48,10 @@ from .operators import (
     assemble_single_particle,
     assemble_two_particle,
     check_projections,
+    concat_stacks,
     exchange_orbits,
-    family_chunks,
     family_spectra,
+    family_stack,
     pole_residues,
     single_particle_factors,
 )
@@ -62,7 +62,6 @@ from .resolvent import (
     guard_width,
     spectra_unless_clear,
     spectral_gap,
-    window_clear,
     within_guard,
 )
 
@@ -333,20 +332,40 @@ def cnr_sweep(
     sample_budget: int = CNR_SAMPLE_BUDGET,
 ) -> CnrReport:
     """Complete non-resonance of the scale-(k+1) box at ``center`` given
-    the parent's distance ``parent_gap`` from E: a resonant parent fails
-    with no sub-box probed, and None stands for a parent that
-    ``resolvent.window_clear`` certified non-resonant (the report's
-    ``parent_gap`` is then None).
+    the parent's distance ``parent_gap`` from E: the one-sample
+    ``cnr_sweeps``."""
+    return cnr_sweeps(center, k, schedule, [sample], [E], interaction, g, adjacency,
+                      [parent_gap], exhaustive_limit, sample_budget)[0]
+
+
+def cnr_sweeps(
+    center: Point2,
+    k: int,
+    schedule,
+    samples: Sequence[DisorderSample],
+    energies: Sequence[float],
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str,
+    parent_gaps: Sequence[Optional[float]],
+    exhaustive_limit: int = CNR_EXHAUSTIVE_LIMIT,
+    sample_budget: int = CNR_SAMPLE_BUDGET,
+) -> list[CnrReport]:
+    """Complete non-resonance of the scale-(k+1) box at ``center``, one
+    report per sample, at its energy and given the parent's distance from
+    it: a resonant parent fails with no sub-box probed, and None stands
+    for a parent that ``resolvent.window_clear`` certified non-resonant
+    (the report's ``parent_gap`` is then None).
 
     The sub-boxes are probed exhaustively while their count stays within
-    budget, else a seeded uniform subsample is checked and the report is
-    marked non-exhaustive.  Each probed radius is one translated family
-    (``family_chunks``) of one box per exchange orbit
-    (``operators.exchange_orbits``).  A chunk of the family that
-    ``window_clear`` certifies has no resonant box; any other chunk is
-    diagonalized (``spectra_unless_clear``) and scanned, so the first
-    resonant sub-box in probe order, its gap and every other field are
-    those of a sweep over the spectra.
+    budget, else a seeded uniform subsample (per sample) is checked and
+    the report is marked non-exhaustive.  Each probed radius is one
+    ``operators.family_stack`` of one box per exchange orbit
+    (``operators.exchange_orbits``) for every sample not yet failed,
+    decided by one ``spectra_unless_clear``: a certified box is not
+    resonant, and the boxes it cannot certify are diagonalized and
+    scanned, so each sample's first resonant sub-box in probe order, its
+    gap and every other field are those of a sweep over the spectra.
     """
     if schedule.J < 1 or schedule.J % 2 == 0:
         raise InvalidInputError("CNR sub-box count J must be odd and positive")
@@ -354,48 +373,60 @@ def cnr_sweep(
     layout = cnr_subbox_layout(k, schedule)
     total = sum((2 * off + 1) ** (2 * parent.d) for _, off in layout)
     exhaustive = total <= exhaustive_limit
-    if parent_gap is not None and parent_gap < resonance_width(parent.radius, schedule.beta):
-        return CnrReport(False, parent_gap, failed_center=center.flat,
-                         failed_radius=parent.radius, failed_gap=parent_gap,
-                         n_candidates=total, n_checked=0, exhaustive=exhaustive)
-    rng = None
+    reports: list[Optional[CnrReport]] = [
+        CnrReport(False, gap, failed_center=center.flat, failed_radius=parent.radius,
+                  failed_gap=gap, n_candidates=total, n_checked=0, exhaustive=exhaustive)
+        if gap is not None and gap < resonance_width(parent.radius, schedule.beta)
+        else None for gap in parent_gaps]
+    rngs = None
     if not exhaustive:
-        rng = Generator(
-            Philox(key=np.array([sample.seed & (2**64 - 1),
-                                 (sample.trial << 1) ^ 0xC2B2], dtype=np.uint64))
-        )
+        rngs = [Generator(Philox(key=np.array([sample.seed & (2**64 - 1),
+                                               (sample.trial << 1) ^ 0xC2B2],
+                                              dtype=np.uint64)))
+                if rep is None else None for sample, rep in zip(samples, reports)]
     checked = 0
     for radius, max_off in layout:
-        if exhaustive:
-            centers = Box2(center, max_off).points()
-        else:
-            share = max(1, int(sample_budget * (2 * max_off + 1) ** (2 * parent.d) / total))
-            centers = np.array(center.flat) + rng.integers(
-                -max_off, max_off + 1, size=(share, 2 * parent.d))
+        alive = [i for i, rep in enumerate(reports) if rep is None]
+        if not alive:
+            break
         # an image box has its representative's spectrum, and a
         # representative never comes after its image, so the first resonant
         # representative is the first resonant box in probe order
-        reps, _ = exchange_orbits(centers)
+        if exhaustive:
+            everywhere = Box2(center, max_off).points()
+            families = [everywhere] * len(alive)
+            reps = [exchange_orbits(everywhere)[0]] * len(alive)
+            stack = family_stack(everywhere[reps[0]], radius, [samples[i] for i in alive],
+                                 interaction, g, adjacency)
+        else:
+            share = max(1, int(sample_budget * (2 * max_off + 1) ** (2 * parent.d) / total))
+            families = [np.array(center.flat) + rngs[i].integers(
+                -max_off, max_off + 1, size=(share, 2 * parent.d)) for i in alive]
+            reps = [exchange_orbits(c)[0] for c in families]
+            stack = concat_stacks([
+                family_stack(c[r], radius, [samples[i]], interaction, g, adjacency)
+                for c, r, i in zip(families, reps, alive)])
+        row_energy = np.repeat([float(energies[i]) for i in alive], [len(r) for r in reps])
         width = resonance_width(radius, schedule.beta)
-        first = 0  # index in ``reps`` of the chunk's first representative
-        for h in family_chunks(centers[reps], radius, sample, interaction, g,
-                               adjacency):
-            ev = spectra_unless_clear(h, E, width)
-            if ev is not None:
-                gaps = np.abs(ev - E).min(axis=1)
-                hits = np.flatnonzero(gaps < width)
-                if len(hits):
-                    i = int(reps[first + hits[0]])
-                    return CnrReport(
-                        False, parent_gap, failed_center=tuple(int(c) for c in centers[i]),
-                        failed_radius=radius, failed_gap=float(gaps[hits[0]]),
-                        n_candidates=total, n_checked=checked + i + 1,
-                        exhaustive=exhaustive,
-                    )
-            first += len(h)
-        checked += len(centers)
-    return CnrReport(True, parent_gap, n_candidates=total, n_checked=checked,
-                     exhaustive=exhaustive)
+        clear, spectra = spectra_unless_clear(stack, row_energy, width)
+        gaps = np.full(len(stack), np.inf)
+        left = np.flatnonzero(~clear)
+        gaps[left] = np.abs(spectra - row_energy[left, None]).min(axis=1)
+        first = 0  # row of the sample's first representative
+        for i, c, r in zip(alive, families, reps):
+            hits = np.flatnonzero(gaps[first:first + len(r)] < width)
+            if len(hits):
+                j = int(r[hits[0]])
+                reports[i] = CnrReport(
+                    False, parent_gaps[i], failed_center=tuple(int(x) for x in c[j]),
+                    failed_radius=radius, failed_gap=float(gaps[first + hits[0]]),
+                    n_candidates=total, n_checked=checked + j + 1, exhaustive=exhaustive,
+                )
+            first += len(r)
+        checked += len(families[0])
+    return [rep if rep is not None else
+            CnrReport(True, gap, n_candidates=total, n_checked=checked, exhaustive=exhaustive)
+            for rep, gap in zip(reports, parent_gaps)]
 
 
 def not_cnr_windows(
@@ -558,7 +589,7 @@ def nt_to_ns_check(
     # under l1 the sums are the box's spectrum, and a gap that clears the
     # guard lets is_ns_clear solve the box without diagonalizing it
     if (op.adjacency == "l1"
-            and gap - _tensor_sum_error(op, op1, op2, E) >= guard_width(op.matrix[None], E)):
+            and gap - _tensor_sum_error(op, op1, op2, E) >= guard_width(op.matrix[None], E)[0]):
         ns, w = is_ns_clear(op, E, m_eff)
     else:
         ns, w = is_ns(box, sample, interaction, g, E, m_eff, adjacency, op=op)

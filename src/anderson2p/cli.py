@@ -17,8 +17,9 @@ What each event kind reads (the interval, scale k + 1) comes from
 ``experiment.MODE_KINDS`` names, with specs built as for ``--event
 <kind>``.  Each run does its LAPACK on one BLAS thread
 (``blas.one_thread``) and spreads the trials of every ``mc-estimate``
-mode and the seeds of ``msa-verify``'s ``nt-to-ns`` and ``inductive-step``
-checks over one worker thread per CPU (``blas.ordered_map``).  It writes
+mode and the seeds of ``msa-verify``'s ``nt-to-ns`` check over one worker
+thread per CPU (``blas.ordered_map``); the ``inductive-step`` seeds go to
+the workers as one batch each (``blas.batched_map``).  It writes
 ``records.jsonl`` (one JSON record per line; byte-stable across reruns of
 the same configuration, whatever the host's core count, the worker count
 or the caller's thread variables) plus ``manifest.json`` carrying the
@@ -64,7 +65,7 @@ from .experiment import (
     wegner_sweep,
 )
 from .geometry import Box2, Point2
-from .msa import inductive_ns_step, validate_parameters
+from .msa import inductive_ns_steps, validate_parameters
 from .operators import assemble_two_particle, diagonalize
 from .records import (
     GreenRecord,
@@ -144,12 +145,22 @@ def _check_scale(subcommand: str, args, sched) -> None:
 def _check_finite(args) -> None:
     """Reject a ``--energy``, ``--mass`` or ``--nt-mass`` that is not a
     finite number: argparse's ``float`` takes ``nan`` and ``inf``, which
-    no predicate can decide and JSON cannot carry."""
+    no predicate can decide and JSON cannot carry.  Reject a ``--mass``
+    that is not positive and a negative ``--nt-mass`` too: under a
+    negative mass the threshold ``exp(-m L)`` exceeds 1, so every box
+    passes as non-singular or non-tunnelling, and a zero mass asserts no
+    decay.  ``nt-to-ns`` reads an NT mass of 0 as given."""
     for name in ("energy", "mass", "nt_mass"):
         value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise InvalidInputError(
-                f"--{name.replace('_', '-')} must be a finite number, got {value}")
+        if value is None:
+            continue
+        option = f"--{name.replace('_', '-')}"
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{option} must be a finite number, got {value}")
+        if name == "mass" and not value > 0:
+            raise InvalidInputError(f"{option} must be positive, got {value}")
+        if name == "nt_mass" and value < 0:
+            raise InvalidInputError(f"{option} must not be negative, got {value}")
 
 
 def _out_dir(args, cfg: ExperimentConfig, subcommand: str) -> Path:
@@ -262,6 +273,8 @@ def _cmd_msa_verify(cfg, sched, args):
               and name not in _CHECK_OPTIONS[args.check]]
     if unread:
         raise InvalidInputError(f"--check {args.check} does not read {', '.join(unread)}")
+    if args.seeds < 1:
+        raise InvalidInputError(f"--seeds must be at least 1, got {args.seeds}")
     if args.check == "boundary-recovery":
         parent_radius = args.radius if args.radius is not None else 4
         sub_radius = args.sub_radius if args.sub_radius is not None else 2
@@ -288,20 +301,24 @@ def _cmd_msa_verify(cfg, sched, args):
             energy = float(rng.uniform(lo, hi))
             return nt_to_ns_check(box, sample, interaction, cfg.g, energy,
                                   nt_mass, sched.beta, "l1")
-    else:
-        parent = Box2.of_origin(d, sched.L[k + 1])
 
-        def check(s):
+        # each seed is a pure function of (cfg.seed, s), so the workers' order
+        # cannot reach the records
+        return [rep.to_record() for rep in blas.ordered_map(check, range(args.seeds))], {}
+    parent = Box2.of_origin(d, sched.L[k + 1])
+
+    def batch(seeds):
+        samples, energies = [], []
+        for s in seeds:
             rng = Generator(Philox(key=np.array([cfg.seed, s], dtype=np.uint64)))
-            sample = sample_potential(dist, cfg.seed, s, domain_for_boxes([parent]))
-            energy = float(rng.uniform(lo, hi))
-            return inductive_ns_step(parent.center, k, sched, sample, interaction,
-                                     cfg.g, energy, cfg.adjacency)
+            samples.append(sample_potential(dist, cfg.seed, s, domain_for_boxes([parent])))
+            energies.append(float(rng.uniform(lo, hi)))
+        return inductive_ns_steps(parent.center, k, sched, samples, energies, interaction,
+                                  cfg.g, cfg.adjacency)
 
-    # each seed is a pure function of (cfg.seed, s), so the workers' order
-    # cannot reach the records
-    reports = blas.ordered_map(check, range(args.seeds))
-    return [rep.to_record() for rep in reports], {}
+    # a seed's report does not depend on the others in its batch, so neither
+    # the batches nor the worker count can reach the records
+    return [rep.to_record() for rep in blas.batched_map(batch, range(args.seeds))], {}
 
 
 def _recovery_batch(cfg, sched, seed_trial, parent_radius, sub_radius):

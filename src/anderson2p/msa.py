@@ -9,12 +9,20 @@ count maximal families of pairwise well-separated singular sub-boxes
 the exchange-symmetrised center distance exceeding ``8 * L_k``.
 
 The inductive step asks only window questions of its spectra, so it
-diagonalizes nothing that ``resolvent.window_clear`` certifies (by
-Gershgorin discs, then one Cholesky factorization of the boxes the discs
-leave): the parent at its resonance width, the CNR sub-box families at
-theirs, and the counter's sub-box stack at the solver guard width.  A
-certified parent is non-resonant and clear of the guard, and the
-non-singularity assertion is one solve with no spectrum.
+diagonalizes no box that ``resolvent.window_clear`` certifies (by its
+Gershgorin discs, else by a Cholesky factorization): the parent at its
+resonance width, the CNR sub-boxes at theirs, and the counter's sub-boxes
+at the solver guard width.  A certified parent is non-resonant and clear
+of the guard, and the non-singularity assertion is one solve with no
+spectrum.  ``inductive_ns_steps`` decides a batch of samples, each at its
+own energy, stage by stage: each stage's boxes of every sample form one
+``operators.BoxStack`` (one hop matrix, one diagonal per box), so the
+geometry is built once per batch, and each window test, ``eigvalsh`` and
+solve covers the batch in pieces of at most ``operators.STACK_BYTES``.
+Every stacked LAPACK call and matrix product treats each box on its own,
+so a sample's report does not depend on the batch it is decided in;
+``inductive_ns_step`` and ``count_singular_subboxes`` are the one-sample
+batches.
 """
 
 from __future__ import annotations
@@ -26,31 +34,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .classify import (
-    cnr_sweep,
-    is_cnr,
-    is_ns,
-    is_ns_clear,
-    resonance_width,
-    singular_mask_at,
-)
+from .classify import cnr_sweeps, resonance_width, singular_mask_at
 from .disorder import DisorderSample, InteractionSpec
 from .errors import InfeasibleScheduleError, InvalidInputError
 from .geometry import Box2, Point2
 from .operators import (
-    assemble_two_particle,
-    box_family,
+    BoxStack,
     check_projections,
     exchange_orbits,
+    family_stack,
     pole_residues,
 )
 from .records import Record
-from .resolvent import (
-    boundary_green_maxima,
-    guard_width,
-    spectra_unless_clear,
-    window_clear,
-)
+from .resolvent import boundary_green_maxima, guard_width, spectra_unless_clear
 
 
 @dataclass(frozen=True)
@@ -400,22 +396,25 @@ def _split_singular(
 
 
 def _subbox_family(center: Point2, k: int, sched: ScaleSchedule,
-                   sample: DisorderSample, interaction: InteractionSpec, g: float,
-                   adjacency: str):
+                   samples: Sequence[DisorderSample], interaction: InteractionSpec,
+                   g: float, adjacency: str):
     """The scale-k sub-boxes of the scale-(k+1) box at ``center``: flat
     centers ``(ncand, 2d)`` of all that fit inside it, whether each is
     interactive, the row of each one's exchange-orbit representative, and
-    the representatives' ``box_family``.  Raises ``OutOfDomainError`` unless
-    the sample covers the parent's projections."""
+    the representatives' ``family_stack`` under every sample
+    (sample-major).  Raises ``OutOfDomainError`` unless every sample
+    covers the parent's projections."""
     L_k, L_next = sched.L[k], sched.L[k + 1]
-    check_projections(Box2(center, L_next), sample)
+    parent = Box2(center, L_next)
+    for sample in samples:
+        check_projections(parent, sample)
     centers = Box2(center, L_next - L_k).points()
     d = center.d
     interactive = (np.abs(centers[:, :d] - centers[:, d:]).max(axis=1)
                    <= 2 * L_k + interaction.r0)
     reps, orbit = exchange_orbits(centers)
-    h = box_family(centers[reps], L_k, sample, interaction, g, adjacency)
-    return centers, interactive, orbit, h
+    stack = family_stack(centers[reps], L_k, samples, interaction, g, adjacency)
+    return centers, interactive, orbit, stack
 
 
 def subbox_spectra(
@@ -431,10 +430,27 @@ def subbox_spectra(
     candidates inside the scale-(k+1) box at ``center``, from one checked
     ``operators.eigh_stack``."""
     template = Box2.of_origin(center.d, sched.L[k])
-    centers, interactive, orbit, h = _subbox_family(center, k, sched, sample,
-                                                    interaction, g, adjacency)
-    poles, residues = pole_residues(h, template.center_index(), template.boundary_indices())
+    centers, interactive, orbit, stack = _subbox_family(center, k, sched, [sample],
+                                                        interaction, g, adjacency)
+    poles, residues = pole_residues(stack.matrices(), template.center_index(),
+                                    template.boundary_indices())
     return SubboxSpectra(centers, poles, residues, orbit, template.radius, interactive)
+
+
+def _green_maxima(stack: BoxStack, E: np.ndarray, clear: np.ndarray,
+                  spectra: np.ndarray, template: Box2) -> np.ndarray:
+    """``resolvent.boundary_green_maxima`` of every box of ``stack`` at its
+    energy, given ``window_clear``'s verdicts at a width of at least
+    ``resolvent.guard_width`` and the spectra of the boxes it did not
+    certify: a certified box is solved with no spectrum, the others are
+    guarded by their own."""
+    values = np.empty(len(stack))
+    for rows, ev in ((np.flatnonzero(clear), None), (np.flatnonzero(~clear), spectra)):
+        if len(rows):
+            values[rows] = boundary_green_maxima(stack.take(rows), ev,
+                                                 template.center_index(),
+                                                 template.boundary_indices(), E[rows])[0]
+    return values
 
 
 def count_singular_subboxes(
@@ -448,47 +464,65 @@ def count_singular_subboxes(
     adjacency: str = "sup",
 ) -> CounterReport:
     """Classify every scale-k sub-box of the scale-(k+1) box at ``center``
-    at ``(E, m_k)`` and compute the maximal pairwise-separated counts.
+    at ``(E, m_k)`` and compute the maximal pairwise-separated counts: the
+    one-sample ``singular_subbox_counts``."""
+    return singular_subbox_counts(center, k, sched, [sample], [E], interaction, g,
+                                  adjacency)[0]
+
+
+def singular_subbox_counts(
+    center: Point2,
+    k: int,
+    sched: ScaleSchedule,
+    samples: Sequence[DisorderSample],
+    energies: Sequence[float],
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str = "sup",
+) -> list[CounterReport]:
+    """``count_singular_subboxes`` under every sample at its energy.
 
     Candidate centers are all configurations whose sub-box fits inside the
     parent; interactivity is decided exactly per candidate.  One box per
-    exchange orbit (``operators.exchange_orbits``) is assembled and its
-    Green's column at E taken by one stacked solve
+    exchange orbit (``operators.exchange_orbits``) and sample is built, and
+    its Green's column at the sample's energy is taken by stacked solves
     (``resolvent.boundary_green_maxima``); images share their
     representative's verdict, as in ``SubboxSpectra``.
 
-    The solver guard needs no spectrum: ``resolvent.spectra_unless_clear``
-    certifies the stack at ``resolvent.guard_width``.  Every ``eigvalsh``
-    gap of a certified stack is at least that width, above every box's
-    guard, so ``within_guard`` would skip no box either and the same boxes
-    are solved; a stack it cannot certify is diagonalized and guarded box
-    by box.
+    The solver guard needs no spectrum: ``resolvent.window_clear``
+    certifies each box at its ``resolvent.guard_width``.  Every
+    ``eigvalsh`` gap of a certified box is at least that width, above the
+    box's guard, so ``within_guard`` would not skip it either and the same
+    boxes are solved; a box it cannot certify is diagonalized and guarded
+    by its spectrum.
     """
     L_k = sched.L[k]
     template = Box2.of_origin(center.d, L_k)
-    centers, interactive, orbit, h = _subbox_family(center, k, sched, sample,
-                                                    interaction, g, adjacency)
-    values, _ = boundary_green_maxima(h, spectra_unless_clear(h, E, guard_width(h, E)),
-                                      template.center_index(),
-                                      template.boundary_indices(), E)
-    singular = values > math.exp(-sched.m[k] * L_k)
-    sing_ni, sing_i = _split_singular(centers, interactive, singular[orbit])
-    offsets_count = len(centers)
+    centers, interactive, orbit, stack = _subbox_family(center, k, sched, samples,
+                                                        interaction, g, adjacency)
+    E = np.repeat(np.asarray(energies, dtype=np.float64), len(stack) // len(samples))
+    clear, spectra = spectra_unless_clear(stack, E, guard_width(stack, E))
+    values = _green_maxima(stack, E, clear, spectra, template)
+    singular = values.reshape(len(samples), -1) > math.exp(-sched.m[k] * L_k)
     sep = 8 * L_k
-    allc = sing_ni + sing_i
-    M, wit_ni, _ = max_separated_subset(sing_ni, sep)
-    N, wit_i, _ = max_separated_subset(sing_i, sep)
-    K, wit_all, _ = max_separated_subset(allc, sep)
-    return CounterReport(
-        center=center.flat, k=k, energy=float(E), mass=float(sched.m[k]),
-        separation=sep, n_candidates=offsets_count,
-        singular_ni=[c.flat for c in sing_ni],
-        singular_i=[c.flat for c in sing_i],
-        M=M, N=N, K=K,
-        witnesses_ni=[sing_ni[i].flat for i in wit_ni],
-        witnesses_i=[sing_i[i].flat for i in wit_i],
-        witnesses_all=[allc[i].flat for i in wit_all],
-    )
+    reports = []
+    for energy, mask in zip(energies, singular):
+        sing_ni, sing_i = _split_singular(centers, interactive, mask[orbit])
+        allc = sing_ni + sing_i
+        M, wit_ni, _ = max_separated_subset(sing_ni, sep)
+        N, wit_i, _ = max_separated_subset(sing_i, sep)
+        K, wit_all, _ = max_separated_subset(allc, sep)
+        reports.append(CounterReport(
+            center=center.flat, k=k, energy=float(energy), mass=float(sched.m[k]),
+            separation=sep, n_candidates=len(centers),
+            singular_ni=[c.flat for c in sing_ni],
+            singular_i=[c.flat for c in sing_i],
+            M=M, N=N, K=K,
+            witnesses_ni=[sing_ni[i].flat for i in wit_ni],
+            witnesses_i=[sing_i[i].flat for i in wit_i],
+            witnesses_all=[allc[i].flat for i in wit_all],
+        ))
+    return reports
 
 
 @dataclass
@@ -526,51 +560,75 @@ def inductive_ns_step(
     adjacency: str = "sup",
 ) -> InductiveStepReport:
     """Evaluate the hypotheses (complete non-resonance; K <= J) and, when
-    they hold, assert non-singularity of the parent at the next mass.
+    they hold, assert non-singularity of the parent at the next mass: the
+    one-sample ``inductive_ns_steps``."""
+    return inductive_ns_steps(center, k, sched, [sample], [E], interaction, g, adjacency)[0]
 
-    The parent is decided by ``resolvent.window_clear`` at its resonance
-    width.  A certified parent is non-resonant and, as that width is at
-    least ``resolvent.guard_width``, clear of the solver guard: its
-    sub-boxes are swept by ``classify.cnr_sweep`` and the assertion is one
-    solve with no spectrum (``classify.is_ns_clear``), so it is never
-    diagonalized.  A parent it cannot certify (or a width below the guard)
-    is diagonalized once and decided by ``is_cnr`` and ``is_ns``; both
-    ways give the same report.
+
+def inductive_ns_steps(
+    center: Point2,
+    k: int,
+    sched: ScaleSchedule,
+    samples: Sequence[DisorderSample],
+    energies: Sequence[float],
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str = "sup",
+) -> list[InductiveStepReport]:
+    """``inductive_ns_step`` under every sample at its energy, decided
+    stage by stage for all samples at once, so that each LAPACK call
+    covers every sample and the geometry is built once:
+
+    1. the counter's sub-box stacks (``singular_subbox_counts``, which
+       also checks that every sample covers the parent's projections);
+    2. the parents, one per sample, by ``resolvent.window_clear`` at the
+       resonance width (or the guard width, if larger), and one
+       ``eigvalsh`` over the parents it cannot certify;
+    3. each CNR radius's sub-box families of every sample whose parent is
+       not resonant (``classify.cnr_sweeps``);
+    4. one non-singularity solve over the parents whose hypotheses hold.
+
+    A certified parent is non-resonant and clear of the solver guard, so
+    it is never diagonalized and is solved with no spectrum, as
+    ``classify.is_ns_clear`` does; an uncertified one is decided from its
+    spectrum, as ``is_cnr`` and ``is_ns`` do.  Each report equals that of
+    the sample decided alone: every stacked LAPACK call and matrix product
+    treats each box on its own, and so does ``window_clear``.
 
     The asserted mass is the inductive bound when positive; at desk scales
     where the bound degenerates to a non-positive value the schedule's own
     next mass is asserted instead (it is smaller in the admissible regime,
     so the assertion is the meaningful one at every scale).
     """
+    E = np.asarray(energies, dtype=np.float64)
+    counters = singular_subbox_counts(center, k, sched, samples, E, interaction, g, adjacency)
     parent = Box2(center, sched.L[k + 1])
-    parent_op = assemble_two_particle(parent, sample, interaction, g, adjacency)
-    h = parent_op.matrix[None]
+    parents = family_stack(np.array([center.flat]), parent.radius, samples, interaction,
+                           g, adjacency)
     width = resonance_width(parent.radius, sched.beta)
-    certified = width >= guard_width(h, E) and window_clear(h, E, width)
-    if certified:
-        cnr = cnr_sweep(center, k, sched, sample, interaction, g, E, adjacency, None)
-    else:
-        cnr = is_cnr(center, k, sched, sample, interaction, g, E, adjacency,
-                     parent_op=parent_op)
-    counters = count_singular_subboxes(center, k, sched, sample, interaction,
-                                       g, E, adjacency)
-    hyp = cnr.ok and counters.K <= sched.J
+    # a width above the guard certifies both non-resonance and the guard
+    clear, spectra = spectra_unless_clear(parents, E, np.maximum(width, guard_width(parents, E)))
+    gaps: list[Optional[float]] = [None] * len(samples)
+    for i, ev in zip(np.flatnonzero(~clear), spectra):
+        gaps[i] = float(np.abs(ev - E[i]).min())
+    cnr = cnr_sweeps(center, k, sched, samples, E, interaction, g, adjacency, gaps)
     bound = mass_step_value(sched.m[k], sched.L[k], sched.J)
-    rep = InductiveStepReport(
-        center=center.flat, k=k, energy=float(E), cnr_ok=cnr.ok,
-        K=counters.K, J=sched.J, counters_exact=True,
-        hypotheses_hold=hyp, skipped=not hyp, mass_bound=float(bound),
-    )
-    if not hyp:
-        return rep
     assert_mass = bound if bound > 0 else sched.m[k + 1]
-    if certified:
-        ns, w = is_ns_clear(parent_op, E, assert_mass)
-    else:
-        ns, w = is_ns(parent, sample, interaction, g, E, assert_mass, adjacency,
-                      op=parent_op)
-    rep.assert_mass = float(assert_mass)
-    rep.ns_ok = bool(ns)
-    rep.max_boundary_gf = w.max_boundary_gf
-    rep.ns_margin = float(w.threshold - w.max_boundary_gf)
-    return rep
+    reports = [InductiveStepReport(
+        center=center.flat, k=k, energy=float(e), cnr_ok=c.ok, K=n.K, J=sched.J,
+        counters_exact=True, hypotheses_hold=c.ok and n.K <= sched.J,
+        skipped=not (c.ok and n.K <= sched.J), mass_bound=float(bound),
+    ) for e, c, n in zip(E, cnr, counters)]
+    hold = np.flatnonzero([rep.hypotheses_hold for rep in reports])
+    every = np.empty(parents.shape[:2])
+    every[~clear] = spectra
+    values = _green_maxima(parents.take(hold), E[hold], clear[hold],
+                           every[hold][~clear[hold]], Box2.of_origin(center.d, parent.radius))
+    threshold = math.exp(-assert_mass * parent.radius)
+    for i, value in zip(hold, values):
+        rep = reports[i]
+        rep.assert_mass = float(assert_mass)
+        rep.ns_ok = bool(value <= threshold)
+        rep.max_boundary_gf = float(value)
+        rep.ns_margin = float(threshold - value)
+    return reports

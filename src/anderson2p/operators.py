@@ -18,9 +18,10 @@ once and the tensor identity does not hold.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +40,11 @@ SPECTRAL_RTOL = 1e-8
 
 #: largest stack of box matrices one ``family_chunks`` stack holds
 FAMILY_BYTES = 1 << 24
+
+#: largest stack of box matrices one ``BoxStack.pieces`` piece holds; a
+#: piece and the few copies a window test or a solve makes of it stay
+#: within a few megabytes per worker
+STACK_BYTES = 1 << 19
 
 
 @dataclass
@@ -129,26 +135,120 @@ def box_family(
     adjacency: str = "sup",
 ) -> np.ndarray:
     """Stacked Hamiltonians of the two-particle boxes of one radius at the
-    flat ``centers`` (shape ``(ncand, 2d)``): one template hop matrix, as
-    hopping depends only on the box shape, plus each box's diagonal
-    ``U(x) + g (V(x1) + V(x2))``.  The hop matrix is built once per
-    ``(d, radius, adjacency)`` (``_hop_template``).
-    ``assemble_two_particle`` is the one-box case.  The sample domain is
-    not checked (see ``check_projections``).
+    flat ``centers`` (shape ``(ncand, 2d)``): the one-sample
+    ``family_stack``, built.  ``assemble_two_particle`` is the one-box
+    case.  The sample domain is not checked (see ``check_projections``).
+    """
+    return family_stack(centers, radius, [sample], interaction, g, adjacency).matrices()
+
+
+@dataclass(frozen=True)
+class BoxStack:
+    """A stack of same-shape two-particle boxes kept as their one hop
+    matrix and one diagonal per box, so that nothing needs every matrix
+    at once: the Gershgorin discs of a box read its diagonal and the hop
+    matrix's row sums, and ``pieces`` builds the matrices of chosen boxes
+    in stacks of at most ``STACK_BYTES``.  ``matrices()[i]`` is box i's
+    matrix, the ``box_family`` of its center and sample."""
+
+    hop: np.ndarray  # (n, n), read-only, zero diagonal
+    diagonal: np.ndarray  # (nbox, n)
+
+    def __len__(self) -> int:
+        return len(self.diagonal)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        n = self.hop.shape[0]
+        return len(self.diagonal), n, n
+
+    def take(self, rows) -> "BoxStack":
+        return BoxStack(self.hop, self.diagonal[rows])
+
+    def matrices(self) -> np.ndarray:
+        """Every box's matrix, ``(nbox, n, n)``."""
+        nbox, n, _ = self.shape
+        h = np.broadcast_to(self.hop, (nbox, n, n)).copy()
+        idx = np.arange(n)
+        h[:, idx, idx] = self.diagonal
+        return h
+
+    def pieces(self, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The boxes at ``rows``, in order, as ``(rows of the piece, its
+        matrices)`` with at most ``STACK_BYTES`` of matrices per piece (at
+        least one box each)."""
+        n = self.hop.shape[0]
+        step = max(1, STACK_BYTES // (8 * n * n))
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            yield part, self.take(part).matrices()
+
+    def frobenius(self) -> np.ndarray:
+        """``||H_i||_F`` of every box, ``(nbox,)``."""
+        return np.sqrt(np.square(self.hop).sum() + np.square(self.diagonal).sum(axis=1))
+
+    def row_sums(self) -> np.ndarray:
+        """``sum_{y != x} |h_xy|`` of every row x, ``(n,)``: the same for
+        every box, as only the diagonal differs."""
+        off = np.abs(self.hop)
+        np.fill_diagonal(off, 0.0)
+        return off.sum(axis=-1)
+
+
+def concat_stacks(stacks: Sequence[BoxStack]) -> BoxStack:
+    """One ``BoxStack`` of the boxes of ``stacks`` (of one shape), in order."""
+    return BoxStack(stacks[0].hop, np.concatenate([s.diagonal for s in stacks]))
+
+
+def _site_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sites of the bounding box of the one-particle points ``x``
+    (``(npts, d)``), in lexicographic order, and the position of each
+    point among them."""
+    low, high = x.min(axis=0), x.max(axis=0)
+    extent = [int(e) for e in high - low + 1]
+    strides = np.array([math.prod(extent[i + 1:]) for i in range(len(extent))],
+                       dtype=np.int64)
+    axes = [np.arange(lo, lo + e, dtype=np.int64) for lo, e in zip(low.tolist(), extent)]
+    sites = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return sites, (x - low) @ strides
+
+
+def family_stack(
+    centers: np.ndarray,
+    radius: int,
+    samples: Sequence[DisorderSample],
+    interaction: InteractionSpec,
+    g: float,
+    adjacency: str = "sup",
+) -> BoxStack:
+    """The two-particle boxes of one radius at the flat ``centers`` (shape
+    ``(ncand, 2d)``) under every sample, sample-major (row
+    ``s * ncand + i`` is center i under ``samples[s]``): one template hop
+    matrix, as hopping depends only on the box shape, plus each box's
+    diagonal ``U(x) + g (V(x1) + V(x2))``.  The hop matrix is built once
+    per ``(d, radius, adjacency)`` (``_hop_template``), and the geometry
+    (configurations, interaction, site positions) once per call; each
+    sample's potential is drawn once per site of the bounding box of
+    each particle's coordinates.  The sample domains are not checked (see
+    ``check_projections``).
     """
     centers = np.asarray(centers, dtype=np.int64)
     ncand, d = len(centers), centers.shape[1] // 2
     tpl = Box2.of_origin(d, radius).points()
     n = len(tpl)
+    hop = _hop_template(d, radius, normalize_adjacency(adjacency))
+    if ncand == 0:
+        return BoxStack(hop, np.empty((0, n)))
     pts = (centers[:, None, :] + tpl[None, :, :]).reshape(ncand * n, 2 * d)
     x1, x2 = pts[:, :d], pts[:, d:]
-    v = sample.values_at_unchecked(x1) + sample.values_at_unchecked(x2)
     u = interaction.at_separation(np.abs(x1 - x2).max(axis=1))
-    h = np.broadcast_to(_hop_template(d, radius, normalize_adjacency(adjacency)),
-                        (ncand, n, n)).copy()
-    idx = np.arange(n)
-    h[:, idx, idx] = (u + g * v).reshape(ncand, n)
-    return h
+    (sites1, at1), (sites2, at2) = _site_table(x1), _site_table(x2)
+    diagonal = np.empty((len(samples), ncand * n))
+    for row, sample in zip(diagonal, samples):
+        v = (sample.values_at_unchecked(sites1)[at1]
+             + sample.values_at_unchecked(sites2)[at2])
+        row[:] = u + g * v
+    return BoxStack(hop, diagonal.reshape(len(samples) * ncand, n))
 
 
 #: ``_hop_template``'s matrices, at most 8, oldest first; added under the lock

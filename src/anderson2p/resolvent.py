@@ -6,24 +6,26 @@ whose spectrum comes within the solver guard (``within_guard``) of their
 energy and checks every residual against the largest column norm of
 ``H_i - E_i``, read from the matrix.  ``green_column`` (one column at one
 source), ``boundary_green_maxima`` (centre-to-boundary maxima of a stack of
-same-layout boxes at one energy) and ``boundary_recovery`` (one box at many
-energies) are its three callers.  ``green_spectral`` evaluates the same
-quantity on non-interactive boxes through the eigendecomposition of the two
-single-particle factors.
+same-layout boxes, at one energy or one per box) and ``boundary_recovery``
+(one box at many energies) are its three callers.  ``green_spectral``
+evaluates the same quantity on non-interactive boxes through the
+eigendecomposition of the two single-particle factors.
 
-A stack need not be diagonalized for the guard: ``spectra_unless_clear``
-returns None when ``window_clear`` certifies that no box has an eigenvalue
-within a width above the guard, and ``_solve`` then solves every box; only
-a stack it cannot certify is diagonalized.  ``window_clear`` certifies a
-box in two stages: its Gershgorin discs, read from the matrix in O(n^2),
-and, for the boxes whose discs come near the window, one matrix product
-and one Cholesky factorization of the stack they form.  The complete
-non-resonance test asks the same question at the resonance width, of the
-sub-box families and of the inductive step's parent; a resonance width is
-above the guard width, so a parent certified non-resonant is solved
-without a spectrum too.  Only a box the test cannot certify, or one whose
-gap is not already known (``nt-to-ns`` reads it from the tensor sums of
-its factors), is diagonalized.
+A box need not be diagonalized for the guard: ``window_clear`` certifies,
+box by box, that no eigenvalue lies within a width above the guard, and
+``spectra_unless_clear`` diagonalizes only the boxes it leaves; a
+certified box is solved with no spectrum.  ``window_clear`` certifies a
+box in two stages: its Gershgorin discs, read in O(n^2) (from the
+diagonals alone for an ``operators.BoxStack``), and, for the boxes whose
+discs come near the window, one matrix product and one Cholesky
+factorization of the stack they form, in pieces of at most
+``operators.STACK_BYTES``.  The complete non-resonance test asks the same
+question at the resonance width, of the sub-box families and of the
+inductive step's parent; a resonance width is above the guard width, so a
+parent certified non-resonant is solved without a spectrum too.  Only a
+box the test cannot certify, or one whose gap is not already known
+(``nt-to-ns`` reads it from the tensor sums of its factors), is
+diagonalized.
 
 All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
 the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool
@@ -44,13 +46,14 @@ verified numerically in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import NumericError, PreconditionError, ResonantEnergyError
 from .geometry import Box2, Point2, exterior_boundary
 from .kernels import pairwise_dist
-from .operators import SPECTRAL_RTOL, FiniteOperator, SpectralData
+from .operators import SPECTRAL_RTOL, BoxStack, FiniteOperator, SpectralData
 
 #: relative spectral-gap guard below which an energy counts as resonant for
 #: solving purposes (callers should classify the box resonant instead)
@@ -65,11 +68,29 @@ def within_guard(gap, E, edge):
     return gap <= RESONANCE_GUARD * np.maximum(np.maximum(1.0, np.abs(E)), edge)
 
 
-def window_clear(h: np.ndarray, E: float, w: float) -> bool:
-    """Certify that no box of the stack ``h`` (symmetric, ``(..., n, n)``)
-    has an eigenvalue within ``w`` of ``E``, without its spectrum.
+def _pieces(h: np.ndarray | BoxStack,
+            rows: np.ndarray) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
+    """The boxes at ``rows`` of the stack ``h`` as ``(positions, matrices)``
+    pieces: a ``BoxStack``'s ``pieces``, or one piece of an array stack,
+    which is ``h`` itself (at ``slice(None)``) when ``rows`` is every
+    box and a gathered copy otherwise.  No rows, no piece."""
+    if isinstance(h, BoxStack):
+        yield from h.pieces(rows)
+    elif len(rows) == len(h):
+        yield slice(None), h
+    elif len(rows):
+        yield rows, h[rows]
 
-    True means every box is certified by one of two stages; either way
+
+def window_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
+                 w: float | np.ndarray) -> np.ndarray:
+    """Certify, box by box, that no box of the stack ``h`` (symmetric,
+    ``(nbox, n, n)``, or a ``BoxStack``) has an eigenvalue within ``w`` of
+    ``E`` (one energy and width for all boxes or one per box), without its
+    spectrum.  Returns one verdict per box, ``(nbox,)``; a box's verdict
+    does not depend on the other boxes of the stack.
+
+    True means the box is certified by one of two stages; either way
     every eigenvalue lies farther than w + eta from E, where
     eta = n eps (||H - E||_F + |E|) covers the error of ``eigvalsh``
     itself, so every gap it would report is at least ``w``.
@@ -85,74 +106,104 @@ def window_clear(h: np.ndarray, E: float, w: float) -> bool:
       bounds ||H - E||_F.  The right side covers the rounding of
       h_xx - E (eps / 2 relative) and of r_x (a sum of n - 1 terms,
       (n - 1) eps / 2 relative), of the test's own subtractions and of
-      eta'.
-    * Cholesky, O(n^3) per box, for the boxes the discs leave.  An
-      eigenvalue of H lies in [E - w, E + w] exactly when
-      (H - E)^2 - w^2 is not positive definite.  A box is certified when
-      the factorization of (H - E)^2 - ((w + eta)^2 + delta) completes
-      with a finite factor for the whole stack of such boxes, where
-      delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
+      eta'.  A ``BoxStack`` is tested from its diagonals and its hop
+      matrix's row sums, with no matrix built.
+    * Cholesky, O(n^3) per box, for the boxes the discs leave, gathered
+      from the whole stack.  An eigenvalue of H lies in [E - w, E + w]
+      exactly when (H - E)^2 - w^2 is not positive definite.  A box is
+      certified when the factorization of
+      (H - E)^2 - ((w + eta)^2 + delta) completes with a finite factor,
+      where delta = 2 (n + 2) eps ||H - E||_F^2 bounds the rounding of the
       product and of the factorization (after S. M. Rump, "Verification
-      of positive definiteness", BIT 46 (2006) 433).
+      of positive definiteness", BIT 46 (2006) 433).  The boxes are
+      factored as one stack per piece (``_pieces``); a stack that does not
+      factor is split in halves until each box has its own verdict.
 
     Underflow terms, below 1e-300, are left out of both bounds.  False
     says nothing: a box may merely come near the window, and the caller
-    decides from the spectrum.  The boxes left to the Cholesky stage are
-    gathered into a copy unless no box was certified by its discs; then
-    ``h`` itself is shifted in place for the product and its diagonal is
-    written back, so it is unchanged on return.  Raises ``NumericError``
-    when an entry is not finite, as numpy's stacked Cholesky does not fail
-    on one.
+    decides from the spectrum.  An array ``h`` whose every box reaches the
+    Cholesky stage is shifted in place for the product and its diagonal
+    is written back, so it is unchanged on return.  Raises
+    ``NumericError`` when an entry is not finite, as numpy's stacked
+    Cholesky does not fail on one.
     """
+    nbox, n = len(h), h.shape[-1]
+    E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), (nbox,))
+    idx = np.arange(n)
+    if isinstance(h, BoxStack):
+        diagonal, radius = h.diagonal, h.row_sums()
+    else:
+        diagonal = h[..., idx, idx]
+        off = np.abs(h)
+        off[..., idx, idx] = 0.0
+        radius = off.sum(axis=-1)
+        del off  # a stack's worth of memory, not needed by the Cholesky stage
+    if not (np.isfinite(diagonal).all() and np.isfinite(radius).all()):
+        raise NumericError("operator matrix has non-finite entries")
+    eps = np.finfo(np.float64).eps
+    shift = np.abs(diagonal - E[:, None])
+    size = shift + radius  # not finite where E is not
+    eta = n * eps * (np.sqrt(n) * size.max(axis=-1) + np.abs(E))
+    clear = (shift - radius - (w + eta)[:, None] > 2 * (n + 2) * eps * size).all(axis=-1)
+    for rows, sub in _pieces(h, np.flatnonzero(~clear)):
+        clear[rows] = _cholesky_clear(sub, E[rows], w[rows])
+    return clear
+
+
+def _cholesky_clear(h: np.ndarray, E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``window_clear``'s Cholesky stage on the array stack ``h``, one
+    verdict per box; ``h`` is shifted in place and written back."""
     n = h.shape[-1]
     idx = np.arange(n)
     eps = np.finfo(np.float64).eps
-    shift = np.abs(h[..., idx, idx] - E)
-    off = np.abs(h)
-    off[..., idx, idx] = 0.0
-    radius = off.sum(axis=-1)
-    del off  # a stack's worth of memory, not needed by the Cholesky stage
-    size = shift + radius  # not finite where an entry of h (or E) is not
-    if not np.isfinite(size).all() and not np.isfinite(h).all():
-        raise NumericError("operator matrix has non-finite entries")
-    eta = n * eps * (np.sqrt(n) * size.max(axis=-1) + abs(E))
-    clear = (shift - radius - (w + eta)[..., None] > 2 * (n + 2) * eps * size).all(axis=-1)
-    if clear.all():
-        return True
-    if clear.any():
-        h = h[~clear]
     diagonal = h[..., idx, idx]
-    h[..., idx, idx] -= E
+    h[..., idx, idx] -= E[:, None]
     try:
         sq = h @ h
     finally:
         h[..., idx, idx] = diagonal
     fro2 = np.trace(sq, axis1=-2, axis2=-1)  # ||H - E||_F^2, as H - E is symmetric
-    eta = n * eps * (np.sqrt(fro2) + abs(E))
-    sq[..., idx, idx] -= ((w + eta) ** 2 + 2 * (n + 2) * eps * fro2)[..., None]
+    eta = n * eps * (np.sqrt(fro2) + np.abs(E))
+    sq[..., idx, idx] -= ((w + eta) ** 2 + 2 * (n + 2) * eps * fro2)[:, None]
+    return _factors(sq)
+
+
+def _factors(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack ``a`` has a finite Cholesky
+    factor.  numpy's stacked ``cholesky`` raises when any matrix is not
+    positive definite, and factors each matrix on its own, so a stack that
+    raises is factored again in halves."""
     try:
-        factor = np.linalg.cholesky(sq)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(a) // 2
+        return np.concatenate([_factors(a[:half]), _factors(a[half:])])
+    return np.isfinite(factor).all(axis=(-2, -1))
 
 
-def spectra_unless_clear(h: np.ndarray, E: float, w: float) -> np.ndarray | None:
-    """None when ``window_clear`` certifies that no box of the stack ``h``
-    (``(nbox, n, n)``) has an eigenvalue within ``w`` of ``E``, else the
-    boxes' ascending spectra ``(nbox, n)`` from one stacked ``eigvalsh``.
-    Every gap ``eigvalsh`` would report for a certified stack is at least
-    ``w``."""
-    return None if window_clear(h, E, w) else np.linalg.eigvalsh(h)
+def spectra_unless_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
+                         w: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``window_clear``'s verdicts on the stack ``h`` (``(nbox, n, n)`` or
+    a ``BoxStack``) and the ascending spectra ``(nleft, n)`` of the boxes
+    it does not certify, in order, from one stacked ``eigvalsh`` per
+    piece.  Every gap ``eigvalsh`` would report for a certified box is at
+    least its ``w``."""
+    clear = window_clear(h, E, w)
+    spectra = [np.linalg.eigvalsh(sub) for _, sub in _pieces(h, np.flatnonzero(~clear))]
+    return clear, (np.concatenate(spectra) if spectra else np.empty((0, h.shape[-1])))
 
 
-def guard_width(h: np.ndarray, E: float) -> float:
-    """A window width above the solver guard of every box of the stack
-    ``h`` at ``E``: ``2 * RESONANCE_GUARD * max(1, |E|, max_i |H_i|_F)``.
-    The Frobenius norm bounds the spectral edge that ``within_guard``
-    reads, so a box whose ``eigvalsh`` gap is at least this width is
-    outside its guard."""
-    return 2 * RESONANCE_GUARD * max(1.0, abs(E), float(np.linalg.norm(h, axis=(1, 2)).max()))
+def guard_width(h: np.ndarray | BoxStack, E: float | np.ndarray) -> np.ndarray:
+    """A window width above the solver guard of each box of the stack
+    ``h`` at ``E``: ``2 * RESONANCE_GUARD * max(1, |E|, |H_i|_F)``, one per
+    box.  The Frobenius norm bounds the spectral edge that
+    ``within_guard`` reads, so a box whose ``eigvalsh`` gap is at least
+    its width is outside its guard."""
+    norm = h.frobenius() if isinstance(h, BoxStack) else np.linalg.norm(h, axis=(1, 2))
+    return 2 * RESONANCE_GUARD * np.maximum(np.maximum(1.0, np.abs(E)), norm)
 
 
 def spectral_gap(op: FiniteOperator, E: float) -> float:
@@ -161,52 +212,59 @@ def spectral_gap(op: FiniteOperator, E: float) -> float:
 
 
 def _solve(
-    h: np.ndarray,
+    h: np.ndarray | BoxStack,
     eigenvalues: np.ndarray | None,
     E: float | np.ndarray,
     rhs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve ``(H_i - E_i) x_i = b_i`` for a stack of symmetric operators
-    ``h`` (``(nbox, n, n)``) at energies ``E`` (one for all boxes or one per
-    box) with right-hand sides ``rhs`` (``(nbox, n, 1)``).
+    ``h`` (``(nbox, n, n)``, or a ``BoxStack`` solved piece by piece) at
+    energies ``E`` (one for all boxes or one per box) with right-hand
+    sides ``rhs`` (``(nbox, n, 1)``).
 
     ``eigenvalues`` are the boxes' ascending spectra ``(nbox, n)``, and
     the boxes whose energy is ``within_guard`` of their spectrum are
     skipped; None says the stack is certified clear of the guard
-    (``spectra_unless_clear``) and every box is solved.  Returns the
-    positions of the solved boxes, their solutions ``(nsolved, n, 1)`` and
-    residual norms ``|(H - E) x - b|``.  Raises ``NumericError`` when a
-    residual exceeds ``SPECTRAL_RTOL * max(1, |H - E| |x|)``, where
-    ``|H - E|`` is the largest column norm of ``H - E``: it is never
-    larger than the spectral norm, so the check is no looser than one
-    against the spectral edge, and it needs no spectrum.
+    (``window_clear``) and every box is solved.  Returns the positions of
+    the solved boxes, their solutions ``(nsolved, n, 1)`` and residual
+    norms ``|(H - E) x - b|``.  Raises ``NumericError`` when a residual
+    exceeds ``SPECTRAL_RTOL * max(1, |H - E| |x|)``, where ``|H - E|`` is
+    the largest column norm of ``H - E``: it is never larger than the
+    spectral norm, so the check is no looser than one against the
+    spectral edge, and it needs no spectrum.
 
-    When every box is solved, ``h`` and ``rhs`` are read in place; the one
-    stack copy is ``H - E``, formed by shifting the diagonal of a copy.
+    When every box of an array stack is solved, ``h`` and ``rhs`` are read
+    in place; the one stack copy per piece is ``H - E``, formed by
+    shifting the diagonal of a copy.
     """
-    nbox, n = h.shape[:2]
+    nbox, n = len(h), h.shape[-1]
     E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
     solved = np.arange(nbox)
     if eigenvalues is not None:
         edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
         gap = np.abs(eigenvalues - E[:, None]).min(axis=1)
         solved = np.flatnonzero(~within_guard(gap, E, edge))
-        if len(solved) < nbox:
-            h, E, rhs = h[solved], E[solved], rhs[solved]
     idx = np.arange(n)
-    shifted = h.copy()
-    shifted[:, idx, idx] -= E[:, None]
-    x = np.linalg.solve(shifted, rhs)
-    r = h @ x - E[:, None, None] * x - rhs
-    # one dot product per box, as np.linalg.norm of a vector takes it; a
-    # norm over stacked axes sums in another order
-    residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
-    size = np.sqrt(np.swapaxes(x, 1, 2) @ x)[:, 0, 0]
-    bound = SPECTRAL_RTOL * np.maximum(1.0, _column_norm(shifted) * size)
-    if np.any(residual > bound):
-        raise NumericError(
-            f"Green's function solve residual {residual.max():.3e} exceeds tolerance")
-    return solved, x, residual
+    xs, residuals = [np.empty((0, n, 1))], [np.empty(0)]
+    for rows, sub in _pieces(h, solved):
+        e, b = E[rows], rhs[rows]
+        shifted = sub.copy()
+        shifted[:, idx, idx] -= e[:, None]
+        x = np.linalg.solve(shifted, b)
+        r = sub @ x - e[:, None, None] * x - b
+        # one dot product per box, as np.linalg.norm of a vector takes it; a
+        # norm over stacked axes sums in another order
+        residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
+        size = np.sqrt(np.swapaxes(x, 1, 2) @ x)[:, 0, 0]
+        bound = SPECTRAL_RTOL * np.maximum(1.0, _column_norm(shifted) * size)
+        if np.any(residual > bound):
+            raise NumericError(
+                f"Green's function solve residual {residual.max():.3e} exceeds tolerance")
+        xs.append(x)
+        residuals.append(residual)
+    if len(xs) == 2:
+        return solved, xs[1], residuals[1]
+    return solved, np.concatenate(xs), np.concatenate(residuals)
 
 
 def _column_norm(a: np.ndarray) -> np.ndarray:
@@ -241,16 +299,17 @@ def green_column(
 
 
 def boundary_green_maxima(
-    h: np.ndarray,
+    h: np.ndarray | BoxStack,
     eigenvalues: np.ndarray | None,
     center_index: int,
     boundary_indices: np.ndarray,
-    E: float,
+    E: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max |G(E; center, y)| over the interior boundary of every box of a
-    stack of same-layout operators ``h`` (``(nbox, n, n)``, with their
-    ascending spectra ``(nbox, n)``, or None for a stack certified clear
-    of the guard as ``_solve`` takes it), and the position of the
+    stack of same-layout operators ``h`` (``(nbox, n, n)`` or a
+    ``BoxStack``, with their ascending spectra ``(nbox, n)``, or None for
+    a stack certified clear of the guard as ``_solve`` takes it) at ``E``
+    (one energy for all boxes or one per box), and the position of the
     attaining point in ``boundary_indices``.
 
     A box within the solver guard of E gets ``inf`` at position -1; the

@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anderson2p
@@ -49,6 +50,12 @@ def box_with_sample(center, radius, seed=0, trial=0, dist=None):
     dist = dist or DistributionSpec.uniform()
     sample = sample_potential(dist, seed, trial, domain_for_boxes([box]))
     return box, sample
+
+
+def certify_nothing(h, E, w):
+    """A stand-in for ``resolvent.window_clear`` that certifies no box, so
+    every window question goes to ``eigvalsh``."""
+    return np.zeros(len(h), dtype=bool)
 
 
 def duplicated_eigenpair(eigh):

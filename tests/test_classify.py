@@ -24,15 +24,15 @@ from anderson2p.classify import (
     resonance_windows,
     singular_at_spectral,
     singular_mask_at,
-    window_clear,
 )
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InvalidInputError, NumericError
 from anderson2p.geometry import Box1, Box2, Point1, Point2
 from anderson2p.msa import desk_schedule, schedule
 from anderson2p.operators import assemble_two_particle, box_family, pole_residues
+from anderson2p.resolvent import window_clear
 
-from .conftest import box_with_sample
+from .conftest import box_with_sample, certify_nothing
 from .oracles import (
     cnr_by_subbox,
     cnr_probe_spectra,
@@ -477,8 +477,8 @@ def _counting_cholesky(monkeypatch):
 
 
 class TestWindowClear:
-    """``window_clear`` certifies "no eigenvalue within w of E" from
-    Gershgorin discs and, for the boxes they leave, a Cholesky
+    """``window_clear`` certifies "no eigenvalue within w of E", box by
+    box, from Gershgorin discs and, for the boxes they leave, a Cholesky
     factorization; a certified box must never have an ``eigvalsh`` gap
     below w, and nothing non-finite is ever certified."""
 
@@ -493,7 +493,7 @@ class TestWindowClear:
         for target in planted + [None]:
             for _ in range(3):
                 h = _planted(rng, n, E, [] if target is None else [target])
-                clear = window_clear(h.copy(), E, w)
+                [clear] = window_clear(h[None].copy(), E, w)
                 gap = np.abs(np.linalg.eigvalsh(h) - E).min()
                 assert not (clear and gap < w), (target, gap)
                 verdicts.setdefault(target, set()).add(clear)
@@ -517,13 +517,15 @@ class TestWindowClear:
                 h = np.array([stack[i] for i in rng.permutation(3)])
                 sizes.clear()
                 clear = window_clear(h.copy(), E, w)
-                gap = np.abs(np.linalg.eigvalsh(h) - E).min()
-                assert gap == pytest.approx(w * factor, rel=1e-12)
-                assert not (clear and gap < w)
+                gaps = np.abs(np.linalg.eigvalsh(h) - E).min(axis=1)
+                assert gaps.min() == pytest.approx(w * factor, rel=1e-12)
+                assert not (clear & (gaps < w)).any()
+                # the boxes at 1 + w from E are certified by their discs
+                assert clear[gaps > 1.0].all()
                 if factor < 1:
-                    assert not clear and sizes == [1]
+                    assert not clear[gaps < 1.0].any() and sizes == [1]
                 elif w > 1e-3:
-                    assert clear and sizes == []
+                    assert clear.all() and sizes == []
 
     def test_disc_certified_stack_makes_no_cholesky_call(self, monkeypatch):
         sample = sample_potential(DistributionSpec.uniform(), 3, 0,
@@ -539,7 +541,7 @@ class TestWindowClear:
         monkeypatch.setattr(np.linalg, "cholesky", broken)
         for h in stacks:
             # every diagonal is at least 0 and every row has at most 8 hops
-            assert window_clear(h, -10.0, math.exp(-2.0))
+            assert window_clear(h, -10.0, math.exp(-2.0)).all()
 
     def test_mixed_stack(self, monkeypatch):
         # boxes certified by their discs, one certified by Cholesky (a dense
@@ -550,19 +552,24 @@ class TestWindowClear:
         dense = _planted(rng, 49, E, [])
         resonant = _planted(rng, 49, E, [E + 0.5 * w])
         sizes = _counting_cholesky(monkeypatch)
-        assert not window_clear(np.array(discs[:2] + [dense, resonant] + discs[2:]), E, w)
-        assert sizes == [2]
-        assert window_clear(np.array(discs[:2] + [dense] + discs[2:]), E, w)
-        assert sizes == [2, 1]
-        assert not window_clear(np.array(discs[:2] + [resonant]), E, w)
+        clear = window_clear(np.array(discs[:2] + [dense, resonant] + discs[2:]), E, w)
+        assert clear.tolist() == [True, True, True, False, True]
+        # the stack of the two boxes the discs leave does not factor, so
+        # its halves are factored on their own
+        assert sizes == [2, 1, 1]
+        assert window_clear(np.array(discs[:2] + [dense] + discs[2:]), E, w).all()
+        assert sizes == [2, 1, 1, 1]
+        assert window_clear(np.array(discs[:2] + [resonant]), E, w).tolist() == [
+            True, True, False]
 
-    def test_stack_is_clear_only_when_every_box_is(self):
+    def test_each_box_has_its_own_verdict(self):
         rng = np.random.default_rng(5)
         E, w = 0.7, math.exp(-2.0)
         far = [_planted(rng, 49, E, []) for _ in range(4)]
         near = _planted(rng, 49, E, [E + 0.5 * w])
-        assert window_clear(np.array(far), E, w)
-        assert not window_clear(np.array(far[:2] + [near] + far[2:]), E, w)
+        assert window_clear(np.array(far), E, w).all()
+        assert window_clear(np.array(far[:2] + [near] + far[2:]), E, w).tolist() == [
+            True, True, False, True, True]
 
     @staticmethod
     def _stack(kind):
@@ -606,8 +613,8 @@ class TestWindowClear:
                       + w * data.draw(st.floats(-2.0, 2.0)))
         else:
             E = data.draw(st.floats(float(ev.min()) - 5.0, float(ev.max()) + 5.0))
-        if window_clear(h.copy(), E, w):
-            assert np.abs(ev - E).min() >= w
+        clear = window_clear(h.copy(), E, w)
+        assert (np.abs(ev[clear] - E).min(axis=1, initial=np.inf) >= w).all()
 
 
 class TestCnrWindowFallback:
@@ -668,7 +675,7 @@ class TestCnrWindowFallback:
             return factor
 
         if failure == "window_clear":
-            monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
+            monkeypatch.setattr("anderson2p.resolvent.window_clear", certify_nothing)
         else:
             monkeypatch.setattr(np.linalg, "cholesky", uncertified)
         stacks.clear()

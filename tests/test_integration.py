@@ -32,7 +32,7 @@ from anderson2p.experiment import wilson_interval
 from anderson2p.geometry import Box2
 from anderson2p.msa import desk_schedule
 
-from .conftest import cli_env
+from .conftest import certify_nothing, cli_env
 
 
 class TestWilsonVsScipy:
@@ -195,9 +195,13 @@ class TestOneLapackLibrary:
             ("resolvent", "spectra_unless_clear")}
 
     def test_one_cholesky_factorization(self):
-        # numpy.linalg.cholesky is named only in resolvent.window_clear, so
-        # every positive-definiteness certificate carries its rounding bound
-        assert self._functions_naming("cholesky") == {("resolvent", "window_clear")}
+        # numpy.linalg.cholesky is named only in resolvent._factors, which
+        # only window_clear's Cholesky stage calls, so every
+        # positive-definiteness certificate carries its rounding bound
+        assert self._functions_naming("cholesky") == {("resolvent", "_factors")}
+        assert self._functions_naming("_factors") == {("resolvent", "_cholesky_clear"),
+                                                       ("resolvent", "_factors")}
+        assert self._functions_naming("_cholesky_clear") == {("resolvent", "window_clear")}
 
     def test_no_scipy_import_at_module_load(self):
         # scipy costs about 1 s per CLI start; only function bodies (the
@@ -424,9 +428,9 @@ class TestWorkerPool:
     def test_inductive_records_do_not_depend_on_worker_count(
             self, tmp_path, monkeypatch, adjacency, parent):
         """Desk inductive-step seeds on one worker and on two.  An
-        uncertified parent (``window_clear`` patched to return False) is
-        diagonalized, as is every sub-box stack, so the ``eigvalsh``
-        fallback runs on both threads."""
+        uncertified parent (``window_clear`` patched to certify no box) is
+        diagonalized, as is every sub-box, so the ``eigvalsh`` fallback
+        runs on both threads."""
         calls = []
         if parent == "uncertified":
             eigvalsh = np.linalg.eigvalsh
@@ -436,20 +440,20 @@ class TestWorkerPool:
                 return eigvalsh(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-            for module in ("msa", "resolvent"):
-                monkeypatch.setattr(f"anderson2p.{module}.window_clear", lambda *a: False)
+            monkeypatch.setattr("anderson2p.resolvent.window_clear", certify_nothing)
         argv = ["msa-verify", "--check", "inductive-step", "--seeds", "8",
                 "--set", f"adjacency={adjacency}", "--set", "seed=2"]
         runs = []
-        for cpus in (1, 2):
+        # batches of 8, 4 + 4 and 3 + 3 + 2 seeds
+        for cpus in (1, 2, 3):
             _set_cpus(monkeypatch, cpus)
             calls.clear()
             code, records, manifest = self._run(argv, tmp_path / str(cpus))
             assert code == 0 and manifest["workers"] == cpus
             runs.append(records)
-        assert runs[0] == runs[1]
-        if parent == "uncertified":
-            assert len(set(calls)) == 2
+            if parent == "uncertified":
+                assert len(set(calls)) == cpus
+        assert runs[0] == runs[1] == runs[2]
 
     #: the message of a real placement failure, which names no trial
     _PLACEMENT = "could not place a non-interactive box in the region"
@@ -486,17 +490,19 @@ class TestWorkerPool:
             "message": self._PLACEMENT, "trial": 3}
 
     @pytest.mark.parametrize("check,step", [("nt-to-ns", "nt_to_ns_check"),
-                                            ("inductive-step", "inductive_ns_step")])
+                                            ("inductive-step", "inductive_ns_steps")])
     def test_error_of_lowest_failing_seed(self, tmp_path, monkeypatch, capsys, check, step):
         """Seeds 3 and 5 fail on the worker threads, seed 3 after seed 5;
-        the record names seed 3."""
+        the record names seed 3.  ``inductive-step`` decides its seeds in
+        batches, and a failing batch is decided again seed by seed."""
         from anderson2p import cli
 
         def failing(*args, **kwargs):
-            sample = next(a for a in args if hasattr(a, "trial"))
-            if sample.trial == 3:
+            samples = next(a for a in args if hasattr(a, "trial") or isinstance(a, list))
+            trials = [s.trial for s in (samples if isinstance(samples, list) else [samples])]
+            if 3 in trials:
                 time.sleep(0.3)
-            if sample.trial in (3, 5):
+            if {3, 5} & set(trials):
                 raise PlacementError(self._PLACEMENT)
             return original(*args, **kwargs)
 
@@ -521,6 +527,38 @@ class TestWorkerPool:
             assert blas.workers() == 2
             assert blas.ordered_map(square, range(40)) == [i * i for i in range(40)]
         assert len(callers) == 2 and threading.get_ident() in callers
+
+    def test_batched_map_hands_each_worker_one_contiguous_batch(self, monkeypatch):
+        _set_cpus(monkeypatch, 3)
+        batches = []
+
+        def negate(batch):
+            batches.append(list(batch))
+            return [-x for x in batch]
+
+        with blas.one_thread():
+            assert blas.batched_map(negate, range(8)) == [-x for x in range(8)]
+        assert sorted(batches) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_batch_is_decided_item_by_item(self, monkeypatch, cpus):
+        """A batch that fails only as a batch gives every item's result; an
+        item that fails alone leaves with its index in the items."""
+        _set_cpus(monkeypatch, cpus)
+
+        def fussy(batch):
+            if len(batch) > 1 and 5 in batch:
+                raise MemoryError("a batch too large")
+            if list(batch) in ([4], [6]):
+                raise PlacementError(str(batch[0]))
+            return [x * x for x in batch]
+
+        with blas.one_thread():
+            assert blas.batched_map(fussy, range(4)) == [0, 1, 4, 9]
+            assert blas.batched_map(fussy, [5, 7, 8, 9]) == [25, 49, 64, 81]
+            with pytest.raises(PlacementError) as failure:
+                blas.batched_map(fussy, range(12))
+        assert failure.value.item_index == 4 and str(failure.value) == "4"
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
         """Eight workers on a one-microsecond switch interval: every item
@@ -600,13 +638,14 @@ class TestWorkerPool:
 
 
     @staticmethod
-    def _second_chunk_faults(name: str, tmp_path) -> int:
+    def _second_chunk_faults(name: str, tmp_path, cpus: int = 2) -> int:
         """Minor page faults of the second of two runs of the benchmark
-        workload ``name``'s first chunk in one process, on two workers."""
+        workload ``name``'s first chunk in one process, on ``cpus``
+        workers."""
         argv = _load_perfbench("workloads").WORKLOADS[name].argv(0)
         script = textwrap.dedent(f"""
             import contextlib, io, os, resource
-            os.sched_getaffinity = lambda pid: {{0, 1}}
+            os.sched_getaffinity = lambda pid: set(range({cpus}))
             from anderson2p import cli
             argv = {[*argv, "--out", str(tmp_path)]!r}
             with contextlib.redirect_stdout(io.StringIO()):
@@ -634,10 +673,12 @@ class TestWorkerPool:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor-fault counts of glibc's malloc")
-    def test_inductive_workers_fault_in_no_fresh_pages(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_inductive_workers_fault_in_no_fresh_pages(self, tmp_path, cpus):
         """The same for an ``inductive`` chunk, whose seeds fault in about
-        450 fresh pages each under glibc's default thresholds."""
-        faults = self._second_chunk_faults("inductive", tmp_path)
+        450 fresh pages each under glibc's default thresholds, on two
+        workers and on one: the plain loop keeps freed memory too."""
+        faults = self._second_chunk_faults("inductive", tmp_path, cpus)
         assert faults < 20 * _load_perfbench("workloads").INDUCTIVE_SEEDS
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from anderson2p import resolvent
+from anderson2p import cli, operators, resolvent
+from anderson2p.classify import cnr_subbox_layout, cnr_sweep, cnr_sweeps
 from anderson2p.config import ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InfeasibleScheduleError, InvalidInputError, NumericError
@@ -14,17 +15,19 @@ from anderson2p.msa import (
     count_singular_subboxes,
     desk_schedule,
     inductive_ns_step,
+    inductive_ns_steps,
     mass_step_value,
     max_separated_subset,
     asymptotic_schedule,
     packing_ceiling,
     schedule,
+    singular_subbox_counts,
     subbox_spectra,
     validate_parameters,
 )
 from anderson2p.operators import assemble_two_particle, box_family
 
-from .conftest import duplicated_eigenpair, random_point2
+from .conftest import certify_nothing, duplicated_eigenpair, random_point2
 from .oracles import (
     check_passed,
     counter_report_by_spectra,
@@ -418,7 +421,7 @@ class TestCertifiedCounterGuard:
         sched = desk_schedule(g=g)
         want, certified_calls = self._counted_reports(monkeypatch, sched, adjacency)
         if failure == "window_clear":
-            monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
+            monkeypatch.setattr("anderson2p.resolvent.window_clear", certify_nothing)
         else:
             def fail(a):
                 raise np.linalg.LinAlgError("not positive definite")
@@ -448,23 +451,23 @@ class TestCertifiedParent:
     parent's resonance width: an instance whose every window question is
     certified makes no ``eigvalsh`` call, a resonant parent is
     diagonalized, and either way the report is the one of a step that
-    always diagonalizes the parent."""
+    always diagonalizes the parent and every sub-box."""
 
     @staticmethod
     def _diagonalizing(monkeypatch, instances):
         with monkeypatch.context() as m:
-            m.setattr("anderson2p.msa.window_clear", lambda *a: False)
+            m.setattr("anderson2p.resolvent.window_clear", certify_nothing)
             return [inductive_ns_step(*args) for args in instances]
 
     @staticmethod
     def _counting(monkeypatch):
-        """Record every ``eigvalsh`` call's matrix size and every
-        ``window_clear`` verdict."""
+        """Record every ``eigvalsh`` call's stack shape and every
+        ``window_clear`` call's verdicts."""
         calls, verdicts = [], []
         eigvalsh, window_clear = np.linalg.eigvalsh, resolvent.window_clear
 
         def counted_eigvalsh(a, *args, **kwargs):
-            calls.append(a.shape[-1])
+            calls.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
         def counted_window_clear(*args):
@@ -472,8 +475,7 @@ class TestCertifiedParent:
             return verdicts[-1]
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        for module in ("msa", "resolvent"):
-            monkeypatch.setattr(f"anderson2p.{module}.window_clear", counted_window_clear)
+        monkeypatch.setattr("anderson2p.resolvent.window_clear", counted_window_clear)
         return calls, verdicts
 
     @pytest.mark.parametrize("adjacency", ["l1", "sup"])
@@ -486,9 +488,11 @@ class TestCertifiedParent:
             calls.clear()
             verdicts.clear()
             assert inductive_ns_step(*args) == expected
-            # one eigvalsh per uncertified stack, none for a certified one
-            assert len(calls) == verdicts.count(False)
-            certified += all(verdicts)
+            # one eigvalsh per stack with an uncertified box, over those
+            # boxes only, and none for a certified stack
+            assert [shape[0] for shape in calls] == [
+                int((~v).sum()) for v in verdicts if not v.all()]
+            certified += all(v.all() for v in verdicts)
         assert certified >= 12
         assert sum(rep.ns_ok is not None for rep in want) >= 12
 
@@ -506,7 +510,170 @@ class TestCertifiedParent:
             verdicts.clear()
             rep = inductive_ns_step(*args)
             assert rep == expected and not rep.cnr_ok and rep.skipped
-            assert verdicts[0] is False and calls.count(parent.n) == 1
+            # the parent's is the one-box window question; the counter's
+            # sub-box stack is asked first
+            assert [v.tolist() for v in verdicts if len(v) == 1] == [[False]]
+            assert [shape for shape in calls if shape[-1] == parent.n] == [(1, parent.n, parent.n)]
+
+
+def _batch(sched, k, adjacency, seeds):
+    """Samples and energies of one ``inductive_ns_steps`` batch at the
+    origin, cycling through four kinds of energy: random over the
+    spectrum, at a parent eigenvalue (a resonant parent), at an eigenvalue
+    of the first CNR sub-box (a resonant sub-box under a parent that need
+    not be resonant), and random in [-1, 1] (mostly certified parents
+    whose hypotheses hold)."""
+    center = Point2.of((0,), (0,))
+    parent = Box2(center, sched.L[k + 1])
+    radius, max_off = cnr_subbox_layout(k, sched)[0]
+    rng = np.random.default_rng(k)
+    samples, energies = [], []
+    for i, seed in enumerate(seeds):
+        sample = sample_potential(DistributionSpec.uniform(), seed, 0,
+                                  domain_for_boxes([parent]))
+        if i % 4 == 0:
+            E = rng.uniform(-1.0, 2 * sched.g + 1.0)
+        elif i % 4 == 1:
+            ev = assemble_two_particle(parent, sample, _interaction(), sched.g,
+                                       adjacency).eigenvalues()
+            E = ev[len(ev) // (3 + i % 3)]
+        elif i % 4 == 2:
+            sub = Box2(center, max_off).points()[[i % (2 * max_off + 1)]]
+            E = np.linalg.eigvalsh(box_family(sub, radius, sample, _interaction(), sched.g,
+                                              adjacency))[0, 2]
+        else:
+            E = rng.uniform(-1.0, 1.0)
+        samples.append(sample)
+        energies.append(float(E))
+    return center, samples, energies
+
+
+class TestBatchedInductiveStep:
+    """``inductive_ns_steps`` decides a batch of samples stage by stage;
+    every report equals that of the sample decided alone, field for
+    field, with the window test working or certifying nothing."""
+
+    @pytest.mark.parametrize("window", ["certified", "uncertified"])
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("k,g,seeds", [(0, 5.0, range(40, 52)), (0, 30.0, range(60, 72)),
+                                           (1, 30.0, range(80, 84))],
+                             ids=["k0-g5", "k0-g30", "k1-g30"])
+    def test_batch_equals_one_call_per_sample(self, monkeypatch, k, g, seeds, adjacency,
+                                              window):
+        sched = desk_schedule(g=g)
+        center, samples, energies = _batch(sched, k, adjacency, seeds)
+        inter = _interaction()
+        if window == "uncertified":
+            want = [inductive_ns_step(center, k, sched, s, inter, g, E, adjacency)
+                    for s, E in zip(samples, energies)]
+            monkeypatch.setattr("anderson2p.resolvent.window_clear", certify_nothing)
+        reports = inductive_ns_steps(center, k, sched, samples, energies, inter, g, adjacency)
+        alone = [inductive_ns_step(center, k, sched, s, inter, g, E, adjacency)
+                 for s, E in zip(samples, energies)]
+        assert [dataclasses.asdict(r) for r in reports] == [dataclasses.asdict(r) for r in alone]
+        if window == "uncertified":
+            assert reports == want  # the spectral path gives the certified reports
+        counters = singular_subbox_counts(center, k, sched, samples, energies, inter, g,
+                                          adjacency)
+        assert counters == [count_singular_subboxes(center, k, sched, s, inter, g, E,
+                                                    adjacency)
+                            for s, E in zip(samples, energies)]
+        # verified instances, failed hypotheses, and both kinds of failure
+        assert any(r.ns_ok is not None for r in reports)
+        assert any(r.skipped for r in reports)
+        gaps = [None if i % 4 == 3 else float(np.abs(
+            assemble_two_particle(Box2(center, sched.L[k + 1]), s, inter, g,
+                                  adjacency).eigenvalues() - E).min())
+            for i, (s, E) in enumerate(zip(samples, energies))]
+        sweeps = cnr_sweeps(center, k, sched, samples, energies, inter, g, adjacency, gaps)
+        assert sweeps == [cnr_sweep(center, k, sched, s, inter, g, E, adjacency, gap)
+                          for s, E, gap in zip(samples, energies, gaps)]
+        radii = {r.failed_radius for r in sweeps}
+        assert {None, sched.L[k + 1], cnr_subbox_layout(k, sched)[0][0]} <= radii
+        if k == 0:
+            assert any(c.singular_ni or c.singular_i for c in counters)
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_sampled_cnr_batch_equals_one_call_per_sample(self, adjacency):
+        sched = desk_schedule(g=5.0)
+        center, samples, energies = _batch(sched, 0, adjacency, range(20, 32))
+        inter = _interaction()
+        kw = dict(exhaustive_limit=1, sample_budget=20)
+        gaps = [None] * len(samples)
+        sweeps = cnr_sweeps(center, 0, sched, samples, energies, inter, 5.0, adjacency,
+                            gaps, **kw)
+        assert sweeps == [cnr_sweep(center, 0, sched, s, inter, 5.0, E, adjacency, None, **kw)
+                          for s, E in zip(samples, energies)]
+        assert not any(r.exhaustive for r in sweeps)
+        assert {r.ok for r in sweeps} == {False, True}
+
+    def test_pieces_do_not_reach_the_reports(self, monkeypatch):
+        """One box per piece, or the whole batch in one: the same reports."""
+        sched = desk_schedule(g=5.0)
+        center, samples, energies = _batch(sched, 0, "sup", range(40, 52))
+        args = (center, 0, sched, samples, energies, _interaction(), 5.0, "sup")
+        want = inductive_ns_steps(*args)
+        for budget in (1, 1 << 30):
+            monkeypatch.setattr(operators, "STACK_BYTES", budget)
+            assert inductive_ns_steps(*args) == want
+
+
+class TestBatchedLapackCalls:
+    """``msa-verify --check inductive-step`` on one worker decides its 16
+    seeds as one batch: its stacked ``solve`` and ``cholesky`` calls are
+    one per byte-budget piece of a stage, not one per seed."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path):
+        """The records of a 16-seed desk run on one worker, and the matrix
+        count of every ``solve`` and ``cholesky`` call with whether it
+        raised."""
+        calls = {"solve": [], "cholesky": []}
+        wrapped = {name: getattr(np.linalg, name) for name in calls}
+
+        def counting(name):
+            def counted(a, *args, **kwargs):
+                calls[name].append([a.shape[0], True])
+                out = wrapped[name](a, *args, **kwargs)
+                calls[name][-1][1] = False
+                return out
+            return counted
+
+        with monkeypatch.context() as m:
+            m.setattr("os.sched_getaffinity", lambda pid: {0})
+            for name in calls:
+                m.setattr(np.linalg, name, counting(name))
+            assert cli.main(["msa-verify", "--check", "inductive-step", "--seeds", "16",
+                             "--out", str(tmp_path)]) == 0
+        records = next(tmp_path.rglob("records.jsonl")).read_bytes()
+        return records, calls
+
+    @staticmethod
+    def _first_calls(cholesky):
+        """Cholesky calls that are not one of the two halves of a stack
+        that raised (``resolvent._factors``)."""
+        return len(cholesky) - 2 * sum(raised and size > 1 for size, raised in cholesky)
+
+    def test_calls_are_per_piece(self, monkeypatch, tmp_path):
+        sched = desk_schedule()
+        records, calls = self._run(monkeypatch, tmp_path / "budget")
+        # the pieces' sizes: parents, the CNR radius's sub-boxes and the
+        # counter's, of n = 169, 81 and 49 sites at the desk's scale 0
+        n = {"parent": (2 * sched.L[1] + 1) ** 2, "counter": (2 * sched.L[0] + 1) ** 2}
+        per_piece = {name: operators.STACK_BYTES // (8 * m * m) for name, m in n.items()}
+        # solves: the counter's 16 x 28 boxes and at most 16 parents, in
+        # pieces, apart from the boxes the window test leaves to spectra
+        bound = -(-16 * 28 // per_piece["counter"]) + -(-16 // per_piece["parent"]) + 2
+        assert len(calls["solve"]) <= bound < 2 * 16
+        assert all(size <= max(per_piece.values()) for size, _ in calls["solve"])
+        # with the whole batch in one piece: one solve per stage and kind of
+        # guard, one Cholesky stack per window question, and the same records
+        monkeypatch.setattr(operators, "STACK_BYTES", 1 << 30)
+        whole, calls = self._run(monkeypatch, tmp_path / "whole")
+        assert whole == records
+        assert len(calls["solve"]) <= 4
+        assert self._first_calls(calls["cholesky"]) <= 3
+        assert max(size for size, _ in calls["solve"]) >= 16 * 28 // 2
 
 
 class TestCounters:

@@ -79,8 +79,18 @@ def _collect_names(tree: ast.AST, own: set[str], names: set[str],
             attributes.add(node.attr)
 
 
+#: the one-sample cases of the batched steps, which no package code calls
+#: since ``msa-verify --check inductive-step`` decides its seeds in batches;
+#: ``perfbench/spans.py`` traces both, and the tests compare every batch
+#: with them
+ONE_SAMPLE = {
+    ("msa", "count_singular_subboxes"),
+    ("msa", "inductive_ns_step"),
+}
+
+
 def test_every_definition_is_reached_by_the_package():
-    assert _unreferenced() == TRACED_ONLY
+    assert _unreferenced() == TRACED_ONLY | ONE_SAMPLE
 
 
 #: the classes allowed a ``to_record`` of their own

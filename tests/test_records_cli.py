@@ -377,6 +377,43 @@ class TestCli:
                        "message": f"{option} must be a finite number, got {float(value)}"}
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.0"])
+    @pytest.mark.parametrize("argv,option", [
+        (["classify", "--energy", "0.1"], "--mass"),
+        (["classify", "--energy", "0.1", "--k", "0"], "--mass"),
+    ], ids=["classify-mass", "classify-k-mass"])
+    def test_non_positive_mass_exit_2(self, tmp_path, capsys, argv, option, value):
+        # exp(-m L) >= 1 would make every box non-singular
+        assert cli.main(argv + [f"{option}={value}", "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"kind": "error", "error": "InvalidInputError",
+                       "message": f"{option} must be positive, got {float(value)}"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--energy", "0.1", "--nt-mass=-1"],
+        ["msa-verify", "--check", "nt-to-ns", "--seeds", "1", "--nt-mass=-0.5"],
+    ], ids=["classify", "nt-to-ns"])
+    def test_negative_nt_mass_exit_2(self, tmp_path, capsys, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        value = float(argv[-1].split("=")[1])
+        assert err == {"kind": "error", "error": "InvalidInputError",
+                       "message": f"--nt-mass must not be negative, got {value}"}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    @pytest.mark.parametrize("check", ["inductive-step", "nt-to-ns", "boundary-recovery"])
+    def test_msa_verify_rejects_seeds_below_one(self, tmp_path, capsys, check, seeds):
+        # range(seeds) is empty: the run used to exit 0 with no records
+        argv = ["msa-verify", "--check", check, f"--seeds={seeds}",
+                "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"kind": "error", "error": "InvalidInputError",
+                       "message": f"--seeds must be at least 1, got {seeds}"}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sample", "--radius", "1", "--center", "1,2;3,4"],
         ["spectrum", "--radius", "1", "--center", "1,2;3,4"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ from anderson2p.config import ExperimentConfig
 from anderson2p.errors import NumericError, PreconditionError, ResonantEnergyError
 from anderson2p.geometry import Box2, Point2, exterior_boundary
 from anderson2p.kernels import pairwise_dist
+from anderson2p import operators
 from anderson2p.operators import (
     assemble_two_particle,
     box_family,
     diagonalize,
+    family_stack,
     single_particle_factors,
 )
 from anderson2p.operators import SPECTRAL_RTOL
@@ -26,10 +30,11 @@ from anderson2p.resolvent import (
     guard_width,
     spectra_unless_clear,
     spectral_gap,
+    window_clear,
     within_guard,
 )
 
-from .conftest import box_with_sample
+from .conftest import box_with_sample, certify_nothing
 from .oracles import (
     dense_inverse_green,
     green_column_one_box,
@@ -314,8 +319,9 @@ class TestColumnNormBound:
 
 class TestCertifiedGuard:
     """``spectra_unless_clear`` at ``guard_width`` replaces the counter
-    step's stacked ``eigvalsh``: a certified stack has no box within its
-    solver guard, and an eigenvalue at the guard is never certified."""
+    step's stacked ``eigvalsh``: a certified box is not within its solver
+    guard, an eigenvalue at the guard is never certified, and only the
+    boxes left uncertified are diagonalized."""
 
     def test_planted_eigenvalue_at_the_guard_never_certified(self):
         rng = np.random.default_rng(23)
@@ -332,10 +338,10 @@ class TestCertifiedGuard:
             h = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
             h = 0.5 * (h + np.swapaxes(h, 1, 2))
             before = h.copy()
-            ev = spectra_unless_clear(h, E, guard_width(h, E))
-            assert ev is not None, trial
+            clear, ev = spectra_unless_clear(h, E, guard_width(h, E))
+            assert not clear[box], trial
             assert np.array_equal(h, before)
-            assert np.array_equal(ev, np.linalg.eigvalsh(h))
+            assert np.array_equal(ev, np.linalg.eigvalsh(h[~clear]))
 
     def test_certified_stack_is_outside_every_guard(self):
         rng = np.random.default_rng(29)
@@ -348,16 +354,78 @@ class TestCertifiedGuard:
             ev = np.linalg.eigvalsh(h)
             edge = np.maximum(np.abs(ev[:, 0]), np.abs(ev[:, -1]))
             assert within_guard(w, E, edge).sum() == 0
-            if spectra_unless_clear(h, E, w) is None:
-                certified += 1
-                gap = np.abs(ev - E).min(axis=1)
-                assert np.all(gap >= w) and not within_guard(gap, E, edge).any()
+            clear, _ = spectra_unless_clear(h, E, w)
+            certified += clear.all()
+            gap = np.abs(ev - E).min(axis=1)
+            assert np.all(gap[clear] >= w[clear])
+            assert not within_guard(gap, E, edge)[clear].any()
         assert certified > 90
 
     def test_uncertified_stack_gets_its_spectra(self, monkeypatch):
         h = _random_symmetric(np.random.default_rng(31), 5, 9)
-        monkeypatch.setattr("anderson2p.resolvent.window_clear", lambda *a: False)
-        assert np.array_equal(spectra_unless_clear(h, 0.3, 1e-9), np.linalg.eigvalsh(h))
+        monkeypatch.setattr("anderson2p.resolvent.window_clear", certify_nothing)
+        clear, ev = spectra_unless_clear(h, 0.3, 1e-9)
+        assert not clear.any() and np.array_equal(ev, np.linalg.eigvalsh(h))
+
+
+class TestWindowClearPerBox:
+    """Each box's ``window_clear`` verdict in a stack equals its verdict
+    alone, whatever the stack's order or pieces, and a ``BoxStack`` (discs
+    from its diagonals, no matrix built for them) gets the verdicts of its
+    built matrices."""
+
+    @staticmethod
+    def _stack(adjacency):
+        """Three samples' radius-4 boxes at the 25 centres of a radius-2
+        box, and one energy per box: at an eigenvalue of the box, just past
+        the window, or generic."""
+        centers = Box2.of_origin(1, 2).points()
+        samples = [sample_potential(DistributionSpec.uniform(), seed, 0,
+                                    domain_for_boxes([Box2.of_origin(1, 6)]))
+                   for seed in (3, 4, 5)]
+        stack = family_stack(centers, 4, samples, _interaction(), 5.0, adjacency)
+        ev = np.linalg.eigvalsh(stack.matrices())
+        w = math.exp(-2.0)
+        rng = np.random.default_rng(9)
+        pick = rng.integers(0, ev.shape[1], len(ev))
+        near = ev[np.arange(len(ev)), pick]
+        kind = np.arange(len(ev)) % 3
+        E = np.where(kind == 0, near, np.where(kind == 1, near + 1.5 * w,
+                                               rng.uniform(-1.0, 11.0, len(ev))))
+        return stack, E, w
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_verdicts_do_not_depend_on_the_stack(self, monkeypatch, adjacency):
+        stack, E, w = self._stack(adjacency)
+        h = stack.matrices()
+        verdicts = window_clear(stack, E, w)
+        assert window_clear(h, E, w).tolist() == verdicts.tolist()
+        alone = [bool(window_clear(h[i:i + 1], E[i], w)[0]) for i in range(len(h))]
+        assert alone == verdicts.tolist()
+        order = np.random.default_rng(1).permutation(len(h))
+        assert window_clear(h[order], E[order], w).tolist() == verdicts[order].tolist()
+        monkeypatch.setattr(operators, "STACK_BYTES", 3 * 8 * h.shape[-1] ** 2)
+        assert window_clear(stack, E, w).tolist() == verdicts.tolist()
+        gaps = np.abs(np.linalg.eigvalsh(h) - E[:, None]).min(axis=1)
+        assert (gaps[verdicts] >= w).all()
+        assert verdicts.any() and not verdicts.all()
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_cholesky_stage_reached_and_split(self, monkeypatch, adjacency):
+        """Some boxes reach the Cholesky stage, some of those are certified
+        there and some are not, so stacks that fail are split."""
+        stack, E, w = self._stack(adjacency)
+        sizes, cholesky = [], np.linalg.cholesky
+
+        def counted(a):
+            sizes.append(len(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        verdicts = window_clear(stack, E, w)
+        assert sizes and 1 in sizes and max(sizes) > 1
+        discs = np.abs(stack.diagonal - E[:, None]) - stack.row_sums()
+        assert (verdicts & (discs.min(axis=1) < w)).any()
 
 
 def _solve_by_identity(h, E, rhs):
