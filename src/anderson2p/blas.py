@@ -17,9 +17,10 @@ While the pin holds, ``ordered_map`` spreads independent work items (the
 trials of ``mc-estimate``, the seeds of ``msa-verify``'s ``nt-to-ns``
 check) over one worker thread per CPU the process may use, and returns
 their results in index order, so records do not depend on the worker
-count.  ``batched_map`` hands it one contiguous batch of items per worker
-instead, for a function that decides a list of items as it would decide
-each alone (the ``inductive-step`` seeds, ``msa.inductive_ns_steps``).
+count.  ``batched_map`` hands it contiguous batches of items instead (one
+per worker, at most ``BATCH_ITEMS`` items each), for a function that
+decides a list of items as it would decide each alone (the
+``inductive-step`` seeds, ``msa.inductive_ns_steps``).
 ``plain_map`` is the same loop on the calling thread, for loops whose
 items are Python around many tiny LAPACK calls (``boundary-recovery``),
 where two workers trading the GIL ran slower than one.
@@ -79,6 +80,10 @@ _pinned = False
 #: heap
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _TRIM_BYTES, _MMAP_BYTES = 32 << 20, 4 << 20
+
+#: most items one ``batched_map`` batch holds: a batch's stacks grow with
+#: its items, so the cap bounds a worker's memory whatever the item count
+BATCH_ITEMS = 8
 
 
 class OpenBlas:
@@ -257,26 +262,32 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
 def batched_map(fn: Callable, items: Sequence) -> list:
     """``plain_map`` of one item at a time, where ``fn`` maps a list of
     items to the list of their results: the items go to ``ordered_map``
-    as one contiguous batch per worker (``ceil(len(items) / workers())``
-    items each).  A batch that raises is run again item by item, so an
+    in contiguous batches of ``ceil(len(items) / workers())`` items, at
+    most ``BATCH_ITEMS``, which the workers take in index order as they
+    free up.  A batch that raises is run again item by item, so an
     exception leaves with the index in ``items`` of the lowest failing
     item as ``item_index``, as in the plain loop."""
-    size = max(1, -(-len(items) // workers()))
+    size = max(1, min(BATCH_ITEMS, -(-len(items) // workers())))
     starts = range(0, len(items), size)
+    failed: dict[int, int] = {}  # batch start -> failing item's place in it
 
     def run(start: int):
         batch = items[start:start + size]
         try:
             return fn(batch)
         except Exception:
-            try:
-                return plain_map(lambda x: fn([x])[0], batch)
-            except Exception as e:  # raised below, once every batch has ended
-                return e
+            pass
+        try:
+            return plain_map(lambda x: fn([x])[0], batch)
+        except Exception as e:
+            failed[start] = e.item_index
+            raise
 
-    outputs = ordered_map(run, starts)
-    for start, out in zip(starts, outputs):
-        if isinstance(out, Exception):
-            out.item_index += start
-            raise out
+    try:
+        outputs = ordered_map(run, starts)
+    except BaseException as e:
+        if hasattr(e, "item_index"):  # not, say, a thread that did not start
+            start = starts[e.item_index]
+            e.item_index = start + failed.get(start, 0)
+        raise
     return [result for out in outputs for result in out]

@@ -19,7 +19,8 @@ What each event kind reads (the interval, scale k + 1) comes from
 (``blas.one_thread``) and spreads the trials of every ``mc-estimate``
 mode and the seeds of ``msa-verify``'s ``nt-to-ns`` check over one worker
 thread per CPU (``blas.ordered_map``); the ``inductive-step`` seeds go to
-the workers as one batch each (``blas.batched_map``).  It writes
+the workers in batches of at most ``blas.BATCH_ITEMS`` seeds
+(``blas.batched_map``).  It writes
 ``records.jsonl`` (one JSON record per line; byte-stable across reruns of
 the same configuration, whatever the host's core count, the worker count
 or the caller's thread variables) plus ``manifest.json`` carrying the

@@ -38,9 +38,6 @@ from .kernels import adjacency_matrix
 #: relative tolerance for eigensolver residuals and orthonormality
 SPECTRAL_RTOL = 1e-8
 
-#: largest stack of box matrices one ``family_chunks`` stack holds
-FAMILY_BYTES = 1 << 24
-
 #: largest stack of box matrices one ``BoxStack.pieces`` piece holds; a
 #: piece and the few copies a window test or a solve makes of it stay
 #: within a few megabytes per worker
@@ -304,23 +301,6 @@ def exchange_orbits(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[first]
 
 
-def family_chunks(
-    centers: np.ndarray,
-    radius: int,
-    sample: DisorderSample,
-    interaction: InteractionSpec,
-    g: float,
-    adjacency: str = "sup",
-) -> Iterator[np.ndarray]:
-    """The ``box_family`` at ``centers``, in order, as stacks of at most
-    ``FAMILY_BYTES`` of matrices (at least one box each)."""
-    n = (2 * radius + 1) ** np.shape(centers)[1]
-    step = max(1, FAMILY_BYTES // (8 * n * n))
-    for start in range(0, len(centers), step):
-        yield box_family(centers[start:start + step], radius, sample, interaction, g,
-                         adjacency)
-
-
 def family_spectra(
     centers: np.ndarray,
     radius: int,
@@ -330,9 +310,10 @@ def family_spectra(
     adjacency: str = "sup",
 ) -> Iterator[np.ndarray]:
     """Ascending spectra of the ``box_family`` at ``centers``, in order: one
-    ``(nchunk, n)`` array per stacked eigensolve over a ``family_chunks``
-    stack."""
-    for h in family_chunks(centers, radius, sample, interaction, g, adjacency):
+    ``(npiece, n)`` array per stacked eigensolve over a ``BoxStack.pieces``
+    piece."""
+    stack = family_stack(centers, radius, [sample], interaction, g, adjacency)
+    for _, h in stack.pieces(np.arange(len(stack))):
         yield np.linalg.eigvalsh(h)
 
 

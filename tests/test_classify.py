@@ -354,6 +354,21 @@ def two_radius_schedule():
     return schedule(2, 2.7, 1.0, 1.0, 1, J=3, g=8.0, d=1)
 
 
+def piece_sizes(monkeypatch) -> list[int]:
+    """The number of boxes in every ``BoxStack.pieces`` piece built from
+    now on, in order."""
+    sizes = []
+    pieces = operators.BoxStack.pieces
+
+    def counted(self, rows):
+        for part, h in pieces(self, rows):
+            sizes.append(len(h))
+            yield part, h
+
+    monkeypatch.setattr(operators.BoxStack, "pieces", counted)
+    return sizes
+
+
 class TestCnrMatchesPerBoxOracle:
     @pytest.mark.parametrize("sched", [desk_schedule(), two_radius_schedule()],
                              ids=["desk", "two-radius"])
@@ -365,7 +380,8 @@ class TestCnrMatchesPerBoxOracle:
                                 exhaustive_limit, boxes_per_chunk):
         if boxes_per_chunk is not None:
             n = (2 * (sched.L[0] + 1) + 1) ** 2
-            monkeypatch.setattr(operators, "FAMILY_BYTES", boxes_per_chunk * 8 * n * n)
+            monkeypatch.setattr(operators, "STACK_BYTES", boxes_per_chunk * 8 * n * n)
+        sizes = piece_sizes(monkeypatch)
         parent = Box2(Point2.of((1,), (-2,)), sched.L[1])
         sample = sample_potential(DistributionSpec.uniform(), 17, 3,
                                   domain_for_boxes([parent]))
@@ -390,6 +406,9 @@ class TestCnrMatchesPerBoxOracle:
             outcomes.add(rep.failed_radius)
         # passing energies, a resonant parent and resonant sub-boxes all occur
         assert {None, sched.L[1], sched.L[0] + 1} <= outcomes
+        # the budget reaches the sweep's pieces
+        if boxes_per_chunk is not None:
+            assert max(sizes) == boxes_per_chunk, sizes
 
 
 class TestCnrOrbitsMatchPerBoxOracle:
@@ -407,7 +426,8 @@ class TestCnrOrbitsMatchPerBoxOracle:
                                 exhaustive_limit, boxes_per_chunk):
         if boxes_per_chunk is not None:
             n = (2 * (sched.L[0] + 1) + 1) ** 2
-            monkeypatch.setattr(operators, "FAMILY_BYTES", boxes_per_chunk * 8 * n * n)
+            monkeypatch.setattr(operators, "STACK_BYTES", boxes_per_chunk * 8 * n * n)
+        sizes = piece_sizes(monkeypatch)
         parent = Box2(Point2.of((0,), (0,)), sched.L[1])
         sample = sample_potential(DistributionSpec.uniform(), 17, 3,
                                   domain_for_boxes([parent]))
@@ -433,6 +453,9 @@ class TestCnrOrbitsMatchPerBoxOracle:
                 spectra, parent.center, 0, sched, e), e
             outcomes.add(rep.failed_radius)
         assert {None, sched.L[1], sched.L[0] + 1} <= outcomes
+        # the budget reaches the sweep's pieces
+        if boxes_per_chunk is not None:
+            assert max(sizes) == boxes_per_chunk, sizes
 
 
 def _planted(rng, n, E, planted):

@@ -528,8 +528,14 @@ class TestWorkerPool:
             assert blas.ordered_map(square, range(40)) == [i * i for i in range(40)]
         assert len(callers) == 2 and threading.get_ident() in callers
 
-    def test_batched_map_hands_each_worker_one_contiguous_batch(self, monkeypatch):
-        _set_cpus(monkeypatch, 3)
+    @pytest.mark.parametrize("cpus,count,sizes", [
+        (3, 8, [3, 3, 2]), (1, 8, [8]), (1, 20, [8, 8, 4]), (2, 40, [8] * 5),
+    ])
+    def test_batched_map_hands_out_contiguous_batches(self, monkeypatch, cpus,
+                                                     count, sizes):
+        """One batch per worker, of at most ``BATCH_ITEMS`` items."""
+        _set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(blas, "BATCH_ITEMS", 8)
         batches = []
 
         def negate(batch):
@@ -537,8 +543,9 @@ class TestWorkerPool:
             return [-x for x in batch]
 
         with blas.one_thread():
-            assert blas.batched_map(negate, range(8)) == [-x for x in range(8)]
-        assert sorted(batches) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+            assert blas.batched_map(negate, range(count)) == [-x for x in range(count)]
+        starts = np.cumsum([0] + sizes[:-1])
+        assert sorted(batches) == [list(range(a, a + n)) for a, n in zip(starts, sizes)]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_batch_is_decided_item_by_item(self, monkeypatch, cpus):
@@ -558,7 +565,12 @@ class TestWorkerPool:
             assert blas.batched_map(fussy, [5, 7, 8, 9]) == [25, 49, 64, 81]
             with pytest.raises(PlacementError) as failure:
                 blas.batched_map(fussy, range(12))
-        assert failure.value.item_index == 4 and str(failure.value) == "4"
+            assert failure.value.item_index == 4 and str(failure.value) == "4"
+            # a later batch: its index counts the batches before it
+            with pytest.raises(PlacementError) as failure:
+                blas.batched_map(fussy, [0, 1, 2, 3, 5, 7, 8, 9, 1, 2, 3, 5,
+                                         1, 2, 7, 6, 1, 2, 3])
+        assert failure.value.item_index == 15 and str(failure.value) == "6"
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
         """Eight workers on a one-microsecond switch interval: every item

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from anderson2p import cli, operators, resolvent
+from anderson2p import blas, cli, operators, resolvent
 from anderson2p.classify import cnr_subbox_layout, cnr_sweep, cnr_sweeps
 from anderson2p.config import ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
@@ -620,8 +620,9 @@ class TestBatchedInductiveStep:
 
 class TestBatchedLapackCalls:
     """``msa-verify --check inductive-step`` on one worker decides its 16
-    seeds as one batch: its stacked ``solve`` and ``cholesky`` calls are
-    one per byte-budget piece of a stage, not one per seed."""
+    seeds in batches of ``blas.BATCH_ITEMS``: its stacked ``solve`` and
+    ``cholesky`` calls are one per byte-budget piece of a batch's stage,
+    not one per seed."""
 
     @staticmethod
     def _run(monkeypatch, tmp_path):
@@ -661,19 +662,24 @@ class TestBatchedLapackCalls:
         # counter's, of n = 169, 81 and 49 sites at the desk's scale 0
         n = {"parent": (2 * sched.L[1] + 1) ** 2, "counter": (2 * sched.L[0] + 1) ** 2}
         per_piece = {name: operators.STACK_BYTES // (8 * m * m) for name, m in n.items()}
-        # solves: the counter's 16 x 28 boxes and at most 16 parents, in
-        # pieces, apart from the boxes the window test leaves to spectra
-        bound = -(-16 * 28 // per_piece["counter"]) + -(-16 // per_piece["parent"]) + 2
+        batches = [len(range(16)[i:i + blas.BATCH_ITEMS])
+                   for i in range(0, 16, blas.BATCH_ITEMS)]
+        assert len(batches) < 16
+        # solves: each batch's counter boxes, 28 per seed, and at most one
+        # parent per seed, in pieces, apart from the boxes the window test
+        # leaves to spectra
+        bound = sum(-(-b * 28 // per_piece["counter"]) + -(-b // per_piece["parent"])
+                    for b in batches) + 2
         assert len(calls["solve"]) <= bound < 2 * 16
         assert all(size <= max(per_piece.values()) for size, _ in calls["solve"])
-        # with the whole batch in one piece: one solve per stage and kind of
+        # with a whole batch in one piece: one solve per stage and kind of
         # guard, one Cholesky stack per window question, and the same records
         monkeypatch.setattr(operators, "STACK_BYTES", 1 << 30)
         whole, calls = self._run(monkeypatch, tmp_path / "whole")
         assert whole == records
-        assert len(calls["solve"]) <= 4
-        assert self._first_calls(calls["cholesky"]) <= 3
-        assert max(size for size, _ in calls["solve"]) >= 16 * 28 // 2
+        assert len(calls["solve"]) <= 4 * len(batches)
+        assert self._first_calls(calls["cholesky"]) <= 3 * len(batches)
+        assert max(size for size, _ in calls["solve"]) >= max(batches) * 28 // 2
 
 
 class TestCounters:

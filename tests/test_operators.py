@@ -192,7 +192,7 @@ class TestBoxFamily:
                                                sizes):
         centers, sample = _family_setup(1, 2, n_centers=7)
         n = 25
-        monkeypatch.setattr(operators, "FAMILY_BYTES", boxes_per_chunk * 8 * n * n)
+        monkeypatch.setattr(operators, "STACK_BYTES", boxes_per_chunk * 8 * n * n)
         chunks = list(family_spectra(centers, 2, sample, _interaction(), 2.5))
         assert [len(c) for c in chunks] == sizes
         expected = [np.linalg.eigvalsh(_single_box(c, 2, sample, "sup").matrix)
