@@ -26,9 +26,11 @@ and only the boxes it cannot certify are diagonalized
 (``resolvent.spectra_unless_clear``).  The counter step of the inductive
 step (``msa.singular_subbox_counts``) asks the same question at a width
 just above the solver guard, so it diagonalizes no certified box either.
-The inductive step certifies its parents at the resonance width itself
-and sweeps their sub-boxes by ``cnr_sweeps``, a batch of samples at once,
-reading no spectrum of a certified parent; ``is_cnr`` reads it.
+``cnr_sweeps`` takes each parent's gap, ``inf`` for a parent certified
+non-resonant: the inductive step certifies its parents at the resonance
+width itself and reads no spectrum of a certified one, ``is_cnr`` reads
+the gap from the spectrum.  ``nt_to_ns_check`` certifies its box from the
+tensor sums of its factors, where they are its spectrum.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class NSWitness:
     threshold: float
     degenerate: bool = False
     resonant: bool = False
-    gap: Optional[float] = None
 
 
 def is_ns(
@@ -130,29 +131,13 @@ def is_ns(
         return True, NSWitness(0.0, None, threshold, degenerate=True)
     if op is None:
         op = assemble_two_particle(box, sample, interaction, g, adjacency)
-    gap = spectral_gap(op, E)
     try:
         value, point = boundary_green_max(op, E)
     except ResonantEnergyError:
-        return False, NSWitness(math.inf, None, threshold, resonant=True, gap=gap)
+        return False, NSWitness(math.inf, None, threshold, resonant=True)
     ns = value <= threshold
     pt = tuple(int(c) for c in point) if point is not None else None
-    return ns, NSWitness(value, pt, threshold, gap=gap)
-
-
-def is_ns_clear(op: FiniteOperator, E: float, m: float) -> tuple[bool, NSWitness]:
-    """``is_ns`` of the box of ``op`` (of positive radius) at an energy
-    known to be clear of its solver guard, as one
-    ``resolvent.boundary_green_maxima`` solve with no spectrum; the
-    witness carries no gap.  The caller's certificate (``window_clear`` at
-    a width of at least ``guard_width``, or a gap that clears it) means
-    ``is_ns`` would solve the same box with the same result."""
-    threshold = math.exp(-m * op.box.radius)
-    idx = op.boundary_indices()
-    values, where = boundary_green_maxima(op.matrix[None], None, op.center_index(), idx, E)
-    value = float(values[0])
-    pt = tuple(int(c) for c in op.points[idx[where[0]]]) if where[0] >= 0 else None
-    return value <= threshold, NSWitness(value, pt, threshold)
+    return ns, NSWitness(value, pt, threshold)
 
 
 def singular_at_spectral(
@@ -265,7 +250,6 @@ class CnrReport:
     """Outcome of the complete-non-resonance test at scale k+1."""
 
     ok: bool
-    parent_gap: Optional[float]  # None: certified non-resonant by window_clear
     failed_center: Optional[tuple[int, ...]] = None
     failed_radius: Optional[int] = None
     failed_gap: Optional[float] = None
@@ -300,9 +284,9 @@ def is_cnr(
     sample_budget: int = CNR_SAMPLE_BUDGET,
 ) -> CnrReport:
     """(E, J)-complete non-resonance of the scale-(k+1) box at ``center``:
-    ``cnr_sweep`` given the parent's gap, read from its spectrum
-    (``parent_op``, which must be the operator of the scale-(k+1) box at
-    ``center``, is assembled when not given).
+    the one-sample ``cnr_sweeps``, given the parent's gap read from its
+    spectrum (``parent_op``, which must be the operator of the scale-(k+1)
+    box at ``center``, is assembled when not given).
     """
     parent = Box2(center, schedule.L[k + 1])
     if parent_op is None:
@@ -314,28 +298,8 @@ def is_cnr(
             f"of radius {parent.radius}")
     else:
         check_projections(parent, sample)
-    return cnr_sweep(center, k, schedule, sample, interaction, g, E, adjacency,
-                     spectral_gap(parent_op, E), exhaustive_limit, sample_budget)
-
-
-def cnr_sweep(
-    center: Point2,
-    k: int,
-    schedule,
-    sample: DisorderSample,
-    interaction: InteractionSpec,
-    g: float,
-    E: float,
-    adjacency: str,
-    parent_gap: Optional[float],
-    exhaustive_limit: int = CNR_EXHAUSTIVE_LIMIT,
-    sample_budget: int = CNR_SAMPLE_BUDGET,
-) -> CnrReport:
-    """Complete non-resonance of the scale-(k+1) box at ``center`` given
-    the parent's distance ``parent_gap`` from E: the one-sample
-    ``cnr_sweeps``."""
     return cnr_sweeps(center, k, schedule, [sample], [E], interaction, g, adjacency,
-                      [parent_gap], exhaustive_limit, sample_budget)[0]
+                      [spectral_gap(parent_op, E)], exhaustive_limit, sample_budget)[0]
 
 
 def cnr_sweeps(
@@ -347,15 +311,14 @@ def cnr_sweeps(
     interaction: InteractionSpec,
     g: float,
     adjacency: str,
-    parent_gaps: Sequence[Optional[float]],
+    parent_gaps: Sequence[float],
     exhaustive_limit: int = CNR_EXHAUSTIVE_LIMIT,
     sample_budget: int = CNR_SAMPLE_BUDGET,
 ) -> list[CnrReport]:
     """Complete non-resonance of the scale-(k+1) box at ``center``, one
     report per sample, at its energy and given the parent's distance from
-    it: a resonant parent fails with no sub-box probed, and None stands
-    for a parent that ``resolvent.window_clear`` certified non-resonant
-    (the report's ``parent_gap`` is then None).
+    it: a resonant parent fails with no sub-box probed, and ``inf`` stands
+    for a parent that ``resolvent.window_clear`` certified non-resonant.
 
     The sub-boxes are probed exhaustively while their count stays within
     budget, else a seeded uniform subsample (per sample) is checked and
@@ -374,10 +337,10 @@ def cnr_sweeps(
     total = sum((2 * off + 1) ** (2 * parent.d) for _, off in layout)
     exhaustive = total <= exhaustive_limit
     reports: list[Optional[CnrReport]] = [
-        CnrReport(False, gap, failed_center=center.flat, failed_radius=parent.radius,
+        CnrReport(False, failed_center=center.flat, failed_radius=parent.radius,
                   failed_gap=gap, n_candidates=total, n_checked=0, exhaustive=exhaustive)
-        if gap is not None and gap < resonance_width(parent.radius, schedule.beta)
-        else None for gap in parent_gaps]
+        if gap < resonance_width(parent.radius, schedule.beta) else None
+        for gap in parent_gaps]
     rngs = None
     if not exhaustive:
         rngs = [Generator(Philox(key=np.array([sample.seed & (2**64 - 1),
@@ -418,15 +381,14 @@ def cnr_sweeps(
             if len(hits):
                 j = int(r[hits[0]])
                 reports[i] = CnrReport(
-                    False, parent_gaps[i], failed_center=tuple(int(x) for x in c[j]),
+                    False, failed_center=tuple(int(x) for x in c[j]),
                     failed_radius=radius, failed_gap=float(gaps[first + hits[0]]),
                     n_candidates=total, n_checked=checked + j + 1, exhaustive=exhaustive,
                 )
             first += len(r)
         checked += len(families[0])
-    return [rep if rep is not None else
-            CnrReport(True, gap, n_candidates=total, n_checked=checked, exhaustive=exhaustive)
-            for rep, gap in zip(reports, parent_gaps)]
+    return [rep or CnrReport(True, n_candidates=total, n_checked=checked,
+                             exhaustive=exhaustive) for rep in reports]
 
 
 def not_cnr_windows(
@@ -587,16 +549,17 @@ def nt_to_ns_check(
     m_eff = m_hat * nt_decay_discount(L, beta, d)
     op = assemble_two_particle(box, sample, interaction, g, adjacency)
     # under l1 the sums are the box's spectrum, and a gap that clears the
-    # guard lets is_ns_clear solve the box without diagonalizing it
-    if (op.adjacency == "l1"
-            and gap - _tensor_sum_error(op, op1, op2, E) >= guard_width(op.matrix[None], E)[0]):
-        ns, w = is_ns_clear(op, E, m_eff)
-    else:
-        ns, w = is_ns(box, sample, interaction, g, E, m_eff, adjacency, op=op)
+    # guard certifies the box without diagonalizing it
+    clear = (op.adjacency == "l1"
+             and gap - _tensor_sum_error(op, op1, op2, E) >= guard_width(op.matrix[None], E)[0])
+    spectra = np.empty((0, op.n)) if clear else op.eigenvalues()[None]
+    [value], _ = boundary_green_maxima(op.matrix[None], (np.array([clear]), spectra),
+                                       op.center_index(), op.boundary_indices(), E)
+    threshold = math.exp(-m_eff * L)
     report.m_eff = float(m_eff)
-    report.ns_ok = bool(ns)
-    report.max_boundary_gf = w.max_boundary_gf
-    report.ns_margin = float(w.threshold - w.max_boundary_gf)
+    report.ns_ok = bool(value <= threshold)
+    report.max_boundary_gf = float(value)
+    report.ns_margin = float(threshold - value)
     return report
 
 

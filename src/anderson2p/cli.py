@@ -279,6 +279,10 @@ def _cmd_msa_verify(cfg, sched, args):
     if args.check == "boundary-recovery":
         parent_radius = args.radius if args.radius is not None else 4
         sub_radius = args.sub_radius if args.sub_radius is not None else 2
+        if not 0 <= sub_radius < parent_radius:
+            raise InvalidInputError(
+                f"--sub-radius must be at least 0 and below --radius {parent_radius}, "
+                f"got {sub_radius}")
         # a plain loop: a seed is Python around many tiny LAPACK calls, and
         # two workers trading the GIL at each call ran slower than one
         return [rec.to_record() for rec in blas.plain_map(
@@ -292,6 +296,11 @@ def _cmd_msa_verify(cfg, sched, args):
     if args.check == "nt-to-ns":
         L = args.radius if args.radius is not None else max(9, sched.L[k])
         nt_mass = args.nt_mass if args.nt_mass is not None else 1.0
+        if 2 * L + interaction.r0 + 1 >= 6 * L:
+            raise InvalidInputError(
+                f"--radius {L} leaves the nt-to-ns box no offset: it needs "
+                f"2 * radius + interaction.r0 + 1 < 6 * radius, with interaction.r0 = "
+                f"{interaction.r0}")
 
         def check(s):
             rng = Generator(Philox(key=np.array([cfg.seed, s], dtype=np.uint64)))

@@ -13,12 +13,14 @@ diagonalizes no box that ``resolvent.window_clear`` certifies (by its
 Gershgorin discs, else by a Cholesky factorization): the parent at its
 resonance width, the CNR sub-boxes at theirs, and the counter's sub-boxes
 at the solver guard width.  A certified parent is non-resonant and clear
-of the guard, and the non-singularity assertion is one solve with no
-spectrum.  ``inductive_ns_steps`` decides a batch of samples, each at its
-own energy, stage by stage: each stage's boxes of every sample form one
-``operators.BoxStack`` (one hop matrix, one diagonal per box), so the
-geometry is built once per batch, and each window test, ``eigvalsh`` and
-solve covers the batch in pieces of at most ``operators.STACK_BYTES``.
+of the guard, and is solved with no spectrum: each window test's
+``(clear, spectra)`` pair goes to ``resolvent.boundary_green_maxima`` as
+it is, so every stack is one solve.  ``inductive_ns_steps`` decides a
+batch of samples, each at its own energy, stage by stage: each stage's
+boxes of every sample form one ``operators.BoxStack`` (one hop matrix,
+one diagonal per box), so the geometry is built once per batch, and each
+window test, ``eigvalsh`` and solve covers the batch in pieces of at most
+``operators.STACK_BYTES``.
 Every stacked LAPACK call and matrix product treats each box on its own,
 so a sample's report does not depend on the batch it is decided in;
 ``inductive_ns_step`` and ``count_singular_subboxes`` are the one-sample
@@ -39,7 +41,6 @@ from .disorder import DisorderSample, InteractionSpec
 from .errors import InfeasibleScheduleError, InvalidInputError
 from .geometry import Box2, Point2
 from .operators import (
-    BoxStack,
     check_projections,
     exchange_orbits,
     family_stack,
@@ -437,22 +438,6 @@ def subbox_spectra(
     return SubboxSpectra(centers, poles, residues, orbit, template.radius, interactive)
 
 
-def _green_maxima(stack: BoxStack, E: np.ndarray, clear: np.ndarray,
-                  spectra: np.ndarray, template: Box2) -> np.ndarray:
-    """``resolvent.boundary_green_maxima`` of every box of ``stack`` at its
-    energy, given ``window_clear``'s verdicts at a width of at least
-    ``resolvent.guard_width`` and the spectra of the boxes it did not
-    certify: a certified box is solved with no spectrum, the others are
-    guarded by their own."""
-    values = np.empty(len(stack))
-    for rows, ev in ((np.flatnonzero(clear), None), (np.flatnonzero(~clear), spectra)):
-        if len(rows):
-            values[rows] = boundary_green_maxima(stack.take(rows), ev,
-                                                 template.center_index(),
-                                                 template.boundary_indices(), E[rows])[0]
-    return values
-
-
 def count_singular_subboxes(
     center: Point2,
     k: int,
@@ -501,8 +486,9 @@ def singular_subbox_counts(
     centers, interactive, orbit, stack = _subbox_family(center, k, sched, samples,
                                                         interaction, g, adjacency)
     E = np.repeat(np.asarray(energies, dtype=np.float64), len(stack) // len(samples))
-    clear, spectra = spectra_unless_clear(stack, E, guard_width(stack, E))
-    values = _green_maxima(stack, E, clear, spectra, template)
+    clear_spectra = spectra_unless_clear(stack, E, guard_width(stack, E))
+    values, _ = boundary_green_maxima(stack, clear_spectra, template.center_index(),
+                                      template.boundary_indices(), E)
     singular = values.reshape(len(samples), -1) > math.exp(-sched.m[k] * L_k)
     sep = 8 * L_k
     reports = []
@@ -589,11 +575,11 @@ def inductive_ns_steps(
     4. one non-singularity solve over the parents whose hypotheses hold.
 
     A certified parent is non-resonant and clear of the solver guard, so
-    it is never diagonalized and is solved with no spectrum, as
-    ``classify.is_ns_clear`` does; an uncertified one is decided from its
-    spectrum, as ``is_cnr`` and ``is_ns`` do.  Each report equals that of
-    the sample decided alone: every stacked LAPACK call and matrix product
-    treats each box on its own, and so does ``window_clear``.
+    it is never diagonalized and is solved with no spectrum; an
+    uncertified one is decided from its spectrum, as ``is_cnr`` and
+    ``is_ns`` do.  Each report equals that of the sample decided alone:
+    every stacked LAPACK call and matrix product treats each box on its
+    own, and so does ``window_clear``.
 
     The asserted mass is the inductive bound when positive; at desk scales
     where the bound degenerates to a non-positive value the schedule's own
@@ -608,10 +594,9 @@ def inductive_ns_steps(
     width = resonance_width(parent.radius, sched.beta)
     # a width above the guard certifies both non-resonance and the guard
     clear, spectra = spectra_unless_clear(parents, E, np.maximum(width, guard_width(parents, E)))
-    gaps: list[Optional[float]] = [None] * len(samples)
-    for i, ev in zip(np.flatnonzero(~clear), spectra):
-        gaps[i] = float(np.abs(ev - E[i]).min())
-    cnr = cnr_sweeps(center, k, sched, samples, E, interaction, g, adjacency, gaps)
+    gaps = np.full(len(samples), np.inf)
+    gaps[~clear] = np.abs(spectra - E[~clear, None]).min(axis=1)
+    cnr = cnr_sweeps(center, k, sched, samples, E, interaction, g, adjacency, gaps.tolist())
     bound = mass_step_value(sched.m[k], sched.L[k], sched.J)
     assert_mass = bound if bound > 0 else sched.m[k + 1]
     reports = [InductiveStepReport(
@@ -619,13 +604,13 @@ def inductive_ns_steps(
         counters_exact=True, hypotheses_hold=c.ok and n.K <= sched.J,
         skipped=not (c.ok and n.K <= sched.J), mass_bound=float(bound),
     ) for e, c, n in zip(E, cnr, counters)]
-    hold = np.flatnonzero([rep.hypotheses_hold for rep in reports])
-    every = np.empty(parents.shape[:2])
-    every[~clear] = spectra
-    values = _green_maxima(parents.take(hold), E[hold], clear[hold],
-                           every[hold][~clear[hold]], Box2.of_origin(center.d, parent.radius))
+    hold = np.array([rep.hypotheses_hold for rep in reports], dtype=bool)
+    template = Box2.of_origin(center.d, parent.radius)
+    values, _ = boundary_green_maxima(parents.take(hold), (clear[hold], spectra[hold[~clear]]),
+                                      template.center_index(), template.boundary_indices(),
+                                      E[hold])
     threshold = math.exp(-assert_mass * parent.radius)
-    for i, value in zip(hold, values):
+    for i, value in zip(np.flatnonzero(hold), values):
         rep = reports[i]
         rep.assert_mass = float(assert_mass)
         rep.ns_ok = bool(value <= threshold)

@@ -13,7 +13,9 @@ eigendecomposition of the two single-particle factors.
 
 A box need not be diagonalized for the guard: ``window_clear`` certifies,
 box by box, that no eigenvalue lies within a width above the guard, and
-``spectra_unless_clear`` diagonalizes only the boxes it leaves; a
+``spectra_unless_clear`` diagonalizes only the boxes it leaves.  Its pair
+``(clear, spectra)``, one verdict per box and the spectra of the boxes not
+certified, is how every caller tells ``_solve`` which boxes to guard: a
 certified box is solved with no spectrum.  ``window_clear`` certifies a
 box in two stages: its Gershgorin discs, read in O(n^2) (from the
 diagonals alone for an ``operators.BoxStack``), and, for the boxes whose
@@ -22,10 +24,9 @@ factorization of the stack they form, in pieces of at most
 ``operators.STACK_BYTES``.  The complete non-resonance test asks the same
 question at the resonance width, of the sub-box families and of the
 inductive step's parent; a resonance width is above the guard width, so a
-parent certified non-resonant is solved without a spectrum too.  Only a
-box the test cannot certify, or one whose gap is not already known
-(``nt-to-ns`` reads it from the tensor sums of its factors), is
-diagonalized.
+parent certified non-resonant is solved without a spectrum too.
+``nt-to-ns`` certifies its box from the tensor sums of its factors
+instead, as a ``clear`` of its own.
 
 All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
 the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool
@@ -213,7 +214,7 @@ def spectral_gap(op: FiniteOperator, E: float) -> float:
 
 def _solve(
     h: np.ndarray | BoxStack,
-    eigenvalues: np.ndarray | None,
+    clear_spectra: tuple[np.ndarray, np.ndarray],
     E: float | np.ndarray,
     rhs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,10 +223,11 @@ def _solve(
     energies ``E`` (one for all boxes or one per box) with right-hand
     sides ``rhs`` (``(nbox, n, 1)``).
 
-    ``eigenvalues`` are the boxes' ascending spectra ``(nbox, n)``, and
-    the boxes whose energy is ``within_guard`` of their spectrum are
-    skipped; None says the stack is certified clear of the guard
-    (``window_clear``) and every box is solved.  Returns the positions of
+    ``clear_spectra`` is ``spectra_unless_clear``'s pair: ``clear``
+    ``(nbox,)`` says which boxes are certified clear of the guard, and
+    ``spectra`` ``(nleft, n)`` holds the ascending spectra of the others,
+    in order.  A certified box is solved; another is skipped when its
+    energy is ``within_guard`` of its spectrum.  Returns the positions of
     the solved boxes, their solutions ``(nsolved, n, 1)`` and residual
     norms ``|(H - E) x - b|``.  Raises ``NumericError`` when a residual
     exceeds ``SPECTRAL_RTOL * max(1, |H - E| |x|)``, where ``|H - E|`` is
@@ -235,15 +237,17 @@ def _solve(
 
     When every box of an array stack is solved, ``h`` and ``rhs`` are read
     in place; the one stack copy per piece is ``H - E``, formed by
-    shifting the diagonal of a copy.
+    shifting the diagonal of a copy.  Each box is solved on its own, so
+    its solution does not depend on the other boxes of the stack.
     """
+    clear, spectra = clear_spectra
     nbox, n = len(h), h.shape[-1]
     E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
-    solved = np.arange(nbox)
-    if eigenvalues is not None:
-        edge = np.maximum(np.abs(eigenvalues[:, 0]), np.abs(eigenvalues[:, -1]))
-        gap = np.abs(eigenvalues - E[:, None]).min(axis=1)
-        solved = np.flatnonzero(~within_guard(gap, E, edge))
+    ok, left = clear.copy(), np.flatnonzero(~clear)
+    edge = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
+    gap = np.abs(spectra - E[left, None]).min(axis=1)
+    ok[left] = ~within_guard(gap, E[left], edge)
+    solved = np.flatnonzero(ok)
     idx = np.arange(n)
     xs, residuals = [np.empty((0, n, 1))], [np.empty(0)]
     for rows, sub in _pieces(h, solved):
@@ -291,7 +295,8 @@ def green_column(
     )
     rhs = np.zeros((1, op.n, 1))
     rhs[0, idx] = 1.0
-    solved, vec, residual = _solve(op.matrix[None], op.eigenvalues()[None], E, rhs)
+    solved, vec, residual = _solve(op.matrix[None], (np.zeros(1, dtype=bool),
+                                                     op.eigenvalues()[None]), E, rhs)
     if len(solved) == 0:
         raise ResonantEnergyError(
             f"energy {E} within guard of the spectrum; classify as resonant")
@@ -300,18 +305,17 @@ def green_column(
 
 def boundary_green_maxima(
     h: np.ndarray | BoxStack,
-    eigenvalues: np.ndarray | None,
+    clear_spectra: tuple[np.ndarray, np.ndarray],
     center_index: int,
     boundary_indices: np.ndarray,
     E: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max |G(E; center, y)| over the interior boundary of every box of a
     stack of same-layout operators ``h`` (``(nbox, n, n)`` or a
-    ``BoxStack``, with their ascending spectra ``(nbox, n)``, or None for
-    a stack certified clear of the guard as ``_solve`` takes it) at ``E``
-    (one energy for all boxes or one per box), and the position of the
-    attaining point in ``boundary_indices``.
+    ``BoxStack``) at ``E`` (one energy for all boxes or one per box), and
+    the position of the attaining point in ``boundary_indices``.
 
+    ``clear_spectra`` says which boxes to guard, as ``_solve`` takes it.
     A box within the solver guard of E gets ``inf`` at position -1; the
     others share one ``_solve`` of ``(H - E) c = delta_center``.  A
     boundary-less layout gives 0 at position -1.
@@ -321,7 +325,7 @@ def boundary_green_maxima(
     where = np.full(nbox, -1, dtype=np.int64)
     rhs = np.zeros((nbox, n, 1))
     rhs[:, center_index] = 1.0
-    solved, vec, _ = _solve(h, eigenvalues, E, rhs)
+    solved, vec, _ = _solve(h, clear_spectra, E, rhs)
     if len(boundary_indices) == 0:
         values[solved] = 0.0
         return values, where
@@ -337,8 +341,9 @@ def boundary_green_max(op: FiniteOperator, E: float) -> tuple[float, np.ndarray 
     ``boundary_green_maxima``.  Raises ``ResonantEnergyError`` when E is
     within the guard of the spectrum."""
     idx = op.boundary_indices()
-    values, where = boundary_green_maxima(op.matrix[None], op.eigenvalues()[None],
-                                          op.center_index(), idx, E)
+    values, where = boundary_green_maxima(
+        op.matrix[None], (np.zeros(1, dtype=bool), op.eigenvalues()[None]),
+        op.center_index(), idx, E)
     if values[0] == np.inf:
         raise ResonantEnergyError(
             f"energy {E} within guard of the spectrum; classify as resonant")
@@ -442,7 +447,8 @@ def boundary_recovery(
         # one product per column: a matrix product sums in another order
         w[j, bidx, 0] = coupling @ psi[at_ext, j]
     solved, x, _ = _solve(np.broadcast_to(op.matrix, (k, op.n, op.n)),
-                          np.broadcast_to(op.eigenvalues(), (k, op.n)), energies, w)
+                          (np.zeros(k, dtype=bool), np.broadcast_to(op.eigenvalues(), (k, op.n))),
+                          energies, w)
     if len(solved) < k:
         raise ResonantEnergyError(
             "an energy within guard of the box spectrum; recovery undefined")

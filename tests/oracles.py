@@ -267,7 +267,7 @@ def cnr_by_subbox(probe_spectra, center, k, schedule, E) -> dict:
     parent_ev, probes, total, exhaustive = probe_spectra
     L_next = schedule.L[k + 1]
     gap = float(np.abs(parent_ev - E).min())
-    out = dict(ok=True, parent_gap=gap, failed_center=None, failed_radius=None,
+    out = dict(ok=True, failed_center=None, failed_radius=None,
                failed_gap=None, n_candidates=total, n_checked=0,
                exhaustive=exhaustive)
     if gap < math.exp(-float(L_next) ** schedule.beta):

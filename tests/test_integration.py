@@ -203,6 +203,12 @@ class TestOneLapackLibrary:
                                                        ("resolvent", "_factors")}
         assert self._functions_naming("_cholesky_clear") == {("resolvent", "window_clear")}
 
+    def test_one_window_test(self):
+        # resolvent.window_clear is named only in resolvent.spectra_unless_clear,
+        # so every window question gets one verdict per box and the spectra
+        # of the boxes left, the pair that _solve takes
+        assert self._functions_naming("window_clear") == {("resolvent", "spectra_unless_clear")}
+
     def test_no_scipy_import_at_module_load(self):
         # scipy costs about 1 s per CLI start; only function bodies (the
         # truncated-Gaussian marginal) may import it, on first use

@@ -6,7 +6,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from anderson2p import blas, cli, operators, resolvent
-from anderson2p.classify import cnr_subbox_layout, cnr_sweep, cnr_sweeps
+from anderson2p.classify import cnr_subbox_layout, cnr_sweeps, is_cnr
 from anderson2p.config import ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
 from anderson2p.errors import InfeasibleScheduleError, InvalidInputError, NumericError
@@ -581,13 +581,16 @@ class TestBatchedInductiveStep:
         # verified instances, failed hypotheses, and both kinds of failure
         assert any(r.ns_ok is not None for r in reports)
         assert any(r.skipped for r in reports)
-        gaps = [None if i % 4 == 3 else float(np.abs(
+        gaps = [math.inf if i % 4 == 3 else float(np.abs(
             assemble_two_particle(Box2(center, sched.L[k + 1]), s, inter, g,
                                   adjacency).eigenvalues() - E).min())
             for i, (s, E) in enumerate(zip(samples, energies))]
         sweeps = cnr_sweeps(center, k, sched, samples, energies, inter, g, adjacency, gaps)
-        assert sweeps == [cnr_sweep(center, k, sched, s, inter, g, E, adjacency, gap)
-                          for s, E, gap in zip(samples, energies, gaps)]
+        # a gap read from the spectrum is is_cnr's; inf is a certified parent
+        assert sweeps == [
+            is_cnr(center, k, sched, s, inter, g, E, adjacency) if gap < math.inf
+            else cnr_sweeps(center, k, sched, [s], [E], inter, g, adjacency, [gap])[0]
+            for s, E, gap in zip(samples, energies, gaps)]
         radii = {r.failed_radius for r in sweeps}
         assert {None, sched.L[k + 1], cnr_subbox_layout(k, sched)[0][0]} <= radii
         if k == 0:
@@ -599,10 +602,11 @@ class TestBatchedInductiveStep:
         center, samples, energies = _batch(sched, 0, adjacency, range(20, 32))
         inter = _interaction()
         kw = dict(exhaustive_limit=1, sample_budget=20)
-        gaps = [None] * len(samples)
+        gaps = [math.inf] * len(samples)
         sweeps = cnr_sweeps(center, 0, sched, samples, energies, inter, 5.0, adjacency,
                             gaps, **kw)
-        assert sweeps == [cnr_sweep(center, 0, sched, s, inter, 5.0, E, adjacency, None, **kw)
+        assert sweeps == [cnr_sweeps(center, 0, sched, [s], [E], inter, 5.0, adjacency,
+                                     [math.inf], **kw)[0]
                           for s, E in zip(samples, energies)]
         assert not any(r.exhaustive for r in sweeps)
         assert {r.ok for r in sweeps} == {False, True}

@@ -93,6 +93,22 @@ def test_every_definition_is_reached_by_the_package():
     assert _unreferenced() == TRACED_ONLY | ONE_SAMPLE
 
 
+def _traced() -> set[tuple[str, str]]:
+    """The ``(module, attribute path)`` pairs of ``perfbench/spans.py``'s
+    ``TARGETS`` in ``anderson2p``, read from its source."""
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "spans.py").read_text())
+    [targets] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    return {(module.removeprefix("anderson2p."), name) for module, name in pairs
+            if module.startswith("anderson2p.")}
+
+
+def test_allowances_are_traced():
+    # an allowance outlives the tracer entry it was made for otherwise
+    assert TRACED_ONLY | ONE_SAMPLE <= _traced()
+
+
 #: the classes allowed a ``to_record`` of their own
 SERIALIZERS = {("records", "Record"), ("config", "ConfigError")}
 

@@ -402,16 +402,31 @@ class TestCli:
                        "message": f"--nt-mass must not be negative, got {value}"}
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("seeds", ["0", "-3"])
-    @pytest.mark.parametrize("check", ["inductive-step", "nt-to-ns", "boundary-recovery"])
-    def test_msa_verify_rejects_seeds_below_one(self, tmp_path, capsys, check, seeds):
-        # range(seeds) is empty: the run used to exit 0 with no records
-        argv = ["msa-verify", "--check", check, f"--seeds={seeds}",
-                "--out", str(tmp_path / "o")]
+    @pytest.mark.parametrize("option,message", [
+        *[pytest.param(["--check", check, f"--seeds={seeds}"],
+                       f"--seeds must be at least 1, got {seeds}", id=f"{check}-{seeds}")
+          for seeds in ("0", "-3")
+          for check in ("inductive-step", "nt-to-ns", "boundary-recovery")],
+        pytest.param(["--check", "nt-to-ns", "--radius", "0"],
+                     "--radius 0 leaves the nt-to-ns box no offset: it needs 2 * radius + "
+                     "interaction.r0 + 1 < 6 * radius, with interaction.r0 = 1",
+                     id="nt-to-ns-radius-0"),
+        pytest.param(["--check", "nt-to-ns", "--radius", "-2"],
+                     "--radius -2 leaves the nt-to-ns box no offset: it needs 2 * radius + "
+                     "interaction.r0 + 1 < 6 * radius, with interaction.r0 = 1",
+                     id="nt-to-ns-radius-negative"),
+        *[pytest.param(["--check", "boundary-recovery", *radius, "--sub-radius", sub],
+                       f"--sub-radius must be at least 0 and below --radius 4, got {sub}",
+                       id=f"sub-radius-{sub}")
+          for radius, sub in ((["--radius", "4"], "-1"), (["--radius", "4"], "4"), ([], "5"))],
+    ])
+    def test_msa_verify_rejects_out_of_range_values(self, tmp_path, capsys, option, message):
+        # seeds below 1 left range(seeds) empty, and the run exited 0 with no
+        # records; the radii ended in a ValueError or TypeError traceback
+        argv = ["msa-verify", *option, "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"kind": "error", "error": "InvalidInputError",
-                       "message": f"--seeds must be at least 1, got {seeds}"}
+        assert err == {"kind": "error", "error": "InvalidInputError", "message": message}
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -202,7 +202,7 @@ class TestBoundaryGreenMaxima:
                 column = np.abs(green_column(op, e)[0][bidx])
                 value, point = column.max(), op.points[bidx[np.argmax(column)]]
                 values, where = boundary_green_maxima(
-                    op.matrix[None], op.eigenvalues()[None], op.center_index(),
+                    op.matrix[None], _uncertified(op.eigenvalues()[None]), op.center_index(),
                     op.boundary_indices(), e)
                 assert values[0] == value
                 assert np.array_equal(op.points[op.boundary_indices()[where[0]]], point)
@@ -218,12 +218,12 @@ class TestBoundaryGreenMaxima:
         ev = np.linalg.eigvalsh(h)
         tpl = Box2.of_origin(1, radius)
         E = float(ev[4, 7])  # an exact eigenvalue of box 4: the guard path
-        values, where = boundary_green_maxima(h, ev, tpl.center_index(),
+        values, where = boundary_green_maxima(h, _uncertified(ev), tpl.center_index(),
                                               tpl.boundary_indices(), E)
         assert values[4] == np.inf and where[4] == -1
         for b in np.flatnonzero(np.arange(len(h)) != 4):
-            one = boundary_green_maxima(h[b:b + 1], ev[b:b + 1], tpl.center_index(),
-                                        tpl.boundary_indices(), E)
+            one = boundary_green_maxima(h[b:b + 1], _uncertified(ev[b:b + 1]),
+                                        tpl.center_index(), tpl.boundary_indices(), E)
             assert (values[b], where[b]) == (one[0][0], one[1][0])
             assert np.isfinite(values[b])
 
@@ -245,7 +245,7 @@ class TestBoundaryGreenMaxima:
         h = box_family(centers, 2, sample, _interaction(), 5.0, "l1")
         ev = np.linalg.eigvalsh(h)
         tpl = Box2.of_origin(1, 2)
-        args = (h, ev, tpl.center_index(), tpl.boundary_indices(), -2.5)
+        args = (h, _uncertified(ev), tpl.center_index(), tpl.boundary_indices(), -2.5)
         boundary_green_maxima(*args)
         solve = np.linalg.solve
 
@@ -257,6 +257,17 @@ class TestBoundaryGreenMaxima:
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericError, match="residual"):
             boundary_green_maxima(*args)
+
+
+def _uncertified(ev):
+    """The ``(clear, spectra)`` pair of a stack whose every box is guarded
+    by its spectrum ``ev``."""
+    return np.zeros(len(ev), dtype=bool), ev
+
+
+def _certified(h):
+    """The ``(clear, spectra)`` pair of a stack whose every box is certified."""
+    return np.ones(len(h), dtype=bool), np.empty((0, h.shape[-1]))
 
 
 def _random_symmetric(rng, nbox, n, scale=1.0):
@@ -291,7 +302,7 @@ class TestColumnNormBound:
     def test_residual_between_the_two_bounds_raises(self, monkeypatch, certified):
         h, rhs, E = self._ones_stack()
         n = h.shape[-1]
-        ev = None if certified else np.linalg.eigvalsh(h)
+        ev = _certified(h) if certified else _uncertified(np.linalg.eigvalsh(h))
         solved, x, residual = _solve(h, ev, E, rhs)
         assert list(solved) == [0] and residual[0] < 1e-14
         size = np.linalg.norm(x[0])
@@ -453,8 +464,8 @@ class TestSolvePaths:
             rhs = rng.normal(size=(nbox, n, 1))
             before = h.copy(), rhs.copy()
             ev = np.linalg.eigvalsh(h)
-            certified = _solve(h, None, E, rhs)
-            spectrum = _solve(h, ev, E, rhs)
+            certified = _solve(h, _certified(h), E, rhs)
+            spectrum = _solve(h, _uncertified(ev), E, rhs)
             assert list(certified[0]) == list(spectrum[0]) == list(range(nbox)), trial
             for a, b in zip(certified[1:], spectrum[1:]):
                 assert np.array_equal(a, b), trial
@@ -472,10 +483,37 @@ class TestSolvePaths:
         h = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
         h = 0.5 * (h + np.swapaxes(h, 1, 2))
         rhs = rng.normal(size=(nbox, n, 1))
-        solved, x, residual = _solve(h, np.linalg.eigvalsh(h), E, rhs)
+        solved, x, residual = _solve(h, _uncertified(np.linalg.eigvalsh(h)), E, rhs)
         assert list(solved) == [0, 2, 3, 5]
-        alone = _solve(h[solved], None, E[solved], rhs[solved])
+        alone = _solve(h[solved], _certified(h[solved]), E[solved], rhs[solved])
         assert np.array_equal(alone[1], x) and np.array_equal(alone[2], residual)
+
+    def test_mixed_stack_equals_each_box_alone(self):
+        """Certified boxes, boxes guarded by their spectra and one box in
+        the guard, decided in one ``_solve``: each solved box gets the bits
+        of solving it alone."""
+        rng = np.random.default_rng(43)
+        for trial in range(20):
+            nbox, n = int(rng.integers(3, 10)), int(rng.integers(2, 30))
+            lam = rng.uniform(-4, 4, size=(nbox, n))
+            E = rng.uniform(-1, 1, size=nbox)
+            resonant = int(rng.integers(nbox))
+            lam[resonant, 1] = E[resonant]
+            q, _ = np.linalg.qr(rng.normal(size=(nbox, n, n)))
+            h = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+            h = 0.5 * (h + np.swapaxes(h, 1, 2))
+            rhs = rng.normal(size=(nbox, n, 1))
+            clear = rng.random(nbox) < 0.5
+            clear[resonant] = False
+            clear[(resonant + 1) % nbox], clear[(resonant + 2) % nbox] = True, False
+            before = h.copy(), rhs.copy()
+            solved, x, residual = _solve(h, (clear, np.linalg.eigvalsh(h[~clear])), E, rhs)
+            assert list(solved) == [b for b in range(nbox) if b != resonant], trial
+            for i, b in enumerate(solved):
+                one = _solve(h[b:b + 1], _certified(h[b:b + 1]), E[b], rhs[b:b + 1])
+                assert np.array_equal(one[1][0], x[i]), trial
+                assert np.array_equal(one[2][0], residual[i]), trial
+            assert np.array_equal(h, before[0]) and np.array_equal(rhs, before[1])
 
 
 class TestGreenSpectral:
