@@ -520,10 +520,15 @@ def nt_to_ns_check(
     condition holds, the box must be NS at the reduced mass
     ``m_hat * nt_decay_discount(L, beta, d)``; the conversion algebra needs
     ``m_hat >= 1``, which callers should ensure when asserting.  Instances
-    whose hypotheses fail are reported as skipped, not failures.
+    whose hypotheses fail are reported as skipped, not failures.  Raises
+    ``PreconditionError`` for an interactive box and for a box of radius
+    0, whose size condition and discount divide by the radius.
     """
     if is_interactive(box, interaction.r0):
         raise PreconditionError("the decay step applies to non-interactive boxes")
+    if box.radius < 1:
+        raise PreconditionError(
+            f"the decay step needs a box of radius at least 1, got radius {box.radius}")
     L, d = box.radius, box.d
     # non-interactive box spectrum via its factors (exact under l1 adjacency)
     op1, op2 = single_particle_factors(box, sample, g, adjacency)

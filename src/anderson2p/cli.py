@@ -101,6 +101,23 @@ def _parse_center(text: str | None, d: int) -> Point2:
     return point
 
 
+def _parse_list(option: str, text: str, parse) -> list:
+    """The comma-separated entries of ``option``, each read by ``parse``
+    (``int`` or ``float``).  An entry that does not parse, or is not
+    finite, is an ``InvalidInputError`` naming the option and the entry."""
+    kind = "an integer" if parse is int else "a finite number"
+    values = []
+    for entry in text.split(","):
+        try:
+            value = parse(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{option} entry {entry!r} is not {kind}")
+        values.append(value)
+    return values
+
+
 def _apply_overrides(raw: dict, pairs: list[str]) -> dict:
     for pair in pairs:
         if "=" not in pair:
@@ -385,7 +402,7 @@ def _cmd_mc_estimate(cfg, sched, args):
     interaction = cfg.interaction_spec()
     dist = cfg.distribution_spec()
     if args.event == "wegner":
-        scales = [int(x) for x in args.scales.split(",")]
+        scales = _parse_list("--scales", args.scales, int)
         energy = args.energy if args.energy is not None else 0.0
         rows = wegner_sweep(scales, energy, cfg.trials, sched, cfg.seed,
                             dist, interaction, cfg.adjacency)
@@ -397,7 +414,7 @@ def _cmd_mc_estimate(cfg, sched, args):
         return [r.to_record() for r in rows], {"wegner.csv": (header, table)}
     specs = [_event_spec(cfg, args, kind) for kind in _event_kinds(args.event)]
     if args.event == "g-trend":
-        gs = [float(x) for x in args.g_list.split(",")]
+        gs = _parse_list("--g-list", args.g_list, float)
         estimates, summary = singularity_vs_g_probe(gs, specs[0], sched, cfg.trials,
                                                     cfg.seed, dist, interaction)
         return [rec.to_record() for rec in [*estimates, summary]], {}
@@ -406,7 +423,9 @@ def _cmd_mc_estimate(cfg, sched, args):
 
 
 def _cmd_decay_fit(cfg, sched, args):
-    gs = [float(x) for x in args.g_list.split(",")]
+    gs = _parse_list("--g-list", args.g_list, float)
+    if args.samples < 1:
+        raise InvalidInputError(f"--samples must be at least 1, got {args.samples}")
     radius = args.radius if args.radius is not None else 10
     rows = localization_mass_sweep(
         gs, radius, args.samples, cfg.seed, d=cfg.dimension,

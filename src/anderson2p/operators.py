@@ -14,6 +14,15 @@ spectrum equals all pairwise sums of the factor spectra
 (``single_particle_factors``); the test suite checks that identity.  Under
 the ``sup`` adjacency the two-particle hop set also moves both particles at
 once and the tensor identity does not hold.
+
+The operator commutes with the particle exchange sigma (x1, x2) -> (x2, x1),
+so a box centred on the diagonal x1 = x2 splits exactly into a symmetric
+and an antisymmetric block (``Sectors``).  A ``BoxStack`` marks each such
+box, and ``resolvent`` decides it in its blocks: both blocks for a window
+test or a spectrum, the symmetric block alone for a Green's function from
+the centre, whose source e_c is symmetric.  The dense one-box paths
+(``FiniteOperator``, ``eigh_stack``, ``BoxStack.matrices``) build the full
+matrix and serve as the test oracle.
 """
 
 from __future__ import annotations
@@ -140,16 +149,47 @@ def box_family(
 
 
 @dataclass(frozen=True)
+class Sectors:
+    """The exchange-sector blocks of the diagonal-centred two-particle box
+    of one shape.  sigma maps a diagonal-centred box onto itself, so its
+    sites are fixed sites (x1 = x2) and pairs {x, sigma x}.  Block 0, the
+    symmetric one, has one row per fixed site (basis e_x) and one per pair
+    ((e_x + e_sigma x)/sqrt 2); block 1, the antisymmetric one, has one
+    row per pair ((e_x - e_sigma x)/sqrt 2).  A pair's row is at its
+    representative, the lower index of the two.
+
+    ``hops[b]`` is Q_b^T A Q_b for the box's hop matrix A: entries
+    h_xy +- h_x,sigma y, times sqrt 2 between a fixed site and a pair, so
+    its diagonal holds +- the hop between a representative and its image
+    (which exists under ``sup`` and not under ``l1``).  Block b of a box
+    is ``hops[b]`` with the box's diagonal at ``sites[b]`` added to its
+    diagonal.  Every entry is within eps/2 relative of Q_b^T H Q_b.  A
+    vector that lives in the symmetric block, with rows z, is z[row] *
+    weight on the sites."""
+
+    sites: tuple[np.ndarray, np.ndarray]  # site of each row of blocks 0 and 1
+    hops: tuple[np.ndarray, np.ndarray]  # read-only
+    image: np.ndarray  # (n,) site of sigma x
+    row: np.ndarray  # (n,) symmetric row of each site
+    weight: np.ndarray  # (n,) 1 on fixed sites, 1/sqrt 2 on pairs
+
+
+@dataclass(frozen=True)
 class BoxStack:
     """A stack of same-shape two-particle boxes kept as their one hop
     matrix and one diagonal per box, so that nothing needs every matrix
     at once: the Gershgorin discs of a box read its diagonal and the hop
     matrix's row sums, and ``pieces`` builds the matrices of chosen boxes
     in stacks of at most ``STACK_BYTES``.  ``matrices()[i]`` is box i's
-    matrix, the ``box_family`` of its center and sample."""
+    matrix, the ``box_family`` of its center and sample.  The boxes
+    centred on the diagonal are marked, and ``sector_pieces`` builds
+    their exchange-sector blocks (``sectors``, None when no box is
+    marked)."""
 
     hop: np.ndarray  # (n, n), read-only, zero diagonal
     diagonal: np.ndarray  # (nbox, n)
+    on_diagonal: np.ndarray  # (nbox,) bool
+    sectors: Optional[Sectors]
 
     def __len__(self) -> int:
         return len(self.diagonal)
@@ -160,7 +200,7 @@ class BoxStack:
         return len(self.diagonal), n, n
 
     def take(self, rows) -> "BoxStack":
-        return BoxStack(self.hop, self.diagonal[rows])
+        return BoxStack(self.hop, self.diagonal[rows], self.on_diagonal[rows], self.sectors)
 
     def matrices(self) -> np.ndarray:
         """Every box's matrix, ``(nbox, n, n)``."""
@@ -180,6 +220,22 @@ class BoxStack:
             part = rows[start:start + step]
             yield part, self.take(part).matrices()
 
+    def sector_pieces(self, rows: np.ndarray,
+                      block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Exchange-sector block ``block`` (0 symmetric, 1 antisymmetric) of
+        the marked boxes at ``rows``, in order, as ``(rows of the piece,
+        its block matrices)`` with at most ``STACK_BYTES`` of matrices per
+        piece (at least one box each)."""
+        sites, hop = self.sectors.sites[block], self.sectors.hops[block]
+        m = len(sites)
+        idx = np.arange(m)
+        step = max(1, STACK_BYTES // (8 * m * m))
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            h = np.broadcast_to(hop, (len(part), m, m)).copy()
+            h[:, idx, idx] += self.diagonal[part][:, sites]
+            yield part, h
+
     def frobenius(self) -> np.ndarray:
         """``||H_i||_F`` of every box, ``(nbox,)``."""
         return np.sqrt(np.square(self.hop).sum() + np.square(self.diagonal).sum(axis=1))
@@ -194,7 +250,9 @@ class BoxStack:
 
 def concat_stacks(stacks: Sequence[BoxStack]) -> BoxStack:
     """One ``BoxStack`` of the boxes of ``stacks`` (of one shape), in order."""
-    return BoxStack(stacks[0].hop, np.concatenate([s.diagonal for s in stacks]))
+    sectors = next((s.sectors for s in stacks if s.sectors is not None), None)
+    return BoxStack(stacks[0].hop, np.concatenate([s.diagonal for s in stacks]),
+                    np.concatenate([s.on_diagonal for s in stacks]), sectors)
 
 
 def _site_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,16 +284,22 @@ def family_stack(
     per ``(d, radius, adjacency)`` (``_hop_template``), and the geometry
     (configurations, interaction, site positions) once per call; each
     sample's potential is drawn once per site of the bounding box of
-    each particle's coordinates.  The sample domains are not checked (see
-    ``check_projections``).
+    each particle's coordinates.  The boxes centred on the diagonal are
+    marked, and the shape's ``Sectors`` are built once like its hop
+    matrix (``_sector_template``).  The sample domains are not checked
+    (see ``check_projections``).
     """
     centers = np.asarray(centers, dtype=np.int64)
     ncand, d = len(centers), centers.shape[1] // 2
     tpl = Box2.of_origin(d, radius).points()
     n = len(tpl)
-    hop = _hop_template(d, radius, normalize_adjacency(adjacency))
+    adjacency = normalize_adjacency(adjacency)
+    hop = _hop_template(d, radius, adjacency)
+    marked = (centers[:, :d] == centers[:, d:]).all(axis=1)
+    sectors = _sector_template(d, radius, adjacency) if marked.any() else None
+    on_diagonal = np.tile(marked, len(samples))
     if ncand == 0:
-        return BoxStack(hop, np.empty((0, n)))
+        return BoxStack(hop, np.empty((0, n)), on_diagonal, sectors)
     pts = (centers[:, None, :] + tpl[None, :, :]).reshape(ncand * n, 2 * d)
     x1, x2 = pts[:, :d], pts[:, d:]
     u = interaction.at_separation(np.abs(x1 - x2).max(axis=1))
@@ -245,31 +309,70 @@ def family_stack(
         v = (sample.values_at_unchecked(sites1)[at1]
              + sample.values_at_unchecked(sites2)[at2])
         row[:] = u + g * v
-    return BoxStack(hop, diagonal.reshape(len(samples) * ncand, n))
+    return BoxStack(hop, diagonal.reshape(len(samples) * ncand, n), on_diagonal, sectors)
 
 
-#: ``_hop_template``'s matrices, at most 8, oldest first; added under the lock
-_hop_templates: dict[tuple[int, int, str], np.ndarray] = {}
-_hop_lock = threading.Lock()
+#: the shape templates of ``_hop_template`` and ``_sector_template``, at
+#: most 16, oldest first; added under the lock
+_templates: dict[tuple[str, int, int, str], object] = {}
+_template_lock = threading.Lock()
+
+
+def _shared(key: tuple[str, int, int, str], build):
+    """The template at ``key``, built by ``build()`` on a miss.  A miss
+    takes the lock and looks again, so workers that miss together build
+    one template; a hit takes no lock."""
+    value = _templates.get(key)
+    if value is None:
+        with _template_lock:
+            value = _templates.get(key)
+            if value is None:
+                value = build()
+                if len(_templates) >= 16:
+                    del _templates[next(iter(_templates))]
+                _templates[key] = value
+    return value
 
 
 def _hop_template(d: int, radius: int, adjacency: str) -> np.ndarray:
     """Read-only hop matrix of the radius-``radius`` two-particle box in
-    ``2d`` coordinates, shared by every ``box_family`` call of that shape.
-    A miss takes the lock and looks again, so workers that miss together
-    build one matrix; a hit takes no lock."""
-    key = (d, radius, adjacency)
-    hop = _hop_templates.get(key)
-    if hop is None:
-        with _hop_lock:
-            hop = _hop_templates.get(key)
-            if hop is None:
-                hop = adjacency_matrix(Box2.of_origin(d, radius).points(), adjacency)
-                hop.flags.writeable = False
-                if len(_hop_templates) >= 8:
-                    del _hop_templates[next(iter(_hop_templates))]
-                _hop_templates[key] = hop
-    return hop
+    ``2d`` coordinates, shared by every ``box_family`` call of that shape."""
+    def build():
+        hop = adjacency_matrix(Box2.of_origin(d, radius).points(), adjacency)
+        hop.flags.writeable = False
+        return hop
+    return _shared(("hop", d, radius, adjacency), build)
+
+
+def _sector_template(d: int, radius: int, adjacency: str) -> Sectors:
+    """The ``Sectors`` of the radius-``radius`` diagonal-centred box, from
+    its hop matrix; shared like ``_hop_template``."""
+    hop = _hop_template(d, radius, adjacency)  # outside the lock, which is not reentrant
+
+    def build():
+        box = Box2.of_origin(d, radius)
+        pts = box.points()
+        n = len(pts)
+        image = box.index_of(np.concatenate([pts[:, d:], pts[:, :d]], axis=1))
+        site = np.arange(n)
+        fixed = image == site
+        sym, anti = np.flatnonzero(image >= site), np.flatnonzero(image > site)
+        half = math.sqrt(0.5)
+        # h_xy + h_x,sigma y is twice h_xy where x or y is fixed: halved
+        # between fixed sites, times 1/sqrt 2 between a fixed site and a pair
+        f = fixed[sym]
+        scale = np.where(f[:, None] & f[None, :], 0.5,
+                         np.where(f[:, None] | f[None, :], half, 1.0))
+        sym_hop = (hop[np.ix_(sym, sym)] + hop[np.ix_(sym, image[sym])]) * scale
+        anti_hop = hop[np.ix_(anti, anti)] - hop[np.ix_(anti, image[anti])]
+        for a in (sym_hop, anti_hop):
+            a.flags.writeable = False
+        row = np.empty(n, dtype=np.int64)
+        row[sym] = np.arange(len(sym))
+        row[image[sym]] = row[sym]
+        return Sectors((sym, anti), (sym_hop, anti_hop), image, row,
+                       np.where(fixed, 1.0, half))
+    return _shared(("sectors", d, radius, adjacency), build)
 
 
 def exchange_orbits(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,20 @@ parent certified non-resonant is solved without a spectrum too.
 ``nt-to-ns`` certifies its box from the tensor sums of its factors
 instead, as a ``clear`` of its own.
 
+A box of an ``operators.BoxStack`` centred on the diagonal is decided in
+its two exchange sectors (``operators.Sectors``, built per piece by
+``BoxStack.sector_pieces``): the inductive parent, and the diagonal
+members of the counter and CNR sub-box families.  The window test and
+the spectrum are questions about the whole spectrum, so they read both
+blocks: a box is certified only when both blocks are, and its spectrum
+is the two block spectra merged in ascending order, so the pair
+``(clear, spectra)`` and the solver guard mean what they mean for the
+whole box.  The antisymmetric block is factored for nothing else: the
+Green's function from the centre solves ``(H - E) x = e_c`` with e_c
+symmetric, so x lies in the symmetric block, and ``_solve`` factors that
+block alone.  The disc stage reads the whole box, as its discs bound the
+union of both blocks' spectra.
+
 All dense LAPACK in the package goes through ``numpy.linalg`` (``solve`` is
 the pivoted LU ``gesv``): scipy bundles a second OpenBLAS whose thread pool
 and numpy's wait on each other when calls alternate between them.  No
@@ -47,6 +61,7 @@ verified numerically in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -81,6 +96,16 @@ def _pieces(h: np.ndarray | BoxStack,
         yield slice(None), h
     elif len(rows):
         yield rows, h[rows]
+
+
+def _split(h: np.ndarray | BoxStack, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` as the boxes decided on their whole matrix (``_pieces``)
+    and the diagonal-centred boxes of a ``BoxStack``, decided in their
+    exchange sectors (``BoxStack.sector_pieces``)."""
+    if isinstance(h, BoxStack) and h.sectors is not None:
+        marked = h.on_diagonal[rows]
+        return rows[~marked], rows[marked]
+    return rows, rows[:0]
 
 
 def window_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
@@ -118,7 +143,15 @@ def window_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
       product and of the factorization (after S. M. Rump, "Verification
       of positive definiteness", BIT 46 (2006) 433).  The boxes are
       factored as one stack per piece (``_pieces``); a stack that does not
-      factor is split in halves until each box has its own verdict.
+      factor is split in halves until each box has its own verdict.  A
+      diagonal-centred box of a ``BoxStack`` is factored in its exchange
+      sectors instead, its symmetric block and then, if that is certified,
+      its antisymmetric block, each at the width w + eta' + eps ||H||_F.
+      The blocks hold the box's whole spectrum; eta' covers ``eigvalsh``
+      on the whole box, and eps ||H||_F the rounding of the blocks against
+      the exact Q^T H Q (the sqrt 2 couplings and the exchange hop on the
+      diagonal, each within eps/2 relative), so what the blocks certify
+      holds for the box.
 
     Underflow terms, below 1e-300, are left out of both bounds.  False
     says nothing: a box may merely come near the window, and the caller
@@ -147,8 +180,14 @@ def window_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
     size = shift + radius  # not finite where E is not
     eta = n * eps * (np.sqrt(n) * size.max(axis=-1) + np.abs(E))
     clear = (shift - radius - (w + eta)[:, None] > 2 * (n + 2) * eps * size).all(axis=-1)
-    for rows, sub in _pieces(h, np.flatnonzero(~clear)):
+    whole, marked = _split(h, np.flatnonzero(~clear))
+    for rows, sub in _pieces(h, whole):
         clear[rows] = _cholesky_clear(sub, E[rows], w[rows])
+    if len(marked):
+        wide = w + eta + eps * h.frobenius()
+        for block in (0, 1):
+            for rows, sub in h.sector_pieces(marked[clear[marked]] if block else marked, block):
+                clear[rows] = _cholesky_clear(sub, E[rows], wide[rows])
     return clear
 
 
@@ -191,10 +230,24 @@ def spectra_unless_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
     a ``BoxStack``) and the ascending spectra ``(nleft, n)`` of the boxes
     it does not certify, in order, from one stacked ``eigvalsh`` per
     piece.  Every gap ``eigvalsh`` would report for a certified box is at
-    least its ``w``."""
+    least its ``w``.  The spectrum of a diagonal-centred box of a
+    ``BoxStack`` is the spectra of its two exchange-sector blocks, merged
+    in ascending order."""
     clear = window_clear(h, E, w)
-    spectra = [np.linalg.eigvalsh(sub) for _, sub in _pieces(h, np.flatnonzero(~clear))]
-    return clear, (np.concatenate(spectra) if spectra else np.empty((0, h.shape[-1])))
+    left = np.flatnonzero(~clear)
+    at = np.empty(len(h), dtype=np.int64)
+    at[left] = np.arange(len(left))
+    spectra = np.empty((len(left), h.shape[-1]))
+    whole, marked = _split(h, left)
+    for rows, sub in _pieces(h, whole):
+        spectra[at[rows]] = np.linalg.eigvalsh(sub)
+    if len(marked):
+        m = len(h.sectors.sites[0])
+        for block, cols in ((0, slice(None, m)), (1, slice(m, None))):
+            for rows, sub in h.sector_pieces(marked, block):
+                spectra[at[rows], cols] = np.linalg.eigvalsh(sub)
+        spectra[at[marked]] = np.sort(spectra[at[marked]], axis=1)
+    return clear, spectra
 
 
 def guard_width(h: np.ndarray | BoxStack, E: float | np.ndarray) -> np.ndarray:
@@ -239,6 +292,14 @@ def _solve(
     in place; the one stack copy per piece is ``H - E``, formed by
     shifting the diagonal of a copy.  Each box is solved on its own, so
     its solution does not depend on the other boxes of the stack.
+
+    A diagonal-centred box of a ``BoxStack`` is solved in its symmetric
+    block alone, which needs an exchange-symmetric right-hand side (else
+    ``PreconditionError``): the antisymmetric part of b is zero, and so is
+    that of x.  The block's residual equals the box's in exact arithmetic,
+    |x| equals |z|, and the bound reads the largest column norm of the
+    whole H - E, from its diagonal and the hop matrix, so the check is the
+    one the whole box would get.
     """
     clear, spectra = clear_spectra
     nbox, n = len(h), h.shape[-1]
@@ -248,10 +309,22 @@ def _solve(
     gap = np.abs(spectra - E[left, None]).min(axis=1)
     ok[left] = ~within_guard(gap, E[left], edge)
     solved = np.flatnonzero(ok)
-    idx = np.arange(n)
-    xs, residuals = [np.empty((0, n, 1))], [np.empty(0)]
-    for rows, sub in _pieces(h, solved):
+    whole, marked = _split(h, solved)
+    pieces = ((rows, sub, False) for rows, sub in _pieces(h, whole))
+    if len(marked):
+        sectors, hop_columns = h.sectors, np.square(h.hop).sum(axis=0)
+        pieces = chain(pieces, ((rows, sub, True) for rows, sub in h.sector_pieces(marked, 0)))
+    at = np.empty(nbox, dtype=np.int64)
+    at[solved] = np.arange(len(solved))
+    xs, residuals = np.empty((len(solved), n, 1)), np.empty(len(solved))
+    for rows, sub, symmetric in pieces:
+        idx = np.arange(sub.shape[-1])
         e, b = E[rows], rhs[rows]
+        if symmetric:
+            if not np.array_equal(b, b[:, sectors.image]):
+                raise PreconditionError("a diagonal-centred box is solved in its symmetric "
+                                        "sector, so its right-hand side must be symmetric")
+            b = b[:, sectors.sites[0]] / sectors.weight[sectors.sites[0], None]
         shifted = sub.copy()
         shifted[:, idx, idx] -= e[:, None]
         x = np.linalg.solve(shifted, b)
@@ -260,15 +333,17 @@ def _solve(
         # norm over stacked axes sums in another order
         residual = np.sqrt(np.swapaxes(r, 1, 2) @ r)[:, 0, 0]
         size = np.sqrt(np.swapaxes(x, 1, 2) @ x)[:, 0, 0]
-        bound = SPECTRAL_RTOL * np.maximum(1.0, _column_norm(shifted) * size)
+        if not symmetric:
+            column = _column_norm(shifted)
+        else:
+            column = np.sqrt((np.square(h.diagonal[rows] - e[:, None]) + hop_columns).max(axis=1))
+            x = x[:, sectors.row] * sectors.weight[:, None]
+        bound = SPECTRAL_RTOL * np.maximum(1.0, column * size)
         if np.any(residual > bound):
             raise NumericError(
                 f"Green's function solve residual {residual.max():.3e} exceeds tolerance")
-        xs.append(x)
-        residuals.append(residual)
-    if len(xs) == 2:
-        return solved, xs[1], residuals[1]
-    return solved, np.concatenate(xs), np.concatenate(residuals)
+        xs[at[rows]], residuals[at[rows]] = x, residual
+    return solved, xs, residuals
 
 
 def _column_norm(a: np.ndarray) -> np.ndarray:

@@ -203,6 +203,16 @@ class TestOneLapackLibrary:
                                                        ("resolvent", "_factors")}
         assert self._functions_naming("_cholesky_clear") == {("resolvent", "window_clear")}
 
+    def test_one_linear_solve(self):
+        # numpy.linalg.solve is named only in resolvent._solve, so every
+        # solve, a diagonal-centred box's symmetric-sector solve too, passes
+        # the solver guard and the residual check.  The sector blocks are
+        # built from one template that only family_stack asks for, and only
+        # resolvent builds their matrices
+        assert self._functions_naming("solve") == {("resolvent", "_solve")}
+        assert self._functions_naming("_sector_template") == {("operators", "family_stack")}
+        assert {module for module, _ in self._functions_naming("sector_pieces")} == {"resolvent"}
+
     def test_one_window_test(self):
         # resolvent.window_clear is named only in resolvent.spectra_unless_clear,
         # so every window question gets one verdict per box and the spectra

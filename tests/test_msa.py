@@ -461,8 +461,9 @@ class TestCertifiedParent:
 
     @staticmethod
     def _counting(monkeypatch):
-        """Record every ``eigvalsh`` call's stack shape and every
-        ``window_clear`` call's verdicts."""
+        """Record every ``eigvalsh`` call's stack shape, and every
+        ``window_clear`` call's verdicts with its stack's diagonal-centred
+        marks."""
         calls, verdicts = [], []
         eigvalsh, window_clear = np.linalg.eigvalsh, resolvent.window_clear
 
@@ -471,8 +472,8 @@ class TestCertifiedParent:
             return eigvalsh(a, *args, **kwargs)
 
         def counted_window_clear(*args):
-            verdicts.append(window_clear(*args))
-            return verdicts[-1]
+            verdicts.append((window_clear(*args), args[0].on_diagonal))
+            return verdicts[-1][0]
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         monkeypatch.setattr("anderson2p.resolvent.window_clear", counted_window_clear)
@@ -488,11 +489,13 @@ class TestCertifiedParent:
             calls.clear()
             verdicts.clear()
             assert inductive_ns_step(*args) == expected
-            # one eigvalsh per stack with an uncertified box, over those
-            # boxes only, and none for a certified stack
-            assert [shape[0] for shape in calls] == [
-                int((~v).sum()) for v in verdicts if not v.all()]
-            certified += all(v.all() for v in verdicts)
+            # per stack with an uncertified box, one eigvalsh over those of
+            # its boxes off the diagonal and one per exchange sector over
+            # those on it, and none for a certified stack
+            counts = [(int((~v & ~marked).sum()),) + (int((~v & marked).sum()),) * 2
+                      for v, marked in verdicts]
+            assert [shape[0] for shape in calls] == [c for three in counts for c in three if c]
+            certified += all(v.all() for v, _ in verdicts)
         assert certified >= 12
         assert sum(rep.ns_ok is not None for rep in want) >= 12
 
@@ -511,9 +514,12 @@ class TestCertifiedParent:
             rep = inductive_ns_step(*args)
             assert rep == expected and not rep.cnr_ok and rep.skipped
             # the parent's is the one-box window question; the counter's
-            # sub-box stack is asked first
-            assert [v.tolist() for v in verdicts if len(v) == 1] == [[False]]
-            assert [shape for shape in calls if shape[-1] == parent.n] == [(1, parent.n, parent.n)]
+            # sub-box stack is asked first.  The parent is centred on the
+            # diagonal, so its spectrum comes from its two exchange sectors
+            m = (2 * parent.box.radius + 1) ** parent.box.d
+            blocks = [(1, m * (m + 1) // 2, m * (m + 1) // 2), (1, m * (m - 1) // 2, m * (m - 1) // 2)]
+            assert [v.tolist() for v, _ in verdicts if len(v) == 1] == [[False]]
+            assert [shape for shape in calls if shape in blocks] == blocks
 
 
 def _batch(sched, k, adjacency, seeds):
@@ -662,28 +668,38 @@ class TestBatchedLapackCalls:
     def test_calls_are_per_piece(self, monkeypatch, tmp_path):
         sched = desk_schedule()
         records, calls = self._run(monkeypatch, tmp_path / "budget")
-        # the pieces' sizes: parents, the CNR radius's sub-boxes and the
-        # counter's, of n = 169, 81 and 49 sites at the desk's scale 0
-        n = {"parent": (2 * sched.L[1] + 1) ** 2, "counter": (2 * sched.L[0] + 1) ** 2}
+        # the pieces' sizes: the counter's sub-boxes of n = 49 sites at the
+        # desk's scale 0 off the diagonal, and the symmetric blocks (of
+        # N (N + 1) / 2 rows, N = 2L + 1) that a box on the diagonal is
+        # solved in: 28 rows for those sub-boxes, 91 for the parents
+        sym = {"parent": (2 * sched.L[1] + 1) * (2 * sched.L[1] + 2) // 2,
+               "counter": (2 * sched.L[0] + 1) * (2 * sched.L[0] + 2) // 2}
+        n = {"counter": (2 * sched.L[0] + 1) ** 2,
+             **{f"{name} symmetric": m for name, m in sym.items()}}
         per_piece = {name: operators.STACK_BYTES // (8 * m * m) for name, m in n.items()}
         batches = [len(range(16)[i:i + blas.BATCH_ITEMS])
                    for i in range(0, 16, blas.BATCH_ITEMS)]
         assert len(batches) < 16
-        # solves: each batch's counter boxes, 28 per seed, and at most one
-        # parent per seed, in pieces, apart from the boxes the window test
-        # leaves to spectra
-        bound = sum(-(-b * 28 // per_piece["counter"]) + -(-b // per_piece["parent"])
-                    for b in batches) + 2
+        # solves: each batch's counter boxes, 28 exchange orbits per seed of
+        # which 7 are centred on the diagonal, and at most one parent per
+        # seed, in pieces, apart from the boxes the window test leaves to
+        # spectra
+        bound = sum(-(-b * 21 // per_piece["counter"])
+                    + -(-b * 7 // per_piece["counter symmetric"])
+                    + -(-b // per_piece["parent symmetric"]) for b in batches) + 2
         assert len(calls["solve"]) <= bound < 2 * 16
         assert all(size <= max(per_piece.values()) for size, _ in calls["solve"])
-        # with a whole batch in one piece: one solve per stage and kind of
-        # guard, one Cholesky stack per window question, and the same records
+        # with a whole batch in one piece: one solve per stage, kind of guard
+        # and kind of block, one Cholesky stack per window question and kind
+        # of block (boxes off the diagonal, and each exchange sector of those
+        # on it: three for the counter's and the CNR radius's sub-boxes, two
+        # for the parents), and the same records
         monkeypatch.setattr(operators, "STACK_BYTES", 1 << 30)
         whole, calls = self._run(monkeypatch, tmp_path / "whole")
         assert whole == records
         assert len(calls["solve"]) <= 4 * len(batches)
-        assert self._first_calls(calls["cholesky"]) <= 3 * len(batches)
-        assert max(size for size, _ in calls["solve"]) >= max(batches) * 28 // 2
+        assert self._first_calls(calls["cholesky"]) <= 8 * len(batches)
+        assert max(size for size, _ in calls["solve"]) >= max(batches) * 21 // 2
 
 
 class TestCounters:

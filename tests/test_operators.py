@@ -162,7 +162,7 @@ class TestBoxFamily:
             time.sleep(0.05)
             return kernels.adjacency_matrix(points, adjacency)
 
-        monkeypatch.setattr(operators, "_hop_templates", {})
+        monkeypatch.setattr(operators, "_templates", {})
         monkeypatch.setattr(operators, "adjacency_matrix", slow_adjacency)
         start = threading.Barrier(4)
         got = []
@@ -242,6 +242,62 @@ class TestExchangeOrbits:
         got, want = exchange_orbits(centers), exchange_orbits_by_dict(centers)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestExchangeSectors:
+    """The sector blocks of a diagonal-centred box are Q^T H Q in the
+    exchange-adapted basis, to eps/2 relative per entry, built once per
+    shape, and only boxes centred on the diagonal are marked."""
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    @pytest.mark.parametrize("d,radius,rows", [(1, 6, (91, 78)), (1, 12, (325, 300)),
+                                               (2, 1, (45, 36))])
+    def test_blocks_are_the_conjugated_box(self, d, radius, rows, adjacency):
+        center = np.array([[2] * 2 * d, [0] * d + [1] * d])
+        sample = sample_potential(DistributionSpec.uniform(), 3, 1,
+                                  domain_for_boxes([Box2.of_origin(d, radius + 2)]))
+        stack = operators.family_stack(center, radius, [sample], _interaction(), 2.5,
+                                       adjacency)
+        assert stack.on_diagonal.tolist() == [True, False]
+        sectors = stack.sectors
+        assert tuple(len(s) for s in sectors.sites) == rows
+        h = stack.matrices()[0]
+        n = len(h)
+        image = sectors.image
+        assert np.array_equal(image[image], np.arange(n))
+        sym = np.zeros((n, rows[0]))
+        sym[np.arange(n), sectors.row] = sectors.weight
+        anti = np.zeros((n, rows[1]))
+        anti[sectors.sites[1], np.arange(rows[1])] = np.sqrt(0.5)
+        anti[image[sectors.sites[1]], np.arange(rows[1])] = -np.sqrt(0.5)
+        for q in (sym, anti):
+            assert np.allclose(q.T @ q, np.eye(len(q.T)), rtol=0, atol=1e-15)
+        assert np.abs(sym.T @ h @ anti).max() <= 1e-14 * np.abs(h).max()
+        for block, q in enumerate((sym, anti)):
+            (_, got), = stack.sector_pieces(np.array([0]), block)
+            want = q.T @ h @ q
+            assert (np.abs(got[0] - want) <= 4 * np.finfo(float).eps * np.abs(want)
+                    + 1e-15).all()
+        # the exchange hop sits on the block diagonals under sup only
+        shift = np.diagonal(sectors.hops[0])
+        assert (np.abs(shift).max() > 0) == (adjacency == "sup")
+        assert np.array_equal(np.diagonal(sectors.hops[1]), -shift[sectors.row[sectors.sites[1]]])
+
+    def test_template_shared_and_read_only(self):
+        a = operators._sector_template(1, 3, "sup")
+        assert a is operators._sector_template(1, 3, "sup")
+        for hop in a.hops:
+            with pytest.raises(ValueError):
+                hop[0, 0] = 1.0
+        sample = sample_potential(DistributionSpec.uniform(), 3, 1,
+                                  domain_for_boxes([Box2.of_origin(1, 6)]))
+        off = operators.family_stack(np.array([[1, 2], [0, -1]]), 3, [sample],
+                                     _interaction(), 2.5, "sup")
+        assert off.sectors is None and not off.on_diagonal.any()
+        both = operators.concat_stacks([off, operators.family_stack(
+            np.array([[1, 1]]), 3, [sample, sample], _interaction(), 2.5, "sup")])
+        assert both.sectors is a and both.on_diagonal.tolist() == [False, False, True, True]
+        assert both.take([3, 0]).on_diagonal.tolist() == [True, False]
 
 
 class TestDiagonalize:

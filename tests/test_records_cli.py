@@ -403,28 +403,53 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option,message", [
-        *[pytest.param(["--check", check, f"--seeds={seeds}"],
+        *[pytest.param(["msa-verify", "--check", check, f"--seeds={seeds}"],
                        f"--seeds must be at least 1, got {seeds}", id=f"{check}-{seeds}")
           for seeds in ("0", "-3")
           for check in ("inductive-step", "nt-to-ns", "boundary-recovery")],
-        pytest.param(["--check", "nt-to-ns", "--radius", "0"],
+        pytest.param(["msa-verify", "--check", "nt-to-ns", "--radius", "0"],
                      "--radius 0 leaves the nt-to-ns box no offset: it needs 2 * radius + "
                      "interaction.r0 + 1 < 6 * radius, with interaction.r0 = 1",
                      id="nt-to-ns-radius-0"),
-        pytest.param(["--check", "nt-to-ns", "--radius", "-2"],
+        pytest.param(["msa-verify", "--check", "nt-to-ns", "--radius", "-2"],
                      "--radius -2 leaves the nt-to-ns box no offset: it needs 2 * radius + "
                      "interaction.r0 + 1 < 6 * radius, with interaction.r0 = 1",
                      id="nt-to-ns-radius-negative"),
-        *[pytest.param(["--check", "boundary-recovery", *radius, "--sub-radius", sub],
+        *[pytest.param(["msa-verify", "--check", "boundary-recovery", *radius,
+                        "--sub-radius", sub],
                        f"--sub-radius must be at least 0 and below --radius 4, got {sub}",
                        id=f"sub-radius-{sub}")
           for radius, sub in ((["--radius", "4"], "-1"), (["--radius", "4"], "4"), ([], "5"))],
+        *[pytest.param(["decay-fit", "--radius", "8", "--g-list", "5", "--samples", samples],
+                       f"--samples must be at least 1, got {samples}",
+                       id=f"decay-fit-samples-{samples}")
+          for samples in ("0", "-2")],
     ])
-    def test_msa_verify_rejects_out_of_range_values(self, tmp_path, capsys, option, message):
+    def test_rejects_out_of_range_values(self, tmp_path, capsys, option, message):
         # seeds below 1 left range(seeds) empty, and the run exited 0 with no
-        # records; the radii ended in a ValueError or TypeError traceback
-        argv = ["msa-verify", *option, "--out", str(tmp_path / "o")]
+        # records; the radii ended in a ValueError or TypeError traceback, and
+        # decay-fit's samples below 1 in an IndexError
+        argv = [*option, "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"kind": "error", "error": "InvalidInputError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["mc-estimate", "--event", "wegner", "--scales", "2,x"],
+                     "--scales entry 'x' is not an integer", id="scales-word"),
+        pytest.param(["mc-estimate", "--event", "wegner", "--scales", "2.5"],
+                     "--scales entry '2.5' is not an integer", id="scales-fraction"),
+        *[pytest.param([*command, "--g-list", g_list], f"--g-list entry {entry!r} is not a "
+                       "finite number", id=f"{command[-1]}-{name}")
+          for command in (["mc-estimate", "--event", "g-trend"], ["decay-fit"])
+          for g_list, entry, name in (("1,,", "", "empty"), ("1,inf", "inf", "inf"),
+                                      ("nan", "nan", "nan"))],
+    ])
+    def test_bad_list_entry_exit_2(self, tmp_path, capsys, argv, message):
+        # bare int() and float() ended in a ValueError traceback, and a
+        # non-finite coupling in a NumericError about the operator matrix
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"kind": "error", "error": "InvalidInputError", "message": message}
         assert not (tmp_path / "o").exists()

@@ -516,6 +516,132 @@ class TestSolvePaths:
             assert np.array_equal(h, before[0]) and np.array_equal(rhs, before[1])
 
 
+def _sector_family(d, radius, adjacency, interacting, seeds=(3, 4)):
+    """The radius-``radius`` boxes at the 3**d diagonal centres of a
+    radius-1 box and at every tenth of its other centres, under each
+    sample, as a ``BoxStack`` and as its built matrices."""
+    inter = _interaction() if interacting else InteractionSpec(1, (0.0, 0.0))
+    points = Box2.of_origin(d, 1).points()
+    diagonal = (points[:, :d] == points[:, d:]).all(axis=1)
+    centers = points[diagonal | (np.arange(len(points)) % 10 == 1)]
+    samples = [sample_potential(DistributionSpec.uniform(), seed, 0,
+                                domain_for_boxes([Box2.of_origin(d, radius + 1)]))
+               for seed in seeds]
+    stack = family_stack(centers, radius, samples, inter, 5.0, adjacency)
+    return stack, stack.matrices()
+
+
+_SECTOR_CASES = [(1, 3, "sup"), (1, 3, "l1"), (1, 6, "sup"), (1, 6, "l1"),
+                 (2, 1, "sup"), (2, 1, "l1")]
+
+
+class TestExchangeSectors:
+    """A diagonal-centred box of a ``BoxStack`` is decided in its exchange
+    sectors; the dense matrix of the whole box is the oracle.  Its merged
+    spectrum, its Green's column, its window verdicts and its solver guard
+    hold for the whole box, and a box off the diagonal is decided on its
+    whole matrix as before."""
+
+    @pytest.mark.parametrize("interacting", [True, False], ids=["U", "no-U"])
+    @pytest.mark.parametrize("d,radius,adjacency", _SECTOR_CASES)
+    def test_merged_spectra_equal_the_whole_box(self, d, radius, adjacency, interacting):
+        stack, h = _sector_family(d, radius, adjacency, interacting)
+        assert stack.on_diagonal.sum() == 2 * 3 ** d and not stack.on_diagonal.all()
+        ev = np.linalg.eigvalsh(h)
+        clear, spectra = spectra_unless_clear(stack, 0.0, np.full(len(h), np.inf))
+        assert not clear.any()
+        edge = np.abs(ev).max(axis=1, keepdims=True)
+        assert (np.abs(spectra - ev) <= 1e-12 * edge).all()
+        assert np.array_equal(spectra[~stack.on_diagonal], ev[~stack.on_diagonal])
+
+    @pytest.mark.parametrize("interacting", [True, False], ids=["U", "no-U"])
+    @pytest.mark.parametrize("d,radius,adjacency", _SECTOR_CASES)
+    def test_green_column_equals_the_dense_solve(self, d, radius, adjacency, interacting):
+        stack, h = _sector_family(d, radius, adjacency, interacting)
+        n, c = h.shape[-1], Box2.of_origin(d, radius).center_index()
+        ev = np.linalg.eigvalsh(h)
+        E = np.array([_nonresonant_energies(e, 1, np.random.default_rng(i))[0]
+                      for i, e in enumerate(ev)])
+        rhs = np.zeros((len(h), n, 1))
+        rhs[:, c] = 1.0
+        solved, x, residual = _solve(stack, (np.ones(len(h), dtype=bool), np.empty((0, n))),
+                                     E, rhs)
+        dense = np.linalg.solve(h - E[:, None, None] * np.eye(n), rhs)
+        assert list(solved) == list(range(len(h)))
+        assert (np.abs(x - dense) <= 1e-12 * np.abs(dense).max(axis=(1, 2), keepdims=True)).all()
+        assert (residual <= 1e-12).all()
+        whole = ~stack.on_diagonal
+        alone = _solve(h[whole], _certified(h[whole]), E[whole], rhs[whole])
+        assert np.array_equal(x[whole], alone[1]) and np.array_equal(residual[whole], alone[2])
+        # the boundary maxima read the lifted column
+        bidx = Box2.of_origin(d, radius).boundary_indices()
+        values, _ = boundary_green_maxima(stack, spectra_unless_clear(stack, E, guard_width(stack, E)),
+                                          c, bidx, E)
+        want = np.abs(dense[:, bidx, 0]).max(axis=1)
+        assert (np.abs(values - want) <= 1e-12 * want).all()
+
+    @pytest.mark.parametrize("d,radius,adjacency", _SECTOR_CASES)
+    def test_certified_boxes_have_the_dense_gap(self, d, radius, adjacency):
+        """Energies just inside and just outside the window of an eigenvalue
+        of each box, with the width from each box's spectral edge: every
+        box certified through its sectors has a dense ``eigvalsh`` gap of at
+        least w, and some are certified."""
+        stack, h = _sector_family(d, radius, adjacency, True, seeds=(3, 4, 5, 6))
+        ev = np.linalg.eigvalsh(h)
+        rng = np.random.default_rng(radius)
+        w = 1e-2
+        pick = ev[np.arange(len(h)), rng.integers(0, h.shape[-1], len(h))]
+        E = pick + rng.choice([-1.0, 1.0], len(h)) * w * (1 + rng.choice([-1e-9, 1e-9, 0.5], len(h)))
+        clear, spectra = spectra_unless_clear(stack, E, w)
+        gaps = np.abs(ev - E[:, None]).min(axis=1)
+        assert (gaps[clear] >= w).all()
+        marked = stack.on_diagonal
+        assert (clear & marked).any() and (~clear & marked).any()
+        assert window_clear(h, E, w)[~marked].tolist() == clear[~marked].tolist()
+        # the guard: a certified box is outside its solver guard
+        g = guard_width(stack, E)
+        clear, _ = spectra_unless_clear(stack, E, g)
+        edge = np.abs(ev).max(axis=1)
+        assert not within_guard(gaps, E, edge)[clear].any()
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_stack_off_the_diagonal_keeps_its_bits(self, adjacency):
+        """A stack with no diagonal-centred box has no sectors and gets the
+        verdicts, spectra and solutions of its built matrices, bit for
+        bit."""
+        centers = np.array([[1, -1], [2, 0], [-1, 1], [0, 3]])
+        sample = sample_potential(DistributionSpec.uniform(), 8, 0,
+                                  domain_for_boxes([Box2.of_origin(1, 8)]))
+        stack = family_stack(centers, 4, [sample], _interaction(), 5.0, adjacency)
+        h = stack.matrices()
+        assert stack.sectors is None and not stack.on_diagonal.any()
+        ev = np.linalg.eigvalsh(h)
+        E = ev[:, [3, 40, 7, 60]].diagonal() + np.array([0.0, 0.3, 1e-3, 0.05])
+        w = guard_width(stack, E) * np.array([1.0, 1.0, 1e9, 1e10])
+        pair = spectra_unless_clear(stack, E, w)
+        dense = spectra_unless_clear(h, E, w)
+        assert pair[0].tolist() == dense[0].tolist() and np.array_equal(pair[1], dense[1])
+        tpl = Box2.of_origin(1, 4)
+        got = boundary_green_maxima(stack, pair, tpl.center_index(), tpl.boundary_indices(), E)
+        want = boundary_green_maxima(h, dense, tpl.center_index(), tpl.boundary_indices(), E)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_pieces_do_not_reach_the_verdicts(self, monkeypatch):
+        stack, h = _sector_family(1, 3, "sup", True, seeds=(3, 4, 5))
+        E = np.linspace(-1.0, 12.0, len(h))
+        want = spectra_unless_clear(stack, E, 0.05)
+        monkeypatch.setattr(operators, "STACK_BYTES", 1)
+        got = spectra_unless_clear(stack, E, 0.05)
+        assert got[0].tolist() == want[0].tolist() and np.array_equal(got[1], want[1])
+
+    def test_antisymmetric_right_hand_side_rejected(self):
+        stack, h = _sector_family(1, 2, "sup", True)
+        rhs = np.zeros((len(h), h.shape[-1], 1))
+        rhs[:, 1] = 1.0  # a site off the diagonal, without its exchange image
+        with pytest.raises(PreconditionError, match="symmetric"):
+            _solve(stack, (np.ones(len(h), dtype=bool), np.empty((0, h.shape[-1]))), 0.1, rhs)
+
+
 class TestGreenSpectral:
     def test_single_point_factors(self):
         box, sample = box_with_sample(Point2.of((0,), (5,)), 0, seed=2)
