@@ -403,6 +403,10 @@ def _cmd_mc_estimate(cfg, sched, args):
     dist = cfg.distribution_spec()
     if args.event == "wegner":
         scales = _parse_list("--scales", args.scales, int)
+        for entry, scale in zip(args.scales.split(","), scales):
+            if scale < 2:
+                raise InvalidInputError(f"--scales entry {entry!r} is not a box length: "
+                                        "each scale is the L0 of a schedule, at least 2")
         energy = args.energy if args.energy is not None else 0.0
         rows = wegner_sweep(scales, energy, cfg.trials, sched, cfg.seed,
                             dist, interaction, cfg.adjacency)

@@ -12,7 +12,10 @@ The inductive step asks only window questions of its spectra, so it
 diagonalizes no box that ``resolvent.window_clear`` certifies (by its
 Gershgorin discs, else by a Cholesky factorization): the parent at its
 resonance width, the CNR sub-boxes at theirs, and the counter's sub-boxes
-at the solver guard width.  A certified parent is non-resonant and clear
+at the solver guard width.  Before that, the counter certifies its
+strictly dominant sub-boxes non-singular with no LAPACK
+(``resolvent.dominance_certified``), and only the rest are window-tested
+and solved.  A certified parent is non-resonant and clear
 of the guard, and is solved with no spectrum: each window test's
 ``(clear, spectra)`` pair goes to ``resolvent.boundary_green_maxima`` as
 it is, so every stack is one solve.  ``inductive_ns_steps`` decides a
@@ -47,7 +50,12 @@ from .operators import (
     pole_residues,
 )
 from .records import Record
-from .resolvent import boundary_green_maxima, guard_width, spectra_unless_clear
+from .resolvent import (
+    boundary_green_maxima,
+    dominance_certified,
+    guard_width,
+    spectra_unless_clear,
+)
 
 
 @dataclass(frozen=True)
@@ -470,11 +478,17 @@ def singular_subbox_counts(
     Candidate centers are all configurations whose sub-box fits inside the
     parent; interactivity is decided exactly per candidate.  One box per
     exchange orbit (``operators.exchange_orbits``) and sample is built, and
-    its Green's column at the sample's energy is taken by stacked solves
-    (``resolvent.boundary_green_maxima``); images share their
+    it is decided at the sample's energy; images share their
     representative's verdict, as in ``SubboxSpectra``.
 
-    The solver guard needs no spectrum: ``resolvent.window_clear``
+    A strictly dominant box is certified non-singular, below
+    e^{-m_k L_k}, by ``resolvent.dominance_certified`` from its diagonal
+    and |hop| alone; a certified box is one the solve would report below
+    the threshold too, so the reports, which hold only verdicts, are
+    those of the solve.  The other boxes' Green's columns are taken by
+    stacked solves (``resolvent.boundary_green_maxima``).
+
+    Their solver guard needs no spectrum: ``resolvent.window_clear``
     certifies each box at its ``resolvent.guard_width``.  Every
     ``eigvalsh`` gap of a certified box is at least that width, above the
     box's guard, so ``within_guard`` would not skip it either and the same
@@ -486,10 +500,14 @@ def singular_subbox_counts(
     centers, interactive, orbit, stack = _subbox_family(center, k, sched, samples,
                                                         interaction, g, adjacency)
     E = np.repeat(np.asarray(energies, dtype=np.float64), len(stack) // len(samples))
-    clear_spectra = spectra_unless_clear(stack, E, guard_width(stack, E))
-    values, _ = boundary_green_maxima(stack, clear_spectra, template.center_index(),
-                                      template.boundary_indices(), E)
-    singular = values.reshape(len(samples), -1) > math.exp(-sched.m[k] * L_k)
+    center_index, boundary = template.center_index(), template.boundary_indices()
+    threshold = math.exp(-sched.m[k] * L_k)
+    rest = np.flatnonzero(~dominance_certified(stack, E, center_index, boundary, threshold))
+    sub, e = stack.take(rest), E[rest]
+    values = np.zeros(len(stack))
+    values[rest] = boundary_green_maxima(sub, spectra_unless_clear(sub, e, guard_width(sub, e)),
+                                         center_index, boundary, e)[0]
+    singular = values.reshape(len(samples), -1) > threshold
     sep = 8 * L_k
     reports = []
     for energy, mask in zip(energies, singular):

@@ -28,6 +28,15 @@ parent certified non-resonant is solved without a spectrum too.
 ``nt-to-ns`` certifies its box from the tensor sums of its factors
 instead, as a ``clear`` of its own.
 
+A box need not be solved either when its question is only whether the
+boundary Green's maximum stays below a threshold: ``dominance_certified``
+bounds |G(E; c, .)| of a strictly dominant ``operators.BoxStack`` box by
+monotone Jacobi steps on its comparison matrix, from the data of the disc
+stage and |hop|, with no matrix built and no LAPACK.  Its one caller is
+the sub-box counter ``msa.singular_subbox_counts``, which window-tests and
+solves only the boxes it leaves; a box that reports its maximum, or a
+resonance question, gets nothing from a bound.
+
 A box of an ``operators.BoxStack`` centred on the diagonal is decided in
 its two exchange sectors (``operators.Sectors``, built per piece by
 ``BoxStack.sector_pieces``): the inductive parent, and the diagonal
@@ -175,20 +184,98 @@ def window_clear(h: np.ndarray | BoxStack, E: float | np.ndarray,
         del off  # a stack's worth of memory, not needed by the Cholesky stage
     if not (np.isfinite(diagonal).all() and np.isfinite(radius).all()):
         raise NumericError("operator matrix has non-finite entries")
-    eps = np.finfo(np.float64).eps
-    shift = np.abs(diagonal - E[:, None])
-    size = shift + radius  # not finite where E is not
-    eta = n * eps * (np.sqrt(n) * size.max(axis=-1) + np.abs(E))
-    clear = (shift - radius - (w + eta)[:, None] > 2 * (n + 2) * eps * size).all(axis=-1)
+    clear, eta = _discs_clear(np.abs(diagonal - E[:, None]), radius, E, w)
     whole, marked = _split(h, np.flatnonzero(~clear))
     for rows, sub in _pieces(h, whole):
         clear[rows] = _cholesky_clear(sub, E[rows], w[rows])
     if len(marked):
-        wide = w + eta + eps * h.frobenius()
+        wide = w + eta + np.finfo(np.float64).eps * h.frobenius()
         for block in (0, 1):
             for rows, sub in h.sector_pieces(marked[clear[marked]] if block else marked, block):
                 clear[rows] = _cholesky_clear(sub, E[rows], wide[rows])
     return clear
+
+
+def _discs_clear(shift: np.ndarray, radius: np.ndarray, E: np.ndarray,
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``window_clear``'s disc stage from ``shift = |h_xx - E|``
+    ``(nbox, n)`` and the row sums ``radius`` (``(n,)`` or ``(nbox, n)``):
+    one verdict per box, False where an entry is not finite, and each
+    box's eta'."""
+    n = shift.shape[-1]
+    eps = np.finfo(np.float64).eps
+    size = shift + radius  # not finite where E is not
+    eta = n * eps * (np.sqrt(n) * size.max(axis=-1) + np.abs(E))
+    clear = (shift - radius - (w + eta)[:, None] > 2 * (n + 2) * eps * size).all(axis=-1)
+    return clear, eta
+
+
+def dominance_certified(stack: BoxStack, E: np.ndarray, center_index: int,
+                        boundary_indices: np.ndarray, threshold: float) -> np.ndarray:
+    """Certify, box by box, that ``max_y |G(E_i; c, y)|`` over
+    ``boundary_indices`` is at most ``threshold`` for the boxes of
+    ``stack`` (one energy per box) whose discs clear their solver guard,
+    with no matrix built and no LAPACK.  Returns one verdict per box; a
+    box's verdict does not depend on the other boxes of the stack.
+
+    Write A = H - E = D + T with D diagonal, and let M = |D| - |T|, the
+    comparison matrix.  A box whose discs clear ``guard_width``
+    (``window_clear``'s disc stage) is strictly diagonally dominant,
+    delta = min_x (|h_xx - E| - r_x) > 0, so M^{-1} >= 0 exists and
+    |A^{-1}| <= M^{-1} entrywise (Ostrowski).  Whatever vector u >= 0
+    bounds g = M^{-1} e_c from above, so does its Jacobi update
+    (e_c + |T| u) / |h_xx - E|, as the update is monotone and g is its
+    fixed point; the iteration starts from Varah's bound
+    ||M^{-1}||_inf <= 1/delta (Varah, Linear Algebra Appl. 11 (1975) 3)
+    and keeps ``u <- min(u, update)``: the path expansion of von Dreifus
+    and Klein, CMP 124 (1989) 285.  It runs 4 L + 2 steps, L the hop
+    distance from the centre to the boundary, and stops once every box is
+    decided.
+
+    Rounding.  The start is 1/delta' with delta' = |h_xx - E| - r_x -
+    2 (n + 2) eps (|h_xx - E| + r_x) <= delta, the disc stage's margin,
+    and the start and each update are scaled by 1 + 2 (n + 2) eps, above
+    the relative rounding of a sum of n nonnegative terms, of h_xx - E and
+    of the division; so every u bounds |G(E; c, .)| of the exact inverse.
+    A box is certified when its boundary bound plus 2 rho ||u||_inf is at
+    most ``threshold``, where rho = n eps ||A||_inf / delta' <= 1/2: taking
+    the solve's backward error as n eps ||A||_inf, as ``window_clear``'s
+    eta takes that of ``eigvalsh``, ||A^{-1}||_inf <= 1/delta bounds its
+    forward error by 2 rho ||x||_inf, so ``boundary_green_maxima`` would
+    report the box below ``threshold`` too.  Its discs clear the guard, so
+    it would solve it.  False says nothing.
+    """
+    nbox, n = stack.shape[:2]
+    E = np.broadcast_to(np.asarray(E, dtype=np.float64), (nbox,))
+    certified = np.zeros(nbox, dtype=bool)
+    eps = np.finfo(np.float64).eps
+    grow = 1 + 2 * (n + 2) * eps
+    radius = stack.row_sums()
+    shift = np.abs(stack.diagonal - E[:, None])
+    live = np.flatnonzero(_discs_clear(shift, radius, E, guard_width(stack, E))[0])
+    shift, size = shift[live], shift[live] + radius
+    delta = (shift - radius - 2 * (n + 2) * eps * size).min(axis=1)
+    rho = n * eps * size.max(axis=1) / delta
+    keep = rho <= 0.5
+    live, shift, delta, rho = live[keep], shift[keep], delta[keep], rho[keep]
+    hop = np.abs(stack.hop)
+    reach = np.zeros(n, dtype=bool)
+    reach[center_index] = True
+    for hops in range(n):  # the hop distance from the centre to the boundary
+        if reach[boundary_indices].any():
+            break
+        reach |= hop[reach].any(axis=0)
+    u = np.repeat((grow / delta)[:, None], n, axis=1)
+    for _ in range(4 * hops + 2):
+        step = u @ hop
+        step[:, center_index] += 1.0
+        np.minimum(u, step * (grow / shift), out=u)
+        done = u[:, boundary_indices].max(axis=1) + 2 * rho * u.max(axis=1) <= threshold
+        certified[live[done]] = True
+        live, u, shift, rho = live[~done], u[~done], shift[~done], rho[~done]
+        if not len(live):
+            break
+    return certified
 
 
 def _cholesky_clear(h: np.ndarray, E: np.ndarray, w: np.ndarray) -> np.ndarray:

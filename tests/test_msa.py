@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from anderson2p import blas, cli, operators, resolvent
+from anderson2p import blas, cli, msa, operators, resolvent
 from anderson2p.classify import cnr_subbox_layout, cnr_sweeps, is_cnr
 from anderson2p.config import ExperimentConfig
 from anderson2p.disorder import DistributionSpec, InteractionSpec, domain_for_boxes, sample_potential
@@ -446,6 +446,79 @@ class TestCertifiedCounterGuard:
         assert [count_singular_subboxes(*args) for args in instances] == want
 
 
+class TestDominanceCertifiedCounter:
+    """``singular_subbox_counts`` certifies the strictly dominant sub-boxes
+    non-singular by ``resolvent.dominance_certified`` and leaves the window
+    test and the solve to the rest; its reports are those of the solve
+    alone."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("g,adjacency", [(30.0, "l1"), (5.0, "sup")],
+                             ids=["g30-l1", "g5-sup"])
+    def test_reports_equal_with_nothing_certified(self, monkeypatch, k, g, adjacency):
+        sched = desk_schedule(g=g)
+        center, samples, energies = _batch(sched, k, adjacency,
+                                           range(40, 52) if k == 0 else range(80, 84))
+        args = (center, k, sched, samples, energies, _interaction(), g, adjacency)
+        certified, dominance_certified = [], resolvent.dominance_certified
+
+        def counted(*a):
+            verdicts = dominance_certified(*a)
+            certified.append(int(verdicts.sum()))
+            return verdicts
+
+        monkeypatch.setattr(msa, "dominance_certified", counted)
+        got = singular_subbox_counts(*args)
+        monkeypatch.setattr(msa, "dominance_certified",
+                            lambda stack, *a: np.zeros(len(stack), dtype=bool))
+        want = singular_subbox_counts(*args)
+        assert [dataclasses.asdict(r) for r in got] == [dataclasses.asdict(r) for r in want]
+        assert (sum(certified) > 0) == (g == 30.0)
+        if k == 0:
+            assert any(r.singular_ni or r.singular_i for r in want)
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_every_box_certified(self, monkeypatch, adjacency):
+        """Below every disc all sub-boxes are certified, and the window
+        test and the solve get an empty stack."""
+        sched = desk_schedule(g=30.0)
+        center = Point2.of((0,), (0,))
+        args = (center, 0, sched, TestSingleEnergyCounter._sample(sched, 0, center, 5),
+                _interaction(), sched.g, -20.0, adjacency)
+        sizes, boundary_green_maxima = [], resolvent.boundary_green_maxima
+
+        def sized(h, *a):
+            sizes.append(len(h))
+            return boundary_green_maxima(h, *a)
+
+        monkeypatch.setattr(msa, "boundary_green_maxima", sized)
+        got = count_singular_subboxes(*args)
+        monkeypatch.setattr(msa, "dominance_certified",
+                            lambda stack, *a: np.zeros(len(stack), dtype=bool))
+        assert got == count_singular_subboxes(*args)
+        assert sizes[0] == 0 and sizes[1] == 28
+        assert not (got.singular_ni or got.singular_i)
+
+    def test_inductive_seeds_certify_every_dominant_box(self):
+        """At seeds 7000-7015 of the benchmark's ``inductive``
+        configuration, every sub-box whose discs clear its solver guard is
+        certified within its 4 L + 2 steps: about three quarters of
+        them."""
+        dominant_boxes = boxes = 0
+        for center, k, sched, sample, inter, g, E, adjacency in _inductive_instances("l1"):
+            stack = msa._subbox_family(center, k, sched, [sample], inter, g, adjacency)[3]
+            tpl = Box2.of_origin(center.d, sched.L[k])
+            e = np.full(len(stack), E)
+            dominant = resolvent._discs_clear(np.abs(stack.diagonal - E), stack.row_sums(), e,
+                                              resolvent.guard_width(stack, e))[0]
+            certified = resolvent.dominance_certified(
+                stack, e, tpl.center_index(), tpl.boundary_indices(),
+                math.exp(-sched.m[k] * sched.L[k]))
+            assert certified.tolist() == dominant.tolist()
+            dominant_boxes, boxes = dominant_boxes + dominant.sum(), boxes + len(stack)
+        assert 0.6 < dominant_boxes / boxes < 0.9
+
+
 class TestCertifiedParent:
     """The inductive step decides its parent by ``window_clear`` at the
     parent's resonance width: an instance whose every window question is
@@ -819,6 +892,25 @@ class TestInductiveStep:
             assert rep.mass_bound <= 0  # raw bound degenerates at this scale
             n_ok += 1
         assert n_ok >= 10
+
+    def test_check_can_fail(self):
+        """The assertion has room: the first instance of the benchmark's
+        ``inductive`` configuration attains a mass m* = -ln(max_boundary_gf)
+        / L_1 several times the asserted one.  Asserted at 1.01 m* (the
+        desk asserts the schedule's m_1, the raw bound being negative) it
+        fails, and at 0.99 m* it holds."""
+        center, k, sched, sample, inter, g, E, adjacency = _inductive_instances("l1")[0]
+        rep = inductive_ns_step(center, k, sched, sample, inter, g, E, adjacency)
+        assert rep.hypotheses_hold and rep.ns_ok and rep.mass_bound <= 0
+        attained = -math.log(rep.max_boundary_gf) / sched.L[k + 1]
+        assert attained > 5 * rep.assert_mass
+        for factor, ok in ((1.01, False), (0.99, True)):
+            asserted = dataclasses.replace(sched, m=(sched.m[0], factor * attained,
+                                                     *sched.m[2:]))
+            got = inductive_ns_step(center, k, asserted, sample, inter, g, E, adjacency)
+            assert got.ns_ok is ok and got.assert_mass == factor * attained
+            assert dataclasses.replace(got, assert_mass=rep.assert_mass, ns_ok=True,
+                                       ns_margin=rep.ns_margin) == rep
 
     def test_counter_never_exceeds_candidates(self, desk):
         sample = sample_potential(DistributionSpec.uniform(), 4, 0,

@@ -121,3 +121,28 @@ def test_one_record_serializer():
                 and any(isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and m.name == "to_record" for m in node.body)}
     assert defining == SERIALIZERS
+
+
+def _functions_referring_to(name: str) -> set[tuple[str, str]]:
+    """The ``(module, function)`` pairs of the package whose code refers
+    to ``name`` as a ``Name`` or an ``Attribute``; a method as
+    ``Class.method``, module-level code as ``<module>``."""
+    found = set()
+    for p in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            defs = [(getattr(top, "name", "<module>"), top)]
+            if isinstance(top, ast.ClassDef):
+                defs = [(f"{top.name}.{m.name}", m) for m in top.body
+                        if isinstance(m, ast.FunctionDef)]
+            for qualname, node in defs:
+                if any(getattr(sub, "id", None) == name or getattr(sub, "attr", None) == name
+                       for sub in ast.walk(node)):
+                    found.add((p.stem, qualname))
+    return found
+
+
+def test_dominance_certificate_has_one_caller():
+    # the certificate decides only non-singularity below the counter's
+    # threshold: a parent reports its boundary maximum, and a resonance
+    # question reads eigenvalues it does not bound
+    assert _functions_referring_to("dominance_certified") == {("msa", "singular_subbox_counts")}

@@ -440,6 +440,11 @@ class TestCli:
                      "--scales entry 'x' is not an integer", id="scales-word"),
         pytest.param(["mc-estimate", "--event", "wegner", "--scales", "2.5"],
                      "--scales entry '2.5' is not an integer", id="scales-fraction"),
+        *[pytest.param(["mc-estimate", "--event", "wegner", "--scales", scales],
+                       f"--scales entry {entry!r} is not a box length: each scale is the L0 "
+                       "of a schedule, at least 2", id=f"scales-{name}")
+          for scales, entry, name in (("0", "0", "zero"), ("1", "1", "one"),
+                                      ("-3", "-3", "negative"), ("4,1", "1", "second"))],
         *[pytest.param([*command, "--g-list", g_list], f"--g-list entry {entry!r} is not a "
                        "finite number", id=f"{command[-1]}-{name}")
           for command in (["mc-estimate", "--event", "g-trend"], ["decay-fit"])
@@ -447,8 +452,9 @@ class TestCli:
                                       ("nan", "nan", "nan"))],
     ])
     def test_bad_list_entry_exit_2(self, tmp_path, capsys, argv, message):
-        # bare int() and float() ended in a ValueError traceback, and a
-        # non-finite coupling in a NumericError about the operator matrix
+        # bare int() and float() ended in a ValueError traceback, a
+        # non-finite coupling in a NumericError about the operator matrix,
+        # and a scale below 2 in an error about the schedule key L0
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"kind": "error", "error": "InvalidInputError", "message": message}

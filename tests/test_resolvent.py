@@ -9,7 +9,7 @@ from anderson2p.config import ExperimentConfig
 from anderson2p.errors import NumericError, PreconditionError, ResonantEnergyError
 from anderson2p.geometry import Box2, Point2, exterior_boundary
 from anderson2p.kernels import pairwise_dist
-from anderson2p import operators
+from anderson2p import operators, resolvent
 from anderson2p.operators import (
     assemble_two_particle,
     box_family,
@@ -27,6 +27,7 @@ from anderson2p.resolvent import (
     boundary_recovery,
     green_column,
     green_spectral,
+    dominance_certified,
     guard_width,
     spectra_unless_clear,
     spectral_gap,
@@ -516,10 +517,11 @@ class TestSolvePaths:
             assert np.array_equal(h, before[0]) and np.array_equal(rhs, before[1])
 
 
-def _sector_family(d, radius, adjacency, interacting, seeds=(3, 4)):
+def _sector_family(d, radius, adjacency, interacting, seeds=(3, 4), g=5.0):
     """The radius-``radius`` boxes at the 3**d diagonal centres of a
     radius-1 box and at every tenth of its other centres, under each
-    sample, as a ``BoxStack`` and as its built matrices."""
+    sample, at coupling ``g``, as a ``BoxStack`` and as its built
+    matrices."""
     inter = _interaction() if interacting else InteractionSpec(1, (0.0, 0.0))
     points = Box2.of_origin(d, 1).points()
     diagonal = (points[:, :d] == points[:, d:]).all(axis=1)
@@ -527,7 +529,7 @@ def _sector_family(d, radius, adjacency, interacting, seeds=(3, 4)):
     samples = [sample_potential(DistributionSpec.uniform(), seed, 0,
                                 domain_for_boxes([Box2.of_origin(d, radius + 1)]))
                for seed in seeds]
-    stack = family_stack(centers, radius, samples, inter, 5.0, adjacency)
+    stack = family_stack(centers, radius, samples, inter, g, adjacency)
     return stack, stack.matrices()
 
 
@@ -640,6 +642,95 @@ class TestExchangeSectors:
         rhs[:, 1] = 1.0  # a site off the diagonal, without its exchange image
         with pytest.raises(PreconditionError, match="symmetric"):
             _solve(stack, (np.ones(len(h), dtype=bool), np.empty((0, h.shape[-1]))), 0.1, rhs)
+
+
+def _dominance_case(d, radius, adjacency, interacting):
+    """``_sector_family``'s boxes at g = 100 and one energy per box,
+    cycling through three kinds: the midpoint of the widest gap between
+    two of the box's diagonal entries, inside the spectrum's range, and
+    energies below and above every disc.  Returns the stack, the energies,
+    the centre and the dense ``|G(E; c, y)|`` at every site y,
+    ``(nbox, n)``."""
+    stack, h = _sector_family(d, radius, adjacency, interacting, seeds=(3, 4, 5), g=100.0)
+    n, c = h.shape[-1], Box2.of_origin(d, radius).center_index()
+    rows = np.arange(len(h))
+    diagonal = np.sort(stack.diagonal, axis=1)
+    widest = np.diff(diagonal, axis=1).argmax(axis=1)
+    rng = np.random.default_rng(7 * d + radius)
+    reach = stack.row_sums().max() + rng.uniform(0.1, 3.0, len(h))
+    E = np.select([rows % 3 == 0, rows % 3 == 1],
+                  [0.5 * (diagonal[rows, widest] + diagonal[rows, widest + 1]),
+                   diagonal[:, 0] - reach], diagonal[:, -1] + reach)
+    rhs = np.zeros((len(h), n, 1))
+    rhs[:, c] = 1.0
+    dense = np.abs(np.linalg.solve(h - E[:, None, None] * np.eye(n), rhs)[:, :, 0])
+    return stack, E, c, dense
+
+
+def _dominant(stack, E):
+    """The boxes whose discs clear their solver guard: strictly dominant."""
+    E = np.asarray(E, dtype=np.float64)
+    shift = np.abs(stack.diagonal - E[:, None])
+    return resolvent._discs_clear(shift, stack.row_sums(), E, guard_width(stack, E))[0]
+
+
+class TestDominanceCertificate:
+    """``dominance_certified`` certifies a strictly dominant box's Green's
+    function from the centre below a threshold from its diagonal and
+    |hop| alone.  Its bound is never below the dense value, at any site, so
+    a box is certified only where the dense solve is below the threshold
+    too; it certifies no box whose discs come within the solver guard."""
+
+    @pytest.mark.parametrize("interacting", [True, False], ids=["U", "no-U"])
+    @pytest.mark.parametrize("d,radius,adjacency", _SECTOR_CASES[:2] + _SECTOR_CASES[4:])
+    def test_bound_is_at_least_the_dense_value(self, d, radius, adjacency, interacting):
+        """Each site as a one-site boundary, at a threshold of the dense
+        |G(c, y)| itself: never certified.  At twice it, a share of the
+        (box, site) pairs of the dominant boxes is.  The energies of the
+        first kind lie inside the spectrum's range, and are dominant in
+        some boxes, apart from d = 2 under ``sup``, where a site has 80
+        neighbours."""
+        stack, E, c, dense = _dominance_case(d, radius, adjacency, interacting)
+        ev = np.linalg.eigvalsh(stack.matrices())
+        kind = np.arange(len(E)) % 3
+        assert ((ev[:, 0] < E) & (E < ev[:, -1]))[kind == 0].all()
+        dominant = _dominant(stack, E)
+        assert dominant[kind > 0].all()
+        assert dominant[kind == 0].any() == ((d, adjacency) != (2, "sup"))
+        above = 0
+        for i in range(len(E)):
+            one = stack.take([i])
+            for y in range(dense.shape[1]):
+                site = np.array([y])
+                assert not dominance_certified(one, E[i:i + 1], c, site, dense[i, y])[0], (i, y)
+                above += dominance_certified(one, E[i:i + 1], c, site, 2 * dense[i, y])[0]
+        assert above >= 0.25 * dominant.sum() * dense.shape[1]
+
+    @pytest.mark.parametrize("d,radius,adjacency", _SECTOR_CASES)
+    def test_certifies_the_dominant_boxes_alone(self, d, radius, adjacency):
+        """With no threshold to meet, the certified boxes are the dominant
+        ones; a box whose discs come near its energy (every fourth, at one
+        of its diagonal entries) never is."""
+        stack, E, c, _ = _dominance_case(d, radius, adjacency, True)
+        E[::4] = stack.diagonal[::4, 1]
+        bidx = Box2.of_origin(d, radius).boundary_indices()
+        dominant = _dominant(stack, E)
+        assert dominance_certified(stack, E, c, bidx, np.inf).tolist() == dominant.tolist()
+        assert not dominant[::4].any() and dominant.any()
+
+    @pytest.mark.parametrize("adjacency", ["sup", "l1"])
+    def test_verdicts_do_not_depend_on_the_stack(self, adjacency):
+        stack, E, c, dense = _dominance_case(1, 3, adjacency, True)
+        bidx = Box2.of_origin(1, 3).boundary_indices()
+        threshold = float(np.median(dense[:, bidx].max(axis=1)))
+        verdicts = dominance_certified(stack, E, c, bidx, threshold)
+        assert verdicts.any() and not verdicts.all()
+        alone = [bool(dominance_certified(stack.take([i]), E[i:i + 1], c, bidx, threshold)[0])
+                 for i in range(len(E))]
+        assert alone == verdicts.tolist()
+        order = np.random.default_rng(2).permutation(len(E))
+        assert (dominance_certified(stack.take(order), E[order], c, bidx, threshold).tolist()
+                == verdicts[order].tolist())
 
 
 class TestGreenSpectral:
